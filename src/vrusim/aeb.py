@@ -13,13 +13,16 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .geometry import Pose2, obb_overlap, obb_separation
-from .scenario import ActorState, ScenarioSpec, WorldState
+from .geometry import OrientedBox, Pose2, obb_overlap, obb_separation
+from .scenario import ActorState, ActorTrack, ScenarioSpec, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
 
 log = logging.getLogger(__name__)
 
 _NEAR_FIELD_SLACK = 10.0
+# how far a circle bound must clear a threshold before the exact box test
+# it stands for is skipped; far above the rounding of either computation
+_CULL_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,32 @@ def _advance(dist: float, speed: float, t0: float, t1: float, onset: float | Non
     return dist + speed * pre + d, v
 
 
+_Legs = tuple[tuple[tuple[float, float, float, float, float], ...], tuple[float, float]]
+
+
+def _legs(track: ActorTrack) -> _Legs:
+    """A track's polyline as (start x, start y, dx, dy, length) per leg plus
+    the end point, in the arithmetic of `ActorTrack.pose_at_distance`."""
+    legs = []
+    for a, b in zip(track.path, track.path[1:]):
+        dx, dy = b.x - a.x, b.y - a.y
+        legs.append((a.x, a.y, dx, dy, math.hypot(dx, dy)))
+    end = track.path[-1]
+    return tuple(legs), (end.x, end.y)
+
+
+def _centre(path: _Legs, distance: float) -> tuple[float, float]:
+    """Position after `distance` along the path; the same bits as the pose
+    `ActorTrack.pose_at_distance` returns, without building it."""
+    legs, end = path
+    for ax, ay, dx, dy, length in legs:
+        if distance <= length:
+            frac = distance / length if length > 0 else 0.0
+            return ax + dx * frac, ay + dy * frac
+        distance -= length
+    return end
+
+
 def simulate_run(
     spec: ScenarioSpec,
     sensors: tuple[SensorUnit, ...],
@@ -152,35 +181,40 @@ def simulate_run(
     frames: list[FrameRecord] = []
     collision_time: float | None = None
     collision_speed = 0.0
-    min_separation = math.inf
+    # far-field steps count by their circle bound; near-field steps clear
+    # of contact keep (bound, travelled, t) for the exact gap taken below
+    far_margin = math.inf
+    near: list[tuple[float, float, float]] = []
+    vut_path, vru_path = _legs(vut_track), _legs(vru_track)
+    vru_speed_nominal = vru_track.speed
 
-    def vut_pose_now() -> Pose2:
-        pose, _ = vut_track.pose_at_distance(travelled)
-        return pose
+    def footprints(distance: float, t: float) -> tuple[OrientedBox, OrientedBox]:
+        vut_pose, _ = vut_track.pose_at_distance(distance)
+        vru_pose, _ = vru_track.state_at(t)
+        return vut_track.footprint(vut_pose), vru_track.footprint(vru_pose)
 
     def check_contact(t: float) -> bool:
-        nonlocal collision_time, collision_speed, min_separation
-        vut_pose = vut_pose_now()
-        vru_pose, _ = vru_track.state_at(t)
-        gap = (vru_pose.position - vut_pose.position).norm()
+        nonlocal collision_time, collision_speed, far_margin
+        ux, uy = _centre(vut_path, travelled)
+        rx, ry = _centre(vru_path, vru_speed_nominal * t)
+        gap = math.hypot(rx - ux, ry - uy)
+        bound = gap - vut_r - vru_r
         if gap > near_field:
-            min_separation = min(min_separation, gap - vut_r - vru_r)
+            far_margin = min(far_margin, bound)
             return False
-        a = vut_track.footprint(vut_pose)
-        b = vru_track.footprint(vru_pose)
-        if obb_overlap(a, b):
-            if collision_time is None:
-                collision_time = t
-                collision_speed = speed
+        # disjoint bounding circles cannot hold touching boxes
+        if bound <= _CULL_MARGIN and obb_overlap(*footprints(travelled, t)):
+            collision_time = t
+            collision_speed = speed
             return True
-        min_separation = min(min_separation, obb_separation(a, b))
+        near.append((bound, travelled, t))
         return False
 
     halted = check_contact(0.0) and stop_at_collision
 
     for frame in range(n_frames):
         t_frame = frame / spec.frame_rate
-        vut_pose = vut_pose_now()
+        vut_pose, _ = vut_track.pose_at_distance(travelled)
         vru_pose, vru_speed = vru_track.state_at(t_frame)
 
         detected: list[bool] = []
@@ -223,17 +257,30 @@ def simulate_run(
         if frame == n_frames - 1:
             break
         for step in range(steps_per_frame):
+            if halted:
+                break
             t0 = t_frame + step * dt
             t1 = t_frame + (step + 1) * dt
-            if not halted:
-                travelled, speed = _advance(travelled, speed, t0, t1, brake_onset, policy.deceleration)
+            travelled, speed = _advance(travelled, speed, t0, t1, brake_onset, policy.deceleration)
+            # the first contact fixes the outcome; later steps only move the car
+            if collision_time is None:
                 halted = check_contact(t1) and stop_at_collision
+
+    stop_margin: float | None = None
+    if collision_time is None:
+        # exact gaps in ascending bound order, until no bound can beat the
+        # minimum: a minimum does not depend on the order it is taken in
+        stop_margin = far_margin
+        for bound, distance, t in sorted(near):
+            if bound > stop_margin + _CULL_MARGIN:
+                break
+            stop_margin = min(stop_margin, obb_separation(*footprints(distance, t)))
 
     avoided = collision_time is None
     outcome = SafetyOutcome(
         avoided=avoided,
         collision_speed=0.0 if avoided else collision_speed,
-        stop_margin=min_separation if avoided else None,
+        stop_margin=stop_margin,
         last_possible_brake_time=last_possible_brake_time,
         collision_time=collision_time,
     )
@@ -324,7 +371,7 @@ def format_trace(trace: RunTrace) -> str:
             f"{rec.vru_pose.y:.6f}",
             f"{rec.vru_pose.heading:.6f}",
             "1" if rec.braking else "0",
-        ] + ["1" if sensor_id in rec.detected else "0" for sensor_id in trace.sensor_ids]
+        ] + ["1" if hit else "0" for _, hit in zip(trace.sensor_ids, rec.detected, strict=True)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -140,7 +140,13 @@ class _Section:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:
@@ -343,6 +349,9 @@ def load_config(
         ov_values[name] = _number(ov.take(name, None), f"scenario_overrides.{name}")
     ov.finish()
     overrides = replace(DEFAULT_OVERRIDES, **ov_values) if ov_values else DEFAULT_OVERRIDES
+    for name in ("pedestrian_speed_kmh", "cyclist_speed_kmh"):
+        if not getattr(overrides, name) > 0:
+            raise ConfigError(f"scenario_overrides.{name} must be positive")
     if overrides.frame_rate != rate_hz:
         raise ConfigError(
             "sensors.rate_hz must match scenario_overrides.frame_rate "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._version import __version__
-from .aeb import format_trace, last_possible_brake_time, simulate_run
+from .aeb import SafetyOutcome, format_trace, last_possible_brake_time, simulate_run
 from .config import RunConfig
 from .metrics import accuracy, heatmap_from_frames, mean_detections_per_frame
 from .scenario import ScenarioKind, build_scenario, rotate_scenario
@@ -84,15 +84,19 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
     n_frames = len(watch.frames)
     deadline = last_possible_brake_time(spec, config.policy, dt=config.dt)
 
+    # subsets that confirm at the same instant brake identically
+    replays: dict[float | None, tuple[SafetyOutcome, float | None]] = {}
     subsets = []
     for sub in config.subsets:
         trigger = first_confirmed_time(events, config.policy.confirm_frames, sub.sensor_ids)
-        replay = simulate_run(
-            spec, (), config.model, config.policy, (),
-            dt=config.dt, trigger_override=trigger, sense=False,
-            last_possible_brake_time=deadline,
-        )
-        out = replay.outcome
+        if trigger not in replays:
+            replay = simulate_run(
+                spec, (), config.model, config.policy, (),
+                dt=config.dt, trigger_override=trigger, sense=False,
+                last_possible_brake_time=deadline,
+            )
+            replays[trigger] = (replay.outcome, replay.brake_trigger_time)
+        out, brake_trigger_time = replays[trigger]
         subsets.append(
             SubsetResult(
                 name=sub.name,
@@ -104,7 +108,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
                 stop_margin=out.stop_margin,
                 collision_time=out.collision_time,
                 first_confirmed_time=trigger,
-                brake_trigger_time=replay.brake_trigger_time,
+                brake_trigger_time=brake_trigger_time,
             )
         )
 

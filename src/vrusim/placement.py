@@ -129,6 +129,8 @@ class _ObservedSuite:
     model: DetectionModel
     dt: float
     _cache: dict = field(default_factory=dict)
+    # (scenario index, trigger) -> avoided; subsets sharing a trigger share it
+    _replays: dict = field(default_factory=dict)
 
     def performance(self, subset: Sequence[str]) -> tuple[float, float]:
         key = frozenset(subset)
@@ -136,13 +138,15 @@ class _ObservedSuite:
             return self._cache[key]
         avoided = 0
         acc_sum = 0.0
-        for spec, events, n_frames in zip(self.specs, self.events, self.n_frames):
+        for i, (spec, events, n_frames) in enumerate(zip(self.specs, self.events, self.n_frames)):
             trigger = first_confirmed_time(events, self.policy.confirm_frames, subset)
-            trace = simulate_run(
-                spec, (), self.model, self.policy, (),
-                dt=self.dt, trigger_override=trigger, sense=False,
-            )
-            if trace.outcome.avoided:
+            if (i, trigger) not in self._replays:
+                trace = simulate_run(
+                    spec, (), self.model, self.policy, (),
+                    dt=self.dt, trigger_override=trigger, sense=False,
+                )
+                self._replays[i, trigger] = trace.outcome.avoided
+            if self._replays[i, trigger]:
                 avoided += 1
             acc_sum += accuracy(events, n_frames, subset)
         perf = (avoided / len(self.specs), acc_sum / len(self.specs))

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from vrusim.scenario import (
 from vrusim.sensing import DetectionModel, default_vut_sensor, first_confirmed_time
 
 POLICY = AebPolicy()
+GOLDEN_MANIFEST = Path(__file__).parent / "golden" / "default_sweep_manifest.txt"
 
 
 def all_cells():
@@ -301,9 +303,19 @@ def test_box_matching_agrees_with_exhaustive_enumeration():
 # --------------------------------------------------------------- gate 7
 
 
+def golden_manifest_entries():
+    """(path, sha256) pairs from the committed digest lines, in manifest order."""
+    entries = []
+    for line in GOLDEN_MANIFEST.read_text(encoding="utf-8").splitlines():
+        digest, rel = line.split("  ", 1)
+        entries.append((rel, digest))
+    return tuple(entries)
+
+
 def test_full_default_sweep_is_reproducible(tmp_path):
     """Two complete default sweeps with different worker counts write
-    byte-identical reports, in under five minutes."""
+    byte-identical reports, equal to the committed golden digests, in under
+    five minutes."""
     t0 = time.monotonic()
     config = load_config()
     first = emit_reports(run_sweep(config, workers=2), str(tmp_path / "a"))
@@ -312,6 +324,7 @@ def test_full_default_sweep_is_reproducible(tmp_path):
 
     assert first.complete and second.complete
     assert first.entries == second.entries
+    assert first.entries == golden_manifest_entries()
     bytes_a = (tmp_path / "a" / "manifest.txt").read_bytes()
     bytes_b = (tmp_path / "b" / "manifest.txt").read_bytes()
     assert bytes_a == bytes_b
@@ -319,7 +332,7 @@ def test_full_default_sweep_is_reproducible(tmp_path):
     assert elapsed < 300.0
     print(
         f"PASS: two full sweeps ({len(first.entries)} files) byte-identical "
-        f"across worker counts in {elapsed:.0f}s"
+        f"across worker counts and to the golden digests in {elapsed:.0f}s"
     )
 
 

@@ -9,15 +9,18 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrusim.aeb import (
     AebPolicy,
+    _advance,
     classify_outcome,
     last_possible_brake_time,
     simulate_run,
     stopping_distance,
 )
-from vrusim.geometry import Vec2
+from vrusim.geometry import Vec2, obb_overlap, obb_separation
 from vrusim.scenario import (
     KMH,
     ActorClass,
@@ -26,6 +29,7 @@ from vrusim.scenario import (
     ScenarioSpec,
     allowed_speeds_kmh,
     build_scenario,
+    rotate_scenario,
 )
 from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
 
@@ -274,6 +278,103 @@ def test_forced_replay_matches_live_loop(subset):
     assert live.outcome.avoided == replay.outcome.avoided
     assert live.outcome.collision_speed == replay.outcome.collision_speed
     assert live.outcome.collision_time == replay.outcome.collision_time
+
+
+# ------------------------------------------------------ reference kernel
+
+
+def reference_replay(spec, policy, trigger, stop_at_collision, dt=0.005):
+    """The plain per-step contact loop of a sensing-free run.
+
+    `Vec2` poses at every step, the exact overlap test at every near-field
+    step and the exact gap whenever the boxes do not overlap; far-field
+    steps count by their bounding-circle gap. Returns (avoided,
+    collision_time, collision_speed, stop_margin, brake_trigger_time).
+    """
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    vut_r = math.hypot(vut_track.length / 2, vut_track.width / 2)
+    vru_r = math.hypot(vru_track.length / 2, vru_track.width / 2)
+    near_field = vut_r + vru_r + 10.0
+    steps_per_frame = round(1.0 / spec.frame_rate / dt)
+    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
+    onset = None if trigger is None else trigger + policy.latency
+    travelled, speed = 0.0, vut_track.speed
+    collision_time, collision_speed, margin = None, 0.0, math.inf
+
+    def contact(t):
+        nonlocal collision_time, collision_speed, margin
+        vut_pose, _ = vut_track.pose_at_distance(travelled)
+        vru_pose, _ = vru_track.state_at(t)
+        gap = (vru_pose.position - vut_pose.position).norm()
+        if gap > near_field:
+            margin = min(margin, gap - vut_r - vru_r)
+            return False
+        a, b = vut_track.footprint(vut_pose), vru_track.footprint(vru_pose)
+        if obb_overlap(a, b):
+            if collision_time is None:
+                collision_time, collision_speed = t, speed
+            return True
+        margin = min(margin, obb_separation(a, b))
+        return False
+
+    halted = contact(0.0) and stop_at_collision
+    for frame in range(n_frames - 1):
+        t_frame = frame / spec.frame_rate
+        for step in range(steps_per_frame):
+            t0 = t_frame + step * dt
+            t1 = t_frame + (step + 1) * dt
+            if not halted:
+                travelled, speed = _advance(travelled, speed, t0, t1, onset, policy.deceleration)
+                halted = contact(t1) and stop_at_collision
+    avoided = collision_time is None
+    return (
+        avoided,
+        collision_time,
+        0.0 if avoided else collision_speed,
+        margin if avoided else None,
+        onset,
+    )
+
+
+@st.composite
+def replay_cases(draw):
+    kind = draw(st.sampled_from(list(ScenarioKind)))
+    speed = draw(st.sampled_from(allowed_speeds_kmh(kind)))
+    yaw = draw(st.sampled_from((0.0, 37.0, 90.0)))
+    spec = rotate_scenario(build_scenario(kind, speed), math.radians(yaw))
+    # the last three seconds of frames before the unbraked contact: early
+    # ones avoid, late ones collide, the ones between stop close to the
+    # rider; -1 stands for no trigger at all
+    last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
+    back = draw(st.integers(-1, 30))
+    frame = max(last - back, 0)
+    trigger = None if back < 0 else frame / spec.frame_rate + POLICY.latency
+    return spec, trigger, draw(st.booleans())
+
+
+@settings(
+    max_examples=30,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(replay_cases())
+def test_replay_matches_reference_kernel_exactly(case):
+    spec, trigger, stop_at_collision = case
+    trace = simulate_run(
+        spec, (), MODEL, POLICY, (),
+        trigger_override=trigger, sense=False, stop_at_collision=stop_at_collision,
+    )
+    out = trace.outcome
+    got = (
+        out.avoided,
+        out.collision_time,
+        out.collision_speed,
+        out.stop_margin,
+        trace.brake_trigger_time,
+    )
+    assert got == reference_replay(spec, POLICY, trigger, stop_at_collision)
 
 
 # ----------------------------------------------------------------- guards

@@ -1,5 +1,7 @@
 """Command line behaviour, driven in-process through main()."""
 
+import logging
+
 import pytest
 import yaml
 
@@ -56,6 +58,36 @@ def test_sweep_bad_speeds_flag_is_exit_1(tmp_path):
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"]})
     rc = main(["sweep", "--config", cfg, "--speeds", "fast,slow", "-q"])
     assert rc == 1
+
+
+def one_line_config_error(caplog, argv):
+    """Run main(); it must exit 1 after logging exactly one one-line error."""
+    with caplog.at_level(logging.ERROR):
+        rc = main(argv)
+    assert rc == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert "\n" not in message
+    return message
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"policy": {"latency_s": float("nan")}}, "policy.latency_s"),
+        ({"dt_s": float("nan")}, "dt_s"),
+        ({"scenario_overrides": {"cyclist_speed_kmh": 0}}, "cyclist_speed_kmh"),
+    ],
+    ids=["latency-nan", "dt-nan", "cyclist-speed-zero"],
+)
+def test_sweep_bad_number_is_exit_1_with_one_line(tmp_path, caplog, data, where):
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], **data})
+    out = tmp_path / "out"
+    message = one_line_config_error(caplog, ["sweep", "--config", cfg, "--out", str(out), "-q"])
+    assert where in message
+    assert not (out / "summary.csv").exists()
 
 
 def test_sweep_bad_workers_is_exit_1(tmp_path):

@@ -165,6 +165,32 @@ def test_scenario_overrides(tmp_path):
         load_config(write_cfg(tmp_path, {"scenario_overrides": {"ped_speed": 10}}))
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: {"dt_s": v},
+        lambda v: {"scene_yaw_deg": [v]},
+        lambda v: {"policy": {"latency_s": v}},
+        lambda v: {"scenario_overrides": {"vut_length": v}},
+    ],
+    ids=["dt_s", "scene_yaw_deg", "policy.latency_s", "scenario_overrides.vut_length"],
+)
+def test_non_finite_numbers_rejected(tmp_path, build, value):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(write_cfg(tmp_path, build(value)))
+
+
+@pytest.mark.parametrize("name", ["pedestrian_speed_kmh", "cyclist_speed_kmh"])
+@pytest.mark.parametrize("value", [0, -5.0])
+def test_vru_speed_must_be_positive(tmp_path, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be positive"):
+        load_config(write_cfg(tmp_path, {"scenario_overrides": {name: value}}))
+
+
 def test_frame_rate_consistency(tmp_path):
     with pytest.raises(ConfigError, match="rate_hz must match"):
         load_config(write_cfg(tmp_path, {"scenario_overrides": {"frame_rate": 20}}))

@@ -226,6 +226,14 @@ def test_traces_only_when_enabled(tmp_path):
     text = trace.read_text().splitlines()
     assert text[0].startswith("#")
     assert "det_vut" in text[2]
+    # one flag per detection event, in the column of the sensor that made it
+    header = text[2].split(",")
+    rows = [line.split(",") for line in text[3:]]
+    (cell,) = result.cells
+    for sensor_id, frames in cell.detection_frames.items():
+        col = header.index(f"det_{sensor_id}")
+        assert sum(row[col] == "1" for row in rows) == len(frames), sensor_id
+    assert sum(len(frames) for frames in cell.detection_frames.values()) > 0
 
     off = load_config(
         cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]}),
