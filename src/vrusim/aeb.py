@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import OrientedBox, Pose2, obb_overlap, obb_separation
-from .scenario import ActorState, ActorTrack, ScenarioSpec, WorldState
+from .scenario import ActorState, ScenarioSpec, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ class SafetyOutcome:
     avoided: bool
     collision_speed: float
     stop_margin: float | None
-    last_possible_brake_time: float | None
     collision_time: float | None = None
 
     def __post_init__(self) -> None:
@@ -103,32 +102,6 @@ def _advance(dist: float, speed: float, t0: float, t1: float, onset: float | Non
     return dist + speed * pre + d, v
 
 
-_Legs = tuple[tuple[tuple[float, float, float, float, float], ...], tuple[float, float]]
-
-
-def _legs(track: ActorTrack) -> _Legs:
-    """A track's polyline as (start x, start y, dx, dy, length) per leg plus
-    the end point, in the arithmetic of `ActorTrack.pose_at_distance`."""
-    legs = []
-    for a, b in zip(track.path, track.path[1:]):
-        dx, dy = b.x - a.x, b.y - a.y
-        legs.append((a.x, a.y, dx, dy, math.hypot(dx, dy)))
-    end = track.path[-1]
-    return tuple(legs), (end.x, end.y)
-
-
-def _centre(path: _Legs, distance: float) -> tuple[float, float]:
-    """Position after `distance` along the path; the same bits as the pose
-    `ActorTrack.pose_at_distance` returns, without building it."""
-    legs, end = path
-    for ax, ay, dx, dy, length in legs:
-        if distance <= length:
-            frac = distance / length if length > 0 else 0.0
-            return ax + dx * frac, ay + dy * frac
-        distance -= length
-    return end
-
-
 def simulate_run(
     spec: ScenarioSpec,
     sensors: tuple[SensorUnit, ...],
@@ -139,7 +112,6 @@ def simulate_run(
     trigger_override: float | None = None,
     sense: bool = True,
     stop_at_collision: bool = True,
-    last_possible_brake_time: float | None = None,
 ) -> RunTrace:
     """Closed-loop run: sensing at frame boundaries, kinematics at dt steps.
 
@@ -171,7 +143,7 @@ def simulate_run(
 
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     run_len = {sid: 0 for sid in known}
-    first_confirmed: float | None = trigger_override if trigger_override is not None else None
+    first_confirmed: float | None = trigger_override
     brake_onset: float | None = (
         trigger_override + policy.latency if trigger_override is not None else None
     )
@@ -185,7 +157,7 @@ def simulate_run(
     # of contact keep (bound, travelled, t) for the exact gap taken below
     far_margin = math.inf
     near: list[tuple[float, float, float]] = []
-    vut_path, vru_path = _legs(vut_track), _legs(vru_track)
+    vut_locate, vru_locate = vut_track.locate, vru_track.locate
     vru_speed_nominal = vru_track.speed
 
     def footprints(distance: float, t: float) -> tuple[OrientedBox, OrientedBox]:
@@ -195,8 +167,8 @@ def simulate_run(
 
     def check_contact(t: float) -> bool:
         nonlocal collision_time, collision_speed, far_margin
-        ux, uy = _centre(vut_path, travelled)
-        rx, ry = _centre(vru_path, vru_speed_nominal * t)
+        ux, uy, _, _ = vut_locate(travelled)
+        rx, ry, _, _ = vru_locate(vru_speed_nominal * t)
         gap = math.hypot(rx - ux, ry - uy)
         bound = gap - vut_r - vru_r
         if gap > near_field:
@@ -281,7 +253,6 @@ def simulate_run(
         avoided=avoided,
         collision_speed=0.0 if avoided else collision_speed,
         stop_margin=stop_margin,
-        last_possible_brake_time=last_possible_brake_time,
         collision_time=collision_time,
     )
     return RunTrace(
@@ -293,10 +264,6 @@ def simulate_run(
         brake_trigger_time=brake_onset,
         outcome=outcome,
     )
-
-
-def classify_outcome(trace: RunTrace) -> SafetyOutcome:
-    return trace.outcome
 
 
 def last_possible_brake_time(

@@ -23,6 +23,7 @@ from .scenario import (
     ScenarioKind,
     ScenarioOverrides,
     allowed_speeds_kmh,
+    build_scenario,
 )
 from .sensing import (
     DEFAULT_MIN_HEIGHT_PX,
@@ -333,7 +334,6 @@ def load_config(
     sens = top.section("sensors")
     layout_file = sens.take("layout_file", None)
     range_m = _number(sens.take("range_m", 250.0), "sensors.range_m")
-    rate_hz = _number(sens.take("rate_hz", 10.0), "sensors.rate_hz")
     sensor_latency = _number(sens.take("latency_s", 0.025), "sensors.latency_s")
     sens.finish()
 
@@ -349,19 +349,15 @@ def load_config(
         ov_values[name] = _number(ov.take(name, None), f"scenario_overrides.{name}")
     ov.finish()
     overrides = replace(DEFAULT_OVERRIDES, **ov_values) if ov_values else DEFAULT_OVERRIDES
-    for name in ("pedestrian_speed_kmh", "cyclist_speed_kmh"):
+    for name in ("frame_rate", "pedestrian_speed_kmh", "cyclist_speed_kmh"):
         if not getattr(overrides, name) > 0:
             raise ConfigError(f"scenario_overrides.{name} must be positive")
-    if overrides.frame_rate != rate_hz:
-        raise ConfigError(
-            "sensors.rate_hz must match scenario_overrides.frame_rate "
-            f"({rate_hz:g} vs {overrides.frame_rate:g})"
-        )
-    period = 1.0 / rate_hz
+    period = 1.0 / overrides.frame_rate
     steps = round(period / dt)
-    if steps < 1 or abs(steps * dt - period) > 1e-9:
+    if steps < 2 or abs(steps * dt - period) > 1e-9:
         raise ConfigError(
-            f"dt_s={dt:g} must divide the {period:g} s frame period evenly"
+            f"dt_s={dt:g} must divide the {period:g} s frame period evenly, "
+            "into two steps or more"
         )
 
     cfg_traces = _boolean(top.take("write_traces", False), "write_traces")
@@ -384,21 +380,21 @@ def load_config(
             raise ConfigError("sensors.layout_file: expected a path string")
         with open(layout_file, "r", encoding="utf-8") as fh:
             try:
-                rsu_units = tuple(parse_layout(fh.read()))
+                rsu_units = parse_layout(fh.read())
             except ValueError as exc:
                 raise ConfigError(f"sensors.layout_file: {exc}") from None
-    else:
-        rsu_units = tuple(
-            default_layout(
-                hfov=hfov, vfov=vfov, max_range=range_m,
-                frame_rate=rate_hz, latency=sensor_latency,
-            )
-        )
-    vut_sensor = default_vut_sensor(
+    # the built-in units run at the scenario frame rate
+    hardware = dict(
         hfov=hfov, vfov=vfov, max_range=range_m,
-        frame_rate=rate_hz, latency=sensor_latency,
+        frame_rate=overrides.frame_rate, latency=sensor_latency,
     )
-    for unit in (vut_sensor, *rsu_units):
+    try:
+        vut_sensor = default_vut_sensor(**hardware)
+        if layout_file is None:
+            rsu_units = default_layout(**hardware)
+    except ValueError as exc:
+        raise ConfigError(f"sensors: {exc}") from None
+    for unit in rsu_units:
         if unit.frame_rate != overrides.frame_rate:
             raise ConfigError(
                 f"sensor {unit.sensor_id!r} runs at {unit.frame_rate:g} Hz but the "
@@ -447,4 +443,28 @@ def load_config(
             scenarios=tuple(k for k in config.scenarios if k in kept),
             speeds_by_kind=kept,
         )
+    _check_scenarios(config)
     return config
+
+
+def _check_scenarios(config: RunConfig) -> None:
+    """Build every configured (scenario, speed) once, so that overrides no
+    scenario can be built with fail at load time, not in the middle of a
+    sweep."""
+    if ScenarioKind.CBLA in config.scenarios:
+        slowest = min(config.speeds_by_kind[ScenarioKind.CBLA])
+        # the vehicle must close in on the cyclist it follows
+        if config.overrides.cyclist_speed_kmh >= slowest:
+            raise ConfigError(
+                f"scenario_overrides.cyclist_speed_kmh "
+                f"({config.overrides.cyclist_speed_kmh:g}) must be below the slowest "
+                f"CBLA speed ({slowest:g} km/h)"
+            )
+    for kind in config.scenarios:
+        for speed in config.speeds_by_kind[kind]:
+            try:
+                build_scenario(kind, speed, config.overrides)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"scenario_overrides: {kind.display_name} at {speed:g} km/h: {exc}"
+                ) from None

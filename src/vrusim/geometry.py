@@ -46,9 +46,6 @@ class Vec2:
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vec2") -> float:
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -119,17 +116,6 @@ class OrientedBox:
         c = self.center
         return (c + dl + dw, c + dl - dw, c - dl - dw, c - dl + dw)
 
-    def contains(self, p: Vec2) -> bool:
-        fwd, lat = self.axes()
-        d = p - self.center
-        return (
-            abs(d.dot(fwd)) <= self.half_long + _EPS
-            and abs(d.dot(lat)) <= self.half_lat + _EPS
-        )
-
-    def bounding_radius(self) -> float:
-        return math.hypot(self.half_long, self.half_lat)
-
 
 @dataclass(frozen=True)
 class Prism(OrientedBox):
@@ -193,34 +179,6 @@ class Silhouette:
                 pz = self.height * (j + 0.5) / _SILHOUETTE_ROWS
                 pts.append((px, py, pz))
         return tuple(pts)
-
-
-def ray_segment_intersect(origin: Vec2, direction: Vec2, a: Vec2, b: Vec2) -> float | None:
-    """Smallest t >= 0 with origin + t*direction on segment ab, else None.
-
-    `direction` must be unit length. Collinear overlap returns the nearest
-    covered parameter (0.0 when the origin itself lies on the segment).
-    """
-    if abs(direction.norm() - 1.0) > 1e-9:
-        raise ValueError("ray direction must be unit length")
-    seg = b - a
-    denom = direction.cross(seg)
-    rel = a - origin
-    if abs(denom) < _EPS:
-        # parallel; collinear only if the segment offset has no lateral part
-        if abs(rel.cross(direction)) > _EPS:
-            return None
-        ta = rel.dot(direction)
-        tb = (b - origin).dot(direction)
-        lo, hi = min(ta, tb), max(ta, tb)
-        if hi < -_EPS:
-            return None
-        return max(lo, 0.0)
-    t = rel.cross(seg) / denom
-    u = rel.cross(direction) / denom
-    if t < -_EPS or u < -_EPS or u > 1.0 + _EPS:
-        return None
-    return max(t, 0.0)
 
 
 def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:

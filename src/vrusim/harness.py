@@ -93,7 +93,6 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
             replay = simulate_run(
                 spec, (), config.model, config.policy, (),
                 dt=config.dt, trigger_override=trigger, sense=False,
-                last_possible_brake_time=deadline,
             )
             replays[trigger] = (replay.outcome, replay.brake_trigger_time)
         out, brake_trigger_time = replays[trigger]

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .aeb import RunTrace, SafetyOutcome
+from .aeb import SafetyOutcome
 from .sensing import DetectionEvent
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "mean_detections_per_frame",
     "avoidance_rate",
     "HeatmapMatrix",
-    "build_heatmap",
     "heatmap_from_frames",
     "sensor_row_order",
     "natural_key",
@@ -164,17 +163,4 @@ def heatmap_from_frames(
         cells=tuple(cells),
         frame_rate=frame_rate,
         deadline_col=deadline_col,
-    )
-
-
-def build_heatmap(trace: RunTrace) -> HeatmapMatrix:
-    frames = {
-        sensor_id: [ev.frame for ev in evs]
-        for sensor_id, evs in trace.events_by_sensor.items()
-    }
-    return heatmap_from_frames(
-        frames,
-        len(trace.frames),
-        trace.spec.frame_rate,
-        trace.outcome.last_possible_brake_time,
     )

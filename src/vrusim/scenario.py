@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .geometry import OrientedBox, Pose2, Prism, Silhouette, Vec2, obb_overlap
+from .geometry import OrientedBox, Pose2, Prism, Silhouette, Vec2
 
 KMH = 1.0 / 3.6
 
@@ -53,6 +53,10 @@ class ActorTrack:
     height: float
     speed: float
     path: tuple[Vec2, ...]
+    # (start x, start y, dx, dy, length, heading) per leg of the path
+    _legs: tuple[tuple[float, float, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.width <= 0 or self.height <= 0:
@@ -61,6 +65,11 @@ class ActorTrack:
             raise ValueError("speed must be non-negative")
         if len(self.path) < 2:
             raise ValueError("path needs at least two waypoints")
+        legs = []
+        for a, b in zip(self.path, self.path[1:]):
+            dx, dy = b.x - a.x, b.y - a.y
+            legs.append((a.x, a.y, dx, dy, math.hypot(dx, dy), math.atan2(dy, dx)))
+        object.__setattr__(self, "_legs", tuple(legs))
 
     def state_at(self, t: float) -> tuple[Pose2, float]:
         """Pose and instantaneous speed after travelling speed*t along the path."""
@@ -76,19 +85,19 @@ class ActorTrack:
         """
         if distance < 0:
             raise ValueError("distance must be non-negative")
-        remaining = distance
-        for a, b in zip(self.path, self.path[1:]):
-            seg = b - a
-            seg_len = seg.norm()
-            heading = math.atan2(seg.y, seg.x)
-            if remaining <= seg_len:
-                frac = remaining / seg_len if seg_len > 0 else 0.0
-                pos = a + seg.scaled(frac)
-                return Pose2(pos.x, pos.y, heading), False
-            remaining -= seg_len
+        x, y, heading, clamped = self.locate(distance)
+        return Pose2(x, y, heading), clamped
+
+    def locate(self, distance: float) -> tuple[float, float, float, bool]:
+        """Position, leg heading and clamping flag after `distance` along the
+        polyline, as plain floats; `distance` must be non-negative."""
+        for ax, ay, dx, dy, length, heading in self._legs:
+            if distance <= length:
+                frac = distance / length if length > 0 else 0.0
+                return ax + dx * frac, ay + dy * frac, heading, False
+            distance -= length
         end = self.path[-1]
-        tail = self.path[-1] - self.path[-2]
-        return Pose2(end.x, end.y, math.atan2(tail.y, tail.x)), True
+        return end.x, end.y, self._legs[-1][5], True
 
     def footprint(self, pose: Pose2) -> OrientedBox:
         return OrientedBox(pose.position, self.length / 2, self.width / 2, pose.heading)
@@ -273,33 +282,6 @@ def _crossing_occluders(kind: ScenarioKind, ov: ScenarioOverrides, vru_start_dis
     return (
         Prism(Vec2(center_x, center_y), half_len, ov.wall_thickness / 2, math.pi / 2, height=ov.wall_height),
     )
-
-
-def _actor_state(track: ActorTrack, pose: Pose2, speed: float) -> ActorState:
-    return ActorState(pose, speed, track.footprint(pose), track.silhouette(pose))
-
-
-def world_at(spec: ScenarioSpec, t: float) -> WorldState:
-    vut_pose, vut_speed = spec.vut_track.state_at(t)
-    vru_pose, vru_speed = spec.vru_track.state_at(t)
-    return WorldState(
-        time=t,
-        vut=_actor_state(spec.vut_track, vut_pose, vut_speed),
-        vru=_actor_state(spec.vru_track, vru_pose, vru_speed),
-        occluders=spec.occluders,
-    )
-
-
-def nominal_collision_check(spec: ScenarioSpec) -> float | None:
-    """Time of first footprint overlap with braking disabled, on the frame grid."""
-    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
-    for i in range(n_frames):
-        t = i / spec.frame_rate
-        vut_pose, _ = spec.vut_track.state_at(t)
-        vru_pose, _ = spec.vru_track.state_at(t)
-        if obb_overlap(spec.vut_track.footprint(vut_pose), spec.vru_track.footprint(vru_pose)):
-            return t
-    return None
 
 
 def rotate_scenario(spec: ScenarioSpec, yaw: float) -> ScenarioSpec:

@@ -97,22 +97,6 @@ class DetectionEvent:
     available_at: float
 
 
-@dataclass(frozen=True)
-class RsuLayout:
-    units: tuple[SensorUnit, ...]
-
-    def __post_init__(self) -> None:
-        ids = [u.sensor_id for u in self.units]
-        if len(set(ids)) != len(ids):
-            raise ValueError("sensor ids must be unique")
-
-    def __iter__(self):
-        return iter(self.units)
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-
 def apparent_angular_width(sensor_pose: MountPose, target: Silhouette) -> float:
     """Angle subtended by the target extent perpendicular to the sight line."""
     dx = target.anchor.x - sensor_pose.x
@@ -254,9 +238,9 @@ def default_layout(
     max_range: float = DEFAULT_RANGE_M,
     frame_rate: float = 10.0,
     latency: float = 0.025,
-) -> RsuLayout:
+) -> tuple[SensorUnit, ...]:
     """Twelve roadside units on the corners and masts of a 4-way junction."""
-    units = tuple(
+    return tuple(
         SensorUnit(
             sensor_id=name,
             mount="rsu",
@@ -269,7 +253,6 @@ def default_layout(
         )
         for name, x, y, yaw_deg in _RSU_TABLE
     )
-    return RsuLayout(units)
 
 
 def default_vut_sensor(

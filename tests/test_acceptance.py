@@ -13,12 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from vrusim.aeb import (
-    AebPolicy,
-    last_possible_brake_time,
-    simulate_run,
-    stopping_distance,
-)
+from vrusim.aeb import AebPolicy, simulate_run, stopping_distance
 from vrusim.config import load_config
 from vrusim.geometry import Vec2
 from vrusim.harness import emit_reports, run_sweep
@@ -194,16 +189,15 @@ def test_adding_sensors_never_hurts():
             spec, units, config.model, POLICY, (),
             sense=True, stop_at_collision=False,
         )
-        deadline = last_possible_brake_time(spec, POLICY)
-        observed.append((spec, trace.events_by_sensor, deadline, {}))
+        observed.append((spec, trace.events_by_sensor, {}))
 
     def outcome(entry, subset):
-        spec, events, deadline, memo = entry
+        spec, events, memo = entry
         fc = first_confirmed_time(events, POLICY.confirm_frames, subset)
         if fc not in memo:
             replay = simulate_run(
                 spec, (), config.model, POLICY, (),
-                trigger_override=fc, sense=False, last_possible_brake_time=deadline,
+                trigger_override=fc, sense=False,
             )
             memo[fc] = replay.outcome.avoided
         return fc, memo[fc]

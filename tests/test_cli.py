@@ -79,8 +79,23 @@ def one_line_config_error(caplog, argv):
         ({"policy": {"latency_s": float("nan")}}, "policy.latency_s"),
         ({"dt_s": float("nan")}, "dt_s"),
         ({"scenario_overrides": {"cyclist_speed_kmh": 0}}, "cyclist_speed_kmh"),
+        (
+            {
+                "scenarios": ["CBLA"],
+                "speeds_kmh": [25],
+                "scenario_overrides": {"cyclist_speed_kmh": 25},
+            },
+            "cyclist_speed_kmh",
+        ),
+        ({"scenario_overrides": {"vut_length": -2}}, "scenario_overrides"),
+        ({"sensors": {"range_m": -1}}, "sensors"),
+        ({"scenario_overrides": {"frame_rate": 0}}, "frame_rate"),
+        ({"dt_s": 0.1}, "dt_s"),
     ],
-    ids=["latency-nan", "dt-nan", "cyclist-speed-zero"],
+    ids=[
+        "latency-nan", "dt-nan", "cyclist-speed-zero", "cbla-cyclist-not-slower",
+        "vut-length-negative", "range-negative", "frame-rate-zero", "dt-one-step-per-frame",
+    ],
 )
 def test_sweep_bad_number_is_exit_1_with_one_line(tmp_path, caplog, data, where):
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], **data})

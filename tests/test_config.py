@@ -192,16 +192,35 @@ def test_vru_speed_must_be_positive(tmp_path, name, value):
 
 
 def test_frame_rate_consistency(tmp_path):
-    with pytest.raises(ConfigError, match="rate_hz must match"):
-        load_config(write_cfg(tmp_path, {"scenario_overrides": {"frame_rate": 20}}))
-    cfg = load_config(
-        write_cfg(
-            tmp_path,
-            {"scenario_overrides": {"frame_rate": 20}, "sensors": {"rate_hz": 20}},
-        )
-    )
+    # the scenario frame rate is the one rate key; the built-in units follow it
+    cfg = load_config(write_cfg(tmp_path, {"scenario_overrides": {"frame_rate": 20}}))
     assert cfg.overrides.frame_rate == 20.0
     assert all(u.frame_rate == 20.0 for u in cfg.all_units())
+    # the same resolved values, hence the same hashes, as when two keys set it
+    assert cfg.config_hash() == "efa0490e7e0a91f1"
+    assert load_config().config_hash() == "2547dafe4c8d56e2"
+    with pytest.raises(ConfigError, match="sensors: rate_hz"):
+        load_config(write_cfg(tmp_path, {"sensors": {"rate_hz": 20}}))
+
+
+def test_cbla_cyclist_must_be_slower_than_every_swept_speed(tmp_path):
+    path = write_cfg(tmp_path, {"scenario_overrides": {"cyclist_speed_kmh": 25}})
+    with pytest.raises(ConfigError, match="cyclist_speed_kmh.*slowest CBLA speed"):
+        load_config(path)
+    # the check sees the speeds left after the command-line filter
+    cfg = load_config(path, speed_filter=(30.0,))
+    assert cfg.speeds_by_kind[ScenarioKind.CBLA] == (30.0,)
+    # without CBLA in the sweep a fast cyclist is fine
+    assert load_config(path, speed_filter=(20.0,)).scenarios == (ScenarioKind.CPNC50, ScenarioKind.CBNA)
+
+
+def test_every_swept_speed_is_built_at_load(tmp_path):
+    # the wall must end nearer the conflict point than the cyclist starts;
+    # a 40 m gap fits the 45 m approach at 20 km/h but not the 36 m at 25
+    path = write_cfg(tmp_path, {"scenario_overrides": {"wall_end_distance": 40}})
+    with pytest.raises(ConfigError, match="CBNA at 25 km/h: OrientedBox"):
+        load_config(path)
+    assert load_config(path, speed_filter=(20.0,)).speeds_by_kind[ScenarioKind.CBNA] == (20.0,)
 
 
 def test_dt_must_divide_frame_period(tmp_path):

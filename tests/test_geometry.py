@@ -1,9 +1,8 @@
 """Geometry unit tests.
 
 Derived expectations are computed by independent oracles inside the tests:
-a point-containment raster for box overlap and IoU, dense sampling for the
-ray/segment miss case, and a brute-force dense-ray check for occlusion
-fractions.
+a point-containment raster for box overlap and IoU, and a brute-force
+dense-ray check for occlusion fractions.
 """
 
 import math
@@ -24,7 +23,6 @@ from vrusim.geometry import (
     obb_overlap,
     obb_separation,
     ray_blocked,
-    ray_segment_intersect,
     unit_vector,
     visible_fraction,
     wrap_angle,
@@ -122,12 +120,19 @@ def dense_ray_fraction(pose, hfov, vfov, rng, target, occluders, density=10):
                 continue
             blocked = False
             for occ in occluders:
+                fwd_axis, lat_axis = occ.axes()
                 for k in range(1, 2000):
                     t = k / 2000.0
-                    qx = origin[0] + (px - origin[0]) * t
-                    qy = origin[1] + (py - origin[1]) * t
+                    d = Vec2(
+                        origin[0] + (px - origin[0]) * t - occ.center.x,
+                        origin[1] + (py - origin[1]) * t - occ.center.y,
+                    )
                     qz = origin[2] + (pz - origin[2]) * t
-                    if occ.contains(Vec2(qx, qy)) and qz < occ.height - 1e-9:
+                    inside = (
+                        abs(d.dot(fwd_axis)) <= occ.half_long + 1e-9
+                        and abs(d.dot(lat_axis)) <= occ.half_lat + 1e-9
+                    )
+                    if inside and qz < occ.height - 1e-9:
                         blocked = True
                         break
                 if blocked:
@@ -135,56 +140,6 @@ def dense_ray_fraction(pose, hfov, vfov, rng, target, occluders, density=10):
             if not blocked:
                 seen += 1
     return seen / total
-
-
-# ---------------------------------------------------------- ray vs segment
-
-
-def test_ray_hits_perpendicular_segment():
-    t = ray_segment_intersect(Vec2(0, 0), Vec2(1, 0), Vec2(5, -1), Vec2(5, 1))
-    assert t == pytest.approx(5.0)
-
-
-def test_ray_misses_segment_behind_origin():
-    assert ray_segment_intersect(Vec2(0, 0), Vec2(1, 0), Vec2(-3, -1), Vec2(-3, 1)) is None
-
-
-def test_ray_misses_offset_diagonal_segment():
-    # oracle: no point of the segment lies on the +x ray
-    a, b = Vec2(3.0, 1.0), Vec2(7.0, 5.0)
-    for i in range(2001):
-        u = i / 2000.0
-        y = a.y + (b.y - a.y) * u
-        assert abs(y) > 1e-9
-    assert ray_segment_intersect(Vec2(0, 0), Vec2(1, 0), a, b) is None
-
-
-def test_ray_requires_unit_direction():
-    with pytest.raises(ValueError):
-        ray_segment_intersect(Vec2(0, 0), Vec2(2, 0), Vec2(1, -1), Vec2(1, 1))
-
-
-def test_ray_collinear_overlap_returns_nearest_point():
-    t = ray_segment_intersect(Vec2(0, 0), Vec2(1, 0), Vec2(2, 0), Vec2(6, 0))
-    assert t == pytest.approx(2.0)
-    # origin inside a collinear segment
-    t = ray_segment_intersect(Vec2(3, 0), Vec2(1, 0), Vec2(2, 0), Vec2(6, 0))
-    assert t == pytest.approx(0.0)
-
-
-def test_ray_random_hits_against_sampled_segment():
-    rnd = random.Random(7)
-    for _ in range(300):
-        ang = rnd.uniform(-math.pi, math.pi)
-        d = unit_vector(ang)
-        t_true = rnd.uniform(0.5, 20.0)
-        hit = Vec2(d.x * t_true, d.y * t_true)
-        # segment through the hit point, not parallel to the ray
-        perp = Vec2(-d.y, d.x)
-        a = hit + perp.scaled(rnd.uniform(0.1, 3.0))
-        b = hit - perp.scaled(rnd.uniform(0.1, 3.0))
-        t = ray_segment_intersect(Vec2(0, 0), d, a, b)
-        assert t == pytest.approx(t_true, abs=1e-9)
 
 
 # ------------------------------------------------------------ box overlap

@@ -5,20 +5,12 @@ import random
 
 import pytest
 
-from vrusim.aeb import (
-    AebPolicy,
-    FrameRecord,
-    RunTrace,
-    SafetyOutcome,
-    last_possible_brake_time,
-    simulate_run,
-)
-from vrusim.geometry import Pose2
+from vrusim.aeb import AebPolicy, SafetyOutcome, last_possible_brake_time, simulate_run
 from vrusim.metrics import (
     HeatmapMatrix,
     accuracy,
     avoidance_rate,
-    build_heatmap,
+    heatmap_from_frames,
     mean_detections_per_frame,
     sensor_row_order,
 )
@@ -107,8 +99,8 @@ def test_mean_detections_matches_recount_and_bound():
 
 def out(avoided: bool) -> SafetyOutcome:
     if avoided:
-        return SafetyOutcome(True, 0.0, 1.5, None)
-    return SafetyOutcome(False, 4.0, None, None, collision_time=6.0)
+        return SafetyOutcome(True, 0.0, 1.5)
+    return SafetyOutcome(False, 4.0, None, collision_time=6.0)
 
 
 def test_avoidance_rate_ratios():
@@ -137,12 +129,10 @@ def test_sensor_row_order_is_vut_then_natural():
     assert got == ("vut", "rsu1", "rsu2", "rsu10")
 
 
-def fake_trace(events_by_sensor, n_frames, lpbt):
-    spec = build_scenario(ScenarioKind.CBNA, 40.0)
-    pose = Pose2(0.0, 0.0, 0.0)
-    frames = [FrameRecord(f / 10.0, pose, 0.0, pose, (), False) for f in range(n_frames)]
-    outcome = SafetyOutcome(False, 1.0, None, lpbt, collision_time=1.0)
-    return RunTrace(spec, tuple(events_by_sensor), frames, events_by_sensor, None, None, outcome)
+def heatmap_of(events_by_sensor, n_frames, lpbt, frame_rate=10.0):
+    """The heatmap of detection streams, built as the sweep builds it."""
+    frames = {sensor_id: [e.frame for e in evs] for sensor_id, evs in events_by_sensor.items()}
+    return heatmap_from_frames(frames, n_frames, frame_rate, lpbt)
 
 
 def test_heatmap_matches_hand_matrix():
@@ -151,7 +141,7 @@ def test_heatmap_matches_hand_matrix():
         "rsu1": [ev(0, "rsu1"), ev(4, "rsu1")],
         "rsu2": [],
     }
-    hm = build_heatmap(fake_trace(events, 5, lpbt=0.31))
+    hm = heatmap_of(events, 5, lpbt=0.31)
     assert hm.sensor_ids == ("vut", "rsu1", "rsu2")
     assert hm.cells == (
         (False, False, True, True, False),
@@ -166,11 +156,8 @@ def test_heatmap_from_real_run_recounts_and_spans_duration():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(), *default_layout())
     lpbt = last_possible_brake_time(spec, POLICY)
-    trace = simulate_run(
-        spec, sensors, MODEL, POLICY, (), stop_at_collision=False,
-        last_possible_brake_time=lpbt,
-    )
-    hm = build_heatmap(trace)
+    trace = simulate_run(spec, sensors, MODEL, POLICY, (), stop_at_collision=False)
+    hm = heatmap_of(trace.events_by_sensor, len(trace.frames), lpbt, spec.frame_rate)
     assert len(hm.sensor_ids) == 13
     assert hm.sensor_ids[0] == "vut"
     for sensor_id in hm.sensor_ids:
@@ -184,13 +171,13 @@ def test_heatmap_all_false_without_sensing():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(),)
     trace = simulate_run(spec, sensors, MODEL, POLICY, (), sense=False)
-    hm = build_heatmap(trace)
+    hm = heatmap_of(trace.events_by_sensor, len(trace.frames), None, spec.frame_rate)
     assert not any(any(row) for row in hm.cells)
 
 
 def test_heatmap_csv_roundtrip():
     events = {"vut": [ev(1, "vut")], "rsu3": [ev(0, "rsu3"), ev(2, "rsu3")]}
-    hm = build_heatmap(fake_trace(events, 3, lpbt=None))
+    hm = heatmap_of(events, 3, lpbt=None)
     lines = hm.to_csv().strip().split("\n")
     assert lines[0] == "sensor,0.0,0.1,0.2"
     assert lines[1] == "vut,0,1,0"
@@ -200,7 +187,7 @@ def test_heatmap_csv_roundtrip():
 
 def test_heatmap_ppm_pixels():
     events = {"vut": [ev(0, "vut")], "rsu1": []}
-    hm = build_heatmap(fake_trace(events, 3, lpbt=0.21))
+    hm = heatmap_of(events, 3, lpbt=0.21)
     data = hm.to_ppm(scale=1)
     header, rest = data.split(b"\n", 1)
     assert header == b"P6"
@@ -218,7 +205,7 @@ def test_heatmap_ppm_pixels():
 
 def test_heatmap_ppm_scaling_and_validation():
     events = {"vut": [ev(0, "vut")]}
-    hm = build_heatmap(fake_trace(events, 4, lpbt=None))
+    hm = heatmap_of(events, 4, lpbt=None)
     small = hm.to_ppm(scale=1)
     big = hm.to_ppm(scale=3)
     assert b"12 3" in big.split(b"\n", 2)[1]

@@ -18,10 +18,10 @@ from vrusim.scenario import (
     ScenarioOverrides,
     allowed_speeds_kmh,
     build_scenario,
-    nominal_collision_check,
     rotate_scenario,
-    world_at,
 )
+
+from oracles import nominal_collision_check, world_at
 
 ALL_CELLS = [
     (kind, speed)

@@ -18,12 +18,10 @@ from vrusim.scenario import (
     ScenarioKind,
     WorldState,
     build_scenario,
-    world_at,
 )
 from vrusim.sensing import (
     DetectionEvent,
     DetectionModel,
-    RsuLayout,
     SensorUnit,
     apparent_angular_height,
     apparent_angular_width,
@@ -36,6 +34,8 @@ from vrusim.sensing import (
     px_to_rad,
     sense_frame,
 )
+
+from oracles import world_at
 
 
 def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=()):
@@ -350,12 +350,6 @@ def test_layout_parse_errors_name_lines():
         parse_layout(good.splitlines()[0] + "\nvut,vut,0,0\n")
     with pytest.raises(ValueError, match="header"):
         parse_layout("\n# only a comment\n")
-
-
-def test_duplicate_layout_ids_rejected():
-    u = default_vut_sensor()
-    with pytest.raises(ValueError):
-        RsuLayout((u, u))
 
 
 # --------------------------------------------- integration with the scenario
