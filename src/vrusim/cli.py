@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import uuid
@@ -15,11 +16,11 @@ import uuid
 import yaml
 
 from ._version import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, read_layout
 from .harness import emit_reports, run_sweep
 from .placement import candidate_sites_from_units, evaluate_sites, greedy_select
-from .scenario import build_scenario
-from .sensing import format_layout, parse_layout
+from .scenario import build_scenario, rotate_scenario
+from .sensing import format_layout
 
 log = logging.getLogger(__name__)
 
@@ -139,11 +140,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_placement(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config, seed=args.seed, out_dir=args.out)
-        with open(args.candidates, "r", encoding="utf-8") as fh:
-            try:
-                units = tuple(parse_layout(fh.read()))
-            except ValueError as exc:
-                raise ConfigError(f"--candidates: {exc}") from None
+        units = read_layout(args.candidates, config.overrides.frame_rate, "--candidates")
         try:
             candidates = candidate_sites_from_units(units)
         except ValueError as exc:
@@ -157,9 +154,8 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
     try:
         suite = tuple(
-            build_scenario(kind, speed, config.overrides)
-            for kind in config.scenarios
-            for speed in config.speeds_by_kind[kind]
+            rotate_scenario(build_scenario(kind, speed, config.overrides), math.radians(yaw))
+            for yaw, kind, speed in config.cells()
         )
         scores = evaluate_sites(candidates, suite, config.policy, config.model, dt=config.dt)
         picked = greedy_select(
@@ -185,12 +181,8 @@ def _cmd_placement(args: argparse.Namespace) -> int:
                 )
             )
         )
-    selected_units = tuple(
-        site.to_unit()
-        for sid in picked.selected_site_ids
-        for site in candidates
-        if site.site_id == sid
-    )
+    by_id = {unit.sensor_id: unit for unit in units}
+    selected_units = tuple(by_id[sid] for sid in picked.selected_site_ids)
 
     try:
         with open(os.path.join(config.out_dir, "placement.csv"), "w", encoding="utf-8") as fh:

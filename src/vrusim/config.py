@@ -68,6 +68,15 @@ class RunConfig:
     def all_units(self) -> tuple[SensorUnit, ...]:
         return (self.vut_sensor, *self.rsu_units)
 
+    def cells(self) -> tuple[tuple[float, ScenarioKind, float], ...]:
+        """Every (scene yaw in degrees, scenario, speed in km/h), in sweep order."""
+        return tuple(
+            (yaw, kind, speed)
+            for yaw in self.scene_yaws_deg
+            for kind in self.scenarios
+            for speed in self.speeds_by_kind[kind]
+        )
+
     def canonical_text(self) -> str:
         """Deterministic dump of every outcome-relevant resolved value."""
         parts = [
@@ -218,6 +227,26 @@ def _resolve_speeds(
             out[kind] = picked
         return out
     return {kind: allowed_speeds_kmh(kind) for kind in kinds}
+
+
+def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, ...]:
+    """The units of a layout file, with unique ids, each at the scenario
+    frame rate; ``where`` (a config key or a flag) prefixes every error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            units = parse_layout(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    ids = [u.sensor_id for u in units]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"{where}: sensor ids must be unique")
+    for unit in units:
+        if unit.frame_rate != frame_rate:
+            raise ConfigError(
+                f"{where}: sensor {unit.sensor_id!r} runs at {unit.frame_rate:g} Hz but "
+                f"the scenario frame rate is {frame_rate:g} Hz"
+            )
+    return units
 
 
 def _resolve_subsets(raw: Any, sensor_ids: Sequence[str]) -> tuple[SubsetSpec, ...]:
@@ -378,11 +407,7 @@ def load_config(
     if layout_file is not None:
         if not isinstance(layout_file, str):
             raise ConfigError("sensors.layout_file: expected a path string")
-        with open(layout_file, "r", encoding="utf-8") as fh:
-            try:
-                rsu_units = parse_layout(fh.read())
-            except ValueError as exc:
-                raise ConfigError(f"sensors.layout_file: {exc}") from None
+        rsu_units = read_layout(layout_file, overrides.frame_rate, "sensors.layout_file")
     # the built-in units run at the scenario frame rate
     hardware = dict(
         hfov=hfov, vfov=vfov, max_range=range_m,
@@ -394,12 +419,6 @@ def load_config(
             rsu_units = default_layout(**hardware)
     except ValueError as exc:
         raise ConfigError(f"sensors: {exc}") from None
-    for unit in rsu_units:
-        if unit.frame_rate != overrides.frame_rate:
-            raise ConfigError(
-                f"sensor {unit.sensor_id!r} runs at {unit.frame_rate:g} Hz but the "
-                f"scenario frame rate is {overrides.frame_rate:g} Hz"
-            )
     ids = [vut_sensor.sensor_id] + [u.sensor_id for u in rsu_units]
     if len(set(ids)) != len(ids):
         raise ConfigError("sensor ids must be unique across the vehicle and layout")

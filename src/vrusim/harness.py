@@ -131,12 +131,7 @@ def run_sweep(config: RunConfig, workers: int = 1) -> SweepResult:
     of worker count."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    tasks = [
-        (config, yaw, kind, speed)
-        for yaw in config.scene_yaws_deg
-        for kind in config.scenarios
-        for speed in config.speeds_by_kind[kind]
-    ]
+    tasks = [(config, *cell) for cell in config.cells()]
     log.info("running %d sweep cells with %d worker(s)", len(tasks), workers)
     if workers == 1:
         cells = tuple(_run_cell(t) for t in tasks)

@@ -18,15 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .aeb import AebPolicy, simulate_run
 from .metrics import accuracy, natural_key
 from .scenario import ScenarioSpec
-from .sensing import (
-    DEFAULT_HFOV_RAD,
-    DEFAULT_RANGE_M,
-    DEFAULT_VFOV_RAD,
-    DetectionModel,
-    MountPose,
-    SensorUnit,
-    first_confirmed_time,
-)
+from .sensing import DetectionModel, SensorUnit, first_confirmed_time
 
 __all__ = [
     "CandidateSite",
@@ -42,61 +34,28 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CandidateSite:
-    """A possible RSU mounting spot plus the hardware that would go there."""
+    """A roadside unit that could be installed, named by its sensor id."""
 
-    site_id: str
-    x: float
-    y: float
-    z: float
-    yaw: float
-    pitch: float
-    hfov: float = DEFAULT_HFOV_RAD
-    vfov: float = DEFAULT_VFOV_RAD
-    max_range: float = DEFAULT_RANGE_M
-    frame_rate: float = 10.0
-    latency: float = 0.025
+    unit: SensorUnit
 
     def __post_init__(self) -> None:
-        if not self.site_id:
-            raise ValueError("site_id must be non-empty")
-        if self.z <= 0:
-            raise ValueError("mounting height must be positive")
+        if self.unit.mount != "rsu":
+            raise ValueError(f"candidate {self.unit.sensor_id!r} must be rsu-mounted")
+
+    @property
+    def site_id(self) -> str:
+        return self.unit.sensor_id
 
     def to_unit(self) -> SensorUnit:
-        return SensorUnit(
-            sensor_id=self.site_id,
-            mount="rsu",
-            pose=MountPose(self.x, self.y, self.z, self.yaw, self.pitch),
-            hfov=self.hfov,
-            vfov=self.vfov,
-            max_range=self.max_range,
-            frame_rate=self.frame_rate,
-            latency=self.latency,
-        )
+        return self.unit
 
 
 def candidate_sites_from_units(units: Iterable[SensorUnit]) -> tuple[CandidateSite, ...]:
-    """Adapt a sensor layout (e.g. a parsed layout file) into candidates."""
-    sites = []
-    for u in units:
-        if u.mount != "rsu":
-            raise ValueError(f"candidate {u.sensor_id!r} must be rsu-mounted")
-        sites.append(
-            CandidateSite(
-                site_id=u.sensor_id,
-                x=u.pose.x,
-                y=u.pose.y,
-                z=u.pose.z,
-                yaw=u.pose.yaw,
-                pitch=u.pose.pitch,
-                hfov=u.hfov,
-                vfov=u.vfov,
-                max_range=u.max_range,
-                frame_rate=u.frame_rate,
-                latency=u.latency,
-            )
-        )
-    return tuple(sites)
+    """Candidates from a sensor layout (e.g. a parsed layout file)."""
+    sites = tuple(CandidateSite(u) for u in units)
+    if not sites:
+        raise ValueError("need at least one candidate site")
+    return sites
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ class SensorUnit:
 
     For mount "vut" the pose is vehicle-relative: x forward of the vehicle
     center, y to its left, yaw relative to its heading. z stays absolute.
+    ``frame_rate`` is layout data: loading checks it against the scenario
+    frame rate, the only rate the simulation reads.
     """
 
     sensor_id: str
@@ -45,6 +47,8 @@ class SensorUnit:
     latency: float = 0.025
 
     def __post_init__(self) -> None:
+        if not self.sensor_id:
+            raise ValueError("sensor id must be non-empty")
         if self.mount not in ("vut", "rsu"):
             raise ValueError(f"unknown mount {self.mount!r}")
         if self.pose.z <= 0:
@@ -169,7 +173,7 @@ def sense_frame(
         visible_fraction=fraction,
         apparent_width=width,
         apparent_height=height,
-        available_at=frame / sensor.frame_rate + sensor.latency,
+        available_at=world.time + sensor.latency,
     )
 
 

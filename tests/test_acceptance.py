@@ -19,7 +19,7 @@ from vrusim.geometry import Vec2
 from vrusim.harness import emit_reports, run_sweep
 from vrusim.ingest import ExternalDetection, GroundTruthRecord, match_detections
 from vrusim.metrics import accuracy, heatmap_from_frames
-from vrusim.placement import CandidateSite, greedy_select
+from vrusim.placement import candidate_sites_from_units, greedy_select
 from vrusim.scenario import (
     KMH,
     ActorClass,
@@ -30,6 +30,8 @@ from vrusim.scenario import (
     build_scenario,
 )
 from vrusim.sensing import DetectionModel, default_vut_sensor, first_confirmed_time
+
+from sites import rsu
 
 POLICY = AebPolicy()
 GOLDEN_MANIFEST = Path(__file__).parent / "golden" / "default_sweep_manifest.txt"
@@ -353,17 +355,17 @@ def test_greedy_placement_matches_exhaustive_search():
     four-candidate pool, with non-negative marginal gains."""
     suite = tuple(lane_cell(y) for y in (0.0, 60.0, 120.0))
     watcher = dict(z=5.0, yaw=math.pi / 2, pitch=math.radians(-15.0), max_range=40.0)
-    sites = (
-        CandidateSite("s0", 0.0, -15.0, **watcher),
-        CandidateSite("s1", 0.0, 45.0, **watcher),
-        CandidateSite("s2", 0.0, 105.0, **watcher),
+    sites = candidate_sites_from_units((
+        rsu("s0", 0.0, -15.0, **watcher),
+        rsu("s1", 0.0, 45.0, **watcher),
+        rsu("s2", 0.0, 105.0, **watcher),
         # wide unit between the first two lanes; x offset keeps both lanes
         # inside the 359 degree aperture
-        CandidateSite(
+        rsu(
             "s3", 2.0, 30.0, z=5.0, yaw=math.pi / 2, pitch=math.radians(-15.0),
             hfov=math.radians(359.0), max_range=80.0,
         ),
-    )
+    ))
     model = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
 
     def performance(site_subset):

@@ -1,12 +1,16 @@
 """Command line behaviour, driven in-process through main()."""
 
 import logging
+import math
 
 import pytest
 import yaml
 
 from vrusim.cli import main
-from vrusim.sensing import default_layout, format_layout
+from vrusim.config import load_config
+from vrusim.placement import candidate_sites_from_units, evaluate_sites
+from vrusim.scenario import ScenarioKind, build_scenario, rotate_scenario
+from vrusim.sensing import default_layout, default_vut_sensor, format_layout
 
 
 def cfg_file(tmp_path, data):
@@ -169,8 +173,8 @@ def test_seed_changes_hash_in_manifest(tmp_path):
     assert h0 != h1
 
 
-def candidates_file(tmp_path):
-    units = [u for u in default_layout() if u.sensor_id in ("rsu1", "rsu8")]
+def candidates_file(tmp_path, ids=("rsu1", "rsu8")):
+    units = [u for u in default_layout() if u.sensor_id in ids]
     path = tmp_path / "candidates.txt"
     path.write_text(format_layout(units), encoding="utf-8")
     return str(path)
@@ -233,6 +237,57 @@ def test_placement_bad_candidates_is_exit_1(tmp_path):
     bad.write_text("not,a,layout\n", encoding="utf-8")
     rc = main(["placement", "--config", cfg, "--candidates", str(bad), "--budget", "1", "-q"])
     assert rc == 1
+
+
+RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        format_layout((RSU1, RSU1)),
+        format_layout(()),
+        format_layout(default_layout(frame_rate=20.0)[:2]),
+        format_layout((RSU1,)).replace("\nrsu1,", "\n,"),
+        format_layout((default_vut_sensor(),)),
+    ],
+    ids=["duplicate-ids", "header-only", "rate-20-at-10-hz", "empty-id", "vut-mounted"],
+)
+def test_placement_bad_candidates_is_exit_1_with_one_line(tmp_path, caplog, text):
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "p"
+    message = one_line_config_error(
+        caplog,
+        ["placement", "--config", cfg, "--candidates", str(bad), "--budget", "1",
+         "--out", str(out), "-q"],
+    )
+    assert "--candidates" in message
+    assert not (out / "placement.csv").exists()
+
+
+def test_placement_scores_every_scene_yaw(tmp_path):
+    # rsu0 and rsu5 each avoid the CBNA cell at yaw 0 and miss it at 90
+    ids = ("rsu0", "rsu5")
+    cfg = cfg_file(
+        tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "scene_yaw_deg": [0, 90]}
+    )
+    assert main(
+        [
+            "placement", "--config", cfg, "--candidates", candidates_file(tmp_path, ids),
+            "--budget", "1", "--out", str(tmp_path / "p"), "-q",
+        ]
+    ) == 0
+    config = load_config(cfg)
+    spec = build_scenario(ScenarioKind.CBNA, 40.0, config.overrides)
+    suite = (spec, rotate_scenario(spec, math.radians(90.0)))
+    sites = candidate_sites_from_units(u for u in default_layout() if u.sensor_id in ids)
+    scores = evaluate_sites(sites, suite, config.policy, config.model, dt=config.dt)
+    rows = (tmp_path / "p" / "placement.csv").read_text().splitlines()[1:]
+    assert [(r.split(",")[0], *r.split(",")[4:]) for r in rows] == [
+        (s.site_id, f"{s.avoidance:.6f}", f"{s.accuracy:.6f}") for s in scores
+    ]
 
 
 def test_version_flag(capsys):

@@ -17,7 +17,6 @@ from vrusim.aeb import AebPolicy, simulate_run
 from vrusim.geometry import Vec2
 from vrusim.metrics import natural_key
 from vrusim.placement import (
-    CandidateSite,
     PlacementResult,
     candidate_sites_from_units,
     evaluate_sites,
@@ -30,7 +29,9 @@ from vrusim.scenario import (
     ScenarioSpec,
     build_scenario,
 )
-from vrusim.sensing import DetectionModel, default_layout
+from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor
+
+from sites import rsu
 
 POLICY = AebPolicy()
 OPEN_GATES = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
@@ -58,19 +59,19 @@ def ped_cell(lane_y: float) -> ScenarioSpec:
 SUITE = (ped_cell(0.0), ped_cell(100.0), ped_cell(200.0))
 
 NORTH = math.pi / 2
-SITES = (
+SITES = candidate_sites_from_units((
     # one dedicated watcher per cell, 15 m south of its pedestrian
-    CandidateSite("s0", 0.0, -15.0, 5.0, NORTH, math.radians(-15), max_range=40.0),
-    CandidateSite("s1", 0.0, 85.0, 5.0, NORTH, math.radians(-15), max_range=40.0),
-    CandidateSite("s2", 0.0, 185.0, 5.0, NORTH, math.radians(-15), max_range=40.0),
+    rsu("s0", 0.0, -15.0, 5.0, NORTH, math.radians(-15), max_range=40.0),
+    rsu("s1", 0.0, 85.0, 5.0, NORTH, math.radians(-15), max_range=40.0),
+    rsu("s2", 0.0, 185.0, 5.0, NORTH, math.radians(-15), max_range=40.0),
     # wide-angle midpoint site covering the first two cells at once;
     # placed off the walking line so neither pedestrian sits at exactly
     # 180 degrees, the one bearing a 359 degree fov excludes
-    CandidateSite(
+    rsu(
         "s3", 2.0, 50.0, 5.0, NORTH, math.radians(-15),
         hfov=math.radians(359.0), max_range=90.0,
     ),
-)
+))
 
 
 def live_performance(subset):
@@ -104,9 +105,9 @@ def exhaustive_best(budget):
 
 def test_candidate_validation():
     with pytest.raises(ValueError):
-        CandidateSite("", 0, 0, 5, 0, 0)
+        rsu("", 0, 0, 5, 0, 0)
     with pytest.raises(ValueError):
-        CandidateSite("x", 0, 0, 0.0, 0, 0)
+        rsu("x", 0, 0, 0.0, 0, 0)
     with pytest.raises(ValueError):
         evaluate_sites((), SUITE, POLICY, OPEN_GATES)
     with pytest.raises(ValueError):
@@ -120,17 +121,19 @@ def test_candidate_validation():
 
 
 def test_sites_from_layout_units():
-    sites = candidate_sites_from_units(default_layout())
+    layout = default_layout()
+    sites = candidate_sites_from_units(layout)
     assert len(sites) == 12
     assert sites[0].site_id == "rsu0"
-    assert sites[0].z == 7.0
+    assert sites[0].to_unit().pose.z == 7.0
     unit = sites[3].to_unit()
     assert unit.mount == "rsu"
-    assert unit.pose.yaw == sites[3].yaw
-    from vrusim.sensing import default_vut_sensor
+    assert unit == layout[3]
 
     with pytest.raises(ValueError, match="rsu-mounted"):
         candidate_sites_from_units((default_vut_sensor(),))
+    with pytest.raises(ValueError, match="at least one"):
+        candidate_sites_from_units(())
 
 
 # ----------------------------------------------------------- designed suite
@@ -185,15 +188,11 @@ def test_overbudget_selects_all_and_warns(caplog):
 
 def test_crossing_scene_separates_good_and_blind_sites():
     suite = tuple(build_scenario(ScenarioKind.CBNA, v) for v in (40.0, 60.0))
-    good = CandidateSite(
-        "corner", 12.0, -12.0, 7.0, math.radians(135.0), math.radians(-15.0)
-    )
-    blind = CandidateSite(
-        "wrongway", -14.0, 2.0, 7.0, math.radians(180.0), math.radians(-15.0)
-    )
-    clone = CandidateSite(
-        "corner2", 12.0, -12.0, 7.0, math.radians(135.0), math.radians(-15.0)
-    )
+    good, blind, clone = candidate_sites_from_units((
+        rsu("corner", 12.0, -12.0, 7.0, math.radians(135.0), math.radians(-15.0)),
+        rsu("wrongway", -14.0, 2.0, 7.0, math.radians(180.0), math.radians(-15.0)),
+        rsu("corner2", 12.0, -12.0, 7.0, math.radians(135.0), math.radians(-15.0)),
+    ))
     scores = {
         s.site_id: s
         for s in evaluate_sites((good, blind, clone), suite, POLICY, DetectionModel())

@@ -38,7 +38,7 @@ from vrusim.sensing import (
 from oracles import world_at
 
 
-def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=()):
+def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=(), time=0.0):
     length, width, height = vru_dims
     vut_track = ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, 1.0, (Vec2(0, 0), Vec2(1, 0)))
     vru = ActorState(
@@ -48,7 +48,7 @@ def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0,
         silhouette=Silhouette(vru_pose.position, vru_pose.heading, length, width, height),
     )
     vut = ActorState(vut_pose, 1.0, vut_track.footprint(vut_pose), vut_track.silhouette(vut_pose))
-    return WorldState(0.0, vut, vru, tuple(occluders))
+    return WorldState(time, vut, vru, tuple(occluders))
 
 
 RSU_AT_ORIGIN = SensorUnit(
@@ -60,7 +60,7 @@ RSU_AT_ORIGIN = SensorUnit(
 
 
 def test_unoccluded_pedestrian_detected_with_full_fraction():
-    world = make_world(Pose2(10.0, 0.0, math.pi / 2))
+    world = make_world(Pose2(10.0, 0.0, math.pi / 2), time=0.4)  # frame 4 at 10 Hz
     ev = sense_frame(RSU_AT_ORIGIN, DetectionModel(), world, 4)
     assert ev is not None
     assert ev.visible_fraction == 1.0
