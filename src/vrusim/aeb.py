@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import OrientedBox, Pose2, obb_overlap, obb_separation
-from .scenario import ActorState, ScenarioSpec, WorldState
+from .scenario import ScenarioSpec, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
 
 log = logging.getLogger(__name__)
@@ -111,16 +111,15 @@ def simulate_run(
     dt: float = 0.005,
     trigger_override: float | None = None,
     sense: bool = True,
-    stop_at_collision: bool = True,
 ) -> RunTrace:
     """Closed-loop run: sensing at frame boundaries, kinematics at dt steps.
 
-    `subset` names which sensors' confirmations may trigger braking; all
-    sensors are still recorded for metrics. With `sense=False` nothing is
-    sensed and only `trigger_override` (a forced confirmation instant) can
-    start the maneuver. `stop_at_collision=False` keeps driving and sensing
-    past the first contact, the shape of an uninterrupted recording pass;
-    the outcome still reports the first contact.
+    A sensing run (``sense=True``) senses and records every frame and drives
+    through contact; `subset` names which sensors' confirmations may trigger
+    braking, and all sensors are recorded for metrics. A sensing-free run
+    records no frames and ends at the first contact; only
+    `trigger_override` (a forced confirmation instant) can start the
+    maneuver. Either way the outcome reports the first contact.
     """
     frame_period = 1.0 / spec.frame_rate
     if dt > frame_period / 2.0 + 1e-12:
@@ -182,21 +181,16 @@ def simulate_run(
         near.append((bound, travelled, t))
         return False
 
-    halted = check_contact(0.0) and stop_at_collision
-
+    # the first contact fixes the outcome: a sensing-free run ends there,
+    # a sensing run only moves the car on
+    ended = check_contact(0.0) and not sense
     for frame in range(n_frames):
         t_frame = frame / spec.frame_rate
-        vut_pose, _ = vut_track.pose_at_distance(travelled)
-        vru_pose, vru_speed = vru_track.state_at(t_frame)
-
-        detected: list[bool] = []
-        if sense and not halted:
-            world = WorldState(
-                time=t_frame,
-                vut=ActorState(vut_pose, speed, vut_track.footprint(vut_pose), vut_track.silhouette(vut_pose)),
-                vru=ActorState(vru_pose, vru_speed, vru_track.footprint(vru_pose), vru_track.silhouette(vru_pose)),
-                occluders=spec.occluders,
-            )
+        if sense:
+            vut_pose, _ = vut_track.pose_at_distance(travelled)
+            vru_pose, _ = vru_track.state_at(t_frame)
+            world = WorldState(t_frame, vut_pose, vru_track.silhouette(vru_pose), spec.occluders)
+            detected: list[bool] = []
             for unit in sensors:
                 ev = sense_frame(unit, model, world, frame)
                 detected.append(ev is not None)
@@ -212,31 +206,26 @@ def simulate_run(
                     if first_confirmed is None or ev.available_at < first_confirmed:
                         first_confirmed = ev.available_at
                         brake_onset = ev.available_at + policy.latency
-        else:
-            detected = [False] * len(sensors)
-
-        frames.append(
-            FrameRecord(
-                time=t_frame,
-                vut_pose=vut_pose,
-                vut_speed=speed,
-                vru_pose=vru_pose,
-                detected=tuple(detected),
-                braking=brake_onset is not None and t_frame >= brake_onset,
+            frames.append(
+                FrameRecord(
+                    time=t_frame,
+                    vut_pose=vut_pose,
+                    vut_speed=speed,
+                    vru_pose=vru_pose,
+                    detected=tuple(detected),
+                    braking=brake_onset is not None and t_frame >= brake_onset,
+                )
             )
-        )
 
-        if frame == n_frames - 1:
+        if ended or frame == n_frames - 1:
             break
         for step in range(steps_per_frame):
-            if halted:
-                break
             t0 = t_frame + step * dt
             t1 = t_frame + (step + 1) * dt
             travelled, speed = _advance(travelled, speed, t0, t1, brake_onset, policy.deceleration)
-            # the first contact fixes the outcome; later steps only move the car
-            if collision_time is None:
-                halted = check_contact(t1) and stop_at_collision
+            if collision_time is None and check_contact(t1) and not sense:
+                ended = True
+                break
 
     stop_margin: float | None = None
     if collision_time is None:

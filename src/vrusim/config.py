@@ -190,6 +190,8 @@ def _resolve_speeds(
         if not isinstance(explicit, list) or not explicit:
             raise ConfigError("speeds_kmh: expected a non-empty list")
         speeds = tuple(_number(v, "speeds_kmh") for v in explicit)
+        if len(set(speeds)) != len(speeds):
+            raise ConfigError("speeds_kmh: duplicate entries")
         out = {}
         for kind in kinds:
             allowed = allowed_speeds_kmh(kind)
@@ -329,6 +331,8 @@ def load_config(
     if not isinstance(yaws_raw, list) or not yaws_raw:
         raise ConfigError("scene_yaw_deg: expected a non-empty list")
     yaws = tuple(_number(v, "scene_yaw_deg") for v in yaws_raw)
+    if len(set(yaws)) != len(yaws):
+        raise ConfigError("scene_yaw_deg: duplicate entries")
 
     cam = top.section("camera")
     hfov_deg = _number(cam.take("hfov_deg", 90.0), "camera.hfov_deg")

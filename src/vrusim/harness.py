@@ -4,8 +4,9 @@ A sweep cell is one (scene yaw, scenario, speed).  Each cell runs a single
 unbraked observation pass that records every sensor's detections through
 the whole scenario; any sensor subset is then scored by replaying the
 braking kinematics from that subset's earliest confirmation.  Braking
-starts strictly after the confirming frame, so the replay is exactly the
-closed loop the subset would have produced live.
+starts strictly after the confirming frame, and a live sensing run drives
+through contact just like the observation pass, so the replay is exactly
+the closed loop the subset would have produced live.
 
 Cells are independent, so they may run in any number of worker processes;
 results are merged in configured order and every output byte depends only
@@ -77,8 +78,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
     units = config.all_units()
 
     watch = simulate_run(
-        spec, units, config.model, config.policy, (),
-        dt=config.dt, sense=True, stop_at_collision=False,
+        spec, units, config.model, config.policy, (), dt=config.dt, sense=True
     )
     events = watch.events_by_sensor
     n_frames = len(watch.frames)

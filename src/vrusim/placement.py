@@ -87,14 +87,10 @@ class _ObservedSuite:
     policy: AebPolicy
     model: DetectionModel
     dt: float
-    _cache: dict = field(default_factory=dict)
     # (scenario index, trigger) -> avoided; subsets sharing a trigger share it
     _replays: dict = field(default_factory=dict)
 
     def performance(self, subset: Sequence[str]) -> tuple[float, float]:
-        key = frozenset(subset)
-        if key in self._cache:
-            return self._cache[key]
         avoided = 0
         acc_sum = 0.0
         for i, (spec, events, n_frames) in enumerate(zip(self.specs, self.events, self.n_frames)):
@@ -108,9 +104,7 @@ class _ObservedSuite:
             if self._replays[i, trigger]:
                 avoided += 1
             acc_sum += accuracy(events, n_frames, subset)
-        perf = (avoided / len(self.specs), acc_sum / len(self.specs))
-        self._cache[key] = perf
-        return perf
+        return avoided / len(self.specs), acc_sum / len(self.specs)
 
 
 def _observe(
@@ -130,9 +124,7 @@ def _observe(
     units = tuple(s.to_unit() for s in sites)
     events, n_frames = [], []
     for spec in suite:
-        trace = simulate_run(
-            spec, units, model, policy, (), dt=dt, stop_at_collision=False
-        )
+        trace = simulate_run(spec, units, model, policy, (), dt=dt, sense=True)
         events.append(trace.events_by_sensor)
         n_frames.append(len(trace.frames))
     return _ObservedSuite(suite, events, n_frames, policy, model, dt)

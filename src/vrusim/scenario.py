@@ -125,18 +125,13 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class ActorState:
-    pose: Pose2
-    speed: float
-    footprint: OrientedBox
-    silhouette: Silhouette
-
-
-@dataclass(frozen=True)
 class WorldState:
+    """What one sensing frame reads: the pose of the vehicle that carries
+    the vut-mounted sensors, the VRU's silhouette and the static occluders."""
+
     time: float
-    vut: ActorState
-    vru: ActorState
+    vut_pose: Pose2
+    vru_silhouette: Silhouette
     occluders: tuple[Prism, ...]
 
 

@@ -138,8 +138,8 @@ def sense_frame(
     frame: int,
 ) -> DetectionEvent | None:
     """Detection attempt on the VRU for one frame; None when any gate fails."""
-    pose = sensor.world_pose(world.vut.pose)
-    target = world.vru.silhouette
+    pose = sensor.world_pose(world.vut_pose)
+    target = world.vru_silhouette
 
     dx = target.anchor.x - pose.x
     dy = target.anchor.y - pose.y

@@ -98,10 +98,7 @@ def test_every_cell_collides_without_sensing():
 
 def vut_first_sight_distance(speed, model):
     spec = build_scenario(ScenarioKind.CBNA, speed)
-    trace = simulate_run(
-        spec, (default_vut_sensor(),), model, POLICY, (),
-        sense=True, stop_at_collision=False,
-    )
+    trace = simulate_run(spec, (default_vut_sensor(),), model, POLICY, (), sense=True)
     events = trace.events_by_sensor["vut"]
     assert events, f"vehicle camera never sees the cyclist at {speed:g} km/h"
     t = events[0].frame / spec.frame_rate
@@ -187,10 +184,7 @@ def test_adding_sensors_never_hurts():
     observed = []
     for kind, speed in cells:
         spec = build_scenario(kind, speed)
-        trace = simulate_run(
-            spec, units, config.model, POLICY, (),
-            sense=True, stop_at_collision=False,
-        )
+        trace = simulate_run(spec, units, config.model, POLICY, (), sense=True)
         observed.append((spec, trace.events_by_sensor, {}))
 
     def outcome(entry, subset):
@@ -372,9 +366,7 @@ def test_greedy_placement_matches_exhaustive_search():
         avoided, accs = 0, []
         for spec in suite:
             units = tuple(s.to_unit() for s in site_subset)
-            trace = simulate_run(
-                spec, units, model, POLICY, (), sense=True, stop_at_collision=False,
-            )
+            trace = simulate_run(spec, units, model, POLICY, (), sense=True)
             fc = first_confirmed_time(
                 trace.events_by_sensor, POLICY.confirm_frames,
                 tuple(u.sensor_id for u in units),

@@ -96,6 +96,7 @@ def test_sensing_disabled_collides_at_nominal():
         for speed in allowed_speeds_kmh(kind):
             spec = build_scenario(kind, speed)
             trace = simulate_run(spec, (), MODEL, POLICY, (), sense=False)
+            assert trace.frames == ()
             out = trace.outcome
             assert not out.avoided, (kind, speed)
             assert out.collision_speed == pytest.approx(speed * KMH, abs=1e-9)
@@ -105,7 +106,7 @@ def test_sensing_disabled_collides_at_nominal():
 def test_observation_pass_keeps_sensing_through_contact():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(), rsu("rsu1"))
-    trace = simulate_run(spec, sensors, MODEL, POLICY, (), stop_at_collision=False)
+    trace = simulate_run(spec, sensors, MODEL, POLICY, ())
     assert not trace.outcome.avoided
     last_event_frame = max(
         ev.frame for evs in trace.events_by_sensor.values() for ev in evs
@@ -255,33 +256,39 @@ def test_infeasible_when_no_trigger_helps():
 
 
 @pytest.mark.parametrize(
-    "subset",
-    [("vut",), ("rsu1",), ("vut", "rsu1", "rsu5")],
+    "speed, subset",
+    [
+        (40.0, ("vut",)),
+        (40.0, ("rsu1",)),
+        (40.0, ("vut", "rsu1", "rsu5")),
+        # rsu2 first confirms after the unbraked contact
+        (20.0, ("rsu2",)),
+    ],
+    ids=["subset0", "subset1", "subset2", "confirmed-after-contact"],
 )
-def test_forced_replay_matches_live_loop(subset):
-    spec = build_scenario(ScenarioKind.CBNA, 40.0)
+def test_forced_replay_matches_live_loop(speed, subset):
+    spec = build_scenario(ScenarioKind.CBNA, speed)
     sensors = tuple(
         u for u in (default_vut_sensor(), *default_layout()) if u.sensor_id in subset
     )
     live = simulate_run(spec, sensors, MODEL, POLICY, subset)
 
-    watch = simulate_run(spec, sensors, MODEL, POLICY, (), stop_at_collision=False)
+    watch = simulate_run(spec, sensors, MODEL, POLICY, ())
     t_conf = first_confirmed_time(watch.events_by_sensor, POLICY.confirm_frames, subset)
     replay = simulate_run(
         spec, sensors, MODEL, POLICY, (), trigger_override=t_conf, sense=False
     )
 
+    assert t_conf is not None
     assert live.first_confirmed_time == t_conf
     assert live.brake_trigger_time == replay.brake_trigger_time
-    assert live.outcome.avoided == replay.outcome.avoided
-    assert live.outcome.collision_speed == replay.outcome.collision_speed
-    assert live.outcome.collision_time == replay.outcome.collision_time
+    assert live.outcome == replay.outcome
 
 
 # ------------------------------------------------------ reference kernel
 
 
-def reference_replay(spec, policy, trigger, stop_at_collision, dt=0.005):
+def reference_replay(spec, policy, trigger, dt=0.005):
     """The plain per-step contact loop of a sensing-free run.
 
     `Vec2` poses at every step, the exact overlap test at every near-field
@@ -315,7 +322,7 @@ def reference_replay(spec, policy, trigger, stop_at_collision, dt=0.005):
         margin = min(margin, obb_separation(a, b))
         return False
 
-    halted = contact(0.0) and stop_at_collision
+    halted = contact(0.0)
     for frame in range(n_frames - 1):
         t_frame = frame / spec.frame_rate
         for step in range(steps_per_frame):
@@ -323,7 +330,7 @@ def reference_replay(spec, policy, trigger, stop_at_collision, dt=0.005):
             t1 = t_frame + (step + 1) * dt
             if not halted:
                 travelled, speed = _advance(travelled, speed, t0, t1, onset, policy.deceleration)
-                halted = contact(t1) and stop_at_collision
+                halted = contact(t1)
     avoided = collision_time is None
     return (
         avoided,
@@ -347,7 +354,7 @@ def replay_cases(draw):
     back = draw(st.integers(-1, 30))
     frame = max(last - back, 0)
     trigger = None if back < 0 else frame / spec.frame_rate + POLICY.latency
-    return spec, trigger, draw(st.booleans())
+    return spec, trigger
 
 
 @settings(
@@ -359,11 +366,8 @@ def replay_cases(draw):
 )
 @given(replay_cases())
 def test_replay_matches_reference_kernel_exactly(case):
-    spec, trigger, stop_at_collision = case
-    trace = simulate_run(
-        spec, (), MODEL, POLICY, (),
-        trigger_override=trigger, sense=False, stop_at_collision=stop_at_collision,
-    )
+    spec, trigger = case
+    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=trigger, sense=False)
     out = trace.outcome
     got = (
         out.avoided,
@@ -372,7 +376,7 @@ def test_replay_matches_reference_kernel_exactly(case):
         out.stop_margin,
         trace.brake_trigger_time,
     )
-    assert got == reference_replay(spec, POLICY, trigger, stop_at_collision)
+    assert got == reference_replay(spec, POLICY, trigger)
 
 
 # ----------------------------------------------------------------- guards

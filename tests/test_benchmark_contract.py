@@ -13,6 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import yaml
 
 import vrusim.harness
 
@@ -32,18 +33,44 @@ def perfbench(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def test_tracer_installs_on_the_imported_modules(perfbench):
-    # the modules the benchmark's own import hands to install()
+def imported_modules(perfbench):
+    """The modules the benchmark's own import hands to install()."""
     names = perfbench.workloads._MODULES
-    mods = SimpleNamespace(**{n: importlib.import_module(f"vrusim.{n}") for n in names})
+    return SimpleNamespace(**{n: importlib.import_module(f"vrusim.{n}") for n in names})
+
+
+def test_tracer_installs_on_the_imported_modules(perfbench):
     before = vrusim.harness.simulate_run
     tracer = perfbench.spans.Tracer()
     try:
-        perfbench.layers.install(tracer, mods)
+        perfbench.layers.install(tracer, imported_modules(perfbench))
         assert vrusim.harness.simulate_run is not before
     finally:
         tracer.unpatch()
     assert vrusim.harness.simulate_run is before
+
+
+def test_tracer_tells_observation_passes_from_replays(perfbench, tmp_path):
+    # the tracer classifies a run by the keywords it was called with, so a
+    # call that passed `sense` or `trigger_override` positionally would
+    # count every replay as an observation pass
+    m = imported_modules(perfbench)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"scenarios": ["CBNA"], "speeds_kmh": [40]}), encoding="utf-8")
+    config = m.config.load_config(str(cfg), subset_filter=["vut", "any"])
+    spec = m.scenario.build_scenario(m.scenario.ScenarioKind.CBNA, 40.0)
+    sites = m.placement.candidate_sites_from_units(m.sensing.default_layout()[:2])
+    tracer = perfbench.spans.Tracer()
+    try:
+        perfbench.layers.install(tracer, m)
+        m.harness.run_sweep(config)
+        assert tracer.calls["aeb.observe"] == 1
+        assert tracer.calls["aeb.replay"] > 0
+        m.placement.evaluate_sites(sites, (spec,), config.policy, config.model)
+    finally:
+        tracer.unpatch()
+    assert tracer.counts["placement.observe_passes"] == 1
+    assert tracer.counts["placement.replays"] > 0
 
 
 def test_every_workload_piece_exists(perfbench):

@@ -95,10 +95,13 @@ def one_line_config_error(caplog, argv):
         ({"sensors": {"range_m": -1}}, "sensors"),
         ({"scenario_overrides": {"frame_rate": 0}}, "frame_rate"),
         ({"dt_s": 0.1}, "dt_s"),
+        ({"speeds_kmh": [40, 40.0]}, "speeds_kmh: duplicate"),
+        ({"scene_yaw_deg": [0, 0]}, "scene_yaw_deg: duplicate"),
     ],
     ids=[
         "latency-nan", "dt-nan", "cyclist-speed-zero", "cbla-cyclist-not-slower",
         "vut-length-negative", "range-negative", "frame-rate-zero", "dt-one-step-per-frame",
+        "speeds-duplicate", "yaws-duplicate",
     ],
 )
 def test_sweep_bad_number_is_exit_1_with_one_line(tmp_path, caplog, data, where):

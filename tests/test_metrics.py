@@ -156,7 +156,7 @@ def test_heatmap_from_real_run_recounts_and_spans_duration():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(), *default_layout())
     lpbt = last_possible_brake_time(spec, POLICY)
-    trace = simulate_run(spec, sensors, MODEL, POLICY, (), stop_at_collision=False)
+    trace = simulate_run(spec, sensors, MODEL, POLICY, ())
     hm = heatmap_of(trace.events_by_sensor, len(trace.frames), lpbt, spec.frame_rate)
     assert len(hm.sensor_ids) == 13
     assert hm.sensor_ids[0] == "vut"
@@ -171,7 +171,8 @@ def test_heatmap_all_false_without_sensing():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(),)
     trace = simulate_run(spec, sensors, MODEL, POLICY, (), sense=False)
-    hm = heatmap_of(trace.events_by_sensor, len(trace.frames), None, spec.frame_rate)
+    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
+    hm = heatmap_of(trace.events_by_sensor, n_frames, None, spec.frame_rate)
     assert not any(any(row) for row in hm.cells)
 
 

@@ -83,7 +83,7 @@ def live_performance(subset):
         trace = simulate_run(spec, units, OPEN_GATES, POLICY, subset)
         if trace.outcome.avoided:
             avoided += 1
-        watch = simulate_run(spec, units, OPEN_GATES, POLICY, (), stop_at_collision=False)
+        watch = simulate_run(spec, units, OPEN_GATES, POLICY, ())
         frames_seen = {ev.frame for evs in watch.events_by_sensor.values() for ev in evs}
         acc_sum += len(frames_seen) / len(watch.frames)
     return avoided / len(SUITE), acc_sum / len(SUITE)

@@ -195,9 +195,9 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
     for i in range(n_frames):
         t = i / spec.frame_rate
         world = world_at(spec, t)
-        sil = spec.vru_track.silhouette(world.vru.pose)
-        frac = geometric_fraction((world.vut.pose.x, world.vut.pose.y), sil, spec.occluders)
-        dist = (world.vru.pose.position - spec.conflict_point).norm()
+        sil = world.vru_silhouette
+        frac = geometric_fraction((world.vut_pose.x, world.vut_pose.y), sil, spec.occluders)
+        dist = (sil.anchor - spec.conflict_point).norm()
         if frac >= 0.5:
             first_visible_dist = dist
             break

@@ -10,15 +10,8 @@ import random
 
 import pytest
 
-from vrusim.geometry import MountPose, OrientedBox, Pose2, Silhouette, Vec2, wrap_angle
-from vrusim.scenario import (
-    ActorClass,
-    ActorTrack,
-    ActorState,
-    ScenarioKind,
-    WorldState,
-    build_scenario,
-)
+from vrusim.geometry import MountPose, Pose2, Silhouette, Vec2, wrap_angle
+from vrusim.scenario import ScenarioKind, WorldState, build_scenario
 from vrusim.sensing import (
     DetectionEvent,
     DetectionModel,
@@ -40,15 +33,8 @@ from oracles import world_at
 
 def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=(), time=0.0):
     length, width, height = vru_dims
-    vut_track = ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, 1.0, (Vec2(0, 0), Vec2(1, 0)))
-    vru = ActorState(
-        vru_pose,
-        1.0,
-        footprint=OrientedBox(vru_pose.position, length / 2, width / 2, vru_pose.heading),
-        silhouette=Silhouette(vru_pose.position, vru_pose.heading, length, width, height),
-    )
-    vut = ActorState(vut_pose, 1.0, vut_track.footprint(vut_pose), vut_track.silhouette(vut_pose))
-    return WorldState(time, vut, vru, tuple(occluders))
+    vru = Silhouette(vru_pose.position, vru_pose.heading, length, width, height)
+    return WorldState(time, vut_pose, vru, tuple(occluders))
 
 
 RSU_AT_ORIGIN = SensorUnit(
@@ -83,7 +69,7 @@ def test_cbna_wall_hides_cyclist_30m_out():
         t_30 = (abs(spec.vru_track.path[0].y) - 30.0) / spec.vru_track.speed
         frame = round(t_30 * spec.frame_rate)
         world = world_at(spec, frame / spec.frame_rate)
-        assert abs(world.vru.pose.y + 30.0) < 0.5
+        assert abs(world.vru_silhouette.anchor.y + 30.0) < 0.5
         assert sense_frame(vut_sensor, model, world, frame) is None, speed
 
 
@@ -365,7 +351,7 @@ def test_rsu1_picks_up_cbna_cyclist_near_entry():
         world = world_at(spec, frame / spec.frame_rate)
         e = sense_frame(rsu1, model, world, frame)
         if e is not None:
-            events.append((frame, world.vru.pose.y))
+            events.append((frame, world.vru_silhouette.anchor.y))
     assert events, "rsu1 must see the cyclist"
     first_y = events[0][1]
     # frustum edge lies where the cyclist passes y = -12
