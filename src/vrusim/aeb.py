@@ -295,14 +295,18 @@ def last_possible_brake_time(
 
 
 def format_trace(trace: RunTrace) -> str:
-    """Render a run as line-oriented text for external plotting.
+    """Render the sweep's unbraked observation pass as line-oriented text
+    for external plotting.
 
-    Comment lines carry the run summary; the header row names the columns,
-    one ``det_<sensor>`` flag column per sensor in the trace's order.
+    Comment lines carry the run summary; the first says which pass this is,
+    since no subset brakes in it (each subset's outcome is in the summary).
+    The header row names the columns, one ``det_<sensor>`` flag column per
+    sensor in the trace's order.
     """
     out = trace.outcome
     head = [
-        f"# scenario={trace.spec.kind.display_name}"
+        "# pass=unbraked_observation"
+        f" scenario={trace.spec.kind.display_name}"
         f" vut_speed_mps={trace.spec.vut_track.speed:.6f}"
         f" frame_rate_hz={trace.spec.frame_rate:g}",
         f"# first_confirmed_time={_opt(trace.first_confirmed_time)}"

@@ -8,7 +8,7 @@ height and silhouette sampling; everything else lives in the ground plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _EPS = 1e-9
 _SILHOUETTE_COLS = 3
@@ -122,11 +122,19 @@ class Prism(OrientedBox):
     """Vertical extrusion of an oriented footprint, sitting on the ground."""
 
     height: float
+    # (center x, center y, forward x, forward y, lateral x, lateral y,
+    # half_long, half_lat, height): the slabs the occlusion test reads
+    _slab: tuple[float, float, float, float, float, float, float, float, float] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.height <= 0.0:
             raise ValueError("Prism height must be positive")
+        fx, fy = math.cos(self.heading), math.sin(self.heading)
+        slab = (self.center.x, self.center.y, fx, fy, -fy, fx, self.half_long, self.half_lat, self.height)
+        object.__setattr__(self, "_slab", slab)
 
 
 @dataclass(frozen=True)
@@ -162,23 +170,23 @@ class Silhouette:
     length: float
     width: float
     height: float
+    # the (x, y, z) sample points, columns outer, rows inner
+    points: tuple[tuple[float, float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.length, self.width, self.height) <= 0.0:
             raise ValueError("Silhouette extents must be positive")
-
-    def sample_points(self) -> tuple[tuple[float, float, float], ...]:
-        fwd = unit_vector(self.heading)
+        fx, fy = math.cos(self.heading), math.sin(self.heading)
         pts = []
         for i in range(_SILHOUETTE_COLS):
             # cell centers over [-length/2, length/2]
             s = self.length * ((i + 0.5) / _SILHOUETTE_COLS - 0.5)
-            px = self.anchor.x + fwd.x * s
-            py = self.anchor.y + fwd.y * s
+            px = self.anchor.x + fx * s
+            py = self.anchor.y + fy * s
             for j in range(_SILHOUETTE_ROWS):
                 pz = self.height * (j + 0.5) / _SILHOUETTE_ROWS
                 pts.append((px, py, pz))
-        return tuple(pts)
+        object.__setattr__(self, "points", tuple(pts))
 
 
 def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:
@@ -239,73 +247,6 @@ def iou_axis_box(a: AxisBox2, b: AxisBox2) -> float:
     return inter / union
 
 
-def in_frustum(
-    pose: MountPose,
-    hfov: float,
-    vfov: float,
-    max_range: float,
-    point: tuple[float, float, float],
-) -> bool:
-    """Whether a 3D point lies inside the sensor's viewing frustum.
-
-    All three boundaries (range sphere, horizontal and vertical aperture)
-    are inclusive.
-    """
-    dx = point[0] - pose.x
-    dy = point[1] - pose.y
-    dz = point[2] - pose.z
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist > max_range + _EPS:
-        return False
-    horiz = math.hypot(dx, dy)
-    if horiz < _EPS and abs(dz) < _EPS:
-        return True  # point at the sensor origin
-    bearing = math.atan2(dy, dx)
-    if abs(wrap_angle(bearing - pose.yaw)) > hfov / 2.0 + _EPS:
-        return False
-    elevation = math.atan2(dz, horiz)
-    if abs(wrap_angle(elevation - pose.pitch)) > vfov / 2.0 + _EPS:
-        return False
-    return True
-
-
-def ray_blocked(
-    origin: tuple[float, float, float],
-    target: tuple[float, float, float],
-    occluder: Prism,
-) -> bool:
-    """Whether the segment origin->target passes through a vertical prism.
-
-    The 2D projection must cross the footprint, and the segment height at
-    the crossing must dip below the prism top.
-    """
-    o = Vec2(origin[0], origin[1])
-    t = Vec2(target[0], target[1])
-    span = t - o
-    # slab test in the footprint's local frame
-    fwd, lat = occluder.axes()
-    rel = o - occluder.center
-    t_lo, t_hi = 0.0, 1.0
-    for axis, half in ((fwd, occluder.half_long), (lat, occluder.half_lat)):
-        d = span.dot(axis)
-        s = rel.dot(axis)
-        if abs(d) < _EPS:
-            if abs(s) > half:
-                return False
-            continue
-        u0 = (-half - s) / d
-        u1 = (half - s) / d
-        if u0 > u1:
-            u0, u1 = u1, u0
-        t_lo = max(t_lo, u0)
-        t_hi = min(t_hi, u1)
-        if t_lo > t_hi:
-            return False
-    z0 = origin[2] + (target[2] - origin[2]) * t_lo
-    z1 = origin[2] + (target[2] - origin[2]) * t_hi
-    return min(z0, z1) < occluder.height - _EPS
-
-
 def visible_fraction(
     pose: MountPose,
     hfov: float,
@@ -313,16 +254,86 @@ def visible_fraction(
     max_range: float,
     target: Silhouette,
     occluders: tuple[Prism, ...] | list[Prism],
+    floor: float,
 ) -> float:
     """Fraction of silhouette sample points both inside the frustum and
-    unblocked by every occluder."""
-    origin = (pose.x, pose.y, pose.z)
-    pts = target.sample_points()
-    seen = 0
-    for p in pts:
-        if not in_frustum(pose, hfov, vfov, max_range, p):
-            continue
-        if any(ray_blocked(origin, p, occ) for occ in occluders):
-            continue
-        seen += 1
-    return seen / len(pts)
+    unblocked by every occluder.
+
+    A point is inside the frustum when it lies within the range sphere and
+    the horizontal and vertical apertures, every boundary inclusive; a point
+    at the sensor origin is inside. A sight line is blocked when its ground
+    projection crosses a prism footprint (the slab method) and its height
+    over the crossing dips below the prism top.
+
+    The loop stops once the fraction can no longer reach `floor` and then
+    returns a value below `floor`; a fraction at or above `floor` is exact.
+    """
+    ox, oy, oz = pose.x, pose.y, pose.z
+    yaw, pitch = pose.yaw, pose.pitch
+    reach = max_range + _EPS
+    half_h = hfov / 2.0 + _EPS
+    half_v = vfov / 2.0 + _EPS
+    # the origin's offset within each slab is fixed for the whole call:
+    # (top - _EPS, ((axis x, axis y, -half - s, half - s, |s| > half), ...))
+    slabs = []
+    for occ in occluders:
+        cx, cy, fx, fy, lx, ly, half_long, half_lat, height = occ._slab
+        rx, ry = ox - cx, oy - cy
+        axes = []
+        for ax, ay, half in ((fx, fy, half_long), (lx, ly, half_lat)):
+            s = rx * ax + ry * ay
+            axes.append((ax, ay, -half - s, half - s, abs(s) > half))
+        slabs.append((height - _EPS, axes))
+
+    n = len(target.points)
+    reachable = n  # points not yet ruled out
+    for px, py, pz in target.points:
+        dx, dy, dz = px - ox, py - oy, pz - oz
+        seen = math.sqrt(dx * dx + dy * dy + dz * dz) <= reach
+        if seen:
+            horiz = math.hypot(dx, dy)
+            if horiz >= _EPS or abs(dz) >= _EPS:
+                # wrap_angle is the identity on (-pi, pi]
+                bearing = math.atan2(dy, dx) - yaw
+                if not -math.pi < bearing <= math.pi:
+                    bearing = wrap_angle(bearing)
+                seen = abs(bearing) <= half_h
+                if seen:
+                    elevation = math.atan2(dz, horiz) - pitch
+                    if not -math.pi < elevation <= math.pi:
+                        elevation = wrap_angle(elevation)
+                    seen = abs(elevation) <= half_v
+        if seen and slabs:
+            seen = not _sight_line_blocked(dx, dy, dz, oz, slabs)
+        if not seen:
+            reachable -= 1
+            if reachable / n < floor:
+                break
+    return reachable / n
+
+
+def _sight_line_blocked(dx: float, dy: float, dz: float, oz: float, slabs) -> bool:
+    """Whether the segment from the sensor at height `oz` along (dx, dy, dz)
+    passes below the top of any occluder slab set from visible_fraction."""
+    for top, axes in slabs:
+        t_lo, t_hi = 0.0, 1.0
+        for ax, ay, lo, hi, outside in axes:
+            d = dx * ax + dy * ay
+            if abs(d) < _EPS:
+                if outside:
+                    break  # parallel to this slab and outside it
+                continue
+            u0 = lo / d
+            u1 = hi / d
+            if u0 > u1:
+                u0, u1 = u1, u0
+            if u0 > t_lo:
+                t_lo = u0
+            if u1 < t_hi:
+                t_hi = u1
+            if t_lo > t_hi:
+                break
+        else:
+            if oz + dz * t_lo < top or oz + dz * t_hi < top:
+                return True
+    return False

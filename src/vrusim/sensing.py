@@ -158,7 +158,9 @@ def sense_frame(
     if height < model.min_apparent_height:
         return None
 
-    fraction = visible_fraction(pose, sensor.hfov, sensor.vfov, sensor.max_range, target, world.occluders)
+    fraction = visible_fraction(
+        pose, sensor.hfov, sensor.vfov, sensor.max_range, target, world.occluders, model.min_visible_fraction
+    )
     if fraction < model.min_visible_fraction:
         return None
 

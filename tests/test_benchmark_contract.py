@@ -73,6 +73,24 @@ def test_tracer_tells_observation_passes_from_replays(perfbench, tmp_path):
     assert tracer.counts["placement.replays"] > 0
 
 
+def test_tracer_sees_the_sensing_layer(perfbench, tmp_path):
+    # sense_frame and visible_fraction are traced through the module globals
+    # aeb and sensing call them by; a caller that bound a local alias would
+    # drop the sensing layer from traces without any error
+    m = imported_modules(perfbench)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"scenarios": ["CBNA"], "speeds_kmh": [40]}), encoding="utf-8")
+    config = m.config.load_config(str(cfg), subset_filter=["vut"])
+    tracer = perfbench.spans.Tracer()
+    try:
+        perfbench.layers.install(tracer, m)
+        m.harness.run_sweep(config)
+    finally:
+        tracer.unpatch()
+    assert tracer.calls["sensing.sense_frame"] > 0
+    assert tracer.calls["geometry.visible_fraction"] > 0
+
+
 def test_every_workload_piece_exists(perfbench):
     for workload in perfbench.workloads.WORKLOADS.values():
         for module, name in workload.pieces:

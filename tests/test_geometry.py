@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrusim.geometry import (
     AxisBox2,
@@ -18,15 +20,16 @@ from vrusim.geometry import (
     Prism,
     Silhouette,
     Vec2,
-    in_frustum,
     iou_axis_box,
     obb_overlap,
     obb_separation,
-    ray_blocked,
     unit_vector,
     visible_fraction,
     wrap_angle,
 )
+
+import oracles
+from oracles import in_frustum, ray_blocked
 
 
 # ---------------------------------------------------------------- oracles
@@ -301,14 +304,14 @@ def test_pitch_shifts_vertical_aperture():
 def test_unobstructed_target_fully_visible():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, ()) == 1.0
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (), 0.0) == 1.0
 
 
 def test_tall_wall_blocks_everything():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
     wall = Prism(Vec2(5, 0), 0.2, 5.0, 0.0, height=10.0)
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (wall,)) == 0.0
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (wall,), 0.0) == 0.0
 
 
 def test_low_wall_near_target_leaves_top_row_visible():
@@ -318,7 +321,7 @@ def test_low_wall_near_target_leaves_top_row_visible():
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
     wall = Prism(Vec2(9.0, 0.0), 5.0, 0.1, math.pi / 2, height=1.8)
     hfov, vfov, rng = math.radians(90), math.radians(59), 250.0
-    got = visible_fraction(pose, hfov, vfov, rng, target, (wall,))
+    got = visible_fraction(pose, hfov, vfov, rng, target, (wall,), 0.0)
     oracle = dense_ray_fraction(pose, hfov, vfov, rng, target, (wall,))
     assert got == pytest.approx(1.0 / 3.0)
     assert abs(got - oracle) <= 1.0 / 9.0 + 1e-9
@@ -327,7 +330,7 @@ def test_low_wall_near_target_leaves_top_row_visible():
 def test_target_outside_frustum_has_zero_fraction():
     pose = MountPose(0, 0, 1.6, math.pi, 0.0)  # looking away
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, ()) == 0.0
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (), 0.0) == 0.0
 
 
 def test_removing_occluders_never_decreases_fraction():
@@ -352,8 +355,8 @@ def test_removing_occluders_never_decreases_fraction():
             )
             for _ in range(3)
         ]
-        full = visible_fraction(pose, hfov, vfov, rng_m, target, occs)
-        fewer = visible_fraction(pose, hfov, vfov, rng_m, target, occs[:1])
+        full = visible_fraction(pose, hfov, vfov, rng_m, target, occs, 0.0)
+        fewer = visible_fraction(pose, hfov, vfov, rng_m, target, occs[:1], 0.0)
         assert fewer >= full
 
 
@@ -363,6 +366,213 @@ def test_ray_blocked_respects_height():
     assert not ray_blocked((0, 0, 5.0), (10, 0, 5.0), wall)
     # ray passing beside the footprint
     assert not ray_blocked((0, 0, 1.0), (10, 8, 1.0), wall)
+
+
+# ------------------------------------------- float kernel against reference
+
+
+@st.composite
+def sensing_cases(draw):
+    """A sensor roughly aimed at a silhouette, with 0-3 rotated prisms
+    scattered around the sight line and a visibility floor."""
+    coord = st.floats(-30.0, 30.0)
+    sx, sy = draw(coord), draw(coord)
+    ax, ay = draw(coord), draw(coord)
+    sz = draw(st.floats(0.3, 10.0))
+    ground = math.hypot(ax - sx, ay - sy)
+    # yaw beyond (-pi, pi] too, as a vehicle mount's can be
+    turns = draw(st.sampled_from((0.0, 2 * math.pi, -4 * math.pi)))
+    yaw = math.atan2(ay - sy, ax - sx) + draw(st.floats(-0.8, 0.8)) + turns
+    pose = MountPose(sx, sy, sz, yaw, math.atan2(1.0 - sz, ground) + draw(st.floats(-0.4, 0.4)))
+    target = Silhouette(
+        Vec2(ax, ay),
+        draw(st.floats(-4.0, 4.0)),
+        draw(st.floats(0.2, 5.0)),
+        draw(st.floats(0.2, 3.0)),
+        draw(st.floats(0.3, 3.0)),
+    )
+    occluders = []
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(st.floats(-0.2, 1.2))
+        jitter = st.floats(-3.0, 3.0)
+        occluders.append(
+            Prism(
+                Vec2(sx + (ax - sx) * u + draw(jitter), sy + (ay - sy) * u + draw(jitter)),
+                draw(st.floats(0.05, 2.0)),
+                draw(st.floats(0.05, 2.0)),
+                draw(st.floats(-4.0, 4.0)),
+                height=draw(st.floats(0.1, 4.0)),
+            )
+        )
+    hfov = draw(st.floats(0.2, 2 * math.pi))
+    vfov = draw(st.floats(0.2, math.pi))
+    max_range = (math.hypot(ground, sz) + target.length) * draw(st.floats(0.9, 2.0))
+    floor = draw(st.sampled_from((0.0, 0.5, 1.0 / 3.0, 1.0, draw(st.floats(0.0, 1.0)))))
+    return pose, hfov, vfov, max_range, target, tuple(occluders), floor
+
+
+def assert_matches_reference(pose, hfov, vfov, max_range, target, occluders, floor=0.0):
+    want = oracles.visible_fraction(pose, hfov, vfov, max_range, target, occluders)
+    got = visible_fraction(pose, hfov, vfov, max_range, target, occluders, floor)
+    # below the floor the kernel may stop early; at or above it, exact bits
+    assert (got < floor) == (want < floor)
+    if want >= floor:
+        assert got == want
+    return want
+
+
+@settings(
+    max_examples=600,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(sensing_cases())
+def test_visible_fraction_matches_vec2_reference_exactly(case):
+    assert_matches_reference(*case)
+
+
+def test_silhouette_points_match_reference():
+    rnd = random.Random(8)
+    for _ in range(200):
+        sil = Silhouette(
+            Vec2(rnd.uniform(-50, 50), rnd.uniform(-50, 50)),
+            rnd.uniform(-7, 7),
+            rnd.uniform(0.1, 5),
+            rnd.uniform(0.1, 3),
+            rnd.uniform(0.1, 3),
+        )
+        assert sil.points == oracles.sample_points(sil)
+
+
+def flip_pair(fraction_at, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats a < b within [lo, hi] where fraction_at changes."""
+    f_lo = fraction_at(lo)
+    assert f_lo != fraction_at(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        if fraction_at(mid) == f_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def assert_boundary_matches(fraction_at, lo: float, hi: float, case_at) -> None:
+    """Both floats around the reference's flip give the reference's bits."""
+    for value in flip_pair(fraction_at, lo, hi):
+        assert_matches_reference(*case_at(value))
+
+
+BOUNDARY_POSE = MountPose(0.0, 0.0, 1.0, 0.3, -0.1)
+BOUNDARY_TARGET = Silhouette(Vec2(9.0, 2.5), 1.1, 1.2, 0.5, 1.8)
+WIDE = 2.0 * math.pi
+
+
+def test_range_sphere_boundary_matches_reference():
+    def case(max_range):
+        return BOUNDARY_POSE, WIDE, WIDE, max_range, BOUNDARY_TARGET, ()
+
+    def fraction(max_range):
+        return oracles.visible_fraction(*case(max_range))
+
+    for p in oracles.sample_points(BOUNDARY_TARGET):
+        dist = math.dist((BOUNDARY_POSE.x, BOUNDARY_POSE.y, BOUNDARY_POSE.z), p)
+        assert_boundary_matches(fraction, dist - 1e-6, dist + 1e-6, case)
+
+
+def test_aperture_edges_match_reference():
+    def horizontal(hfov):
+        return BOUNDARY_POSE, hfov, WIDE, 100.0, BOUNDARY_TARGET, ()
+
+    def vertical(vfov):
+        return BOUNDARY_POSE, WIDE, vfov, 100.0, BOUNDARY_TARGET, ()
+
+    for p in oracles.sample_points(BOUNDARY_TARGET):
+        dx, dy, dz = p[0] - BOUNDARY_POSE.x, p[1] - BOUNDARY_POSE.y, p[2] - BOUNDARY_POSE.z
+        off_h = abs(wrap_angle(math.atan2(dy, dx) - BOUNDARY_POSE.yaw))
+        off_v = abs(wrap_angle(math.atan2(dz, math.hypot(dx, dy)) - BOUNDARY_POSE.pitch))
+        assert_boundary_matches(
+            lambda a: oracles.visible_fraction(*horizontal(a)), 2 * off_h - 1e-6, 2 * off_h + 1e-6, horizontal
+        )
+        assert_boundary_matches(
+            lambda a: oracles.visible_fraction(*vertical(a)), 2 * off_v - 1e-6, 2 * off_v + 1e-6, vertical
+        )
+
+
+def test_sensor_origin_boundary_matches_reference():
+    # the middle sample point sits at the anchor (0, 0); a sensor level with
+    # it and `offset` behind it, looking away, sees it only at its origin
+    target = Silhouette(Vec2(0.0, 0.0), 0.0, 1.0, 0.5, 1.8)
+
+    def behind(offset):
+        pose = MountPose(-offset, 0.0, target.points[4][2], math.pi, 0.0)
+        return pose, 0.5, 0.5, 100.0, target, ()
+
+    assert_boundary_matches(lambda e: oracles.visible_fraction(*behind(e)), 0.0, 1e-8, behind)
+    assert flip_pair(lambda e: oracles.visible_fraction(*behind(e)), 0.0, 1e-8)[1] == 1e-9
+
+
+def test_ray_along_a_slab_face_matches_reference():
+    # target points all at y = 2.5 (heading 0); the sensor at y = 2.5 looks
+    # along +x, so every sight line runs parallel to the prism's long faces
+    pose = MountPose(0.0, 2.5, 0.9, 0.0, 0.0)
+    target = Silhouette(Vec2(12.0, 2.5), 0.0, 1.0, 0.5, 1.8)
+
+    def on_face(half_lat):
+        return pose, WIDE, WIDE, 100.0, target, (Prism(Vec2(6.0, 2.0), 1.0, half_lat, 0.0, height=5.0),)
+
+    assert_boundary_matches(lambda h: oracles.visible_fraction(*on_face(h)), 0.4, 0.6, on_face)
+
+    # a slanted sight line whose far end meets a face of a rotated prism
+    slanted = Silhouette(Vec2(8.0, 5.0), 0.4, 1.0, 0.5, 1.8)
+
+    def end_on_face(shift):
+        center = Vec2(8.0 + shift, 5.0 + 0.5 * shift)
+        return pose, WIDE, WIDE, 100.0, slanted, (Prism(center, 0.8, 0.3, 0.7, height=5.0),)
+
+    assert_boundary_matches(lambda u: oracles.visible_fraction(*end_on_face(u)), 0.5, 3.0, end_on_face)
+
+
+def test_degenerate_crossings_match_reference():
+    # a sight line from (0, 0) to (10, 10) touches only the corner (5, 5)
+    # of the footprint [5, 6] x [4, 5]: its crossing is the one point t = 0.5
+    corner = Silhouette(Vec2(10.0, 10.0), math.pi / 2, 1.0, 0.5, 1.8)
+    pose = MountPose(0.0, 0.0, 1.0, math.pi / 4, 0.0)
+    touched = (Prism(Vec2(5.5, 4.5), 0.5, 0.5, 0.0, height=3.0),)
+    assert assert_matches_reference(pose, WIDE, WIDE, 100.0, corner, touched) < 1.0
+
+    # the middle column's sight lines run 1e-9 m along the x axis, exactly
+    # at the parallel threshold, from a roof inside the footprint 2**-32 m
+    # from its face x = 2**-32; they cross that face at t = 0.23 while still
+    # above the top, and would dip below it only beyond the face
+    offset = Silhouette(Vec2(1e-9, 10.0), math.pi / 2, 1.0, 0.5, 0.9)
+    assert offset.points[4][0] - 0.0 == 1e-9
+    roof = MountPose(0.0, 0.0, 6.0, math.pi / 2, 0.0)
+    near_face = (Prism(Vec2(-0.5 + 2.0**-32, 5.0), 0.5, 5.5, 0.0, height=4.5),)
+    assert assert_matches_reference(roof, WIDE, WIDE, 100.0, offset, near_face) > 0.0
+
+
+def test_ray_grazing_a_prism_top_matches_reference():
+    # level sight lines from a sensor at the height of the lowest sample row
+    target = Silhouette(Vec2(10.0, 0.0), math.pi / 2, 1.0, 0.5, 1.8)
+    pose = MountPose(0.0, 0.0, target.points[0][2], 0.0, 0.0)
+
+    def wall(height):
+        return pose, WIDE, WIDE, 100.0, target, (Prism(Vec2(5.0, 0.0), 0.2, 3.0, 0.0, height=height),)
+
+    assert_boundary_matches(lambda h: oracles.visible_fraction(*wall(h)), 0.2, 0.4, wall)
+
+    # a slanted sight line grazing the top of a rotated prism
+    high = MountPose(0.0, 0.0, 6.0, 0.0, -0.4)
+
+    def tilted(height):
+        return high, WIDE, WIDE, 100.0, target, (Prism(Vec2(6.0, 0.3), 0.5, 1.5, 0.6, height=height),)
+
+    assert_boundary_matches(lambda h: oracles.visible_fraction(*tilted(h)), 0.1, 6.0, tilted)
 
 
 # ------------------------------------------------------------------- misc
@@ -380,7 +590,7 @@ def test_wrap_angle_range():
 
 def test_silhouette_samples_stay_inside_bounds():
     sil = Silhouette(Vec2(3, 4), 0.7, 1.8, 0.5, 1.8)
-    pts = sil.sample_points()
+    pts = sil.points
     assert len(pts) == 9
     fwd = unit_vector(sil.heading)
     for x, y, z in pts:

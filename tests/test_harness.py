@@ -224,11 +224,14 @@ def test_traces_only_when_enabled(tmp_path):
     trace = tmp_path / "with" / "traces" / "CBNA_40.txt"
     assert trace.exists()
     text = trace.read_text().splitlines()
-    assert text[0].startswith("#")
+    # the trace is the observation pass, where no subset brakes
+    assert text[0].startswith("# pass=unbraked_observation ")
+    assert " avoided=false " in text[1]
     assert "det_vut" in text[2]
     # one flag per detection event, in the column of the sensor that made it
     header = text[2].split(",")
     rows = [line.split(",") for line in text[3:]]
+    assert {row[header.index("braking")] for row in rows} == {"0"}
     (cell,) = result.cells
     for sensor_id, frames in cell.detection_frames.items():
         col = header.index(f"det_{sensor_id}")

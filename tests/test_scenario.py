@@ -184,7 +184,7 @@ def geometric_fraction(observer_xy, target_sil, occluders):
     from vrusim.geometry import MountPose
 
     pose = MountPose(observer_xy[0], observer_xy[1], 0.0, 0.0, 0.0)
-    return visible_fraction(pose, 2 * math.pi, 2 * math.pi, 1e9, target_sil, occluders)
+    return visible_fraction(pose, 2 * math.pi, 2 * math.pi, 1e9, target_sil, occluders, 0.0)
 
 
 @pytest.mark.parametrize("speed", allowed_speeds_kmh(ScenarioKind.CBNA))
