@@ -12,9 +12,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
-from .geometry import OrientedBox, Pose2, obb_overlap, obb_separation
-from .scenario import ScenarioSpec, WorldState
+from .geometry import Box, Pose2, obb_overlap, obb_separation, wrap_angle
+from .scenario import ActorTrack, ScenarioSpec, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
 
 log = logging.getLogger(__name__)
@@ -44,7 +45,6 @@ class AebPolicy:
 class SafetyOutcome:
     avoided: bool
     collision_speed: float
-    stop_margin: float | None
     collision_time: float | None = None
 
     def __post_init__(self) -> None:
@@ -102,6 +102,83 @@ def _advance(dist: float, speed: float, t0: float, t1: float, onset: float | Non
     return dist + speed * pre + d, v
 
 
+def _walk(
+    spec: ScenarioSpec,
+    policy: AebPolicy,
+    dt: float,
+    onset: float | None,
+    at_frame: Callable[[int, float, float, float], float | None] | None = None,
+) -> Iterator[tuple[float, float, float]]:
+    """The vehicle's dt-step advance through a run.
+
+    Yields (t, travelled, speed) at t = 0 and after every step up to the
+    last frame. Braking starts at `onset`. A sensing run passes `at_frame`,
+    called as at_frame(frame, t_frame, travelled, speed) at each frame
+    start; it returns the onset from then on.
+    """
+    frame_period = 1.0 / spec.frame_rate
+    if dt > frame_period / 2.0 + 1e-12:
+        raise ValueError("dt must not exceed half the frame period")
+    steps_per_frame = round(frame_period / dt)
+    if abs(steps_per_frame * dt - frame_period) > 1e-9:
+        raise ValueError("frame period must be an integer number of dt steps")
+
+    travelled, speed = 0.0, spec.vut_track.speed
+    yield 0.0, travelled, speed
+    last = spec.n_frames - 1
+    for frame in range(last + 1):
+        t_frame = frame / spec.frame_rate
+        if at_frame is not None:
+            onset = at_frame(frame, t_frame, travelled, speed)
+        if frame == last:
+            return
+        for step in range(steps_per_frame):
+            t0 = t_frame + step * dt
+            t1 = t_frame + (step + 1) * dt
+            travelled, speed = _advance(travelled, speed, t0, t1, onset, policy.deceleration)
+            yield t1, travelled, speed
+
+
+def _radius(track: ActorTrack) -> float:
+    """Bounding-circle radius of a track's footprint."""
+    return math.hypot(track.length / 2, track.width / 2)
+
+
+def _box(track: ActorTrack, x: float, y: float, heading: float) -> Box:
+    """A track's footprint at a located position, as a float box."""
+    return (x, y, wrap_angle(heading), track.length / 2, track.width / 2)
+
+
+def _first_contact(spec: ScenarioSpec, steps: Iterator[tuple[float, float, float]]) -> tuple[float, float] | None:
+    """Time and vehicle speed of the first step whose footprints touch, or
+    None; the scan stops there.
+
+    Centre distance minus both bounding-circle radii bounds the gap from
+    below, and the exact box test runs only where that bound is within
+    _CULL_MARGIN of contact. The centres close at most at the sum of the
+    two nominal speeds (the vehicle only slows), so after a step with
+    bound b at time t no step before t + (b - 2 * _CULL_MARGIN) / closing
+    can come that near; those steps are not even located.
+    """
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    vut_r, vru_r = _radius(vut_track), _radius(vru_track)
+    vut_locate, vru_locate = vut_track.locate, vru_track.locate
+    vru_speed = vru_track.speed
+    closing = vut_track.speed + vru_speed
+    next_check = 0.0
+    for t, travelled, speed in steps:
+        if t < next_check:
+            continue
+        ux, uy, uh, _ = vut_locate(travelled)
+        rx, ry, rh, _ = vru_locate(vru_speed * t)
+        bound = math.hypot(rx - ux, ry - uy) - vut_r - vru_r
+        if bound > _CULL_MARGIN:
+            next_check = t + (bound - 2.0 * _CULL_MARGIN) / closing if closing > 0.0 else math.inf
+        elif obb_overlap(_box(vut_track, ux, uy, uh), _box(vru_track, rx, ry, rh)):
+            return t, speed
+    return None
+
+
 def simulate_run(
     spec: ScenarioSpec,
     sensors: tuple[SensorUnit, ...],
@@ -119,130 +196,70 @@ def simulate_run(
     braking, and all sensors are recorded for metrics. A sensing-free run
     records no frames and ends at the first contact; only
     `trigger_override` (a forced confirmation instant) can start the
-    maneuver. Either way the outcome reports the first contact.
+    maneuver. Either way the outcome reports the first contact; the stop
+    margin of a run that avoids is `stop_margin`'s.
     """
-    frame_period = 1.0 / spec.frame_rate
-    if dt > frame_period / 2.0 + 1e-12:
-        raise ValueError("dt must not exceed half the frame period")
-    steps_per_frame = round(frame_period / dt)
-    if abs(steps_per_frame * dt - frame_period) > 1e-9:
-        raise ValueError("frame period must be an integer number of dt steps")
-
     known = {u.sensor_id for u in sensors}
     for sid in subset:
         if sid not in known:
             raise ValueError(f"unknown sensor id {sid!r}")
     subset_set = set(subset)
 
-    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
     vut_track, vru_track = spec.vut_track, spec.vru_track
-    vut_r = math.hypot(vut_track.length / 2, vut_track.width / 2)
-    vru_r = math.hypot(vru_track.length / 2, vru_track.width / 2)
-    near_field = vut_r + vru_r + _NEAR_FIELD_SLACK
-
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     run_len = {sid: 0 for sid in known}
     first_confirmed: float | None = trigger_override
     brake_onset: float | None = (
         trigger_override + policy.latency if trigger_override is not None else None
     )
-
-    travelled = 0.0
-    speed = vut_track.speed
     frames: list[FrameRecord] = []
-    collision_time: float | None = None
-    collision_speed = 0.0
-    # far-field steps count by their circle bound; near-field steps clear
-    # of contact keep (bound, travelled, t) for the exact gap taken below
-    far_margin = math.inf
-    near: list[tuple[float, float, float]] = []
-    vut_locate, vru_locate = vut_track.locate, vru_track.locate
-    vru_speed_nominal = vru_track.speed
 
-    def footprints(distance: float, t: float) -> tuple[OrientedBox, OrientedBox]:
-        vut_pose, _ = vut_track.pose_at_distance(distance)
-        vru_pose, _ = vru_track.state_at(t)
-        return vut_track.footprint(vut_pose), vru_track.footprint(vru_pose)
-
-    def check_contact(t: float) -> bool:
-        nonlocal collision_time, collision_speed, far_margin
-        ux, uy, _, _ = vut_locate(travelled)
-        rx, ry, _, _ = vru_locate(vru_speed_nominal * t)
-        gap = math.hypot(rx - ux, ry - uy)
-        bound = gap - vut_r - vru_r
-        if gap > near_field:
-            far_margin = min(far_margin, bound)
-            return False
-        # disjoint bounding circles cannot hold touching boxes
-        if bound <= _CULL_MARGIN and obb_overlap(*footprints(travelled, t)):
-            collision_time = t
-            collision_speed = speed
-            return True
-        near.append((bound, travelled, t))
-        return False
-
-    # the first contact fixes the outcome: a sensing-free run ends there,
-    # a sensing run only moves the car on
-    ended = check_contact(0.0) and not sense
-    for frame in range(n_frames):
-        t_frame = frame / spec.frame_rate
-        if sense:
-            vut_pose, _ = vut_track.pose_at_distance(travelled)
-            vru_pose, _ = vru_track.state_at(t_frame)
-            world = WorldState(t_frame, vut_pose, vru_track.silhouette(vru_pose), spec.occluders)
-            detected: list[bool] = []
-            for unit in sensors:
-                ev = sense_frame(unit, model, world, frame)
-                detected.append(ev is not None)
-                if ev is None:
-                    run_len[unit.sensor_id] = 0
-                    continue
-                events_by_sensor[unit.sensor_id].append(ev)
-                run_len[unit.sensor_id] += 1
-                if (
-                    unit.sensor_id in subset_set
-                    and run_len[unit.sensor_id] == policy.confirm_frames
-                ):
-                    if first_confirmed is None or ev.available_at < first_confirmed:
-                        first_confirmed = ev.available_at
-                        brake_onset = ev.available_at + policy.latency
-            frames.append(
-                FrameRecord(
-                    time=t_frame,
-                    vut_pose=vut_pose,
-                    vut_speed=speed,
-                    vru_pose=vru_pose,
-                    detected=tuple(detected),
-                    braking=brake_onset is not None and t_frame >= brake_onset,
-                )
+    def sense_at(frame: int, t_frame: float, travelled: float, speed: float) -> float | None:
+        nonlocal first_confirmed, brake_onset
+        vut_pose, _ = vut_track.pose_at_distance(travelled)
+        vru_pose, _ = vru_track.state_at(t_frame)
+        world = WorldState(t_frame, vut_pose, vru_track.silhouette(vru_pose), spec.occluders)
+        detected: list[bool] = []
+        for unit in sensors:
+            ev = sense_frame(unit, model, world, frame)
+            detected.append(ev is not None)
+            if ev is None:
+                run_len[unit.sensor_id] = 0
+                continue
+            events_by_sensor[unit.sensor_id].append(ev)
+            run_len[unit.sensor_id] += 1
+            if (
+                unit.sensor_id in subset_set
+                and run_len[unit.sensor_id] == policy.confirm_frames
+            ):
+                if first_confirmed is None or ev.available_at < first_confirmed:
+                    first_confirmed = ev.available_at
+                    brake_onset = ev.available_at + policy.latency
+        frames.append(
+            FrameRecord(
+                time=t_frame,
+                vut_pose=vut_pose,
+                vut_speed=speed,
+                vru_pose=vru_pose,
+                detected=tuple(detected),
+                braking=brake_onset is not None and t_frame >= brake_onset,
             )
+        )
+        return brake_onset
 
-        if ended or frame == n_frames - 1:
-            break
-        for step in range(steps_per_frame):
-            t0 = t_frame + step * dt
-            t1 = t_frame + (step + 1) * dt
-            travelled, speed = _advance(travelled, speed, t0, t1, brake_onset, policy.deceleration)
-            if collision_time is None and check_contact(t1) and not sense:
-                ended = True
-                break
+    steps = _walk(spec, policy, dt, brake_onset, sense_at if sense else None)
+    # the first contact fixes the outcome: a sensing-free run ends there,
+    # a sensing run senses on to its last frame
+    contact = _first_contact(spec, steps)
+    if sense:
+        for _ in steps:
+            pass
 
-    stop_margin: float | None = None
-    if collision_time is None:
-        # exact gaps in ascending bound order, until no bound can beat the
-        # minimum: a minimum does not depend on the order it is taken in
-        stop_margin = far_margin
-        for bound, distance, t in sorted(near):
-            if bound > stop_margin + _CULL_MARGIN:
-                break
-            stop_margin = min(stop_margin, obb_separation(*footprints(distance, t)))
-
-    avoided = collision_time is None
+    avoided = contact is None
     outcome = SafetyOutcome(
         avoided=avoided,
-        collision_speed=0.0 if avoided else collision_speed,
-        stop_margin=stop_margin,
-        collision_time=collision_time,
+        collision_speed=0.0 if avoided else contact[1],
+        collision_time=None if avoided else contact[0],
     )
     return RunTrace(
         spec=spec,
@@ -253,6 +270,41 @@ def simulate_run(
         brake_trigger_time=brake_onset,
         outcome=outcome,
     )
+
+
+def stop_margin(spec: ScenarioSpec, policy: AebPolicy, trigger: float | None, dt: float = 0.005) -> float:
+    """Smallest gap between the footprints over a sensing-free run braked
+    from `trigger` that avoids contact.
+
+    Steps whose centres are more than _NEAR_FIELD_SLACK beyond both
+    bounding circles count by their circle bound; the closer ones by their
+    exact box gap, taken in ascending bound order until no bound can beat
+    the minimum. A minimum does not depend on the order it is taken in.
+    """
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    vut_r, vru_r = _radius(vut_track), _radius(vru_track)
+    near_field = vut_r + vru_r + _NEAR_FIELD_SLACK
+    vut_locate, vru_locate = vut_track.locate, vru_track.locate
+    vru_speed = vru_track.speed
+    onset = trigger + policy.latency if trigger is not None else None
+    margin = math.inf
+    near: list[tuple[float, float, float]] = []  # (bound, travelled, t)
+    for t, travelled, _ in _walk(spec, policy, dt, onset):
+        ux, uy, _, _ = vut_locate(travelled)
+        rx, ry, _, _ = vru_locate(vru_speed * t)
+        gap = math.hypot(rx - ux, ry - uy)
+        bound = gap - vut_r - vru_r
+        if gap > near_field:
+            margin = min(margin, bound)
+        else:
+            near.append((bound, travelled, t))
+    for bound, travelled, t in sorted(near):
+        if bound > margin + _CULL_MARGIN:
+            break
+        vut_box = _box(vut_track, *vut_locate(travelled)[:3])
+        vru_box = _box(vru_track, *vru_locate(vru_speed * t)[:3])
+        margin = min(margin, obb_separation(vut_box, vru_box))
+    return margin
 
 
 def last_possible_brake_time(
@@ -280,8 +332,7 @@ def last_possible_brake_time(
         )
         return None
     hi = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
-    n_frames = int(round(spec.sim_duration * spec.frame_rate))
-    hi = min(hi, n_frames)
+    hi = min(hi, spec.n_frames - 1)
     if avoided(hi):
         return hi / spec.frame_rate
     lo = 0

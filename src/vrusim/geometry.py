@@ -54,10 +54,6 @@ class Vec2:
         return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
 
 
-def unit_vector(angle: float) -> Vec2:
-    return Vec2(math.cos(angle), math.sin(angle))
-
-
 @dataclass(frozen=True)
 class Pose2:
     """Ground-plane position plus heading; heading stored normalized."""
@@ -104,17 +100,6 @@ class OrientedBox:
     def __post_init__(self) -> None:
         if self.half_long <= 0.0 or self.half_lat <= 0.0:
             raise ValueError("OrientedBox half extents must be positive")
-
-    def axes(self) -> tuple[Vec2, Vec2]:
-        fwd = unit_vector(self.heading)
-        return fwd, Vec2(-fwd.y, fwd.x)
-
-    def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
-        fwd, lat = self.axes()
-        dl = fwd.scaled(self.half_long)
-        dw = lat.scaled(self.half_lat)
-        c = self.center
-        return (c + dl + dw, c + dl - dw, c - dl - dw, c - dl + dw)
 
 
 @dataclass(frozen=True)
@@ -189,43 +174,68 @@ class Silhouette:
         object.__setattr__(self, "points", tuple(pts))
 
 
-def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:
-    vals = [c.dot(axis) for c in box.corners()]
-    return min(vals), max(vals)
+# A box for the contact kernel is a plain-float tuple (center x, center y,
+# heading, half_long, half_lat); the heading is used as given, unwrapped.
+Box = tuple[float, float, float, float, float]
 
 
-def obb_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis test; touching boundaries count as overlap."""
-    for box in (a, b):
-        for axis in box.axes():
-            a_lo, a_hi = _projected_interval(a, axis)
-            b_lo, b_hi = _projected_interval(b, axis)
-            if a_hi < b_lo or b_hi < a_lo:
+def _box_frame(box: Box) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
+    """The four corners and the two unit axes of a box, each corner summed
+    in the order center + long offset + lateral offset."""
+    cx, cy, heading, half_long, half_lat = box
+    fx, fy = math.cos(heading), math.sin(heading)
+    lx, ly = -fy, fx
+    dlx, dly = fx * half_long, fy * half_long
+    dwx, dwy = lx * half_lat, ly * half_lat
+    px, py = cx + dlx, cy + dly
+    mx, my = cx - dlx, cy - dly
+    corners = ((px + dwx, py + dwy), (px - dwx, py - dwy), (mx - dwx, my - dwy), (mx + dwx, my + dwy))
+    return corners, ((fx, fy), (lx, ly))
+
+
+def _frames_overlap(fa, fb) -> bool:
+    """Separating-axis test on two box frames from _box_frame."""
+    ca, cb = fa[0], fb[0]
+    for axes in (fa[1], fb[1]):
+        for ux, uy in axes:
+            pa = [x * ux + y * uy for x, y in ca]
+            pb = [x * ux + y * uy for x, y in cb]
+            if max(pa) < min(pb) or max(pb) < min(pa):
                 return False
     return True
 
 
-def obb_separation(a: OrientedBox, b: OrientedBox) -> float:
-    """Euclidean gap between two boxes; 0.0 when they overlap or touch."""
-    if obb_overlap(a, b):
+def obb_overlap(a: Box, b: Box) -> bool:
+    """Separating-axis test (Gottschalk et al., "OBBTree", 1996); touching
+    boundaries count as overlap."""
+    return _frames_overlap(_box_frame(a), _box_frame(b))
+
+
+def obb_separation(a: Box, b: Box) -> float:
+    """Euclidean gap between two boxes; 0.0 when they overlap or touch.
+
+    Disjoint rectangles are closest at a corner of one against an edge of
+    the other, so the gap is the least corner-to-edge distance.
+    """
+    fa, fb = _box_frame(a), _box_frame(b)
+    if _frames_overlap(fa, fb):
         return 0.0
     best = math.inf
-    ca, cb = a.corners(), b.corners()
-    for pts, box in ((ca, b), (cb, a)):
-        edges = list(zip(box.corners(), box.corners()[1:] + box.corners()[:1]))
-        for p in pts:
-            for e0, e1 in edges:
-                best = min(best, _point_segment_distance(p, e0, e1))
+    for pts, corners in ((fa[0], fb[0]), (fb[0], fa[0])):
+        # (start x, start y, span x, span y, squared length) per edge
+        edges = []
+        for (ex, ey), (gx, gy) in zip(corners, corners[1:] + corners[:1]):
+            sx, sy = gx - ex, gy - ey
+            edges.append((ex, ey, sx, sy, sx * sx + sy * sy))
+        for px, py in pts:
+            for ex, ey, sx, sy, ln2 in edges:
+                if ln2 <= _EPS:
+                    d = math.hypot(px - ex, py - ey)
+                else:
+                    t = max(0.0, min(1.0, ((px - ex) * sx + (py - ey) * sy) / ln2))
+                    d = math.hypot(px - (ex + sx * t), py - (ey + sy * t))
+                best = min(best, d)
     return best
-
-
-def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    seg = b - a
-    ln2 = seg.dot(seg)
-    if ln2 <= _EPS:
-        return (p - a).norm()
-    t = max(0.0, min(1.0, (p - a).dot(seg) / ln2))
-    return (p - (a + seg.scaled(t))).norm()
 
 
 def iou_axis_box(a: AxisBox2, b: AxisBox2) -> float:

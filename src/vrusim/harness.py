@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._version import __version__
-from .aeb import SafetyOutcome, format_trace, last_possible_brake_time, simulate_run
+from .aeb import SafetyOutcome, format_trace, last_possible_brake_time, simulate_run, stop_margin
 from .config import RunConfig
 from .metrics import accuracy, heatmap_from_frames, mean_detections_per_frame
 from .scenario import ScenarioKind, build_scenario, rotate_scenario
@@ -81,11 +81,12 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
         spec, units, config.model, config.policy, (), dt=config.dt, sense=True
     )
     events = watch.events_by_sensor
-    n_frames = len(watch.frames)
+    n_frames = spec.n_frames
     deadline = last_possible_brake_time(spec, config.policy, dt=config.dt)
 
-    # subsets that confirm at the same instant brake identically
-    replays: dict[float | None, tuple[SafetyOutcome, float | None]] = {}
+    # subsets that confirm at the same instant brake identically; only
+    # summary.csv reads a stop margin, so only these replays take one
+    replays: dict[float | None, tuple[SafetyOutcome, float | None, float | None]] = {}
     subsets = []
     for sub in config.subsets:
         trigger = first_confirmed_time(events, config.policy.confirm_frames, sub.sensor_ids)
@@ -94,8 +95,9 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
                 spec, (), config.model, config.policy, (),
                 dt=config.dt, trigger_override=trigger, sense=False,
             )
-            replays[trigger] = (replay.outcome, replay.brake_trigger_time)
-        out, brake_trigger_time = replays[trigger]
+            margin = stop_margin(spec, config.policy, trigger, config.dt) if replay.outcome.avoided else None
+            replays[trigger] = (replay.outcome, replay.brake_trigger_time, margin)
+        out, brake_trigger_time, margin = replays[trigger]
         subsets.append(
             SubsetResult(
                 name=sub.name,
@@ -104,7 +106,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
                 mean_detections=mean_detections_per_frame(events, n_frames, sub.sensor_ids),
                 avoided=out.avoided,
                 collision_speed=out.collision_speed,
-                stop_margin=out.stop_margin,
+                stop_margin=margin,
                 collision_time=out.collision_time,
                 first_confirmed_time=trigger,
                 brake_trigger_time=brake_trigger_time,

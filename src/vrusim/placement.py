@@ -83,7 +83,6 @@ class _ObservedSuite:
 
     specs: Sequence[ScenarioSpec]
     events: list[Mapping]
-    n_frames: list[int]
     policy: AebPolicy
     model: DetectionModel
     dt: float
@@ -93,7 +92,7 @@ class _ObservedSuite:
     def performance(self, subset: Sequence[str]) -> tuple[float, float]:
         avoided = 0
         acc_sum = 0.0
-        for i, (spec, events, n_frames) in enumerate(zip(self.specs, self.events, self.n_frames)):
+        for i, (spec, events) in enumerate(zip(self.specs, self.events)):
             trigger = first_confirmed_time(events, self.policy.confirm_frames, subset)
             if (i, trigger) not in self._replays:
                 trace = simulate_run(
@@ -103,7 +102,7 @@ class _ObservedSuite:
                 self._replays[i, trigger] = trace.outcome.avoided
             if self._replays[i, trigger]:
                 avoided += 1
-            acc_sum += accuracy(events, n_frames, subset)
+            acc_sum += accuracy(events, spec.n_frames, subset)
         return avoided / len(self.specs), acc_sum / len(self.specs)
 
 
@@ -122,12 +121,11 @@ def _observe(
     if len(set(ids)) != len(ids):
         raise ValueError("candidate site ids must be unique")
     units = tuple(s.to_unit() for s in sites)
-    events, n_frames = [], []
-    for spec in suite:
-        trace = simulate_run(spec, units, model, policy, (), dt=dt, sense=True)
-        events.append(trace.events_by_sensor)
-        n_frames.append(len(trace.frames))
-    return _ObservedSuite(suite, events, n_frames, policy, model, dt)
+    events = [
+        simulate_run(spec, units, model, policy, (), dt=dt, sense=True).events_by_sensor
+        for spec in suite
+    ]
+    return _ObservedSuite(suite, events, policy, model, dt)
 
 
 def evaluate_sites(

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
-from .geometry import OrientedBox, Pose2, Prism, Silhouette, Vec2
+from .geometry import Pose2, Prism, Silhouette, Vec2
 
 KMH = 1.0 / 3.6
 
@@ -99,9 +99,6 @@ class ActorTrack:
         end = self.path[-1]
         return end.x, end.y, self._legs[-1][5], True
 
-    def footprint(self, pose: Pose2) -> OrientedBox:
-        return OrientedBox(pose.position, self.length / 2, self.width / 2, pose.heading)
-
     def silhouette(self, pose: Pose2) -> Silhouette:
         return Silhouette(pose.position, pose.heading, self.length, self.width, self.height)
 
@@ -122,6 +119,11 @@ class ScenarioSpec:
             raise ValueError("frame_rate must be positive")
         if self.sim_duration <= 0:
             raise ValueError("sim_duration must be positive")
+
+    @property
+    def n_frames(self) -> int:
+        """Frames in a run, one per frame period with both ends included."""
+        return int(round(self.sim_duration * self.frame_rate)) + 1
 
 
 @dataclass(frozen=True)

@@ -101,24 +101,20 @@ class DetectionEvent:
     available_at: float
 
 
-def apparent_angular_width(sensor_pose: MountPose, target: Silhouette) -> float:
-    """Angle subtended by the target extent perpendicular to the sight line."""
-    dx = target.anchor.x - sensor_pose.x
-    dy = target.anchor.y - sensor_pose.y
-    dist = math.hypot(dx, dy)
+def apparent_angular_width(sensor_pose: MountPose, target: Silhouette, dist: float) -> float:
+    """Angle subtended by the target extent perpendicular to the sight line;
+    `dist` is the ground range from the sensor to the target anchor."""
     if dist < 1e-9:
         raise ValueError("target coincides with the sensor")
-    bearing = math.atan2(dy, dx)
+    bearing = math.atan2(target.anchor.y - sensor_pose.y, target.anchor.x - sensor_pose.x)
     delta = target.heading - bearing
     w_perp = target.length * abs(math.sin(delta)) + target.width * abs(math.cos(delta))
     return 2.0 * math.atan2(w_perp / 2.0, dist)
 
 
-def apparent_angular_height(sensor_pose: MountPose, target: Silhouette) -> float:
-    """Angle subtended by the target height at the slant range to mid-height."""
-    dx = target.anchor.x - sensor_pose.x
-    dy = target.anchor.y - sensor_pose.y
-    dist = math.hypot(dx, dy)
+def apparent_angular_height(sensor_pose: MountPose, target: Silhouette, dist: float) -> float:
+    """Angle subtended by the target height at the slant range to mid-height;
+    `dist` is the ground range from the sensor to the target anchor."""
     if dist < 1e-9:
         raise ValueError("target coincides with the sensor")
     slant = math.hypot(dist, sensor_pose.z - target.height / 2.0)
@@ -151,10 +147,10 @@ def sense_frame(
         # sitting inside it has no meaningful view
         return None
 
-    width = apparent_angular_width(pose, target)
+    width = apparent_angular_width(pose, target, dist)
     if width < model.min_apparent_width:
         return None
-    height = apparent_angular_height(pose, target)
+    height = apparent_angular_height(pose, target, dist)
     if height < model.min_apparent_height:
         return None
 

@@ -6,8 +6,10 @@ instant, and the first frame at which the unbraked footprints touch.
 
 The sensing references are the plain ``Vec2`` forms of the frustum test,
 the slab occlusion test and the visible fraction, one sample point and one
-occluder at a time, with nothing computed ahead. The float kernel in
-``vrusim.geometry`` must give the same bits.
+occluder at a time, with nothing computed ahead. The contact references
+are the ``Vec2`` forms of the box overlap and gap on ``OrientedBox``
+footprints, every corner rebuilt wherever it is needed. The float kernels
+in ``vrusim.geometry`` must give the same bits.
 """
 
 import math
@@ -15,14 +17,81 @@ import math
 from vrusim.geometry import (
     _EPS,
     MountPose,
+    OrientedBox,
+    Pose2,
     Prism,
     Silhouette,
     Vec2,
-    obb_overlap,
-    unit_vector,
     wrap_angle,
 )
-from vrusim.scenario import ScenarioSpec, WorldState
+from vrusim.scenario import ActorTrack, ScenarioSpec, WorldState
+
+
+def unit_vector(angle: float) -> Vec2:
+    return Vec2(math.cos(angle), math.sin(angle))
+
+
+def axes(box: OrientedBox) -> tuple[Vec2, Vec2]:
+    """A box's forward and lateral unit axes."""
+    fwd = unit_vector(box.heading)
+    return fwd, Vec2(-fwd.y, fwd.x)
+
+
+def corners(box: OrientedBox) -> tuple[Vec2, Vec2, Vec2, Vec2]:
+    fwd, lat = axes(box)
+    dl = fwd.scaled(box.half_long)
+    dw = lat.scaled(box.half_lat)
+    c = box.center
+    return (c + dl + dw, c + dl - dw, c - dl - dw, c - dl + dw)
+
+
+def footprint(track: ActorTrack, pose: Pose2) -> OrientedBox:
+    """A track's ground footprint at a pose."""
+    return OrientedBox(pose.position, track.length / 2, track.width / 2, pose.heading)
+
+
+def float_box(box: OrientedBox) -> tuple[float, float, float, float, float]:
+    """The same box as the plain floats ``vrusim.geometry``'s kernel takes."""
+    return (box.center.x, box.center.y, box.heading, box.half_long, box.half_lat)
+
+
+def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:
+    vals = [c.dot(axis) for c in corners(box)]
+    return min(vals), max(vals)
+
+
+def obb_overlap(a: OrientedBox, b: OrientedBox) -> bool:
+    """Separating-axis test; touching boundaries count as overlap."""
+    for box in (a, b):
+        for axis in axes(box):
+            a_lo, a_hi = _projected_interval(a, axis)
+            b_lo, b_hi = _projected_interval(b, axis)
+            if a_hi < b_lo or b_hi < a_lo:
+                return False
+    return True
+
+
+def obb_separation(a: OrientedBox, b: OrientedBox) -> float:
+    """Euclidean gap between two boxes; 0.0 when they overlap or touch."""
+    if obb_overlap(a, b):
+        return 0.0
+    best = math.inf
+    ca, cb = corners(a), corners(b)
+    for pts, box in ((ca, b), (cb, a)):
+        edges = list(zip(corners(box), corners(box)[1:] + corners(box)[:1]))
+        for p in pts:
+            for e0, e1 in edges:
+                best = min(best, _point_segment_distance(p, e0, e1))
+    return best
+
+
+def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
+    seg = b - a
+    ln2 = seg.dot(seg)
+    if ln2 <= _EPS:
+        return (p - a).norm()
+    t = max(0.0, min(1.0, (p - a).dot(seg) / ln2))
+    return (p - (a + seg.scaled(t))).norm()
 
 
 def world_at(spec: ScenarioSpec, t: float) -> WorldState:
@@ -34,12 +103,11 @@ def world_at(spec: ScenarioSpec, t: float) -> WorldState:
 
 def nominal_collision_check(spec: ScenarioSpec) -> float | None:
     """Time of first footprint overlap with braking disabled, on the frame grid."""
-    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
-    for i in range(n_frames):
+    for i in range(spec.n_frames):
         t = i / spec.frame_rate
         vut_pose, _ = spec.vut_track.state_at(t)
         vru_pose, _ = spec.vru_track.state_at(t)
-        if obb_overlap(spec.vut_track.footprint(vut_pose), spec.vru_track.footprint(vru_pose)):
+        if obb_overlap(footprint(spec.vut_track, vut_pose), footprint(spec.vru_track, vru_pose)):
             return t
     return None
 
@@ -97,7 +165,7 @@ def ray_blocked(
     t = Vec2(target[0], target[1])
     span = t - o
     # slab test in the footprint's local frame
-    fwd, lat = occluder.axes()
+    fwd, lat = axes(occluder)
     rel = o - occluder.center
     t_lo, t_hi = 0.0, 1.0
     for axis, half in ((fwd, occluder.half_long), (lat, occluder.half_lat)):

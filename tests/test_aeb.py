@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from vrusim.aeb import (
     AebPolicy,
     _advance,
+    _box,
     last_possible_brake_time,
     simulate_run,
+    stop_margin,
     stopping_distance,
 )
-from vrusim.geometry import Vec2, obb_overlap, obb_separation
+from vrusim.geometry import Vec2
 from vrusim.scenario import (
     KMH,
     ActorClass,
@@ -31,6 +33,8 @@ from vrusim.scenario import (
     rotate_scenario,
 )
 from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
+
+from oracles import float_box, footprint, obb_overlap, obb_separation
 
 POLICY = AebPolicy()
 MODEL = DetectionModel()
@@ -125,7 +129,7 @@ def test_cbla_vut_only_avoids_at_every_speed():
         trace = simulate_run(spec, sensors, MODEL, POLICY, ("vut",))
         assert trace.outcome.avoided, speed
         assert trace.outcome.collision_speed == 0.0
-        assert trace.outcome.stop_margin > 0.0
+        assert stop_margin(spec, POLICY, trace.first_confirmed_time) > 0.0
 
 
 def test_cbna_fast_vut_only_collides_after_deadline():
@@ -199,7 +203,7 @@ def test_early_trigger_stops_short_of_static_obstacle():
     trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=8.4, sense=False)
     assert trace.outcome.avoided
     # close stop: the margin is the exact face-to-face gap
-    assert trace.outcome.stop_margin == pytest.approx(bumper_gap_at_stop(8.4), abs=1e-6)
+    assert stop_margin(spec, POLICY, 8.4) == pytest.approx(bumper_gap_at_stop(8.4), abs=1e-6)
 
 
 def test_distant_stop_margin_is_a_lower_bound():
@@ -207,10 +211,11 @@ def test_distant_stop_margin_is_a_lower_bound():
     trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=8.0, sense=False)
     assert trace.outcome.avoided
     gap = bumper_gap_at_stop(8.0)
-    assert trace.outcome.stop_margin <= gap + 1e-9
+    margin = stop_margin(spec, POLICY, 8.0)
+    assert margin <= gap + 1e-9
     # the circle bound gives away at most the corner radii of the two boxes
     slack = math.hypot(2.25, 0.9) - 2.25 + math.hypot(0.25, 0.25) - 0.25
-    assert trace.outcome.stop_margin >= gap - slack - 1e-9
+    assert margin >= gap - slack - 1e-9
 
 
 # ------------------------------------------------------- last possible brake
@@ -291,9 +296,9 @@ def test_forced_replay_matches_live_loop(speed, subset):
 def reference_replay(spec, policy, trigger, dt=0.005):
     """The plain per-step contact loop of a sensing-free run.
 
-    `Vec2` poses at every step, the exact overlap test at every near-field
-    step and the exact gap whenever the boxes do not overlap; far-field
-    steps count by their bounding-circle gap. Returns (avoided,
+    `Vec2` poses at every step, the `Vec2` reference overlap test at every
+    near-field step and its exact gap whenever the boxes do not overlap;
+    far-field steps count by their bounding-circle gap. Returns (avoided,
     collision_time, collision_speed, stop_margin, brake_trigger_time).
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
@@ -301,7 +306,6 @@ def reference_replay(spec, policy, trigger, dt=0.005):
     vru_r = math.hypot(vru_track.length / 2, vru_track.width / 2)
     near_field = vut_r + vru_r + 10.0
     steps_per_frame = round(1.0 / spec.frame_rate / dt)
-    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
     onset = None if trigger is None else trigger + policy.latency
     travelled, speed = 0.0, vut_track.speed
     collision_time, collision_speed, margin = None, 0.0, math.inf
@@ -314,7 +318,7 @@ def reference_replay(spec, policy, trigger, dt=0.005):
         if gap > near_field:
             margin = min(margin, gap - vut_r - vru_r)
             return False
-        a, b = vut_track.footprint(vut_pose), vru_track.footprint(vru_pose)
+        a, b = footprint(vut_track, vut_pose), footprint(vru_track, vru_pose)
         if obb_overlap(a, b):
             if collision_time is None:
                 collision_time, collision_speed = t, speed
@@ -323,7 +327,7 @@ def reference_replay(spec, policy, trigger, dt=0.005):
         return False
 
     halted = contact(0.0)
-    for frame in range(n_frames - 1):
+    for frame in range(spec.n_frames - 1):
         t_frame = frame / spec.frame_rate
         for step in range(steps_per_frame):
             t0 = t_frame + step * dt
@@ -357,6 +361,14 @@ def replay_cases(draw):
     return spec, trigger
 
 
+def kernel_replay(spec, trigger):
+    """What a sweep reports for one trigger, in reference_replay's shape."""
+    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=trigger, sense=False)
+    out = trace.outcome
+    margin = stop_margin(spec, POLICY, trigger) if out.avoided else None
+    return out.avoided, out.collision_time, out.collision_speed, margin, trace.brake_trigger_time
+
+
 @settings(
     max_examples=30,
     derandomize=True,
@@ -367,16 +379,49 @@ def replay_cases(draw):
 @given(replay_cases())
 def test_replay_matches_reference_kernel_exactly(case):
     spec, trigger = case
-    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=trigger, sense=False)
-    out = trace.outcome
-    got = (
-        out.avoided,
-        out.collision_time,
-        out.collision_speed,
-        out.stop_margin,
-        trace.brake_trigger_time,
-    )
-    assert got == reference_replay(spec, POLICY, trigger)
+    assert kernel_replay(spec, trigger) == reference_replay(spec, POLICY, trigger)
+
+
+def test_contact_boxes_take_the_wrapped_heading():
+    # a leg along -x whose dy is -0.0 has the atan2 heading -pi; Pose2 wraps
+    # it to pi, whose sine has the other sign, and so must the contact box
+    track = ActorTrack(ActorClass.CYCLIST, 1.8, 0.5, 1.8, 5.0, (Vec2(10.0, 0.0), Vec2(-10.0, -0.0)))
+    x, y, heading, _ = track.locate(3.0)
+    assert heading == -math.pi
+    pose, _ = track.pose_at_distance(3.0)
+    assert _box(track, x, y, heading) == float_box(footprint(track, pose))
+
+
+def clamped_vru(spec, end_y):
+    """`spec` with the VRU's path ending at (0, end_y): it walks there and
+    stands still for the rest of the run."""
+    track = spec.vru_track
+    return replace(spec, vru_track=replace(track, path=(track.path[0], Vec2(0.0, end_y))))
+
+
+# the skip-ahead cull leans on the closing-speed bound: a slow closing
+# speed, a VRU that stops moving, and a scene off the grid axes
+SKIP_AHEAD_SPECS = {
+    "cbla-slowest": build_scenario(ScenarioKind.CBLA, min(allowed_speeds_kmh(ScenarioKind.CBLA))),
+    "clamped-in-lane": clamped_vru(build_scenario(ScenarioKind.CPNC50, 40.0), -0.5),
+    "clamped-beside-lane": clamped_vru(build_scenario(ScenarioKind.CPNC50, 40.0), -3.0),
+    "yaw37": rotate_scenario(build_scenario(ScenarioKind.CBNA, 40.0), math.radians(37.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_AHEAD_SPECS))
+def test_skip_ahead_matches_reference_kernel_exactly(name):
+    spec = SKIP_AHEAD_SPECS[name]
+    last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
+    triggers = [None] + [max(last - back, 0) / spec.frame_rate for back in range(0, 31, 5)]
+    outcomes = set()
+    for trigger in triggers:
+        got = kernel_replay(spec, trigger)
+        assert got == reference_replay(spec, POLICY, trigger), trigger
+        outcomes.add(got[0])
+    # the beside-lane VRU is never touched; every other case both avoids
+    # and collides over these triggers
+    assert outcomes == ({True} if name == "clamped-beside-lane" else {False, True})
 
 
 # ----------------------------------------------------------------- guards

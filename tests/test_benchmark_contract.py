@@ -91,6 +91,34 @@ def test_tracer_sees_the_sensing_layer(perfbench, tmp_path):
     assert tracer.calls["geometry.visible_fraction"] > 0
 
 
+def test_tracer_sees_the_contact_kernel(perfbench, tmp_path):
+    # obb_overlap and obb_separation are traced through the module globals
+    # aeb calls them by; only a sweep's avoided subsets take a stop margin,
+    # so placement, which reads none, must take no exact gap
+    m = imported_modules(perfbench)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"scenarios": ["CBNA"], "speeds_kmh": [40]}), encoding="utf-8")
+    config = m.config.load_config(str(cfg), subset_filter=["vut", "any"])
+    spec = m.scenario.build_scenario(m.scenario.ScenarioKind.CBNA, 40.0)
+    sites = m.placement.candidate_sites_from_units(m.sensing.default_layout()[:2])
+    sweep, placement = perfbench.spans.Tracer(), perfbench.spans.Tracer()
+    try:
+        perfbench.layers.install(sweep, m)
+        result = m.harness.run_sweep(config)
+    finally:
+        sweep.unpatch()
+    try:
+        perfbench.layers.install(placement, m)
+        m.placement.evaluate_sites(sites, (spec,), config.policy, config.model)
+    finally:
+        placement.unpatch()
+    assert sweep.calls["geometry.obb_overlap"] > 0
+    assert any(sub.avoided for sub in result.cells[0].subsets)
+    assert sweep.calls["geometry.obb_separation"] > 0
+    assert placement.counts["placement.replays"] > 0
+    assert placement.calls["geometry.obb_separation"] == 0
+
+
 def test_every_workload_piece_exists(perfbench):
     for workload in perfbench.workloads.WORKLOADS.values():
         for module, name in workload.pieces:

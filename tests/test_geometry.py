@@ -23,13 +23,12 @@ from vrusim.geometry import (
     iou_axis_box,
     obb_overlap,
     obb_separation,
-    unit_vector,
     visible_fraction,
     wrap_angle,
 )
 
 import oracles
-from oracles import in_frustum, ray_blocked
+from oracles import axes, corners, float_box, in_frustum, ray_blocked, unit_vector
 
 
 # ---------------------------------------------------------------- oracles
@@ -37,14 +36,14 @@ from oracles import in_frustum, ray_blocked
 
 def raster_overlap(a: OrientedBox, b: OrientedBox, n: int = 200) -> bool:
     """Joint-bounding-box raster: any cell center inside both boxes."""
-    xs = [c.x for box in (a, b) for c in box.corners()]
-    ys = [c.y for box in (a, b) for c in box.corners()]
+    xs = [c.x for box in (a, b) for c in corners(box)]
+    ys = [c.y for box in (a, b) for c in corners(box)]
     gx = np.linspace(min(xs), max(xs), n)
     gy = np.linspace(min(ys), max(ys), n)
     xx, yy = np.meshgrid(gx, gy)
 
     def inside(box: OrientedBox) -> np.ndarray:
-        fwd, lat = box.axes()
+        fwd, lat = axes(box)
         dx = xx - box.center.x
         dy = yy - box.center.y
         u = dx * fwd.x + dy * fwd.y
@@ -60,8 +59,8 @@ def clip_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     Returns True when the clipped polygon is nonempty, so boundary contact
     counts as overlap, matching the library convention.
     """
-    poly = [(c.x, c.y) for c in a.corners()]
-    fwd, lat = b.axes()
+    poly = [(c.x, c.y) for c in corners(a)]
+    fwd, lat = axes(b)
     for axis, h in ((fwd, b.half_long), (lat, b.half_lat)):
         for sign in (1.0, -1.0):
             cx = b.center.x + axis.x * h * sign
@@ -123,7 +122,7 @@ def dense_ray_fraction(pose, hfov, vfov, rng, target, occluders, density=10):
                 continue
             blocked = False
             for occ in occluders:
-                fwd_axis, lat_axis = occ.axes()
+                fwd_axis, lat_axis = axes(occ)
                 for k in range(1, 2000):
                     t = k / 2000.0
                     d = Vec2(
@@ -150,27 +149,27 @@ def dense_ray_fraction(pose, hfov, vfov, rng, target, occluders, density=10):
 
 def test_identical_boxes_overlap():
     a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
-    assert obb_overlap(a, a)
+    assert obb_overlap(float_box(a), float_box(a))
 
 
 def test_distant_boxes_do_not_overlap():
     a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
     b = OrientedBox(Vec2(10, 0), 0.5, 0.5, 0.3)
-    assert not obb_overlap(a, b)
+    assert not obb_overlap(float_box(a), float_box(b))
 
 
 def test_rotated_box_overlap_matches_raster():
     a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
     b = OrientedBox(Vec2(1.1, 0.0), 0.5, 0.5, math.pi / 4)
     # corner of b reaches x = 1.1 - sqrt(2)/2 = 0.393 < 0.5, so they overlap
-    assert obb_overlap(a, b) is True
+    assert obb_overlap(float_box(a), float_box(b)) is True
     assert raster_overlap(a, b, n=400) is True
 
 
 def test_touching_boundary_counts_as_overlap():
     a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
     b = OrientedBox(Vec2(1.0, 0), 0.5, 0.5, 0.0)
-    assert obb_overlap(a, b)
+    assert obb_overlap(float_box(a), float_box(b))
 
 
 def test_overlap_agrees_with_raster_on_random_pairs():
@@ -192,7 +191,7 @@ def test_overlap_agrees_with_raster_on_random_pairs():
         )
         pairs.append((a, b))
     for a, b in pairs:
-        got = obb_overlap(a, b)
+        got = obb_overlap(float_box(a), float_box(b))
         coarse = raster_overlap(a, b, n=48)
         if coarse != got:
             mismatched.append((a, b, got))
@@ -206,14 +205,63 @@ def test_overlap_is_symmetric():
     for _ in range(500):
         a = OrientedBox(Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)), 0.7, 0.4, rnd.uniform(-3, 3))
         b = OrientedBox(Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)), 0.3, 1.1, rnd.uniform(-3, 3))
-        assert obb_overlap(a, b) == obb_overlap(b, a)
+        assert obb_overlap(float_box(a), float_box(b)) == obb_overlap(float_box(b), float_box(a))
 
 
 def test_separation_zero_iff_overlap():
     a = OrientedBox(Vec2(0, 0), 1.0, 1.0, 0.0)
     b = OrientedBox(Vec2(3.0, 0), 1.0, 1.0, 0.0)
-    assert obb_separation(a, b) == pytest.approx(1.0)
-    assert obb_separation(a, OrientedBox(Vec2(1.0, 0), 1.0, 1.0, 0.0)) == 0.0
+    assert obb_separation(float_box(a), float_box(b)) == pytest.approx(1.0)
+    assert obb_separation(float_box(a), float_box(OrientedBox(Vec2(1.0, 0), 1.0, 1.0, 0.0))) == 0.0
+
+
+# headings at and next to the wrap point, where sin changes sign, and on
+# the grid axes, where corners land on exact sums
+EDGE_HEADINGS = (math.pi, -math.pi, math.nextafter(math.pi, 0.0), 0.0, math.pi / 2, -math.pi / 2)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes: apart at random, or b placed against a's long edge or
+    corner, turned by a multiple of pi/2, so that they touch or miss by a
+    rounding step."""
+    half = st.one_of(st.floats(0.05, 2.5), st.sampled_from((0.25, 0.9, 2.25)))
+    heading = st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(EDGE_HEADINGS))
+    coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, 0.5, -1.25)))
+    a = OrientedBox(Vec2(draw(coord), draw(coord)), draw(half), draw(half), draw(heading))
+    half_long, half_lat = draw(half), draw(half)
+    placement = draw(st.sampled_from(("free", "edge", "corner")))
+    if placement == "free":
+        b_heading = draw(heading)
+        center = Vec2(draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0)))
+    else:
+        turn = draw(st.sampled_from((0, 1, 2, -1, -2)))
+        b_heading = a.heading + turn * math.pi / 2
+        # b's extents along a's forward and lateral axes
+        along, across = (half_long, half_lat) if turn % 2 == 0 else (half_lat, half_long)
+        fwd, lat = axes(a)
+        side = draw(st.sampled_from((1.0, -1.0)))
+        if placement == "edge":
+            offset = draw(st.floats(-a.half_lat, a.half_lat))
+        else:
+            offset = draw(st.sampled_from((1.0, -1.0))) * (a.half_lat + across)
+        center = a.center + fwd.scaled(side * (a.half_long + along)) + lat.scaled(offset)
+    return a, OrientedBox(center, half_long, half_lat, b_heading)
+
+
+@settings(
+    max_examples=500,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(box_pairs())
+def test_box_kernel_matches_vec2_reference_exactly(pair):
+    a, b = pair
+    fa, fb = float_box(a), float_box(b)
+    assert obb_overlap(fa, fb) == oracles.obb_overlap(a, b)
+    assert obb_separation(fa, fb).hex() == oracles.obb_separation(a, b).hex()
 
 
 # -------------------------------------------------------------------- IoU

@@ -99,8 +99,8 @@ def test_mean_detections_matches_recount_and_bound():
 
 def out(avoided: bool) -> SafetyOutcome:
     if avoided:
-        return SafetyOutcome(True, 0.0, 1.5)
-    return SafetyOutcome(False, 4.0, None, collision_time=6.0)
+        return SafetyOutcome(True, 0.0)
+    return SafetyOutcome(False, 4.0, collision_time=6.0)
 
 
 def test_avoidance_rate_ratios():
@@ -171,8 +171,7 @@ def test_heatmap_all_false_without_sensing():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(),)
     trace = simulate_run(spec, sensors, MODEL, POLICY, (), sense=False)
-    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
-    hm = heatmap_of(trace.events_by_sensor, n_frames, None, spec.frame_rate)
+    hm = heatmap_of(trace.events_by_sensor, spec.n_frames, None, spec.frame_rate)
     assert not any(any(row) for row in hm.cells)
 
 

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from vrusim.geometry import Vec2, obb_overlap, visible_fraction
+from vrusim.geometry import Vec2, visible_fraction
 from vrusim.scenario import (
     KMH,
     ActorClass,
@@ -21,7 +21,7 @@ from vrusim.scenario import (
     rotate_scenario,
 )
 
-from oracles import nominal_collision_check, world_at
+from oracles import footprint, nominal_collision_check, obb_overlap, world_at
 
 ALL_CELLS = [
     (kind, speed)
@@ -39,7 +39,7 @@ def first_overlap_fine(spec, window=2.0, hz=1000):
         t = i / hz
         vut_pose, _ = spec.vut_track.state_at(t)
         vru_pose, _ = spec.vru_track.state_at(t)
-        if obb_overlap(spec.vut_track.footprint(vut_pose), spec.vru_track.footprint(vru_pose)):
+        if obb_overlap(footprint(spec.vut_track, vut_pose), footprint(spec.vru_track, vru_pose)):
             return t
     return None
 
@@ -72,7 +72,7 @@ def test_no_overlap_just_before_onset():
         vut_pose, _ = spec.vut_track.state_at(t)
         vru_pose, _ = spec.vru_track.state_at(t)
         assert not obb_overlap(
-            spec.vut_track.footprint(vut_pose), spec.vru_track.footprint(vru_pose)
+            footprint(spec.vut_track, vut_pose), footprint(spec.vru_track, vru_pose)
         ), (kind, speed)
 
 
@@ -190,9 +190,8 @@ def geometric_fraction(observer_xy, target_sil, occluders):
 @pytest.mark.parametrize("speed", allowed_speeds_kmh(ScenarioKind.CBNA))
 def test_cbna_cyclist_hidden_beyond_17m(speed):
     spec = build_scenario(ScenarioKind.CBNA, speed)
-    n_frames = int(round(spec.sim_duration * spec.frame_rate)) + 1
     first_visible_dist = None
-    for i in range(n_frames):
+    for i in range(spec.n_frames):
         t = i / spec.frame_rate
         world = world_at(spec, t)
         sil = world.vru_silhouette

@@ -96,6 +96,11 @@ def test_available_at_always_frame_time_plus_latency():
 # ---------------------------------------------------------- apparent sizes
 
 
+def ground_range(sensor_pose, target):
+    """The ground distance sense_frame's range gate passes on."""
+    return math.hypot(target.anchor.x - sensor_pose.x, target.anchor.y - sensor_pose.y)
+
+
 def endpoint_span(sensor_pose: MountPose, target: Silhouette) -> float:
     """Bearing span of the perpendicular-projected extent segment."""
     dx = target.anchor.x - sensor_pose.x
@@ -114,7 +119,7 @@ def endpoint_span(sensor_pose: MountPose, target: Silhouette) -> float:
 def test_broadside_cyclist_width():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), math.pi / 2, 1.8, 0.5, 1.8)
-    got = apparent_angular_width(pose, target)
+    got = apparent_angular_width(pose, target, ground_range(pose, target))
     assert got == pytest.approx(2 * math.atan(0.9 / 10.0), abs=1e-12)
     assert got == pytest.approx(0.1791, abs=1e-3)
     assert got == pytest.approx(endpoint_span(pose, target), abs=1e-12)
@@ -123,7 +128,7 @@ def test_broadside_cyclist_width():
 def test_headon_cyclist_width():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), 0.0, 1.8, 0.5, 1.8)
-    got = apparent_angular_width(pose, target)
+    got = apparent_angular_width(pose, target, ground_range(pose, target))
     assert got == pytest.approx(2 * math.atan(0.25 / 10.0), abs=1e-12)
     assert got == pytest.approx(endpoint_span(pose, target), abs=1e-12)
 
@@ -141,17 +146,15 @@ def test_width_matches_endpoint_oracle_for_random_poses():
         )
         if target.anchor.norm() < 1.0:
             continue
-        assert apparent_angular_width(pose, target) == pytest.approx(
+        assert apparent_angular_width(pose, target, ground_range(pose, target)) == pytest.approx(
             endpoint_span(pose, target), abs=1e-9
         )
 
 
 def test_width_decreases_with_distance():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
-    widths = [
-        apparent_angular_width(pose, Silhouette(Vec2(d, 0), math.pi / 2, 1.8, 0.5, 1.8))
-        for d in (5, 10, 20, 40, 80, 160)
-    ]
+    targets = [Silhouette(Vec2(d, 0), math.pi / 2, 1.8, 0.5, 1.8) for d in (5, 10, 20, 40, 80, 160)]
+    widths = [apparent_angular_width(pose, target, ground_range(pose, target)) for target in targets]
     assert widths == sorted(widths, reverse=True)
 
 
@@ -159,16 +162,17 @@ def test_height_uses_slant_range():
     pose = MountPose(0, 0, 7.0, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), 0.0, 0.5, 0.5, 1.8)
     slant = math.hypot(10.0, 7.0 - 0.9)
-    assert apparent_angular_height(pose, target) == pytest.approx(2 * math.atan(0.9 / slant), abs=1e-12)
+    got = apparent_angular_height(pose, target, ground_range(pose, target))
+    assert got == pytest.approx(2 * math.atan(0.9 / slant), abs=1e-12)
 
 
 def test_zero_distance_rejected():
     pose = MountPose(0, 0, 7.0, 0.0, 0.0)
     target = Silhouette(Vec2(0, 0), 0.0, 0.5, 0.5, 1.8)
     with pytest.raises(ValueError):
-        apparent_angular_width(pose, target)
+        apparent_angular_width(pose, target, ground_range(pose, target))
     with pytest.raises(ValueError):
-        apparent_angular_height(pose, target)
+        apparent_angular_height(pose, target, ground_range(pose, target))
 
 
 def test_px_conversion():
