@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
-from .geometry import Box, Pose2, obb_overlap, obb_separation, wrap_angle
-from .scenario import ActorTrack, ScenarioSpec, WorldState
+from .geometry import Box, obb_gap_bound, obb_overlap, obb_separation, wrap_angle
+from .scenario import ActorTrack, ScenarioSpec, Timeline, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
 
 log = logging.getLogger(__name__)
@@ -55,24 +56,18 @@ class SafetyOutcome:
 
 
 @dataclass(frozen=True)
-class FrameRecord:
-    time: float
-    vut_pose: Pose2
-    vut_speed: float
-    vru_pose: Pose2
-    detected: tuple[bool, ...]
-    braking: bool
-
-
-@dataclass(frozen=True)
 class RunTrace:
     spec: ScenarioSpec
     sensor_ids: tuple[str, ...]
-    frames: tuple[FrameRecord, ...]
     events_by_sensor: dict[str, list[DetectionEvent]]
     first_confirmed_time: float | None
     brake_trigger_time: float | None
     outcome: SafetyOutcome
+    # the run's steps, indexed like spec.timeline(dt): the vehicle's travel
+    # and speed at the end of each
+    dt: float
+    travel: array[float]
+    speeds: array[float]
 
 
 def stopping_distance(v: float, policy: AebPolicy) -> float:
@@ -102,41 +97,53 @@ def _advance(dist: float, speed: float, t0: float, t1: float, onset: float | Non
     return dist + speed * pre + d, v
 
 
-def _walk(
-    spec: ScenarioSpec,
+def _braked(
     policy: AebPolicy,
-    dt: float,
-    onset: float | None,
-    at_frame: Callable[[int, float, float, float], float | None] | None = None,
-) -> Iterator[tuple[float, float, float]]:
-    """The vehicle's dt-step advance through a run.
+    timeline: Timeline,
+    travel: array[float],
+    speeds: array[float],
+    onset: float,
+    first: int,
+) -> tuple[array[float], array[float]]:
+    """A run's step lists with braking from `onset` from step `first` on.
 
-    Yields (t, travelled, speed) at t = 0 and after every step up to the
-    last frame. Braking starts at `onset`. A sensing run passes `at_frame`,
-    called as at_frame(frame, t_frame, travelled, speed) at each frame
-    start; it returns the onset from then on.
+    Steps before `first`, and the steps that end by the onset, keep their
+    values: `_advance` takes the unbraked arithmetic up to the onset, so a
+    run braked from t = 0 shares every such step with the unbraked
+    timeline. Only the braking segment is stepped. Once the vehicle has
+    stopped `_advance` adds exactly 0.0, so the travel holds from there on.
     """
-    frame_period = 1.0 / spec.frame_rate
-    if dt > frame_period / 2.0 + 1e-12:
-        raise ValueError("dt must not exceed half the frame period")
-    steps_per_frame = round(frame_period / dt)
-    if abs(steps_per_frame * dt - frame_period) > 1e-9:
-        raise ValueError("frame period must be an integer number of dt steps")
+    starts, times = timeline.starts, timeline.times
+    n = len(times)
+    j = max(bisect_right(times, onset), first)
+    if j >= n:
+        return travel, speeds
+    decel = policy.deceleration
+    dist, speed = travel[j - 1], speeds[j - 1]
+    seg_travel, seg_speeds = array("d"), array("d")
+    for k in range(j, n):
+        if speed == 0.0:
+            break
+        dist, speed = _advance(dist, speed, starts[k], times[k], onset, decel)
+        seg_travel.append(dist)
+        seg_speeds.append(speed)
+    stopped = n - j - len(seg_travel)
+    return (
+        travel[:j] + seg_travel + array("d", [dist]) * stopped,
+        speeds[:j] + seg_speeds + array("d", [0.0]) * stopped,
+    )
 
-    travelled, speed = 0.0, spec.vut_track.speed
-    yield 0.0, travelled, speed
-    last = spec.n_frames - 1
-    for frame in range(last + 1):
-        t_frame = frame / spec.frame_rate
-        if at_frame is not None:
-            onset = at_frame(frame, t_frame, travelled, speed)
-        if frame == last:
-            return
-        for step in range(steps_per_frame):
-            t0 = t_frame + step * dt
-            t1 = t_frame + (step + 1) * dt
-            travelled, speed = _advance(travelled, speed, t0, t1, onset, policy.deceleration)
-            yield t1, travelled, speed
+
+def _forced_run(
+    spec: ScenarioSpec, policy: AebPolicy, timeline: Timeline, onset: float | None
+) -> tuple[array[float], array[float]]:
+    """Travel and speed after every step of a run braked from `onset` (or
+    never, for None) from the start."""
+    travel = timeline.travel
+    speeds = array("d", [spec.vut_track.speed]) * len(travel)
+    if onset is None:
+        return travel, speeds
+    return _braked(policy, timeline, travel, speeds, onset, 1)
 
 
 def _radius(track: ActorTrack) -> float:
@@ -149,33 +156,50 @@ def _box(track: ActorTrack, x: float, y: float, heading: float) -> Box:
     return (x, y, wrap_angle(heading), track.length / 2, track.width / 2)
 
 
-def _first_contact(spec: ScenarioSpec, steps: Iterator[tuple[float, float, float]]) -> tuple[float, float] | None:
-    """Time and vehicle speed of the first step whose footprints touch, or
-    None; the scan stops there.
+def _point_gap(box: Box, x: float, y: float) -> float:
+    """Distance from a point to a box: at least the gap between that box
+    and any box that holds the point."""
+    cx, cy, heading, half_long, half_lat = box
+    c, s = math.cos(heading), math.sin(heading)
+    dx, dy = x - cx, y - cy
+    along = max(abs(dx * c + dy * s) - half_long, 0.0)
+    across = max(abs(dy * c - dx * s) - half_lat, 0.0)
+    return math.hypot(along, across)
+
+
+def _first_contact(
+    spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float]
+) -> int | None:
+    """Index of the first step whose footprints touch, or None.
 
     Centre distance minus both bounding-circle radii bounds the gap from
     below, and the exact box test runs only where that bound is within
-    _CULL_MARGIN of contact. The centres close at most at the sum of the
-    two nominal speeds (the vehicle only slows), so after a step with
-    bound b at time t no step before t + (b - 2 * _CULL_MARGIN) / closing
-    can come that near; those steps are not even located.
+    _CULL_MARGIN of contact. The vehicle only slows, so from a step where
+    it drives at v the centres close at most at v plus the VRU's speed;
+    after a step with bound b at time t no step before
+    t + (b - 2 * _CULL_MARGIN) / closing can come that near, and the scan
+    bisects past them without locating either actor.
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     vut_locate, vru_locate = vut_track.locate, vru_track.locate
     vru_speed = vru_track.speed
-    closing = vut_track.speed + vru_speed
-    next_check = 0.0
-    for t, travelled, speed in steps:
-        if t < next_check:
-            continue
-        ux, uy, uh, _ = vut_locate(travelled)
+    n = len(times)
+    k = 0
+    while k < n:
+        t = times[k]
+        ux, uy, uh, _ = vut_locate(travel[k])
         rx, ry, rh, _ = vru_locate(vru_speed * t)
         bound = math.hypot(rx - ux, ry - uy) - vut_r - vru_r
         if bound > _CULL_MARGIN:
-            next_check = t + (bound - 2.0 * _CULL_MARGIN) / closing if closing > 0.0 else math.inf
+            closing = speeds[k] + vru_speed
+            if closing <= 0.0:
+                return None
+            k = bisect_left(times, t + (bound - 2.0 * _CULL_MARGIN) / closing, k + 1)
         elif obb_overlap(_box(vut_track, ux, uy, uh), _box(vru_track, rx, ry, rh)):
-            return t, speed
+            return k
+        else:
+            k += 1
     return None
 
 
@@ -191,13 +215,17 @@ def simulate_run(
 ) -> RunTrace:
     """Closed-loop run: sensing at frame boundaries, kinematics at dt steps.
 
-    A sensing run (``sense=True``) senses and records every frame and drives
-    through contact; `subset` names which sensors' confirmations may trigger
+    A sensing run (``sense=True``) senses every frame and drives through
+    contact; `subset` names which sensors' confirmations may trigger
     braking, and all sensors are recorded for metrics. A sensing-free run
-    records no frames and ends at the first contact; only
-    `trigger_override` (a forced confirmation instant) can start the
-    maneuver. Either way the outcome reports the first contact; the stop
-    margin of a run that avoids is `stop_margin`'s.
+    senses nothing; only `trigger_override` (a forced confirmation
+    instant) can start the maneuver. Either way the outcome reports the
+    first contact; the stop margin of a run that avoids is `stop_margin`'s.
+
+    Every run reads the spec's unbraked timeline and steps only its
+    braking segment. When a frame sets or moves a sensing run's onset, the
+    steps from that frame on are braked again from the new onset; the
+    earlier ones keep the values they were driven with.
     """
     known = {u.sensor_id for u in sensors}
     for sid in subset:
@@ -205,70 +233,58 @@ def simulate_run(
             raise ValueError(f"unknown sensor id {sid!r}")
     subset_set = set(subset)
 
-    vut_track, vru_track = spec.vut_track, spec.vru_track
-    events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
-    run_len = {sid: 0 for sid in known}
+    timeline = spec.timeline(dt)
     first_confirmed: float | None = trigger_override
     brake_onset: float | None = (
         trigger_override + policy.latency if trigger_override is not None else None
     )
-    frames: list[FrameRecord] = []
-
-    def sense_at(frame: int, t_frame: float, travelled: float, speed: float) -> float | None:
-        nonlocal first_confirmed, brake_onset
-        vut_pose, _ = vut_track.pose_at_distance(travelled)
-        vru_pose, _ = vru_track.state_at(t_frame)
-        world = WorldState(t_frame, vut_pose, vru_track.silhouette(vru_pose), spec.occluders)
-        detected: list[bool] = []
-        for unit in sensors:
-            ev = sense_frame(unit, model, world, frame)
-            detected.append(ev is not None)
-            if ev is None:
-                run_len[unit.sensor_id] = 0
-                continue
-            events_by_sensor[unit.sensor_id].append(ev)
-            run_len[unit.sensor_id] += 1
-            if (
-                unit.sensor_id in subset_set
-                and run_len[unit.sensor_id] == policy.confirm_frames
-            ):
-                if first_confirmed is None or ev.available_at < first_confirmed:
-                    first_confirmed = ev.available_at
-                    brake_onset = ev.available_at + policy.latency
-        frames.append(
-            FrameRecord(
-                time=t_frame,
-                vut_pose=vut_pose,
-                vut_speed=speed,
-                vru_pose=vru_pose,
-                detected=tuple(detected),
-                braking=brake_onset is not None and t_frame >= brake_onset,
-            )
-        )
-        return brake_onset
-
-    steps = _walk(spec, policy, dt, brake_onset, sense_at if sense else None)
-    # the first contact fixes the outcome: a sensing-free run ends there,
-    # a sensing run senses on to its last frame
-    contact = _first_contact(spec, steps)
+    travel, speeds = _forced_run(spec, policy, timeline, brake_onset)
+    events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     if sense:
-        for _ in steps:
-            pass
+        vut_track, vru_track = spec.vut_track, spec.vru_track
+        run_len = {sid: 0 for sid in known}
+        for frame in range(spec.n_frames):
+            t_frame = frame / spec.frame_rate
+            start = frame * timeline.steps_per_frame
+            vut_pose, _ = vut_track.pose_at_distance(travel[start])
+            world = WorldState(t_frame, vut_pose, vru_track.silhouette_at(t_frame), spec.occluders)
+            onset = brake_onset
+            for unit in sensors:
+                ev = sense_frame(unit, model, world, frame)
+                if ev is None:
+                    run_len[unit.sensor_id] = 0
+                    continue
+                events_by_sensor[unit.sensor_id].append(ev)
+                run_len[unit.sensor_id] += 1
+                if (
+                    unit.sensor_id in subset_set
+                    and run_len[unit.sensor_id] == policy.confirm_frames
+                ):
+                    if first_confirmed is None or ev.available_at < first_confirmed:
+                        first_confirmed = ev.available_at
+                        brake_onset = ev.available_at + policy.latency
+            if brake_onset != onset:
+                travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset, start + 1)
 
+    # the first contact fixes the outcome; a sensing run has sensed on to
+    # its last frame regardless
+    contact = _first_contact(spec, timeline.times, travel, speeds)
     avoided = contact is None
     outcome = SafetyOutcome(
         avoided=avoided,
-        collision_speed=0.0 if avoided else contact[1],
-        collision_time=None if avoided else contact[0],
+        collision_speed=0.0 if avoided else speeds[contact],
+        collision_time=None if avoided else timeline.times[contact],
     )
     return RunTrace(
         spec=spec,
         sensor_ids=tuple(u.sensor_id for u in sensors),
-        frames=tuple(frames),
         events_by_sensor=events_by_sensor,
         first_confirmed_time=first_confirmed,
         brake_trigger_time=brake_onset,
         outcome=outcome,
+        dt=dt,
+        travel=travel,
+        speeds=speeds,
     )
 
 
@@ -278,31 +294,75 @@ def stop_margin(spec: ScenarioSpec, policy: AebPolicy, trigger: float | None, dt
 
     Steps whose centres are more than _NEAR_FIELD_SLACK beyond both
     bounding circles count by their circle bound; the closer ones by their
-    exact box gap, taken in ascending bound order until no bound can beat
-    the minimum. A minimum does not depend on the order it is taken in.
+    exact box gap. No step's value is below its circle bound or above the
+    distance from either centre to the other box, so the frame starts give
+    a target the minimum cannot exceed, and the scan bisects past the
+    steps whose circle bound the closing speed keeps above it, as the
+    contact scan does. The close steps take their exact gap in ascending
+    bound order, until no bound can beat the minimum, and only where their
+    axis-projection gap (`obb_gap_bound`, a lower bound on it) does not
+    already exceed it. A minimum does not depend on which values above it
+    are skipped.
     """
+    timeline = spec.timeline(dt)
+    times = timeline.times
+    onset = trigger + policy.latency if trigger is not None else None
+    travel, speeds = _forced_run(spec, policy, timeline, onset)
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     near_field = vut_r + vru_r + _NEAR_FIELD_SLACK
     vut_locate, vru_locate = vut_track.locate, vru_track.locate
     vru_speed = vru_track.speed
-    onset = trigger + policy.latency if trigger is not None else None
+
+    def centres(k: int) -> tuple[float, float, float, float, float, float]:
+        ux, uy, uh, _ = vut_locate(travel[k])
+        rx, ry, rh, _ = vru_locate(vru_speed * times[k])
+        return ux, uy, uh, rx, ry, rh
+
+    n = len(times)
+    # the target: a far-field frame start's own value, or the distance
+    # from one actor's centre to the other's box at the nearest one
+    target, nearest, nearest_gap = math.inf, None, math.inf
+    for k in range(0, n, timeline.steps_per_frame):
+        ux, uy, _, rx, ry, _ = centres(k)
+        gap = math.hypot(rx - ux, ry - uy)
+        if gap > near_field:
+            target = min(target, gap - vut_r - vru_r)
+        elif gap < nearest_gap:
+            nearest, nearest_gap = k, gap
+    if nearest is not None:
+        ux, uy, uh, rx, ry, rh = centres(nearest)
+        target = min(
+            target,
+            _point_gap(_box(vut_track, ux, uy, uh), rx, ry),
+            _point_gap(_box(vru_track, rx, ry, rh), ux, uy),
+        )
     margin = math.inf
-    near: list[tuple[float, float, float]] = []  # (bound, travelled, t)
-    for t, travelled, _ in _walk(spec, policy, dt, onset):
-        ux, uy, _, _ = vut_locate(travelled)
-        rx, ry, _, _ = vru_locate(vru_speed * t)
+    near: list[tuple[float, int]] = []  # (bound, step)
+    k = 0
+    while k < n:
+        ux, uy, _, rx, ry, _ = centres(k)
         gap = math.hypot(rx - ux, ry - uy)
         bound = gap - vut_r - vru_r
+        if bound > target + _CULL_MARGIN:
+            closing = speeds[k] + vru_speed
+            if closing <= 0.0:
+                break
+            k = bisect_left(times, times[k] + (bound - target - 2.0 * _CULL_MARGIN) / closing, k + 1)
+            continue
         if gap > near_field:
             margin = min(margin, bound)
+            target = min(target, bound)
         else:
-            near.append((bound, travelled, t))
-    for bound, travelled, t in sorted(near):
+            near.append((bound, k))
+        k += 1
+    for bound, k in sorted(near):
         if bound > margin + _CULL_MARGIN:
             break
-        vut_box = _box(vut_track, *vut_locate(travelled)[:3])
-        vru_box = _box(vru_track, *vru_locate(vru_speed * t)[:3])
+        ux, uy, uh, rx, ry, rh = centres(k)
+        vut_box, vru_box = _box(vut_track, ux, uy, uh), _box(vru_track, rx, ry, rh)
+        if obb_gap_bound(vut_box, vru_box) > margin + _CULL_MARGIN:
+            continue
         margin = min(margin, obb_separation(vut_box, vru_box))
     return margin
 
@@ -371,18 +431,28 @@ def format_trace(trace: RunTrace) -> str:
         "vru_x", "vru_y", "vru_heading", "braking",
     ] + [f"det_{sensor_id}" for sensor_id in trace.sensor_ids]
     lines = head + [",".join(cols)]
-    for rec in trace.frames:
+    spec = trace.spec
+    steps_per_frame = spec.timeline(trace.dt).steps_per_frame
+    detected = [{ev.frame for ev in trace.events_by_sensor[sid]} for sid in trace.sensor_ids]
+    # an onset is fixed no earlier than the frame that sets it, so no
+    # frame before that one reaches it
+    onset = trace.brake_trigger_time
+    for frame in range(spec.n_frames):
+        t = frame / spec.frame_rate
+        start = frame * steps_per_frame
+        vut_pose, _ = spec.vut_track.pose_at_distance(trace.travel[start])
+        vru_pose, _ = spec.vru_track.state_at(t)
         row = [
-            f"{rec.time:.3f}",
-            f"{rec.vut_pose.x:.6f}",
-            f"{rec.vut_pose.y:.6f}",
-            f"{rec.vut_pose.heading:.6f}",
-            f"{rec.vut_speed:.6f}",
-            f"{rec.vru_pose.x:.6f}",
-            f"{rec.vru_pose.y:.6f}",
-            f"{rec.vru_pose.heading:.6f}",
-            "1" if rec.braking else "0",
-        ] + ["1" if hit else "0" for _, hit in zip(trace.sensor_ids, rec.detected, strict=True)]
+            f"{t:.3f}",
+            f"{vut_pose.x:.6f}",
+            f"{vut_pose.y:.6f}",
+            f"{vut_pose.heading:.6f}",
+            f"{trace.speeds[start]:.6f}",
+            f"{vru_pose.x:.6f}",
+            f"{vru_pose.y:.6f}",
+            f"{vru_pose.heading:.6f}",
+            "1" if onset is not None and t >= onset else "0",
+        ] + ["1" if frame in frames else "0" for frames in detected]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -30,6 +30,8 @@ __all__ = [
 
 EventMap = Mapping[str, Sequence[DetectionEvent]]
 
+_GRID_TOLERANCE = 1e-9
+
 
 def _select(events_by_sensor: EventMap, subset: Sequence[str] | None) -> list[Sequence[DetectionEvent]]:
     if subset is None:
@@ -157,7 +159,10 @@ def heatmap_from_frames(
         cells.append(tuple(row))
     deadline_col = None
     if last_possible_brake_time is not None:
-        deadline_col = math.floor(last_possible_brake_time * frame_rate)
+        # a deadline on the frame grid is j / frame_rate, whose product with
+        # the rate can fall just short of j (251 / 25 * 25 < 251); the
+        # tolerance puts it back on its frame, far below a frame's width
+        deadline_col = math.floor(last_possible_brake_time * frame_rate + _GRID_TOLERANCE)
     return HeatmapMatrix(
         sensor_ids=order,
         cells=tuple(cells),

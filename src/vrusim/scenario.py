@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
-from .geometry import Pose2, Prism, Silhouette, Vec2
+from .geometry import Pose2, Prism, Silhouette, Vec2, wrap_angle
 
 KMH = 1.0 / 3.6
 
@@ -99,8 +100,27 @@ class ActorTrack:
         end = self.path[-1]
         return end.x, end.y, self._legs[-1][5], True
 
-    def silhouette(self, pose: Pose2) -> Silhouette:
-        return Silhouette(pose.position, pose.heading, self.length, self.width, self.height)
+    def silhouette_at(self, t: float) -> Silhouette:
+        """The sensing plane at time t, at the pose `state_at` gives."""
+        x, y, heading, _ = self.locate(self.speed * t)
+        return Silhouette(Vec2(x, y), wrap_angle(heading), self.length, self.width, self.height)
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """The vehicle's unbraked dt steps through a run.
+
+    Step k runs from ``starts[k]`` to ``times[k]``, and ``travel[k]`` is the
+    distance the vehicle has driven by its end. Index 0 is t = 0 itself
+    (no step), and frame f starts at index f * steps_per_frame. The lists
+    are arrays of doubles, a quarter of the memory of a tuple of floats,
+    since a spec keeps them as long as it lives.
+    """
+
+    steps_per_frame: int
+    starts: array[float]
+    times: array[float]
+    travel: array[float]
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,10 @@ class ScenarioSpec:
     nominal_collision_time: float
     sim_duration: float
     frame_rate: float = 10.0
+    # dt -> the unbraked timeline, built on first use
+    _timelines: dict[float, Timeline] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.frame_rate <= 0:
@@ -124,6 +148,42 @@ class ScenarioSpec:
     def n_frames(self) -> int:
         """Frames in a run, one per frame period with both ends included."""
         return int(round(self.sim_duration * self.frame_rate)) + 1
+
+    def timeline(self, dt: float) -> Timeline:
+        """The vehicle's unbraked steps of length dt up to the last frame.
+
+        Step times are ``t_frame + step * dt`` within each frame, and each
+        step adds ``speed * (t1 - t0)`` to the travel, the arithmetic of an
+        unbraked `aeb._advance`, so a braked run shares every step that
+        ends by its onset bit for bit.
+        """
+        timeline = self._timelines.get(dt)
+        if timeline is None:
+            timeline = self._timelines[dt] = self._build_timeline(dt)
+        return timeline
+
+    def _build_timeline(self, dt: float) -> Timeline:
+        frame_period = 1.0 / self.frame_rate
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if dt > frame_period / 2.0 + 1e-12:
+            raise ValueError("dt must not exceed half the frame period")
+        steps_per_frame = round(frame_period / dt)
+        if abs(steps_per_frame * dt - frame_period) > 1e-9:
+            raise ValueError("frame period must be an integer number of dt steps")
+        speed = self.vut_track.speed
+        travelled = 0.0
+        starts, times, travel = array("d", [0.0]), array("d", [0.0]), array("d", [0.0])
+        for frame in range(self.n_frames - 1):
+            t_frame = frame / self.frame_rate
+            for step in range(steps_per_frame):
+                t0 = t_frame + step * dt
+                t1 = t_frame + (step + 1) * dt
+                travelled = travelled + speed * (t1 - t0)
+                starts.append(t0)
+                times.append(t1)
+                travel.append(travelled)
+        return Timeline(steps_per_frame, starts, times, travel)
 
 
 @dataclass(frozen=True)

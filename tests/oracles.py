@@ -98,7 +98,9 @@ def world_at(spec: ScenarioSpec, t: float) -> WorldState:
     """What a sensing frame at time t sees with braking disabled."""
     vut_pose, _ = spec.vut_track.state_at(t)
     vru_pose, _ = spec.vru_track.state_at(t)
-    return WorldState(t, vut_pose, spec.vru_track.silhouette(vru_pose), spec.occluders)
+    vru = spec.vru_track
+    target = Silhouette(vru_pose.position, vru_pose.heading, vru.length, vru.width, vru.height)
+    return WorldState(t, vut_pose, target, spec.occluders)
 
 
 def nominal_collision_check(spec: ScenarioSpec) -> float | None:

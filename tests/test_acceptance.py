@@ -375,7 +375,7 @@ def test_greedy_placement_matches_exhaustive_search():
                 spec, (), model, POLICY, (), trigger_override=fc, sense=False,
             )
             avoided += replay.outcome.avoided
-            accs.append(accuracy(trace.events_by_sensor, len(trace.frames)))
+            accs.append(accuracy(trace.events_by_sensor, spec.n_frames))
         return avoided / len(suite), sum(accs) / len(accs)
 
     for budget in (1, 2, 3):

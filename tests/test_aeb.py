@@ -5,6 +5,7 @@ forced-trigger decomposition (observation pass, then kinematic replay) is
 held to exact agreement with the live closed loop.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -12,16 +13,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vrusim import aeb
 from vrusim.aeb import (
     AebPolicy,
     _advance,
     _box,
+    format_trace,
     last_possible_brake_time,
     simulate_run,
     stop_margin,
     stopping_distance,
 )
 from vrusim.geometry import Vec2
+from vrusim.geometry import obb_separation as obb_separation_kernel
 from vrusim.scenario import (
     KMH,
     ActorClass,
@@ -100,7 +104,7 @@ def test_sensing_disabled_collides_at_nominal():
         for speed in allowed_speeds_kmh(kind):
             spec = build_scenario(kind, speed)
             trace = simulate_run(spec, (), MODEL, POLICY, (), sense=False)
-            assert trace.frames == ()
+            assert trace.travel is spec.timeline(trace.dt).travel
             out = trace.outcome
             assert not out.avoided, (kind, speed)
             assert out.collision_speed == pytest.approx(speed * KMH, abs=1e-9)
@@ -361,11 +365,11 @@ def replay_cases(draw):
     return spec, trigger
 
 
-def kernel_replay(spec, trigger):
+def kernel_replay(spec, trigger, dt=0.005):
     """What a sweep reports for one trigger, in reference_replay's shape."""
-    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=trigger, sense=False)
+    trace = simulate_run(spec, (), MODEL, POLICY, (), dt=dt, trigger_override=trigger, sense=False)
     out = trace.outcome
-    margin = stop_margin(spec, POLICY, trigger) if out.avoided else None
+    margin = stop_margin(spec, POLICY, trigger, dt) if out.avoided else None
     return out.avoided, out.collision_time, out.collision_speed, margin, trace.brake_trigger_time
 
 
@@ -380,6 +384,36 @@ def kernel_replay(spec, trigger):
 def test_replay_matches_reference_kernel_exactly(case):
     spec, trigger = case
     assert kernel_replay(spec, trigger) == reference_replay(spec, POLICY, trigger)
+
+
+# one object per spec for every example, so later examples read the
+# timelines earlier ones built, at either dt
+SHARED_SPECS = (
+    build_scenario(ScenarioKind.CBNA, 60.0),
+    rotate_scenario(build_scenario(ScenarioKind.CPNC50, 35.0), math.radians(37.0)),
+)
+
+
+@settings(
+    max_examples=12,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from(range(len(SHARED_SPECS))),
+    st.lists(st.tuples(st.integers(-1, 30), st.sampled_from((0.005, 0.0025))), min_size=1, max_size=4),
+)
+def test_shared_timeline_matches_reference_in_any_order(which, draws):
+    spec = SHARED_SPECS[which]
+    last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
+    for back, dt in draws:
+        # -1 stands for no trigger; otherwise one on the frame grid, as
+        # the deadline bisection sets it, or just past it, as a confirmation
+        trigger = None if back < 0 else max(last - back, 0) / spec.frame_rate + (back % 2) * POLICY.latency
+        assert kernel_replay(spec, trigger, dt) == reference_replay(spec, POLICY, trigger, dt), (trigger, dt)
+    assert set(spec._timelines) <= {0.005, 0.0025}
 
 
 def test_contact_boxes_take_the_wrapped_heading():
@@ -424,15 +458,66 @@ def test_skip_ahead_matches_reference_kernel_exactly(name):
     assert outcomes == ({True} if name == "clamped-beside-lane" else {False, True})
 
 
+def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
+    # the projection gap may round a few ulps above the exact gap, so the
+    # prune only trusts it by the cull margin. Here a pedestrian drifts
+    # 1e-7 m closer per metre as it crosses the front of the stopped car:
+    # the step nearest the centre line sets the margin first, and the
+    # later, smaller gaps lie within a fraction of the cull margin of it.
+    # A bound that overshoots by half the cull margin must still find them.
+    def rounded_high(a, b):
+        return obb_separation_kernel(a, b) + 0.5 * aeb._CULL_MARGIN
+
+    monkeypatch.setattr(aeb, "obb_gap_bound", rounded_high)
+    ped = ActorTrack(ActorClass.PEDESTRIAN, 0.5, 0.5, 1.8, 1.5, (Vec2(0.0, -16.0), Vec2(-32e-7, 16.0)))
+    spec = replace(static_obstacle_spec(), vru_track=ped)
+    got = kernel_replay(spec, 8.4)
+    assert got[0]
+    assert got == reference_replay(spec, POLICY, 8.4)
+    # the least gap is where the pedestrian leaves the car's front face
+    assert got[3] < bumper_gap_at_stop(8.4) - 1e-7
+
+
+# the trace of a live braked run: sha256 of format_trace, as written
+# before the runs read the spec's timeline; the braking column and the
+# speeds come from the braked steps
+LIVE_TRACE_DIGESTS = {
+    (ScenarioKind.CBNA, 40.0, 0.0, ("rsu1",)):
+        "dd0257776fb76d6c6a35cfbfcc1c4a959d4fb44db3790cf1f66cfe538538528b",
+    (ScenarioKind.CBNA, 40.0, 37.0, ("vut", "rsu5")):
+        "6f2e06a9c3d44da4cc752081ed71cc56991337290e348c47c03274f822d47b75",
+    (ScenarioKind.CBLA, 25.0, 0.0, ("vut",)):
+        "61aff4c8d312604e2238e4523d8bcd91fc1d5acaf9a850b65f73547c80ca8ed3",
+    (ScenarioKind.CPNC50, 60.0, 90.0, ("rsu2", "rsu3")):
+        "5410ae3bd6d57d5d2e1019f8208a3f77e2e0ba0217accb1ba3a695fa3ac884ac",
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(LIVE_TRACE_DIGESTS),
+    ids=lambda c: f"{c[0].display_name}_{c[1]:g}_yaw{c[2]:g}_{'+'.join(c[3])}",
+)
+def test_live_braked_trace_bytes_are_pinned(case):
+    kind, speed, yaw, subset = case
+    spec = rotate_scenario(build_scenario(kind, speed), math.radians(yaw))
+    trace = simulate_run(spec, (default_vut_sensor(), *default_layout()), MODEL, POLICY, subset)
+    text = format_trace(trace)
+    assert trace.outcome.avoided
+    assert any(line.split(",")[8] == "1" for line in text.splitlines()[3:])
+    assert hashlib.sha256(text.encode()).hexdigest() == LIVE_TRACE_DIGESTS[case]
+
+
 # ----------------------------------------------------------------- guards
 
 
 def test_dt_validation():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
-    with pytest.raises(ValueError):
-        simulate_run(spec, (), MODEL, POLICY, (), dt=0.06)
-    with pytest.raises(ValueError):
-        simulate_run(spec, (), MODEL, POLICY, (), dt=0.03)  # not a divisor of 0.1
+    # 0.03 is not a divisor of the 0.1 s frame period
+    for dt in (0.0, -0.005, 0.06, 0.03):
+        with pytest.raises(ValueError):
+            simulate_run(spec, (), MODEL, POLICY, (), dt=dt)
+    assert spec._timelines == {}
 
 
 def test_unknown_subset_sensor_rejected():

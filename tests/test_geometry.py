@@ -21,6 +21,7 @@ from vrusim.geometry import (
     Silhouette,
     Vec2,
     iou_axis_box,
+    obb_gap_bound,
     obb_overlap,
     obb_separation,
     visible_fraction,
@@ -262,6 +263,32 @@ def test_box_kernel_matches_vec2_reference_exactly(pair):
     fa, fb = float_box(a), float_box(b)
     assert obb_overlap(fa, fb) == oracles.obb_overlap(a, b)
     assert obb_separation(fa, fb).hex() == oracles.obb_separation(a, b).hex()
+
+
+@settings(
+    max_examples=500,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(box_pairs())
+def test_projection_gap_never_exceeds_the_exact_gap(pair):
+    # rounding may put it a few ulps above on touching pairs; the stop
+    # margin's prune adds 1e-6 m before it trusts the bound
+    fa, fb = (float_box(box) for box in pair)
+    assert obb_gap_bound(fa, fb) <= obb_separation(fa, fb) + 1e-12
+
+
+@pytest.mark.parametrize("heading", (0.0, 0.7, -math.pi))
+def test_projection_gap_is_exact_face_to_face(heading):
+    a = OrientedBox(Vec2(1.0, -2.0), 2.25, 0.9, heading)
+    fwd, lat = axes(a)
+    # b sits 0.8 m beyond a's front face, turned a quarter, and slid sideways
+    b = OrientedBox(a.center + fwd.scaled(2.25 + 0.8 + 0.25) + lat.scaled(0.3), 0.9, 0.25, heading + math.pi / 2)
+    got = obb_gap_bound(float_box(a), float_box(b))
+    assert got == pytest.approx(0.8, abs=1e-12)
+    assert got == pytest.approx(obb_separation(float_box(a), float_box(b)), abs=1e-12)
 
 
 # -------------------------------------------------------------------- IoU

@@ -246,6 +246,67 @@ def test_traces_only_when_enabled(tmp_path):
     assert not (tmp_path / "without" / "traces").exists()
 
 
+# sha256 of traces/<cell>.txt as `vrusim sweep --write-traces` wrote them
+# before the runs read the spec's timeline
+TRACE_DIGESTS = {
+    "CBNA_40": "2fc0a4a1aadd4f7850f0935fc1287b73478cd982f02f615bfee84c1d5b7912aa",
+    "CPNC-50_40": "7fdb32d577e22c05f512840cf1b202036b493094fec3dbd9d479f33259683741",
+    "CBLA_40": "c7758fad5b9989a81588d28fd08fed432c7bea8d6a91cfd374a79de1416570df",
+    "CBNA_40_yaw37": "e62a2bda509c9b83e867cedd2cec4a47ee3c3826c47359412bfbece288b24272",
+    "CPNC-50_40_yaw37": "c4b1fe1693ee388e0519207fe1f7053649b3e411b0c0ddcd4420bef5f088aafe",
+    "CBLA_40_yaw37": "9366ca111a6a6e034eb7818faa4bc8c5fae4ab2641583358bd42b6b40dd10fcf",
+}
+
+
+def written_trace_digests(out):
+    return {
+        path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out / "traces").glob("*.txt")
+    }
+
+
+def test_trace_bytes_are_pinned(tmp_path):
+    path = cfg_file(
+        tmp_path,
+        {
+            "scenarios": ["CBNA", "CPNC-50", "CBLA"],
+            "speeds_kmh": [40],
+            "scene_yaw_deg": [0, 37],
+            "write_traces": True,
+        },
+    )
+    emit_reports(run_sweep(load_config(path, subset_filter=("vut",))), str(tmp_path / "out"))
+    assert written_trace_digests(tmp_path / "out") == TRACE_DIGESTS
+
+
+def test_25_hz_trace_and_deadline_column(tmp_path):
+    # 25 frames per 0.04 s frame period means 8 dt steps per frame, and a
+    # deadline whose product with the rate falls just short of its frame
+    path = cfg_file(
+        tmp_path,
+        {
+            "scenarios": ["CPNC-50"],
+            "speeds_kmh": [20],
+            "scenario_overrides": {"frame_rate": 25},
+            "policy": {"deceleration_mps2": 10},
+            "write_traces": True,
+        },
+    )
+    result = run_sweep(load_config(path, subset_filter=("vut",)))
+    emit_reports(result, str(tmp_path / "out"))
+    assert written_trace_digests(tmp_path / "out") == {
+        "CPNC-50_20": "f8269b097605fb2988821a2ca4132551240a766b499d891e1cdafff15b658b73"
+    }
+    (cell,) = result.cells
+    assert f"{cell.last_possible_brake_time:.6f}" == "10.040000"
+    ppm = (tmp_path / "out" / "heatmaps" / "CPNC-50_20_vut.ppm").read_bytes()
+    _, dims, _, pixels = ppm.split(b"\n", 3)
+    width = int(dims.split()[0])
+    top_row = [pixels[i : i + 3] for i in range(0, 3 * width, 3)]
+    red = [col for col, px in enumerate(top_row) if px == b"\xcc\x22\x22"]
+    assert red == [2 * 251, 2 * 251 + 1]  # frame 251 at scale 2
+
+
 def test_yaw_suffix_on_per_yaw_reports(tmp_path):
     path = cfg_file(
         tmp_path,

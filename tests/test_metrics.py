@@ -152,12 +152,21 @@ def test_heatmap_matches_hand_matrix():
     assert hm.row("rsu1") == hm.cells[1]
 
 
+def test_heatmap_deadline_lands_on_its_frame_at_25_hz():
+    # 251 / 25 * 25 is 250.99999999999997: a plain floor put the column
+    # one frame early, while summary.csv reports frame 251's time
+    hm = heatmap_of({"vut": []}, 300, lpbt=251 / 25.0, frame_rate=25.0)
+    assert hm.deadline_col == 251
+    # off the grid the column still floors
+    assert heatmap_of({"vut": []}, 300, lpbt=10.05, frame_rate=25.0).deadline_col == 251
+
+
 def test_heatmap_from_real_run_recounts_and_spans_duration():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(), *default_layout())
     lpbt = last_possible_brake_time(spec, POLICY)
     trace = simulate_run(spec, sensors, MODEL, POLICY, ())
-    hm = heatmap_of(trace.events_by_sensor, len(trace.frames), lpbt, spec.frame_rate)
+    hm = heatmap_of(trace.events_by_sensor, spec.n_frames, lpbt, spec.frame_rate)
     assert len(hm.sensor_ids) == 13
     assert hm.sensor_ids[0] == "vut"
     for sensor_id in hm.sensor_ids:

@@ -85,7 +85,7 @@ def live_performance(subset):
             avoided += 1
         watch = simulate_run(spec, units, OPEN_GATES, POLICY, ())
         frames_seen = {ev.frame for evs in watch.events_by_sensor.values() for ev in evs}
-        acc_sum += len(frames_seen) / len(watch.frames)
+        acc_sum += len(frames_seen) / spec.n_frames
     return avoided / len(SUITE), acc_sum / len(SUITE)
 
 

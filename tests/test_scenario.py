@@ -6,6 +6,7 @@ scan rather than the coarse 10 Hz one the library uses.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -271,3 +272,37 @@ def test_rotation_preserves_relative_timeline():
 def test_zero_rotation_is_identity():
     spec = build_scenario(ScenarioKind.CPNC50, 25.0)
     assert rotate_scenario(spec, 0.0) is spec
+
+
+def test_timeline_is_built_once_per_spec_and_dt():
+    spec = build_scenario(ScenarioKind.CBNA, 40.0)
+    coarse, fine = spec.timeline(0.005), spec.timeline(0.0025)
+    assert spec.timeline(0.005) is coarse
+    assert spec.timeline(0.0025) is fine
+    assert (coarse.steps_per_frame, fine.steps_per_frame) == (20, 40)
+    assert len(coarse.times) == (spec.n_frames - 1) * 20 + 1
+    # both end at the last frame, having driven the unbraked distance
+    assert coarse.times[-1] == pytest.approx(fine.times[-1], abs=1e-9)
+    assert coarse.travel[-1] == pytest.approx(spec.vut_track.speed * coarse.times[-1], abs=1e-9)
+    # the memo is no part of the spec's value
+    assert spec == build_scenario(ScenarioKind.CBNA, 40.0)
+    assert hash(spec) == hash(build_scenario(ScenarioKind.CBNA, 40.0))
+    assert "_timelines" not in repr(spec)
+
+
+def test_replaced_and_rotated_specs_never_inherit_a_timeline():
+    spec = build_scenario(ScenarioKind.CPNC50, 40.0)
+    built = spec.timeline(0.005)
+    faster = replace(spec, vut_track=replace(spec.vut_track, speed=2 * spec.vut_track.speed))
+    assert faster._timelines == {}
+    assert faster.timeline(0.005).travel[-1] == pytest.approx(2 * built.travel[-1])
+    rated = replace(spec, frame_rate=20.0)
+    assert rated.timeline(0.005).steps_per_frame == 10
+    rotated = rotate_scenario(spec, math.radians(90.0))
+    assert rotated._timelines == {}
+    # a rotation leaves the vehicle's travel alone, so an equal timeline,
+    # but built for the new spec
+    assert rotated.timeline(0.005) == built
+    assert rotated.timeline(0.005) is not built
+    assert rotate_scenario(spec, 0.0) is spec
+
