@@ -134,18 +134,6 @@ def _braked(
     )
 
 
-def _forced_run(
-    spec: ScenarioSpec, policy: AebPolicy, timeline: Timeline, onset: float | None
-) -> tuple[array[float], array[float]]:
-    """Travel and speed after every step of a run braked from `onset` (or
-    never, for None) from the start."""
-    travel = timeline.travel
-    speeds = array("d", [spec.vut_track.speed]) * len(travel)
-    if onset is None:
-        return travel, speeds
-    return _braked(policy, timeline, travel, speeds, onset, 1)
-
-
 def _radius(track: ActorTrack) -> float:
     """Bounding-circle radius of a track's footprint."""
     return math.hypot(track.length / 2, track.width / 2)
@@ -238,7 +226,10 @@ def simulate_run(
     brake_onset: float | None = (
         trigger_override + policy.latency if trigger_override is not None else None
     )
-    travel, speeds = _forced_run(spec, policy, timeline, brake_onset)
+    travel = timeline.travel
+    speeds = array("d", [spec.vut_track.speed]) * len(travel)
+    if brake_onset is not None:
+        travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset, 1)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     if sense:
         vut_track, vru_track = spec.vut_track, spec.vru_track
@@ -288,9 +279,9 @@ def simulate_run(
     )
 
 
-def stop_margin(spec: ScenarioSpec, policy: AebPolicy, trigger: float | None, dt: float = 0.005) -> float:
-    """Smallest gap between the footprints over a sensing-free run braked
-    from `trigger` that avoids contact.
+def stop_margin(trace: RunTrace) -> float:
+    """Smallest gap between the footprints over a run that avoids contact,
+    taken on the run's own steps.
 
     Steps whose centres are more than _NEAR_FIELD_SLACK beyond both
     bounding circles count by their circle bound; the closer ones by their
@@ -304,10 +295,11 @@ def stop_margin(spec: ScenarioSpec, policy: AebPolicy, trigger: float | None, dt
     already exceed it. A minimum does not depend on which values above it
     are skipped.
     """
-    timeline = spec.timeline(dt)
+    if not trace.outcome.avoided:
+        raise ValueError("a run that made contact has no stop margin")
+    spec, travel, speeds = trace.spec, trace.travel, trace.speeds
+    timeline = spec.timeline(trace.dt)
     times = timeline.times
-    onset = trigger + policy.latency if trigger is not None else None
-    travel, speeds = _forced_run(spec, policy, timeline, onset)
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     near_field = vut_r + vru_r + _NEAR_FIELD_SLACK

@@ -190,7 +190,7 @@ def _cmd_placement(args: argparse.Namespace) -> int:
         with open(
             os.path.join(config.out_dir, "selected_layout.txt"), "w", encoding="utf-8"
         ) as fh:
-            fh.write(format_layout(selected_units))
+            fh.write(format_layout(selected_units, config.overrides.frame_rate))
     except OSError as exc:
         log.error("could not write placement reports: %s", exc)
         return EXIT_PARTIAL

@@ -24,6 +24,7 @@ from .scenario import (
     ScenarioOverrides,
     allowed_speeds_kmh,
     build_scenario,
+    frame_steps,
 )
 from .sensing import (
     DEFAULT_MIN_HEIGHT_PX,
@@ -101,7 +102,8 @@ class RunConfig:
                 )
             )
             + f",{self.model.seed}",
-            "units=" + ";".join(_unit_text(u) for u in self.all_units()),
+            "units="
+            + ";".join(_unit_text(u, self.overrides.frame_rate) for u in self.all_units()),
             "subsets=" + ";".join(f"{s.name}:{','.join(s.sensor_ids)}" for s in self.subsets),
             "overrides="
             + ",".join(
@@ -115,11 +117,13 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def _unit_text(u: SensorUnit) -> str:
+def _unit_text(u: SensorUnit, frame_rate: float) -> str:
+    # a unit's text follows the layout file's columns, whose rate column is
+    # the scenario frame rate
     return (
         f"{u.sensor_id},{u.mount},{u.pose.x:.9g},{u.pose.y:.9g},{u.pose.z:.9g},"
         f"{u.pose.yaw:.9g},{u.pose.pitch:.9g},{u.hfov:.9g},{u.vfov:.9g},"
-        f"{u.max_range:.9g},{u.frame_rate:.9g},{u.latency:.9g}"
+        f"{u.max_range:.9g},{frame_rate:.9g},{u.latency:.9g}"
     )
 
 
@@ -236,18 +240,12 @@ def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, .
     frame rate; ``where`` (a config key or a flag) prefixes every error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            units = parse_layout(fh.read())
+            units = parse_layout(fh.read(), frame_rate)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     ids = [u.sensor_id for u in units]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{where}: sensor ids must be unique")
-    for unit in units:
-        if unit.frame_rate != frame_rate:
-            raise ConfigError(
-                f"{where}: sensor {unit.sensor_id!r} runs at {unit.frame_rate:g} Hz but "
-                f"the scenario frame rate is {frame_rate:g} Hz"
-            )
     return units
 
 
@@ -385,13 +383,13 @@ def load_config(
     for name in ("frame_rate", "pedestrian_speed_kmh", "cyclist_speed_kmh"):
         if not getattr(overrides, name) > 0:
             raise ConfigError(f"scenario_overrides.{name} must be positive")
-    period = 1.0 / overrides.frame_rate
-    steps = round(period / dt)
-    if steps < 2 or abs(steps * dt - period) > 1e-9:
+    try:
+        frame_steps(overrides.frame_rate, dt)
+    except ValueError:
         raise ConfigError(
-            f"dt_s={dt:g} must divide the {period:g} s frame period evenly, "
-            "into two steps or more"
-        )
+            f"dt_s={dt:g} must divide the {1.0 / overrides.frame_rate:g} s frame period "
+            "evenly, into two steps or more"
+        ) from None
 
     cfg_traces = _boolean(top.take("write_traces", False), "write_traces")
     subsets_raw = top.take("subsets", None)
@@ -412,11 +410,7 @@ def load_config(
         if not isinstance(layout_file, str):
             raise ConfigError("sensors.layout_file: expected a path string")
         rsu_units = read_layout(layout_file, overrides.frame_rate, "sensors.layout_file")
-    # the built-in units run at the scenario frame rate
-    hardware = dict(
-        hfov=hfov, vfov=vfov, max_range=range_m,
-        frame_rate=overrides.frame_rate, latency=sensor_latency,
-    )
+    hardware = dict(hfov=hfov, vfov=vfov, max_range=range_m, latency=sensor_latency)
     try:
         vut_sensor = default_vut_sensor(**hardware)
         if layout_file is None:
@@ -474,15 +468,6 @@ def _check_scenarios(config: RunConfig) -> None:
     """Build every configured (scenario, speed) once, so that overrides no
     scenario can be built with fail at load time, not in the middle of a
     sweep."""
-    if ScenarioKind.CBLA in config.scenarios:
-        slowest = min(config.speeds_by_kind[ScenarioKind.CBLA])
-        # the vehicle must close in on the cyclist it follows
-        if config.overrides.cyclist_speed_kmh >= slowest:
-            raise ConfigError(
-                f"scenario_overrides.cyclist_speed_kmh "
-                f"({config.overrides.cyclist_speed_kmh:g}) must be below the slowest "
-                f"CBLA speed ({slowest:g} km/h)"
-            )
     for kind in config.scenarios:
         for speed in config.speeds_by_kind[kind]:
             try:

@@ -95,7 +95,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
                 spec, (), config.model, config.policy, (),
                 dt=config.dt, trigger_override=trigger, sense=False,
             )
-            margin = stop_margin(spec, config.policy, trigger, config.dt) if replay.outcome.avoided else None
+            margin = stop_margin(replay) if replay.outcome.avoided else None
             replays[trigger] = (replay.outcome, replay.brake_trigger_time, margin)
         out, brake_trigger_time, margin = replays[trigger]
         subsets.append(

@@ -123,6 +123,18 @@ class Timeline:
     travel: array[float]
 
 
+def frame_steps(frame_rate: float, dt: float) -> int:
+    """Steps of length dt in one frame period, which must split into two
+    or more whole steps."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    period = 1.0 / frame_rate
+    steps = round(period / dt)
+    if steps < 2 or abs(steps * dt - period) > 1e-9:
+        raise ValueError("the frame period must split into two or more whole dt steps")
+    return steps
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: ScenarioKind
@@ -132,7 +144,7 @@ class ScenarioSpec:
     conflict_point: Vec2
     nominal_collision_time: float
     sim_duration: float
-    frame_rate: float = 10.0
+    frame_rate: float
     # dt -> the unbraked timeline, built on first use
     _timelines: dict[float, Timeline] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -163,14 +175,7 @@ class ScenarioSpec:
         return timeline
 
     def _build_timeline(self, dt: float) -> Timeline:
-        frame_period = 1.0 / self.frame_rate
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if dt > frame_period / 2.0 + 1e-12:
-            raise ValueError("dt must not exceed half the frame period")
-        steps_per_frame = round(frame_period / dt)
-        if abs(steps_per_frame * dt - frame_period) > 1e-9:
-            raise ValueError("frame period must be an integer number of dt steps")
+        steps_per_frame = frame_steps(self.frame_rate, dt)
         speed = self.vut_track.speed
         travelled = 0.0
         starts, times, travel = array("d", [0.0]), array("d", [0.0]), array("d", [0.0])
@@ -252,11 +257,18 @@ def build_scenario(
 ) -> ScenarioSpec:
     """Construct one test case at the given vehicle speed.
 
-    Raises ValueError when the speed is outside the sweep grid for the kind.
+    Raises ValueError when the speed is outside the sweep grid for the
+    kind, or, in CBLA, when the cyclist is not slower than the vehicle.
     """
     speed_kmh = _validate_speed(kind, vut_speed_kmh)
     v = speed_kmh * KMH
     ov = overrides
+    # the vehicle must close in on the cyclist it follows
+    if kind is ScenarioKind.CBLA and ov.cyclist_speed_kmh >= speed_kmh:
+        raise ValueError(
+            f"cyclist_speed_kmh ({ov.cyclist_speed_kmh:g}) must be below "
+            f"the vehicle speed ({speed_kmh:g} km/h)"
+        )
 
     sync_time = max(_MIN_SYNC_TIME, _MIN_START_DISTANCE / v)
     duration = sync_time + _POST_CONFLICT_TIME

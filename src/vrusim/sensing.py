@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction
-from .scenario import WorldState
+from .scenario import DEFAULT_OVERRIDES, WorldState
 
 SENSOR_IMAGE_WIDTH_PX = 1920
 
@@ -33,8 +33,8 @@ class SensorUnit:
 
     For mount "vut" the pose is vehicle-relative: x forward of the vehicle
     center, y to its left, yaw relative to its heading. z stays absolute.
-    ``frame_rate`` is layout data: loading checks it against the scenario
-    frame rate, the only rate the simulation reads.
+    A unit senses at the scenario frame rate, so it carries no rate of its
+    own.
     """
 
     sensor_id: str
@@ -43,7 +43,6 @@ class SensorUnit:
     hfov: float
     vfov: float
     max_range: float
-    frame_rate: float = 10.0
     latency: float = 0.025
 
     def __post_init__(self) -> None:
@@ -57,8 +56,8 @@ class SensorUnit:
             raise ValueError("range must be positive")
         if self.latency < 0:
             raise ValueError("latency must be non-negative")
-        if self.frame_rate <= 0 or self.hfov <= 0 or self.vfov <= 0:
-            raise ValueError("rate and apertures must be positive")
+        if self.hfov <= 0 or self.vfov <= 0:
+            raise ValueError("apertures must be positive")
 
     def world_pose(self, vut_pose: Pose2) -> MountPose:
         if self.mount == "rsu":
@@ -238,7 +237,6 @@ def default_layout(
     hfov: float = DEFAULT_HFOV_RAD,
     vfov: float = DEFAULT_VFOV_RAD,
     max_range: float = DEFAULT_RANGE_M,
-    frame_rate: float = 10.0,
     latency: float = 0.025,
 ) -> tuple[SensorUnit, ...]:
     """Twelve roadside units on the corners and masts of a 4-way junction."""
@@ -250,7 +248,6 @@ def default_layout(
             hfov=hfov,
             vfov=vfov,
             max_range=max_range,
-            frame_rate=frame_rate,
             latency=latency,
         )
         for name, x, y, yaw_deg in _RSU_TABLE
@@ -261,7 +258,6 @@ def default_vut_sensor(
     hfov: float = DEFAULT_HFOV_RAD,
     vfov: float = DEFAULT_VFOV_RAD,
     max_range: float = DEFAULT_RANGE_M,
-    frame_rate: float = 10.0,
     latency: float = 0.025,
 ) -> SensorUnit:
     """Forward camera behind the windshield of the test vehicle."""
@@ -272,7 +268,6 @@ def default_vut_sensor(
         hfov=hfov,
         vfov=vfov,
         max_range=max_range,
-        frame_rate=frame_rate,
         latency=latency,
     )
 
@@ -295,8 +290,9 @@ _LAYOUT_COLUMNS = (
 )
 
 
-def format_layout(units: tuple[SensorUnit, ...]) -> str:
-    """Layout file text: comma-separated, angles in degrees, one unit per line."""
+def format_layout(units: tuple[SensorUnit, ...], frame_rate: float = DEFAULT_OVERRIDES.frame_rate) -> str:
+    """Layout file text: comma-separated, angles in degrees, one unit per
+    line; every unit's rate column is the scenario `frame_rate`."""
     lines = [",".join(_LAYOUT_COLUMNS)]
     for u in units:
         lines.append(
@@ -312,7 +308,7 @@ def format_layout(units: tuple[SensorUnit, ...]) -> str:
                     f"{math.degrees(u.hfov):g}",
                     f"{math.degrees(u.vfov):g}",
                     f"{u.max_range:g}",
-                    f"{u.frame_rate:g}",
+                    f"{frame_rate:g}",
                     f"{u.latency:g}",
                 ]
             )
@@ -320,8 +316,9 @@ def format_layout(units: tuple[SensorUnit, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_layout(text: str) -> tuple[SensorUnit, ...]:
-    """Inverse of format_layout. Blank lines and #-comments are skipped."""
+def parse_layout(text: str, frame_rate: float = DEFAULT_OVERRIDES.frame_rate) -> tuple[SensorUnit, ...]:
+    """Inverse of format_layout. Blank lines and #-comments are skipped, and
+    a row whose rate is not the scenario `frame_rate` is an error."""
     rows = []
     header: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -339,6 +336,12 @@ def parse_layout(text: str) -> tuple[SensorUnit, ...]:
         if len(cells) != len(_LAYOUT_COLUMNS):
             raise ValueError(f"layout line {lineno}: expected {len(_LAYOUT_COLUMNS)} fields")
         try:
+            rate = float(cells[10])
+            if rate != frame_rate:
+                raise ValueError(
+                    f"sensor {cells[0]!r} runs at {rate:g} Hz but "
+                    f"the scenario frame rate is {frame_rate:g} Hz"
+                )
             unit = SensorUnit(
                 sensor_id=cells[0],
                 mount=cells[1],
@@ -352,7 +355,6 @@ def parse_layout(text: str) -> tuple[SensorUnit, ...]:
                 hfov=math.radians(float(cells[7])),
                 vfov=math.radians(float(cells[8])),
                 max_range=float(cells[9]),
-                frame_rate=float(cells[10]),
                 latency=float(cells[11]),
             )
         except ValueError as exc:

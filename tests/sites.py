@@ -8,5 +8,6 @@ def rsu(
     sensor_id, x, y, z, yaw, pitch,
     hfov=DEFAULT_HFOV_RAD, vfov=DEFAULT_VFOV_RAD, max_range=DEFAULT_RANGE_M,
 ):
-    """A roadside unit at the default 10 Hz and 25 ms latency."""
+    """A roadside unit with the default 25 ms latency; it senses at the
+    scenario frame rate, like every unit."""
     return SensorUnit(sensor_id, "rsu", MountPose(x, y, z, yaw, pitch), hfov, vfov, max_range)

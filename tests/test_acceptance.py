@@ -341,6 +341,7 @@ def lane_cell(lane_y):
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50, vut_track=vut, vru_track=ped, occluders=(),
         conflict_point=Vec2(0.0, lane_y), nominal_collision_time=5.75, sim_duration=8.0,
+        frame_rate=10.0,
     )
 
 

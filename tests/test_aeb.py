@@ -133,7 +133,7 @@ def test_cbla_vut_only_avoids_at_every_speed():
         trace = simulate_run(spec, sensors, MODEL, POLICY, ("vut",))
         assert trace.outcome.avoided, speed
         assert trace.outcome.collision_speed == 0.0
-        assert stop_margin(spec, POLICY, trace.first_confirmed_time) > 0.0
+        assert stop_margin(trace) > 0.0
 
 
 def test_cbna_fast_vut_only_collides_after_deadline():
@@ -207,7 +207,7 @@ def test_early_trigger_stops_short_of_static_obstacle():
     trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=8.4, sense=False)
     assert trace.outcome.avoided
     # close stop: the margin is the exact face-to-face gap
-    assert stop_margin(spec, POLICY, 8.4) == pytest.approx(bumper_gap_at_stop(8.4), abs=1e-6)
+    assert stop_margin(trace) == pytest.approx(bumper_gap_at_stop(8.4), abs=1e-6)
 
 
 def test_distant_stop_margin_is_a_lower_bound():
@@ -215,7 +215,7 @@ def test_distant_stop_margin_is_a_lower_bound():
     trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=8.0, sense=False)
     assert trace.outcome.avoided
     gap = bumper_gap_at_stop(8.0)
-    margin = stop_margin(spec, POLICY, 8.0)
+    margin = stop_margin(trace)
     assert margin <= gap + 1e-9
     # the circle bound gives away at most the corner radii of the two boxes
     slack = math.hypot(2.25, 0.9) - 2.25 + math.hypot(0.25, 0.25) - 0.25
@@ -292,6 +292,37 @@ def test_forced_replay_matches_live_loop(speed, subset):
     assert live.first_confirmed_time == t_conf
     assert live.brake_trigger_time == replay.brake_trigger_time
     assert live.outcome == replay.outcome
+    if live.outcome.avoided:
+        assert stop_margin(live) == stop_margin(replay)
+
+
+@pytest.mark.parametrize(
+    "kind, speed",
+    [(kind, speed) for kind in ScenarioKind for speed in allowed_speeds_kmh(kind)[::2]],
+)
+def test_live_and_replayed_runs_share_their_stop_margin(kind, speed):
+    # a margin is taken on a run's own steps, so the live run's and the
+    # replay's agree bit for bit only if the two runs do
+    spec = build_scenario(kind, speed)
+    units = (default_vut_sensor(), *default_layout())
+    # the default sweep's subsets: each unit alone, then all of them
+    for subset in [(u.sensor_id,) for u in units] + [tuple(u.sensor_id for u in units)]:
+        sensors = tuple(u for u in units if u.sensor_id in subset)
+        live = simulate_run(spec, sensors, MODEL, POLICY, subset)
+        replay = simulate_run(
+            spec, (), MODEL, POLICY, (), trigger_override=live.first_confirmed_time, sense=False
+        )
+        assert live.outcome == replay.outcome, subset
+        if live.outcome.avoided:
+            assert stop_margin(live) == stop_margin(replay), subset
+
+
+def test_stop_margin_rejects_a_run_that_made_contact():
+    spec = build_scenario(ScenarioKind.CBNA, 40.0)
+    unbraked = simulate_run(spec, (), MODEL, POLICY, (), sense=False)
+    assert not unbraked.outcome.avoided
+    with pytest.raises(ValueError, match="contact"):
+        stop_margin(unbraked)
 
 
 # ------------------------------------------------------ reference kernel
@@ -369,7 +400,7 @@ def kernel_replay(spec, trigger, dt=0.005):
     """What a sweep reports for one trigger, in reference_replay's shape."""
     trace = simulate_run(spec, (), MODEL, POLICY, (), dt=dt, trigger_override=trigger, sense=False)
     out = trace.outcome
-    margin = stop_margin(spec, POLICY, trigger, dt) if out.avoided else None
+    margin = stop_margin(trace) if out.avoided else None
     return out.avoided, out.collision_time, out.collision_speed, margin, trace.brake_trigger_time
 
 

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from vrusim.cli import main
-from vrusim.config import load_config
+from vrusim.config import load_config, read_layout
 from vrusim.placement import candidate_sites_from_units, evaluate_sites
 from vrusim.scenario import ScenarioKind, build_scenario, rotate_scenario
 from vrusim.sensing import default_layout, default_vut_sensor, format_layout
@@ -176,10 +176,10 @@ def test_seed_changes_hash_in_manifest(tmp_path):
     assert h0 != h1
 
 
-def candidates_file(tmp_path, ids=("rsu1", "rsu8")):
+def candidates_file(tmp_path, ids=("rsu1", "rsu8"), frame_rate=10.0):
     units = [u for u in default_layout() if u.sensor_id in ids]
     path = tmp_path / "candidates.txt"
-    path.write_text(format_layout(units), encoding="utf-8")
+    path.write_text(format_layout(units, frame_rate), encoding="utf-8")
     return str(path)
 
 
@@ -242,6 +242,26 @@ def test_placement_bad_candidates_is_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_placement_writes_the_scenario_rate(tmp_path):
+    cfg = cfg_file(
+        tmp_path,
+        {"scenarios": ["CBNA"], "speeds_kmh": [40], "scenario_overrides": {"frame_rate": 20}},
+    )
+    out = tmp_path / "p"
+    rc = main(
+        [
+            "placement", "--config", cfg, "--candidates", candidates_file(tmp_path, frame_rate=20.0),
+            "--budget", "1", "--out", str(out), "-q",
+        ]
+    )
+    assert rc == 0
+    layout = out / "selected_layout.txt"
+    header, row = layout.read_text().splitlines()
+    assert row.split(",")[header.split(",").index("rate_hz")] == "20"
+    units = read_layout(str(layout), 20.0, "selected_layout.txt")
+    assert len(units) == 1
+
+
 RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
 
 
@@ -250,7 +270,7 @@ RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
     [
         format_layout((RSU1, RSU1)),
         format_layout(()),
-        format_layout(default_layout(frame_rate=20.0)[:2]),
+        format_layout(default_layout()[:2], 20.0),
         format_layout((RSU1,)).replace("\nrsu1,", "\n,"),
         format_layout((default_vut_sensor(),)),
     ],

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from vrusim.config import ConfigError, load_config
-from vrusim.scenario import ScenarioKind
+from vrusim.scenario import ScenarioKind, build_scenario
 from vrusim.sensing import DetectionModel, default_layout, format_layout, px_to_rad
 
 
@@ -192,10 +192,9 @@ def test_vru_speed_must_be_positive(tmp_path, name, value):
 
 
 def test_frame_rate_consistency(tmp_path):
-    # the scenario frame rate is the one rate key; the built-in units follow it
+    # the scenario frame rate is the one rate key; no unit holds a rate
     cfg = load_config(write_cfg(tmp_path, {"scenario_overrides": {"frame_rate": 20}}))
     assert cfg.overrides.frame_rate == 20.0
-    assert all(u.frame_rate == 20.0 for u in cfg.all_units())
     # the same resolved values, hence the same hashes, as when two keys set it
     assert cfg.config_hash() == "efa0490e7e0a91f1"
     assert load_config().config_hash() == "2547dafe4c8d56e2"
@@ -205,7 +204,7 @@ def test_frame_rate_consistency(tmp_path):
 
 def test_cbla_cyclist_must_be_slower_than_every_swept_speed(tmp_path):
     path = write_cfg(tmp_path, {"scenario_overrides": {"cyclist_speed_kmh": 25}})
-    with pytest.raises(ConfigError, match="cyclist_speed_kmh.*slowest CBLA speed"):
+    with pytest.raises(ConfigError, match=r"CBLA at 25 km/h: cyclist_speed_kmh \(25\)"):
         load_config(path)
     # the check sees the speeds left after the command-line filter
     cfg = load_config(path, speed_filter=(30.0,))
@@ -232,6 +231,28 @@ def test_dt_must_divide_frame_period(tmp_path):
     assert cfg.dt == 0.01
 
 
+@pytest.mark.parametrize(
+    "dt, ok",
+    [
+        (0.005, True), (0.0025, True), (0.01, True), (0.03, False), (0.05, True),
+        (0.06, False), (0.1, False), (0.0, False), (-0.005, False),
+    ],
+)
+def test_config_and_scenario_share_the_step_grid_rule(tmp_path, dt, ok):
+    # the 0.1 s frame period must split into two or more whole dt steps
+    try:
+        load_config(write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "dt_s": dt}))
+        config_ok = True
+    except ConfigError:
+        config_ok = False
+    try:
+        build_scenario(ScenarioKind.CBNA, 40.0).timeline(dt)
+        scenario_ok = True
+    except ValueError:
+        scenario_ok = False
+    assert config_ok == scenario_ok == ok
+
+
 def test_layout_file_replaces_default_units(tmp_path):
     units = [u for u in default_layout() if u.sensor_id in ("rsu1", "rsu8")]
     layout = tmp_path / "layout.txt"
@@ -248,9 +269,9 @@ def test_layout_file_replaces_default_units(tmp_path):
 
 
 def test_layout_file_rate_must_match_scenario(tmp_path):
-    slow = [u for u in default_layout(frame_rate=5.0) if u.sensor_id == "rsu0"]
+    slow = [u for u in default_layout() if u.sensor_id == "rsu0"]
     layout = tmp_path / "layout.txt"
-    layout.write_text(format_layout(slow), encoding="utf-8")
+    layout.write_text(format_layout(slow, 5.0), encoding="utf-8")
     with pytest.raises(ConfigError, match="5 Hz.*10 Hz"):
         load_config(write_cfg(tmp_path, {"sensors": {"layout_file": str(layout)}}))
 

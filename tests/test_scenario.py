@@ -138,6 +138,15 @@ def test_speed_grid_is_enforced():
         build_scenario(ScenarioKind.CPNC50, 65.0)
 
 
+@pytest.mark.parametrize("cyclist_kmh", [25.0, 30.0])
+def test_cbla_cyclist_must_be_slower_than_the_vehicle(cyclist_kmh):
+    fast = ScenarioOverrides(cyclist_speed_kmh=cyclist_kmh)
+    with pytest.raises(ValueError, match=r"cyclist_speed_kmh .* vehicle speed \(25 km/h\)"):
+        build_scenario(ScenarioKind.CBLA, 25.0, fast)
+    # the crossing cases have no such rule
+    assert build_scenario(ScenarioKind.CBNA, 25.0, fast).vru_track.speed == pytest.approx(cyclist_kmh * KMH)
+
+
 def test_vru_speeds_follow_scenario():
     assert build_scenario(ScenarioKind.CPNC50, 20.0).vru_track.speed == pytest.approx(5.0 * KMH)
     assert build_scenario(ScenarioKind.CBNA, 60.0).vru_track.speed == pytest.approx(15.0 * KMH)

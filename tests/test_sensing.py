@@ -321,15 +321,18 @@ def test_default_vfov_matches_image_aspect():
 
 def test_layout_roundtrip():
     units = (default_vut_sensor(), *default_layout())
-    parsed = parse_layout(format_layout(units))
-    assert len(parsed) == len(units)
-    for a, b in zip(parsed, units):
-        assert a.sensor_id == b.sensor_id
-        assert a.mount == b.mount
-        assert a.pose.x == pytest.approx(b.pose.x)
-        assert a.pose.yaw == pytest.approx(b.pose.yaw)
-        assert a.hfov == pytest.approx(b.hfov)
-        assert a.latency == pytest.approx(b.latency)
+    for rate in (10.0, 20.0):
+        text = format_layout(units, rate)
+        assert {line.split(",")[10] for line in text.splitlines()[1:]} == {f"{rate:g}"}
+        parsed = parse_layout(text, rate)
+        assert len(parsed) == len(units)
+        for a, b in zip(parsed, units):
+            assert a.sensor_id == b.sensor_id
+            assert a.mount == b.mount
+            assert a.pose.x == pytest.approx(b.pose.x)
+            assert a.pose.yaw == pytest.approx(b.pose.yaw)
+            assert a.hfov == pytest.approx(b.hfov)
+            assert a.latency == pytest.approx(b.latency)
 
 
 def test_layout_parse_errors_name_lines():
@@ -340,6 +343,11 @@ def test_layout_parse_errors_name_lines():
         parse_layout(good.splitlines()[0] + "\nvut,vut,0,0\n")
     with pytest.raises(ValueError, match="header"):
         parse_layout("\n# only a comment\n")
+    # a row at another rate than the scenario's names its line
+    mixed = good + format_layout(default_layout()[:1], 20.0).splitlines()[1] + "\n"
+    parse_layout(good, 10.0)
+    with pytest.raises(ValueError, match="line 3: sensor 'rsu0' runs at 20 Hz .* 10 Hz"):
+        parse_layout(mixed, 10.0)
 
 
 # --------------------------------------------- integration with the scenario
