@@ -1,10 +1,12 @@
-"""Emergency-braking kinematics and the closed-loop run.
+"""Emergency-braking kinematics and the runs that score a sensor subset.
 
 The vehicle drives its path at constant speed until a confirmed detection
-(plus system latency) starts a constant full-deceleration stop. Outcome
-classification is overlap-based: a run counts as avoided only if the two
-footprints never touch, which handles crossing and longitudinal cases with
-one rule.
+(plus system latency) starts a constant full-deceleration stop. A run
+never confirms while it goes: a subset's closed loop is the unbraked
+observation pass, the subset's first confirmation over its events, and a
+run forced to brake from that instant. Outcome classification is
+overlap-based: a run counts as avoided only if the two footprints never
+touch, which handles crossing and longitudinal cases with one rule.
 """
 
 from __future__ import annotations
@@ -103,19 +105,18 @@ def _braked(
     travel: array[float],
     speeds: array[float],
     onset: float,
-    first: int,
 ) -> tuple[array[float], array[float]]:
-    """A run's step lists with braking from `onset` from step `first` on.
+    """A run's step lists with braking from `onset` on.
 
-    Steps before `first`, and the steps that end by the onset, keep their
-    values: `_advance` takes the unbraked arithmetic up to the onset, so a
-    run braked from t = 0 shares every such step with the unbraked
-    timeline. Only the braking segment is stepped. Once the vehicle has
-    stopped `_advance` adds exactly 0.0, so the travel holds from there on.
+    The steps that end by the onset keep their unbraked values: `_advance`
+    takes the unbraked arithmetic up to the onset, so a braked run shares
+    every such step with the unbraked timeline. Only the braking segment
+    is stepped. Once the vehicle has stopped `_advance` adds exactly 0.0,
+    so the travel holds from there on.
     """
     starts, times = timeline.starts, timeline.times
     n = len(times)
-    j = max(bisect_right(times, onset), first)
+    j = max(bisect_right(times, onset), 1)
     if j >= n:
         return travel, speeds
     decel = policy.deceleration
@@ -196,66 +197,48 @@ def simulate_run(
     sensors: tuple[SensorUnit, ...],
     model: DetectionModel,
     policy: AebPolicy,
-    subset: tuple[str, ...],
     dt: float = 0.005,
     trigger_override: float | None = None,
     sense: bool = True,
 ) -> RunTrace:
-    """Closed-loop run: sensing at frame boundaries, kinematics at dt steps.
+    """One run: braking from a forced confirmation, kinematics at dt steps.
 
-    A sensing run (``sense=True``) senses every frame and drives through
-    contact; `subset` names which sensors' confirmations may trigger
-    braking, and all sensors are recorded for metrics. A sensing-free run
-    senses nothing; only `trigger_override` (a forced confirmation
-    instant) can start the maneuver. Either way the outcome reports the
-    first contact; the stop margin of a run that avoids is `stop_margin`'s.
+    `trigger_override` is the confirmation instant the maneuver starts
+    from (plus the policy latency), or None for an unbraked run. A
+    sensing run (``sense=True``) also senses every frame along its own
+    path and drives through contact; it never confirms, so it brakes only
+    from the trigger it is given. A sensing-free run senses nothing.
+    Either way the outcome reports the first contact; the stop margin of
+    a run that avoids is `stop_margin`'s.
+
+    A subset's closed loop is three steps: the unbraked observation pass,
+    `first_confirmed_time` over its events, then a run forced from that
+    trigger. Braking starts no earlier than the confirming frame, so every
+    frame up to it is sensed on the unbraked path, and the forced run is
+    the loop that would have confirmed live.
 
     Every run reads the spec's unbraked timeline and steps only its
-    braking segment. When a frame sets or moves a sensing run's onset, the
-    steps from that frame on are braked again from the new onset; the
-    earlier ones keep the values they were driven with.
+    braking segment.
     """
-    known = {u.sensor_id for u in sensors}
-    for sid in subset:
-        if sid not in known:
-            raise ValueError(f"unknown sensor id {sid!r}")
-    subset_set = set(subset)
-
     timeline = spec.timeline(dt)
-    first_confirmed: float | None = trigger_override
     brake_onset: float | None = (
         trigger_override + policy.latency if trigger_override is not None else None
     )
     travel = timeline.travel
     speeds = array("d", [spec.vut_track.speed]) * len(travel)
     if brake_onset is not None:
-        travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset, 1)
+        travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     if sense:
         vut_track, vru_track = spec.vut_track, spec.vru_track
-        run_len = {sid: 0 for sid in known}
         for frame in range(spec.n_frames):
             t_frame = frame / spec.frame_rate
-            start = frame * timeline.steps_per_frame
-            vut_pose, _ = vut_track.pose_at_distance(travel[start])
+            vut_pose, _ = vut_track.pose_at_distance(travel[frame * timeline.steps_per_frame])
             world = WorldState(t_frame, vut_pose, vru_track.silhouette_at(t_frame), spec.occluders)
-            onset = brake_onset
             for unit in sensors:
                 ev = sense_frame(unit, model, world, frame)
-                if ev is None:
-                    run_len[unit.sensor_id] = 0
-                    continue
-                events_by_sensor[unit.sensor_id].append(ev)
-                run_len[unit.sensor_id] += 1
-                if (
-                    unit.sensor_id in subset_set
-                    and run_len[unit.sensor_id] == policy.confirm_frames
-                ):
-                    if first_confirmed is None or ev.available_at < first_confirmed:
-                        first_confirmed = ev.available_at
-                        brake_onset = ev.available_at + policy.latency
-            if brake_onset != onset:
-                travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset, start + 1)
+                if ev is not None:
+                    events_by_sensor[unit.sensor_id].append(ev)
 
     # the first contact fixes the outcome; a sensing run has sensed on to
     # its last frame regardless
@@ -270,7 +253,7 @@ def simulate_run(
         spec=spec,
         sensor_ids=tuple(u.sensor_id for u in sensors),
         events_by_sensor=events_by_sensor,
-        first_confirmed_time=first_confirmed,
+        first_confirmed_time=trigger_override,
         brake_trigger_time=brake_onset,
         outcome=outcome,
         dt=dt,
@@ -373,7 +356,7 @@ def last_possible_brake_time(
 
     def avoided(j: int) -> bool:
         trace = simulate_run(
-            spec, (), DetectionModel(), policy, (), dt=dt, trigger_override=j / spec.frame_rate, sense=False
+            spec, (), DetectionModel(), policy, dt=dt, trigger_override=j / spec.frame_rate, sense=False
         )
         return trace.outcome.avoided
 
@@ -426,8 +409,6 @@ def format_trace(trace: RunTrace) -> str:
     spec = trace.spec
     steps_per_frame = spec.timeline(trace.dt).steps_per_frame
     detected = [{ev.frame for ev in trace.events_by_sensor[sid]} for sid in trace.sensor_ids]
-    # an onset is fixed no earlier than the frame that sets it, so no
-    # frame before that one reaches it
     onset = trace.brake_trigger_time
     for frame in range(spec.n_frames):
         t = frame / spec.frame_rate

@@ -40,15 +40,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def scaled(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def rotated(self, angle: float) -> "Vec2":
         c, s = math.cos(angle), math.sin(angle)
         return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
@@ -67,10 +58,6 @@ class Pose2:
             if not math.isfinite(v):
                 raise ValueError("non-finite Pose2 component")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-    @property
-    def position(self) -> Vec2:
-        return Vec2(self.x, self.y)
 
 
 @dataclass(frozen=True)

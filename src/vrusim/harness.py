@@ -3,10 +3,10 @@
 A sweep cell is one (scene yaw, scenario, speed).  Each cell runs a single
 unbraked observation pass that records every sensor's detections through
 the whole scenario; any sensor subset is then scored by replaying the
-braking kinematics from that subset's earliest confirmation.  Braking
-starts strictly after the confirming frame, and a live sensing run drives
-through contact just like the observation pass, so the replay is exactly
-the closed loop the subset would have produced live.
+braking kinematics from that subset's earliest confirmation.  That is the
+subset's closed loop: braking starts no earlier than the confirming
+frame, so a run forced from the trigger senses what the observation pass
+sensed up to it (see `aeb.simulate_run`).
 
 Cells are independent, so they may run in any number of worker processes;
 results are merged in configured order and every output byte depends only
@@ -77,9 +77,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
         spec = rotate_scenario(spec, math.radians(yaw_deg))
     units = config.all_units()
 
-    watch = simulate_run(
-        spec, units, config.model, config.policy, (), dt=config.dt, sense=True
-    )
+    watch = simulate_run(spec, units, config.model, config.policy, dt=config.dt, sense=True)
     events = watch.events_by_sensor
     n_frames = spec.n_frames
     deadline = last_possible_brake_time(spec, config.policy, dt=config.dt)
@@ -92,7 +90,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
         trigger = first_confirmed_time(events, config.policy.confirm_frames, sub.sensor_ids)
         if trigger not in replays:
             replay = simulate_run(
-                spec, (), config.model, config.policy, (),
+                spec, (), config.model, config.policy,
                 dt=config.dt, trigger_override=trigger, sense=False,
             )
             margin = stop_margin(replay) if replay.outcome.avoided else None

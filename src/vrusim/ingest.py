@@ -154,9 +154,6 @@ class MatchCounts:
     fp: int
     fn: int
 
-    def __add__(self, other: "MatchCounts") -> "MatchCounts":
-        return MatchCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
 
 @dataclass(frozen=True)
 class MatchedPair:
@@ -180,12 +177,6 @@ class MatchResult:
     counts: Mapping[tuple[int, str], MatchCounts]
     pairs: tuple[MatchedPair, ...]
     events: tuple[DetectionEvent, ...]
-
-    def totals(self) -> MatchCounts:
-        total = MatchCounts(0, 0, 0)
-        for c in self.counts.values():
-            total = total + c
-        return total
 
     def events_by_sensor(self, target_id: str) -> dict[str, list[DetectionEvent]]:
         """Per-sensor streams for one target, ordered by frame."""

@@ -113,11 +113,14 @@ class HeatmapMatrix:
     def n_frames(self) -> int:
         return len(self.cells[0]) if self.cells else 0
 
-    def row(self, sensor_id: str) -> tuple[bool, ...]:
-        return self.cells[self.sensor_ids.index(sensor_id)]
-
     def to_csv(self) -> str:
-        times = [f"{c / self.frame_rate:.1f}" for c in range(self.n_frames)]
+        # as many decimals as the frame period needs, at least one and at
+        # most six, so no two frame labels print alike
+        period = 1.0 / self.frame_rate
+        decimals = 1
+        while decimals < 6 and abs(round(period, decimals) - period) > _GRID_TOLERANCE:
+            decimals += 1
+        times = [f"{c / self.frame_rate:.{decimals}f}" for c in range(self.n_frames)]
         lines = ["sensor," + ",".join(times)]
         for sensor_id, row in zip(self.sensor_ids, self.cells):
             lines.append(sensor_id + "," + ",".join("1" if v else "0" for v in row))

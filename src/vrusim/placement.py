@@ -96,7 +96,7 @@ class _ObservedSuite:
             trigger = first_confirmed_time(events, self.policy.confirm_frames, subset)
             if (i, trigger) not in self._replays:
                 trace = simulate_run(
-                    spec, (), self.model, self.policy, (),
+                    spec, (), self.model, self.policy,
                     dt=self.dt, trigger_override=trigger, sense=False,
                 )
                 self._replays[i, trigger] = trace.outcome.avoided
@@ -122,7 +122,7 @@ def _observe(
         raise ValueError("candidate site ids must be unique")
     units = tuple(s.to_unit() for s in sites)
     events = [
-        simulate_run(spec, units, model, policy, (), dt=dt, sense=True).events_by_sensor
+        simulate_run(spec, units, model, policy, dt=dt, sense=True).events_by_sensor
         for spec in suite
     ]
     return _ObservedSuite(suite, events, policy, model, dt)

@@ -290,6 +290,13 @@ _LAYOUT_COLUMNS = (
 )
 
 
+def _rate_text(frame_rate: float) -> str:
+    """A rate in six significant digits where that reads back exactly, in
+    full otherwise, since a layout's rate must equal the scenario's."""
+    text = f"{frame_rate:g}"
+    return text if float(text) == frame_rate else repr(frame_rate)
+
+
 def format_layout(units: tuple[SensorUnit, ...], frame_rate: float = DEFAULT_OVERRIDES.frame_rate) -> str:
     """Layout file text: comma-separated, angles in degrees, one unit per
     line; every unit's rate column is the scenario `frame_rate`."""
@@ -308,7 +315,7 @@ def format_layout(units: tuple[SensorUnit, ...], frame_rate: float = DEFAULT_OVE
                     f"{math.degrees(u.hfov):g}",
                     f"{math.degrees(u.vfov):g}",
                     f"{u.max_range:g}",
-                    f"{frame_rate:g}",
+                    _rate_text(frame_rate),
                     f"{u.latency:g}",
                 ]
             )
@@ -339,8 +346,8 @@ def parse_layout(text: str, frame_rate: float = DEFAULT_OVERRIDES.frame_rate) ->
             rate = float(cells[10])
             if rate != frame_rate:
                 raise ValueError(
-                    f"sensor {cells[0]!r} runs at {rate:g} Hz but "
-                    f"the scenario frame rate is {frame_rate:g} Hz"
+                    f"sensor {cells[0]!r} runs at {_rate_text(rate)} Hz but "
+                    f"the scenario frame rate is {_rate_text(frame_rate)} Hz"
                 )
             unit = SensorUnit(
                 sensor_id=cells[0],

@@ -10,10 +10,19 @@ occluder at a time, with nothing computed ahead. The contact references
 are the ``Vec2`` forms of the box overlap and gap on ``OrientedBox``
 footprints, every corner rebuilt wherever it is needed. The float kernels
 in ``vrusim.geometry`` must give the same bits.
+
+``live_run`` is the closed loop confirmed while the run goes, which the
+package defines instead as an observation pass followed by a run forced
+from the subset's first confirmation; the two must agree exactly.
+
+The small vector, pose, heatmap and match-count accessors at the top are
+the tests' own: the package reads none of them.
 """
 
 import math
+from typing import NamedTuple
 
+from vrusim.aeb import AebPolicy, _advance
 from vrusim.geometry import (
     _EPS,
     MountPose,
@@ -24,7 +33,36 @@ from vrusim.geometry import (
     Vec2,
     wrap_angle,
 )
+from vrusim.ingest import MatchCounts, MatchResult
+from vrusim.metrics import HeatmapMatrix
 from vrusim.scenario import ActorTrack, ScenarioSpec, WorldState
+from vrusim.sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
+
+
+def scaled(v: Vec2, k: float) -> Vec2:
+    return Vec2(v.x * k, v.y * k)
+
+
+def dot(a: Vec2, b: Vec2) -> float:
+    return a.x * b.x + a.y * b.y
+
+
+def norm(v: Vec2) -> float:
+    return math.hypot(v.x, v.y)
+
+
+def position(pose: Pose2) -> Vec2:
+    return Vec2(pose.x, pose.y)
+
+
+def heatmap_row(hm: HeatmapMatrix, sensor_id: str) -> tuple[bool, ...]:
+    return hm.cells[hm.sensor_ids.index(sensor_id)]
+
+
+def totals(result: MatchResult) -> MatchCounts:
+    """A match's counts summed over every (frame, sensor) cell."""
+    cells = result.counts.values()
+    return MatchCounts(sum(c.tp for c in cells), sum(c.fp for c in cells), sum(c.fn for c in cells))
 
 
 def unit_vector(angle: float) -> Vec2:
@@ -39,15 +77,15 @@ def axes(box: OrientedBox) -> tuple[Vec2, Vec2]:
 
 def corners(box: OrientedBox) -> tuple[Vec2, Vec2, Vec2, Vec2]:
     fwd, lat = axes(box)
-    dl = fwd.scaled(box.half_long)
-    dw = lat.scaled(box.half_lat)
+    dl = scaled(fwd, box.half_long)
+    dw = scaled(lat, box.half_lat)
     c = box.center
     return (c + dl + dw, c + dl - dw, c - dl - dw, c - dl + dw)
 
 
 def footprint(track: ActorTrack, pose: Pose2) -> OrientedBox:
     """A track's ground footprint at a pose."""
-    return OrientedBox(pose.position, track.length / 2, track.width / 2, pose.heading)
+    return OrientedBox(position(pose), track.length / 2, track.width / 2, pose.heading)
 
 
 def float_box(box: OrientedBox) -> tuple[float, float, float, float, float]:
@@ -56,7 +94,7 @@ def float_box(box: OrientedBox) -> tuple[float, float, float, float, float]:
 
 
 def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:
-    vals = [c.dot(axis) for c in corners(box)]
+    vals = [dot(c, axis) for c in corners(box)]
     return min(vals), max(vals)
 
 
@@ -87,20 +125,95 @@ def obb_separation(a: OrientedBox, b: OrientedBox) -> float:
 
 def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     seg = b - a
-    ln2 = seg.dot(seg)
+    ln2 = dot(seg, seg)
     if ln2 <= _EPS:
-        return (p - a).norm()
-    t = max(0.0, min(1.0, (p - a).dot(seg) / ln2))
-    return (p - (a + seg.scaled(t))).norm()
+        return norm(p - a)
+    t = max(0.0, min(1.0, dot(p - a, seg) / ln2))
+    return norm(p - (a + scaled(seg, t)))
 
 
-def world_at(spec: ScenarioSpec, t: float) -> WorldState:
-    """What a sensing frame at time t sees with braking disabled."""
-    vut_pose, _ = spec.vut_track.state_at(t)
+def world_at(spec: ScenarioSpec, t: float, vut_pose: Pose2 | None = None) -> WorldState:
+    """What a sensing frame at time t sees, from the vehicle at `vut_pose`
+    or, by default, where braking disabled puts it."""
+    if vut_pose is None:
+        vut_pose, _ = spec.vut_track.state_at(t)
     vru_pose, _ = spec.vru_track.state_at(t)
     vru = spec.vru_track
-    target = Silhouette(vru_pose.position, vru_pose.heading, vru.length, vru.width, vru.height)
+    target = Silhouette(position(vru_pose), vru_pose.heading, vru.length, vru.width, vru.height)
     return WorldState(t, vut_pose, target, spec.occluders)
+
+
+class LiveRun(NamedTuple):
+    trigger: float | None
+    travel: list[float]
+    speeds: list[float]
+    events_by_sensor: dict[str, list[DetectionEvent]]
+    avoided: bool
+
+
+def live_run(
+    spec: ScenarioSpec,
+    sensors: tuple[SensorUnit, ...],
+    model: DetectionModel,
+    policy: AebPolicy,
+    subset: tuple[str, ...],
+    dt: float = 0.005,
+) -> LiveRun:
+    """The closed loop of `subset`, confirmed while the run goes.
+
+    Every frame start senses from where the vehicle has got to; a sensor
+    of the subset confirms on the frame that completes a run of
+    ``policy.confirm_frames`` consecutive detections, and a confirmation
+    earlier than the trigger so far moves the braking onset earlier. The
+    frame's dt steps are then driven with `_advance` from the onset as it
+    stands, from t = 0 on. Returns the trigger, the vehicle's travel and
+    speed at t = 0 and at the end of every step, the events, and whether
+    the footprints never touch at any of those instants.
+    """
+    steps_per_frame = round(1.0 / spec.frame_rate / dt)
+    travelled, speed = 0.0, spec.vut_track.speed
+    times, travel, speeds = [0.0], [travelled], [speed]
+    events: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
+    run_len = {u.sensor_id: 0 for u in sensors}
+    trigger = onset = None
+    for frame in range(spec.n_frames):
+        t_frame = frame / spec.frame_rate
+        vut_pose, _ = spec.vut_track.pose_at_distance(travelled)
+        world = world_at(spec, t_frame, vut_pose)
+        for unit in sensors:
+            ev = sense_frame(unit, model, world, frame)
+            if ev is None:
+                run_len[unit.sensor_id] = 0
+                continue
+            events[unit.sensor_id].append(ev)
+            run_len[unit.sensor_id] += 1
+            confirmed = unit.sensor_id in subset and run_len[unit.sensor_id] == policy.confirm_frames
+            if confirmed and (trigger is None or ev.available_at < trigger):
+                trigger = ev.available_at
+                onset = trigger + policy.latency
+        if frame == spec.n_frames - 1:
+            break
+        for step in range(steps_per_frame):
+            t0 = t_frame + step * dt
+            t1 = t_frame + (step + 1) * dt
+            travelled, speed = _advance(travelled, speed, t0, t1, onset, policy.deceleration)
+            times.append(t1)
+            travel.append(travelled)
+            speeds.append(speed)
+    return LiveRun(trigger, travel, speeds, events, not any(touch(spec, t, d) for t, d in zip(times, travel)))
+
+
+def touch(spec: ScenarioSpec, t: float, travelled: float) -> bool:
+    """Whether the footprints overlap at time t with the vehicle
+    `travelled` metres along its path; boxes whose bounding circles lie a
+    metre apart are not tested."""
+    vut, vru = spec.vut_track, spec.vru_track
+    vut_pose, _ = vut.pose_at_distance(travelled)
+    vru_pose, _ = vru.state_at(t)
+    reach = math.hypot(vut.length / 2, vut.width / 2) + math.hypot(vru.length / 2, vru.width / 2) + 1.0
+    if norm(position(vru_pose) - position(vut_pose)) > reach:
+        return False
+    return obb_overlap(footprint(vut, vut_pose), footprint(vru, vru_pose))
 
 
 def nominal_collision_check(spec: ScenarioSpec) -> float | None:
@@ -171,8 +284,8 @@ def ray_blocked(
     rel = o - occluder.center
     t_lo, t_hi = 0.0, 1.0
     for axis, half in ((fwd, occluder.half_long), (lat, occluder.half_lat)):
-        d = span.dot(axis)
-        s = rel.dot(axis)
+        d = dot(span, axis)
+        s = dot(rel, axis)
         if abs(d) < _EPS:
             if abs(s) > half:
                 return False

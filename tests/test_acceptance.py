@@ -31,6 +31,7 @@ from vrusim.scenario import (
 )
 from vrusim.sensing import DetectionModel, default_vut_sensor, first_confirmed_time
 
+from oracles import heatmap_row, totals
 from sites import rsu
 
 POLICY = AebPolicy()
@@ -77,7 +78,7 @@ def test_every_cell_collides_without_sensing():
     checked = 0
     for kind, speed in all_cells():
         spec = build_scenario(kind, speed)
-        trace = simulate_run(spec, (), DetectionModel(), POLICY, (), sense=False)
+        trace = simulate_run(spec, (), DetectionModel(), POLICY, sense=False)
         out = trace.outcome
         assert not out.avoided, f"{kind.display_name}@{speed:g} avoided without sensing"
         assert out.collision_time is not None
@@ -98,7 +99,7 @@ def test_every_cell_collides_without_sensing():
 
 def vut_first_sight_distance(speed, model):
     spec = build_scenario(ScenarioKind.CBNA, speed)
-    trace = simulate_run(spec, (default_vut_sensor(),), model, POLICY, (), sense=True)
+    trace = simulate_run(spec, (default_vut_sensor(),), model, POLICY, sense=True)
     events = trace.events_by_sensor["vut"]
     assert events, f"vehicle camera never sees the cyclist at {speed:g} km/h"
     t = events[0].frame / spec.frame_rate
@@ -184,7 +185,7 @@ def test_adding_sensors_never_hurts():
     observed = []
     for kind, speed in cells:
         spec = build_scenario(kind, speed)
-        trace = simulate_run(spec, units, config.model, POLICY, (), sense=True)
+        trace = simulate_run(spec, units, config.model, POLICY, sense=True)
         observed.append((spec, trace.events_by_sensor, {}))
 
     def outcome(entry, subset):
@@ -192,7 +193,7 @@ def test_adding_sensors_never_hurts():
         fc = first_confirmed_time(events, POLICY.confirm_frames, subset)
         if fc not in memo:
             replay = simulate_run(
-                spec, (), config.model, POLICY, (),
+                spec, (), config.model, POLICY,
                 trigger_override=fc, sense=False,
             )
             memo[fc] = replay.outcome.avoided
@@ -283,7 +284,7 @@ def test_box_matching_agrees_with_exhaustive_enumeration():
         want = enumerated_matching(dets, gts, threshold, inclusive)
         got = {cell: (c.tp, c.fp, c.fn) for cell, c in result.counts.items()}
         assert got == want
-        total = result.totals()
+        total = totals(result)
         assert total.tp + total.fp == len(dets)
         assert total.tp + total.fn == len(gts)
         trials += 1
@@ -367,13 +368,13 @@ def test_greedy_placement_matches_exhaustive_search():
         avoided, accs = 0, []
         for spec in suite:
             units = tuple(s.to_unit() for s in site_subset)
-            trace = simulate_run(spec, units, model, POLICY, (), sense=True)
+            trace = simulate_run(spec, units, model, POLICY, sense=True)
             fc = first_confirmed_time(
                 trace.events_by_sensor, POLICY.confirm_frames,
                 tuple(u.sensor_id for u in units),
             )
             replay = simulate_run(
-                spec, (), model, POLICY, (), trigger_override=fc, sense=False,
+                spec, (), model, POLICY, trigger_override=fc, sense=False,
             )
             avoided += replay.outcome.avoided
             accs.append(accuracy(trace.events_by_sensor, spec.n_frames))
@@ -412,7 +413,7 @@ def test_heatmap_matches_hand_grid():
         [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     ]
     for sensor_id, row in zip(grid.sensor_ids, want):
-        assert list(grid.row(sensor_id)) == row
+        assert list(heatmap_row(grid, sensor_id)) == row
 
     csv = grid.to_csv().splitlines()
     assert csv[0].startswith("sensor,0.0,0.1,")

@@ -1,8 +1,9 @@
 """Braking and closed-loop run tests.
 
 Stopping distances are cross-checked by explicit Euler integration, and the
-forced-trigger decomposition (observation pass, then kinematic replay) is
-held to exact agreement with the live closed loop.
+closed loop as the package runs it (observation pass, first confirmation,
+then a run forced from it) is held to exact agreement with the loop that
+confirms while it goes (`oracles.live_run`).
 """
 
 import hashlib
@@ -38,7 +39,7 @@ from vrusim.scenario import (
 )
 from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
 
-from oracles import float_box, footprint, obb_overlap, obb_separation
+from oracles import float_box, footprint, live_run, norm, obb_overlap, obb_separation, position
 
 POLICY = AebPolicy()
 MODEL = DetectionModel()
@@ -56,6 +57,15 @@ def euler_stop(v0: float, policy: AebPolicy, dt: float) -> float:
 
 def rsu(name):
     return next(u for u in default_layout() if u.sensor_id == name)
+
+
+def closed_loop(spec, sensors, subset, dt=0.005):
+    """A subset's closed loop as the sweep scores it: the unbraked
+    observation pass, then a sensing run forced from the subset's first
+    confirmation in it. Returns both runs."""
+    watch = simulate_run(spec, sensors, MODEL, POLICY, dt=dt)
+    trigger = first_confirmed_time(watch.events_by_sensor, POLICY.confirm_frames, subset)
+    return watch, simulate_run(spec, sensors, MODEL, POLICY, dt=dt, trigger_override=trigger)
 
 
 # -------------------------------------------------------- stopping distance
@@ -103,7 +113,7 @@ def test_sensing_disabled_collides_at_nominal():
     for kind in ScenarioKind:
         for speed in allowed_speeds_kmh(kind):
             spec = build_scenario(kind, speed)
-            trace = simulate_run(spec, (), MODEL, POLICY, (), sense=False)
+            trace = simulate_run(spec, (), MODEL, POLICY, sense=False)
             assert trace.travel is spec.timeline(trace.dt).travel
             out = trace.outcome
             assert not out.avoided, (kind, speed)
@@ -114,7 +124,7 @@ def test_sensing_disabled_collides_at_nominal():
 def test_observation_pass_keeps_sensing_through_contact():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(), rsu("rsu1"))
-    trace = simulate_run(spec, sensors, MODEL, POLICY, ())
+    trace = simulate_run(spec, sensors, MODEL, POLICY)
     assert not trace.outcome.avoided
     last_event_frame = max(
         ev.frame for evs in trace.events_by_sensor.values() for ev in evs
@@ -130,7 +140,7 @@ def test_cbla_vut_only_avoids_at_every_speed():
     sensors = (default_vut_sensor(),)
     for speed in allowed_speeds_kmh(ScenarioKind.CBLA):
         spec = build_scenario(ScenarioKind.CBLA, speed)
-        trace = simulate_run(spec, sensors, MODEL, POLICY, ("vut",))
+        _, trace = closed_loop(spec, sensors, ("vut",))
         assert trace.outcome.avoided, speed
         assert trace.outcome.collision_speed == 0.0
         assert stop_margin(trace) > 0.0
@@ -139,7 +149,7 @@ def test_cbla_vut_only_avoids_at_every_speed():
 def test_cbna_fast_vut_only_collides_after_deadline():
     spec = build_scenario(ScenarioKind.CBNA, 60.0)
     sensors = (default_vut_sensor(),)
-    trace = simulate_run(spec, sensors, MODEL, POLICY, ("vut",))
+    _, trace = closed_loop(spec, sensors, ("vut",))
     assert not trace.outcome.avoided
     deadline = last_possible_brake_time(spec, POLICY)
     assert trace.first_confirmed_time is not None
@@ -149,7 +159,7 @@ def test_cbna_fast_vut_only_collides_after_deadline():
 def test_trigger_time_respects_confirmation():
     spec = build_scenario(ScenarioKind.CBNA, 30.0)
     sensors = (rsu("rsu1"),)
-    trace = simulate_run(spec, sensors, MODEL, POLICY, ("rsu1",))
+    _, trace = closed_loop(spec, sensors, ("rsu1",))
     assert trace.first_confirmed_time is not None
     assert trace.brake_trigger_time == pytest.approx(trace.first_confirmed_time + POLICY.latency)
 
@@ -158,7 +168,7 @@ def test_collision_speed_never_exceeds_initial():
     spec = build_scenario(ScenarioKind.CPNC50, 55.0)
     v0 = 55.0 * KMH
     for j in range(0, 80, 7):
-        trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=j / 10.0, sense=False)
+        trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=j / 10.0, sense=False)
         out = trace.outcome
         if not out.avoided:
             assert 0.0 <= out.collision_speed <= v0 + 1e-9
@@ -186,7 +196,7 @@ def test_braked_late_residual_speed_matches_closed_form():
     spec = static_obstacle_spec()
     v0 = 10.0
     trigger = 9.3
-    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=trigger, sense=False)
+    trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=trigger, sense=False)
     out = trace.outcome
     assert not out.avoided
     onset = trigger + POLICY.latency
@@ -204,7 +214,7 @@ def bumper_gap_at_stop(trigger: float) -> float:
 
 def test_early_trigger_stops_short_of_static_obstacle():
     spec = static_obstacle_spec()
-    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=8.4, sense=False)
+    trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=8.4, sense=False)
     assert trace.outcome.avoided
     # close stop: the margin is the exact face-to-face gap
     assert stop_margin(trace) == pytest.approx(bumper_gap_at_stop(8.4), abs=1e-6)
@@ -212,7 +222,7 @@ def test_early_trigger_stops_short_of_static_obstacle():
 
 def test_distant_stop_margin_is_a_lower_bound():
     spec = static_obstacle_spec()
-    trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=8.0, sense=False)
+    trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=8.0, sense=False)
     assert trace.outcome.avoided
     gap = bumper_gap_at_stop(8.0)
     margin = stop_margin(trace)
@@ -230,9 +240,9 @@ def test_last_possible_brake_definitional_boundary():
     t_last = last_possible_brake_time(spec, POLICY)
     assert t_last is not None
     assert 0.0 < t_last < spec.nominal_collision_time
-    at = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=t_last, sense=False)
+    at = simulate_run(spec, (), MODEL, POLICY, trigger_override=t_last, sense=False)
     late = simulate_run(
-        spec, (), MODEL, POLICY, (), trigger_override=t_last + 1.0 / spec.frame_rate, sense=False
+        spec, (), MODEL, POLICY, trigger_override=t_last + 1.0 / spec.frame_rate, sense=False
     )
     assert at.outcome.avoided
     assert not late.outcome.avoided
@@ -243,7 +253,7 @@ def test_avoidance_is_monotone_in_trigger_time():
         spec = build_scenario(kind, speed)
         flags = []
         for j in range(0, int(spec.nominal_collision_time * 10) + 2, 3):
-            trace = simulate_run(spec, (), MODEL, POLICY, (), trigger_override=j / 10.0, sense=False)
+            trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=j / 10.0, sense=False)
             flags.append(trace.outcome.avoided)
         # once a trigger is too late, every later trigger is too late
         assert flags == sorted(flags, reverse=True), (kind, speed)
@@ -264,6 +274,31 @@ def test_infeasible_when_no_trigger_helps():
 # ------------------------------------------------- decomposition equivalence
 
 
+def assert_matches_live_loop(spec, sensors, subset):
+    """The gate between the two forms of a subset's closed loop.
+
+    The loop that confirms while it goes triggers at the observation
+    pass's first confirmation, the sensing run forced from there drives
+    and senses exactly as it does, and a sensing-free replay from the same
+    trigger has the forced run's outcome and margin. Returns the forced
+    run.
+    """
+    live = live_run(spec, sensors, MODEL, POLICY, subset)
+    watch, forced = closed_loop(spec, sensors, subset)
+    trigger = first_confirmed_time(watch.events_by_sensor, POLICY.confirm_frames, subset)
+    assert live.trigger == trigger == forced.first_confirmed_time, subset
+    assert list(forced.travel) == live.travel, subset
+    assert list(forced.speeds) == live.speeds, subset
+    assert forced.events_by_sensor == live.events_by_sensor, subset
+    assert forced.outcome.avoided == live.avoided, subset
+    replay = simulate_run(spec, (), MODEL, POLICY, trigger_override=trigger, sense=False)
+    assert forced.brake_trigger_time == replay.brake_trigger_time
+    assert forced.outcome == replay.outcome, subset
+    if forced.outcome.avoided:
+        assert stop_margin(forced) == stop_margin(replay), subset
+    return forced
+
+
 @pytest.mark.parametrize(
     "speed, subset",
     [
@@ -280,20 +315,8 @@ def test_forced_replay_matches_live_loop(speed, subset):
     sensors = tuple(
         u for u in (default_vut_sensor(), *default_layout()) if u.sensor_id in subset
     )
-    live = simulate_run(spec, sensors, MODEL, POLICY, subset)
-
-    watch = simulate_run(spec, sensors, MODEL, POLICY, ())
-    t_conf = first_confirmed_time(watch.events_by_sensor, POLICY.confirm_frames, subset)
-    replay = simulate_run(
-        spec, sensors, MODEL, POLICY, (), trigger_override=t_conf, sense=False
-    )
-
-    assert t_conf is not None
-    assert live.first_confirmed_time == t_conf
-    assert live.brake_trigger_time == replay.brake_trigger_time
-    assert live.outcome == replay.outcome
-    if live.outcome.avoided:
-        assert stop_margin(live) == stop_margin(replay)
+    forced = assert_matches_live_loop(spec, sensors, subset)
+    assert forced.first_confirmed_time is not None
 
 
 @pytest.mark.parametrize(
@@ -301,25 +324,19 @@ def test_forced_replay_matches_live_loop(speed, subset):
     [(kind, speed) for kind in ScenarioKind for speed in allowed_speeds_kmh(kind)[::2]],
 )
 def test_live_and_replayed_runs_share_their_stop_margin(kind, speed):
-    # a margin is taken on a run's own steps, so the live run's and the
+    # a margin is taken on a run's own steps, so the forced run's and the
     # replay's agree bit for bit only if the two runs do
     spec = build_scenario(kind, speed)
     units = (default_vut_sensor(), *default_layout())
     # the default sweep's subsets: each unit alone, then all of them
     for subset in [(u.sensor_id,) for u in units] + [tuple(u.sensor_id for u in units)]:
         sensors = tuple(u for u in units if u.sensor_id in subset)
-        live = simulate_run(spec, sensors, MODEL, POLICY, subset)
-        replay = simulate_run(
-            spec, (), MODEL, POLICY, (), trigger_override=live.first_confirmed_time, sense=False
-        )
-        assert live.outcome == replay.outcome, subset
-        if live.outcome.avoided:
-            assert stop_margin(live) == stop_margin(replay), subset
+        assert_matches_live_loop(spec, sensors, subset)
 
 
 def test_stop_margin_rejects_a_run_that_made_contact():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
-    unbraked = simulate_run(spec, (), MODEL, POLICY, (), sense=False)
+    unbraked = simulate_run(spec, (), MODEL, POLICY, sense=False)
     assert not unbraked.outcome.avoided
     with pytest.raises(ValueError, match="contact"):
         stop_margin(unbraked)
@@ -349,7 +366,7 @@ def reference_replay(spec, policy, trigger, dt=0.005):
         nonlocal collision_time, collision_speed, margin
         vut_pose, _ = vut_track.pose_at_distance(travelled)
         vru_pose, _ = vru_track.state_at(t)
-        gap = (vru_pose.position - vut_pose.position).norm()
+        gap = norm(position(vru_pose) - position(vut_pose))
         if gap > near_field:
             margin = min(margin, gap - vut_r - vru_r)
             return False
@@ -398,7 +415,7 @@ def replay_cases(draw):
 
 def kernel_replay(spec, trigger, dt=0.005):
     """What a sweep reports for one trigger, in reference_replay's shape."""
-    trace = simulate_run(spec, (), MODEL, POLICY, (), dt=dt, trigger_override=trigger, sense=False)
+    trace = simulate_run(spec, (), MODEL, POLICY, dt=dt, trigger_override=trigger, sense=False)
     out = trace.outcome
     margin = stop_margin(trace) if out.avoided else None
     return out.avoided, out.collision_time, out.collision_speed, margin, trace.brake_trigger_time
@@ -509,9 +526,10 @@ def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
     assert got[3] < bumper_gap_at_stop(8.4) - 1e-7
 
 
-# the trace of a live braked run: sha256 of format_trace, as written
-# before the runs read the spec's timeline; the braking column and the
-# speeds come from the braked steps
+# the trace of a braked closed loop: sha256 of format_trace, as written
+# when the run still confirmed while it went, before the runs read the
+# spec's timeline; the braking column and the speeds come from the braked
+# steps
 LIVE_TRACE_DIGESTS = {
     (ScenarioKind.CBNA, 40.0, 0.0, ("rsu1",)):
         "dd0257776fb76d6c6a35cfbfcc1c4a959d4fb44db3790cf1f66cfe538538528b",
@@ -532,7 +550,7 @@ LIVE_TRACE_DIGESTS = {
 def test_live_braked_trace_bytes_are_pinned(case):
     kind, speed, yaw, subset = case
     spec = rotate_scenario(build_scenario(kind, speed), math.radians(yaw))
-    trace = simulate_run(spec, (default_vut_sensor(), *default_layout()), MODEL, POLICY, subset)
+    _, trace = closed_loop(spec, (default_vut_sensor(), *default_layout()), subset)
     text = format_trace(trace)
     assert trace.outcome.avoided
     assert any(line.split(",")[8] == "1" for line in text.splitlines()[3:])
@@ -547,14 +565,8 @@ def test_dt_validation():
     # 0.03 is not a divisor of the 0.1 s frame period
     for dt in (0.0, -0.005, 0.06, 0.03):
         with pytest.raises(ValueError):
-            simulate_run(spec, (), MODEL, POLICY, (), dt=dt)
+            simulate_run(spec, (), MODEL, POLICY, dt=dt)
     assert spec._timelines == {}
-
-
-def test_unknown_subset_sensor_rejected():
-    spec = build_scenario(ScenarioKind.CBNA, 40.0)
-    with pytest.raises(ValueError, match="nope"):
-        simulate_run(spec, (default_vut_sensor(),), MODEL, POLICY, ("nope",))
 
 
 def test_policy_validation():

@@ -262,6 +262,29 @@ def test_placement_writes_the_scenario_rate(tmp_path):
     assert len(units) == 1
 
 
+def test_placement_layout_reads_back_at_a_rate_six_digits_cannot_hold(tmp_path):
+    rate = 1 / 0.07
+    cfg = cfg_file(
+        tmp_path,
+        {
+            "scenarios": ["CBNA"],
+            "speeds_kmh": [40],
+            "dt_s": 0.0035,
+            "scenario_overrides": {"frame_rate": rate},
+        },
+    )
+    out = tmp_path / "p"
+    rc = main(
+        [
+            "placement", "--config", cfg, "--candidates", candidates_file(tmp_path, frame_rate=rate),
+            "--budget", "1", "--out", str(out), "-q",
+        ]
+    )
+    assert rc == 0
+    units = read_layout(str(out / "selected_layout.txt"), rate, "selected_layout.txt")
+    assert len(units) == 1
+
+
 RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
 
 

@@ -29,7 +29,7 @@ from vrusim.geometry import (
 )
 
 import oracles
-from oracles import axes, corners, float_box, in_frustum, ray_blocked, unit_vector
+from oracles import axes, corners, dot, float_box, in_frustum, ray_blocked, scaled, unit_vector
 
 
 # ---------------------------------------------------------------- oracles
@@ -132,8 +132,8 @@ def dense_ray_fraction(pose, hfov, vfov, rng, target, occluders, density=10):
                     )
                     qz = origin[2] + (pz - origin[2]) * t
                     inside = (
-                        abs(d.dot(fwd_axis)) <= occ.half_long + 1e-9
-                        and abs(d.dot(lat_axis)) <= occ.half_lat + 1e-9
+                        abs(dot(d, fwd_axis)) <= occ.half_long + 1e-9
+                        and abs(dot(d, lat_axis)) <= occ.half_lat + 1e-9
                     )
                     if inside and qz < occ.height - 1e-9:
                         blocked = True
@@ -246,7 +246,7 @@ def box_pairs(draw):
             offset = draw(st.floats(-a.half_lat, a.half_lat))
         else:
             offset = draw(st.sampled_from((1.0, -1.0))) * (a.half_lat + across)
-        center = a.center + fwd.scaled(side * (a.half_long + along)) + lat.scaled(offset)
+        center = a.center + scaled(fwd, side * (a.half_long + along)) + scaled(lat, offset)
     return a, OrientedBox(center, half_long, half_lat, b_heading)
 
 
@@ -285,7 +285,7 @@ def test_projection_gap_is_exact_face_to_face(heading):
     a = OrientedBox(Vec2(1.0, -2.0), 2.25, 0.9, heading)
     fwd, lat = axes(a)
     # b sits 0.8 m beyond a's front face, turned a quarter, and slid sideways
-    b = OrientedBox(a.center + fwd.scaled(2.25 + 0.8 + 0.25) + lat.scaled(0.3), 0.9, 0.25, heading + math.pi / 2)
+    b = OrientedBox(a.center + scaled(fwd, 2.25 + 0.8 + 0.25) + scaled(lat, 0.3), 0.9, 0.25, heading + math.pi / 2)
     got = obb_gap_bound(float_box(a), float_box(b))
     assert got == pytest.approx(0.8, abs=1e-12)
     assert got == pytest.approx(obb_separation(float_box(a), float_box(b)), abs=1e-12)
@@ -360,7 +360,7 @@ def test_point_beyond_range_excluded():
 def test_point_on_horizontal_boundary_included():
     pose = MountPose(0, 0, 0, 0.0, 0.0)
     hfov = math.radians(90)
-    p = unit_vector(hfov / 2).scaled(10.0)
+    p = scaled(unit_vector(hfov / 2), 10.0)
     assert in_frustum(pose, hfov, math.radians(60), 100.0, (p.x, p.y, 0.0))
 
 

@@ -15,11 +15,14 @@ from vrusim.ingest import (
     GROUND_TRUTH_HEADER,
     ExternalDetection,
     GroundTruthRecord,
+    MatchCounts,
     match_detections,
     parse_detection_log,
     parse_ground_truth,
 )
 from vrusim.sensing import confirm_stream, first_confirmed_time
+
+from oracles import totals
 
 
 def det(frame, sensor, label, x0, y0, x1, y1, conf=0.9):
@@ -144,8 +147,8 @@ def test_identical_box_is_tp():
         [det(0, "cam0", "pedestrian", 10, 20, 40, 90)],
         [gt(0, "cam0", "vru", "pedestrian", 10, 20, 40, 90)],
     )
-    assert res.totals() == (res.counts[(0, "cam0")])
-    assert res.totals().tp == 1 and res.totals().fp == 0 and res.totals().fn == 0
+    assert totals(res) == (res.counts[(0, "cam0")])
+    assert totals(res).tp == 1 and totals(res).fp == 0 and totals(res).fn == 0
     assert res.pairs[0].iou == pytest.approx(1.0)
 
 
@@ -155,8 +158,8 @@ def test_low_iou_is_fp_plus_fn():
         [det(0, "cam0", "pedestrian", 0, 0, 10, 10)],
         [gt(0, "cam0", "vru", "pedestrian", 8, 8, 18, 18)],
     )
-    assert res.totals() == res.counts[(0, "cam0")]
-    assert (res.totals().tp, res.totals().fp, res.totals().fn) == (0, 1, 1)
+    assert totals(res) == res.counts[(0, "cam0")]
+    assert (totals(res).tp, totals(res).fp, totals(res).fn) == (0, 1, 1)
     assert res.events == ()
 
 
@@ -168,7 +171,7 @@ def test_double_detection_one_tp_one_fp():
         ],
         [gt(0, "cam0", "vru", "pedestrian", 10, 20, 40, 90)],
     )
-    assert (res.totals().tp, res.totals().fp, res.totals().fn) == (1, 1, 0)
+    assert (totals(res).tp, totals(res).fp, totals(res).fn) == (1, 1, 0)
     assert res.pairs[0].detection_index == 0
 
 
@@ -177,15 +180,15 @@ def test_label_mismatch_never_matches():
         [det(0, "cam0", "car", 10, 20, 40, 90)],
         [gt(0, "cam0", "vru", "pedestrian", 10, 20, 40, 90)],
     )
-    assert (res.totals().tp, res.totals().fp, res.totals().fn) == (0, 1, 1)
+    assert (totals(res).tp, totals(res).fp, totals(res).fn) == (0, 1, 1)
 
 
 def test_threshold_is_strict_with_inclusive_option():
     # intersection 1, union 2: IoU exactly 0.5
     d = [det(0, "cam0", "pedestrian", 0, 0, 2, 1)]
     g = [gt(0, "cam0", "vru", "pedestrian", 0, 0, 1, 1)]
-    assert match_detections(d, g).totals().tp == 0
-    assert match_detections(d, g, inclusive=True).totals().tp == 1
+    assert totals(match_detections(d, g)).tp == 0
+    assert totals(match_detections(d, g, inclusive=True)).tp == 1
 
 
 def test_cells_without_counterpart():
@@ -193,8 +196,8 @@ def test_cells_without_counterpart():
         [det(0, "cam0", "pedestrian", 0, 0, 1, 1)],
         [gt(1, "cam0", "vru", "pedestrian", 0, 0, 1, 1)],
     )
-    assert res.counts[(0, "cam0")] == type(res.totals())(0, 1, 0)
-    assert res.counts[(1, "cam0")] == type(res.totals())(0, 0, 1)
+    assert res.counts[(0, "cam0")] == MatchCounts(0, 1, 0)
+    assert res.counts[(1, "cam0")] == MatchCounts(0, 0, 1)
 
 
 def random_fixture(rng):
@@ -250,7 +253,7 @@ def test_raising_threshold_never_increases_tp():
     for _ in range(60):
         dets, gts = random_fixture(rng)
         tps = [
-            match_detections(dets, gts, iou_threshold=t).totals().tp
+            totals(match_detections(dets, gts, iou_threshold=t)).tp
             for t in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert tps == sorted(tps, reverse=True)
@@ -283,7 +286,7 @@ def test_tp_events_feed_the_confirmation_rule():
     gts.append(gt(2, "cam0", "bg7", "car", 200, 10, 260, 60))
 
     res = match_detections(dets, gts)
-    assert res.totals().tp == 6
+    assert totals(res).tp == 6
     assert len(res.events) == 5
     ev0 = res.events[0]
     assert ev0.target_id == "vru"

@@ -17,6 +17,8 @@ from vrusim.metrics import (
 from vrusim.scenario import ScenarioKind, build_scenario
 from vrusim.sensing import DetectionEvent, DetectionModel, default_layout, default_vut_sensor
 
+from oracles import heatmap_row
+
 POLICY = AebPolicy()
 MODEL = DetectionModel()
 
@@ -149,7 +151,7 @@ def test_heatmap_matches_hand_matrix():
         (False, False, False, False, False),
     )
     assert hm.deadline_col == 3
-    assert hm.row("rsu1") == hm.cells[1]
+    assert heatmap_row(hm, "rsu1") == hm.cells[1]
 
 
 def test_heatmap_deadline_lands_on_its_frame_at_25_hz():
@@ -165,12 +167,12 @@ def test_heatmap_from_real_run_recounts_and_spans_duration():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(), *default_layout())
     lpbt = last_possible_brake_time(spec, POLICY)
-    trace = simulate_run(spec, sensors, MODEL, POLICY, ())
+    trace = simulate_run(spec, sensors, MODEL, POLICY)
     hm = heatmap_of(trace.events_by_sensor, spec.n_frames, lpbt, spec.frame_rate)
     assert len(hm.sensor_ids) == 13
     assert hm.sensor_ids[0] == "vut"
     for sensor_id in hm.sensor_ids:
-        assert sum(hm.row(sensor_id)) == len(trace.events_by_sensor[sensor_id])
+        assert sum(heatmap_row(hm, sensor_id)) == len(trace.events_by_sensor[sensor_id])
     # columns cover the configured duration to within one frame
     assert abs(hm.n_frames / spec.frame_rate - spec.sim_duration) <= 1.0 / spec.frame_rate
     assert hm.deadline_col == math.floor(lpbt * spec.frame_rate)
@@ -179,7 +181,7 @@ def test_heatmap_from_real_run_recounts_and_spans_duration():
 def test_heatmap_all_false_without_sensing():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
     sensors = (default_vut_sensor(),)
-    trace = simulate_run(spec, sensors, MODEL, POLICY, (), sense=False)
+    trace = simulate_run(spec, sensors, MODEL, POLICY, sense=False)
     hm = heatmap_of(trace.events_by_sensor, spec.n_frames, None, spec.frame_rate)
     assert not any(any(row) for row in hm.cells)
 
@@ -192,6 +194,22 @@ def test_heatmap_csv_roundtrip():
     assert lines[1] == "vut,0,1,0"
     assert lines[2] == "rsu3,1,0,1"
     assert hm.deadline_col is None
+
+
+@pytest.mark.parametrize(
+    "frame_rate, labels",
+    [
+        (10.0, "0.0,0.1,0.2,0.3,0.4,0.5"),
+        (20.0, "0.00,0.05,0.10,0.15,0.20,0.25"),
+        (25.0, "0.00,0.04,0.08,0.12,0.16,0.20"),
+        (3.0, "0.000000,0.333333,0.666667,1.000000,1.333333,1.666667"),
+    ],
+    ids=["10hz", "20hz", "25hz", "3hz"],
+)
+def test_heatmap_csv_labels_every_frame_apart(frame_rate, labels):
+    # one decimal printed 25 Hz frames as 0.0,0.0,0.1,0.1,0.2
+    hm = heatmap_of({"vut": []}, 6, lpbt=None, frame_rate=frame_rate)
+    assert hm.to_csv().split("\n")[0] == "sensor," + labels
 
 
 def test_heatmap_ppm_pixels():

@@ -4,7 +4,8 @@ The engineered suite below has one standing pedestrian per cell, spaced
 100 m apart, with detection gates zeroed so a site's coverage is purely
 range and field of view.  That makes singleton and fused scores exactly
 predictable, and an exhaustive oracle re-simulates every subset with the
-live closed loop rather than the replay path used in production.
+loop that confirms while it goes (`oracles.live_run`) rather than the
+replay path used in production.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from vrusim.scenario import (
 )
 from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor
 
+from oracles import live_run
 from sites import rsu
 
 POLICY = AebPolicy()
@@ -75,15 +77,15 @@ SITES = candidate_sites_from_units((
 
 
 def live_performance(subset):
-    """Closed-loop re-evaluation of a subset, independent of the replay path."""
+    """Closed-loop re-evaluation of a subset by the loop that confirms while
+    it goes, independent of the replay path."""
     units = tuple(s.to_unit() for s in SITES if s.site_id in subset)
     avoided = 0
     acc_sum = 0.0
     for spec in SUITE:
-        trace = simulate_run(spec, units, OPEN_GATES, POLICY, subset)
-        if trace.outcome.avoided:
+        if live_run(spec, units, OPEN_GATES, POLICY, subset).avoided:
             avoided += 1
-        watch = simulate_run(spec, units, OPEN_GATES, POLICY, ())
+        watch = simulate_run(spec, units, OPEN_GATES, POLICY)
         frames_seen = {ev.frame for evs in watch.events_by_sensor.values() for ev in evs}
         acc_sum += len(frames_seen) / spec.n_frames
     return avoided / len(SUITE), acc_sum / len(SUITE)

@@ -22,7 +22,7 @@ from vrusim.scenario import (
     rotate_scenario,
 )
 
-from oracles import footprint, nominal_collision_check, obb_overlap, world_at
+from oracles import footprint, nominal_collision_check, norm, obb_overlap, world_at
 
 ALL_CELLS = [
     (kind, speed)
@@ -111,7 +111,7 @@ def test_centers_reach_conflict_simultaneously():
         spec = build_scenario(kind, speed)
         arrivals = []
         for track in (spec.vut_track, spec.vru_track):
-            start_d = (track.path[0] - spec.conflict_point).norm()
+            start_d = norm(track.path[0] - spec.conflict_point)
             arrivals.append(start_d / track.speed)
         assert abs(arrivals[0] - arrivals[1]) <= 1.0 / spec.frame_rate, (kind, speed)
 
@@ -122,7 +122,7 @@ def test_start_distance_rule():
         spec = build_scenario(kind, speed)
         v = speed * KMH
         want = max(8.0 * v, 60.0)
-        got = (spec.vut_track.path[0] - spec.conflict_point).norm()
+        got = norm(spec.vut_track.path[0] - spec.conflict_point)
         assert got == pytest.approx(want, abs=1e-9), (kind, speed)
 
 
@@ -206,7 +206,7 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
         world = world_at(spec, t)
         sil = world.vru_silhouette
         frac = geometric_fraction((world.vut_pose.x, world.vut_pose.y), sil, spec.occluders)
-        dist = (sil.anchor - spec.conflict_point).norm()
+        dist = norm(sil.anchor - spec.conflict_point)
         if frac >= 0.5:
             first_visible_dist = dist
             break
@@ -274,7 +274,7 @@ def test_rotation_preserves_relative_timeline():
     assert first_overlap_fine(rot) == pytest.approx(first_overlap_fine(spec), abs=1e-9)
     # occluder carried along
     w0, w1 = spec.occluders[0], rot.occluders[0]
-    assert w1.center.norm() == pytest.approx(w0.center.norm())
+    assert norm(w1.center) == pytest.approx(norm(w0.center))
     assert w1.heading == pytest.approx(w0.heading + math.pi / 2)
 
 

@@ -28,12 +28,12 @@ from vrusim.sensing import (
     sense_frame,
 )
 
-from oracles import world_at
+from oracles import norm, position, world_at
 
 
 def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=(), time=0.0):
     length, width, height = vru_dims
-    vru = Silhouette(vru_pose.position, vru_pose.heading, length, width, height)
+    vru = Silhouette(position(vru_pose), vru_pose.heading, length, width, height)
     return WorldState(time, vut_pose, vru, tuple(occluders))
 
 
@@ -144,7 +144,7 @@ def test_width_matches_endpoint_oracle_for_random_poses():
             rnd.uniform(0.2, 1.0),
             1.8,
         )
-        if target.anchor.norm() < 1.0:
+        if norm(target.anchor) < 1.0:
             continue
         assert apparent_angular_width(pose, target, ground_range(pose, target)) == pytest.approx(
             endpoint_span(pose, target), abs=1e-9
@@ -333,6 +333,18 @@ def test_layout_roundtrip():
             assert a.pose.yaw == pytest.approx(b.pose.yaw)
             assert a.hfov == pytest.approx(b.hfov)
             assert a.latency == pytest.approx(b.latency)
+
+
+def test_layout_rate_reads_back_at_any_scenario_rate():
+    # 1/0.07 Hz needs more than the six digits the other columns get; the
+    # rates that six digits hold keep their bytes
+    units = default_layout()[:2]
+    for rate, text in ((1 / 0.07, "14.285714285714285"), (10.0, "10"), (20.0, "20"), (25.0, "25")):
+        layout = format_layout(units, rate)
+        assert {line.split(",")[10] for line in layout.splitlines()[1:]} == {text}
+        assert [u.sensor_id for u in parse_layout(layout, rate)] == ["rsu0", "rsu1"]
+    with pytest.raises(ValueError, match="runs at 14 Hz but the scenario frame rate is 14.285714285714285 Hz"):
+        parse_layout(format_layout(units, 14.0), 1 / 0.07)
 
 
 def test_layout_parse_errors_name_lines():

@@ -1,8 +1,10 @@
-"""Source hygiene: every public module-level name in the package is used.
+"""Source hygiene: every public name in the package is used.
 
 A public function or class that no module of the package references, and
 that no ``__all__`` exports, is code that only tests (or nothing) run; it
-belongs in the tests or nowhere.
+belongs in the tests or nowhere. The same holds for a public method or
+property of a package class whose name no module of the package reads as
+an attribute.
 """
 
 import ast
@@ -33,8 +35,12 @@ def exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def package_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def unused_public_definitions() -> list[str]:
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    modules = package_modules()
     exported = set().union(*(exported_names(tree) for tree in modules.values()))
     # (module, statement, names it references), one per top-level statement
     statements = [
@@ -54,3 +60,25 @@ def unused_public_definitions() -> list[str]:
 
 def test_every_public_definition_is_used_or_exported():
     assert unused_public_definitions() == []
+
+
+def unread_public_members() -> list[str]:
+    modules = package_modules()
+    read = {sub.attr for tree in modules.values() for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+    unread = []
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (
+                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not stmt.name.startswith("_")
+                    and stmt.name not in read
+                ):
+                    unread.append(f"{module}.{cls.name}.{stmt.name}")
+    return unread
+
+
+def test_every_public_method_is_read_by_the_package():
+    assert unread_public_members() == []
