@@ -8,7 +8,7 @@ reproducible byte for byte.
 """
 
 from ._version import __version__
-from .aeb import AebPolicy, SafetyOutcome, simulate_run, stopping_distance
+from .aeb import AebPolicy, SafetyOutcome, simulate_run
 from .config import ConfigError, RunConfig, load_config
 from .harness import emit_reports, run_sweep
 from .metrics import accuracy, avoidance_rate, mean_detections_per_frame
@@ -20,7 +20,6 @@ __all__ = [
     "AebPolicy",
     "SafetyOutcome",
     "simulate_run",
-    "stopping_distance",
     "ConfigError",
     "RunConfig",
     "load_config",

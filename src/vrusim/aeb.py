@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .geometry import Box, obb_gap_bound, obb_overlap, obb_separation, wrap_angle
 from .scenario import ActorTrack, ScenarioSpec, Timeline, WorldState
-from .sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
+from .sensing import DetectionEvent, DetectionModel, SensorUnit, reach, sense_frame
 
 log = logging.getLogger(__name__)
 
@@ -70,13 +70,6 @@ class RunTrace:
     dt: float
     travel: array[float]
     speeds: array[float]
-
-
-def stopping_distance(v: float, policy: AebPolicy) -> float:
-    """Travel between the brake command and standstill."""
-    if v < 0:
-        raise ValueError("speed must be non-negative")
-    return v * policy.latency + v * v / (2.0 * policy.deceleration)
 
 
 def _braked_advance(speed: float, tau: float, decel: float) -> tuple[float, float]:
@@ -192,6 +185,56 @@ def _first_contact(
     return None
 
 
+def _sense_frames(
+    spec: ScenarioSpec,
+    sensors: tuple[SensorUnit, ...],
+    model: DetectionModel,
+    frame_travel: array[float],
+) -> dict[str, list[DetectionEvent]]:
+    """Each unit's detections over a run's frames, the vehicle
+    `frame_travel[f]` along its path at frame f.
+
+    A roadside unit's pose is fixed, and the VRU's anchor moves no faster
+    than its speed, so its ground range to the unit changes no faster
+    either. From a frame whose anchor lies beyond the unit's `reach` (plus
+    _CULL_MARGIN) by g, no frame within (g - _CULL_MARGIN) / speed can pass
+    that unit's range and size gates, and the scan bisects past them
+    without sensing: they would draw no detection, and the miss coin is
+    stateless per (seed, sensor, frame), so no other frame changes.
+    """
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
+    worlds = [
+        WorldState(t, vut_track.pose_at_distance(frame_travel[frame])[0], vru_track.silhouette_at(t), spec.occluders)
+        for frame, t in enumerate(times)
+    ]
+    vru_speed = vru_track.speed
+    n = len(worlds)
+    events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
+    for unit in sensors:
+        events = events_by_sensor[unit.sensor_id]
+        fixed = unit.mount == "rsu"
+        if fixed:
+            sx, sy = unit.pose.x, unit.pose.y
+            far = reach(unit, model, worlds[0].vru_silhouette) + _CULL_MARGIN
+        frame = 0
+        while frame < n:
+            world = worlds[frame]
+            if fixed:
+                anchor = world.vru_silhouette.anchor
+                gap = math.hypot(anchor.x - sx, anchor.y - sy) - far
+                if gap > 0.0:
+                    if vru_speed <= 0.0:
+                        break
+                    frame = bisect_left(times, times[frame] + (gap - _CULL_MARGIN) / vru_speed, frame + 1)
+                    continue
+            ev = sense_frame(unit, model, world, frame)
+            if ev is not None:
+                events.append(ev)
+            frame += 1
+    return events_by_sensor
+
+
 def simulate_run(
     spec: ScenarioSpec,
     sensors: tuple[SensorUnit, ...],
@@ -206,10 +249,11 @@ def simulate_run(
     `trigger_override` is the confirmation instant the maneuver starts
     from (plus the policy latency), or None for an unbraked run. A
     sensing run (``sense=True``) also senses every frame along its own
-    path and drives through contact; it never confirms, so it brakes only
-    from the trigger it is given. A sensing-free run senses nothing.
-    Either way the outcome reports the first contact; the stop margin of
-    a run that avoids is `stop_margin`'s.
+    path, bar the roadside frames `_sense_frames` rules out, and drives
+    through contact; it never confirms, so it brakes only from the
+    trigger it is given. A sensing-free run senses nothing. Either way the
+    outcome reports the first contact; the stop margin of a run that
+    avoids is `stop_margin`'s.
 
     A subset's closed loop is three steps: the unbraked observation pass,
     `first_confirmed_time` over its events, then a run forced from that
@@ -228,17 +272,10 @@ def simulate_run(
     speeds = array("d", [spec.vut_track.speed]) * len(travel)
     if brake_onset is not None:
         travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset)
-    events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     if sense:
-        vut_track, vru_track = spec.vut_track, spec.vru_track
-        for frame in range(spec.n_frames):
-            t_frame = frame / spec.frame_rate
-            vut_pose, _ = vut_track.pose_at_distance(travel[frame * timeline.steps_per_frame])
-            world = WorldState(t_frame, vut_pose, vru_track.silhouette_at(t_frame), spec.occluders)
-            for unit in sensors:
-                ev = sense_frame(unit, model, world, frame)
-                if ev is not None:
-                    events_by_sensor[unit.sensor_id].append(ev)
+        events_by_sensor = _sense_frames(spec, sensors, model, travel[:: timeline.steps_per_frame])
+    else:
+        events_by_sensor = {u.sensor_id: [] for u in sensors}
 
     # the first contact fixes the outcome; a sensing run has sensed on to
     # its last frame regardless
@@ -381,17 +418,18 @@ def last_possible_brake_time(
 
 
 def format_trace(trace: RunTrace) -> str:
-    """Render the sweep's unbraked observation pass as line-oriented text
-    for external plotting.
+    """Render a sensing run as line-oriented text for external plotting.
 
-    Comment lines carry the run summary; the first says which pass this is,
-    since no subset brakes in it (each subset's outcome is in the summary).
-    The header row names the columns, one ``det_<sensor>`` flag column per
-    sensor in the trace's order.
+    Comment lines carry the run summary; the first says which pass this is:
+    ``unbraked_observation`` for a run with no brake trigger, such as the
+    sweep's observation pass (each subset's outcome is in the summary), and
+    ``braked`` otherwise. The header row names the columns, one
+    ``det_<sensor>`` flag column per sensor in the trace's order.
     """
     out = trace.outcome
+    kind = "unbraked_observation" if trace.brake_trigger_time is None else "braked"
     head = [
-        "# pass=unbraked_observation"
+        f"# pass={kind}"
         f" scenario={trace.spec.kind.display_name}"
         f" vut_speed_mps={trace.spec.vut_track.speed:.6f}"
         f" frame_rate_hz={trace.spec.frame_rate:g}",

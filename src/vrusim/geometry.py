@@ -305,36 +305,57 @@ def visible_fraction(
             axes.append((ax, ay, -half - s, half - s, abs(s) > half))
         slabs.append((height - _EPS, axes))
 
-    n = len(target.points)
+    points = target.points
+    n = len(points)
     reachable = n  # points not yet ruled out
-    for px, py, pz in target.points:
-        dx, dy, dz = px - ox, py - oy, pz - oz
-        seen = math.sqrt(dx * dx + dy * dy + dz * dz) <= reach
-        if seen:
-            horiz = math.hypot(dx, dy)
-            if horiz >= _EPS or abs(dz) >= _EPS:
-                # wrap_angle is the identity on (-pi, pi]
-                bearing = math.atan2(dy, dx) - yaw
-                if not -math.pi < bearing <= math.pi:
-                    bearing = wrap_angle(bearing)
-                seen = abs(bearing) <= half_h
+    # a column's points share their ground position, so its ground range,
+    # bearing decision and slab crossings serve all of its rows
+    for col in range(0, n, _SILHOUETTE_ROWS):
+        px, py, _ = points[col]
+        dx, dy = px - ox, py - oy
+        ground2 = dx * dx + dy * dy
+        horiz = math.hypot(dx, dy)
+        # wrap_angle is the identity on (-pi, pi]
+        bearing = math.atan2(dy, dx) - yaw
+        if not -math.pi < bearing <= math.pi:
+            bearing = wrap_angle(bearing)
+        ahead = abs(bearing) <= half_h
+        if not ahead and horiz >= _EPS:
+            # no row is at the sensor origin, so every row is outside
+            reachable -= _SILHOUETTE_ROWS
+            if reachable / n < floor:
+                return reachable / n
+            continue
+        crossings = None
+        for _, _, pz in points[col : col + _SILHOUETTE_ROWS]:
+            dz = pz - oz
+            seen = math.sqrt(ground2 + dz * dz) <= reach
+            if seen and (horiz >= _EPS or abs(dz) >= _EPS):
+                seen = ahead
                 if seen:
                     elevation = math.atan2(dz, horiz) - pitch
                     if not -math.pi < elevation <= math.pi:
                         elevation = wrap_angle(elevation)
                     seen = abs(elevation) <= half_v
-        if seen and slabs:
-            seen = not _sight_line_blocked(dx, dy, dz, oz, slabs)
-        if not seen:
-            reachable -= 1
-            if reachable / n < floor:
-                break
+            if seen and slabs:
+                if crossings is None:
+                    crossings = _slab_crossings(dx, dy, slabs)
+                for top, t_lo, t_hi in crossings:
+                    if oz + dz * t_lo < top or oz + dz * t_hi < top:
+                        seen = False
+                        break
+            if not seen:
+                reachable -= 1
+                if reachable / n < floor:
+                    return reachable / n
     return reachable / n
 
 
-def _sight_line_blocked(dx: float, dy: float, dz: float, oz: float, slabs) -> bool:
-    """Whether the segment from the sensor at height `oz` along (dx, dy, dz)
-    passes below the top of any occluder slab set from visible_fraction."""
+def _slab_crossings(dx: float, dy: float, slabs) -> list[tuple[float, float, float]]:
+    """(top - _EPS, t_lo, t_hi) for each occluder slab set from
+    visible_fraction whose footprint the ground sight line from the sensor
+    along (dx, dy) crosses, over [t_lo, t_hi] of its length."""
+    out = []
     for top, axes in slabs:
         t_lo, t_hi = 0.0, 1.0
         for ax, ay, lo, hi, outside in axes:
@@ -354,6 +375,5 @@ def _sight_line_blocked(dx: float, dy: float, dz: float, oz: float, slabs) -> bo
             if t_lo > t_hi:
                 break
         else:
-            if oz + dz * t_lo < top or oz + dz * t_hi < top:
-                return True
-    return False
+            out.append((top, t_lo, t_hi))
+    return out

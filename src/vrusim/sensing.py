@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction
+from .geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction, wrap_angle
 from .scenario import DEFAULT_OVERRIDES, WorldState
 
 SENSOR_IMAGE_WIDTH_PX = 1920
@@ -120,6 +120,59 @@ def apparent_angular_height(sensor_pose: MountPose, target: Silhouette, dist: fl
     return 2.0 * math.atan2(target.height / 2.0, slant)
 
 
+def _pad(distance: float) -> float:
+    """A distance bound widened far past the rounding of the gates it bounds."""
+    return distance * (1.0 + 1e-9) + 1e-6
+
+
+def _size_range(extent: float, angle: float) -> float:
+    """Greatest ground or slant range at which `extent` subtends `angle`;
+    unbounded for an angle of 0 (or one whose half rounds to 0)."""
+    half = angle / 2.0
+    if half >= math.pi / 2.0:
+        return 0.0
+    tangent = math.tan(half)
+    return extent / 2.0 / tangent if tangent > 0.0 else math.inf
+
+
+def reach(sensor: SensorUnit, model: DetectionModel, target: Silhouette) -> float:
+    """Largest anchor ground range from the sensor at which the range,
+    apparent-width and apparent-height gates of `sense_frame` can all pass
+    for a target of this size, padded for rounding.
+
+    The perpendicular extent a target shows is at most hypot(length,
+    width), and both apparent sizes only fall as the range grows, so a
+    target whose anchor lies farther away fails one of the three gates
+    whatever its heading.
+    """
+    widest = math.hypot(target.length, target.width)
+    # the slant bound is padded before the subtraction, which cancels where
+    # the sensor barely sees the target tall enough from straight above
+    slant = _pad(_size_range(target.height, model.min_apparent_height))
+    rise = sensor.pose.z - target.height / 2.0
+    return _pad(
+        min(
+            sensor.max_range + target.length / 2.0,
+            _size_range(widest, model.min_apparent_width),
+            math.sqrt(max(slant * slant - rise * rise, 0.0)),
+        )
+    )
+
+
+def _outside_aperture(pose: MountPose, hfov: float, target: Silhouette, dx: float, dy: float, dist: float) -> bool:
+    """Whether every sample point of a target whose anchor lies (dx, dy)
+    from the sensor, `dist` away, is outside the horizontal aperture.
+
+    Each point lies within length / 3 of the anchor, so from beyond one
+    target length its bearing is within asin(length / (2 * dist)) of the
+    anchor's; the 1e-6 rad margin dwarfs the rounding of either bearing.
+    """
+    if dist <= target.length:
+        return False
+    off = abs(wrap_angle(math.atan2(dy, dx) - pose.yaw))
+    return off > hfov / 2.0 + math.asin(target.length / (2.0 * dist)) + 1e-6
+
+
 def _miss_coin(seed: int, sensor_id: str, frame: int) -> float:
     """Stateless per-(sensor, frame) uniform draw in [0, 1)."""
     digest = hashlib.sha256(f"{seed}:{sensor_id}:{frame}".encode()).digest()
@@ -151,6 +204,10 @@ def sense_frame(
         return None
     height = apparent_angular_height(pose, target, dist)
     if height < model.min_apparent_height:
+        return None
+
+    # a frame none of whose points can be seen has fraction 0.0
+    if model.min_visible_fraction > 0.0 and _outside_aperture(pose, sensor.hfov, target, dx, dy, dist):
         return None
 
     fraction = visible_fraction(

@@ -14,6 +14,9 @@ in ``vrusim.geometry`` must give the same bits.
 ``live_run`` is the closed loop confirmed while the run goes, which the
 package defines instead as an observation pass followed by a run forced
 from the subset's first confirmation; the two must agree exactly.
+``observe_every_frame`` is that observation pass sensing every unit at
+every frame, where the package skips the frames a roadside unit's range
+and size gates rule out; their events must be equal.
 
 The small vector, pose, heatmap and match-count accessors at the top are
 the tests' own: the package reads none of them.
@@ -132,6 +135,13 @@ def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     return norm(p - (a + scaled(seg, t)))
 
 
+def stopping_distance(v: float, policy: AebPolicy) -> float:
+    """Travel between the brake command and standstill."""
+    if v < 0:
+        raise ValueError("speed must be non-negative")
+    return v * policy.latency + v * v / (2.0 * policy.deceleration)
+
+
 def world_at(spec: ScenarioSpec, t: float, vut_pose: Pose2 | None = None) -> WorldState:
     """What a sensing frame at time t sees, from the vehicle at `vut_pose`
     or, by default, where braking disabled puts it."""
@@ -141,6 +151,26 @@ def world_at(spec: ScenarioSpec, t: float, vut_pose: Pose2 | None = None) -> Wor
     vru = spec.vru_track
     target = Silhouette(position(vru_pose), vru_pose.heading, vru.length, vru.width, vru.height)
     return WorldState(t, vut_pose, target, spec.occluders)
+
+
+def observe_every_frame(
+    spec: ScenarioSpec,
+    sensors: tuple[SensorUnit, ...],
+    model: DetectionModel,
+    dt: float = 0.005,
+) -> dict[str, list[DetectionEvent]]:
+    """An unbraked sensing run's events with nothing skipped: every unit
+    senses every frame, the vehicle where its unbraked timeline puts it."""
+    timeline = spec.timeline(dt)
+    events: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
+    for frame in range(spec.n_frames):
+        vut_pose, _ = spec.vut_track.pose_at_distance(timeline.travel[frame * timeline.steps_per_frame])
+        world = world_at(spec, frame / spec.frame_rate, vut_pose)
+        for unit in sensors:
+            ev = sense_frame(unit, model, world, frame)
+            if ev is not None:
+                events[unit.sensor_id].append(ev)
+    return events
 
 
 class LiveRun(NamedTuple):

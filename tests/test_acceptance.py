@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from vrusim.aeb import AebPolicy, simulate_run, stopping_distance
+from vrusim.aeb import AebPolicy, simulate_run
 from vrusim.config import load_config
 from vrusim.geometry import Vec2
 from vrusim.harness import emit_reports, run_sweep
@@ -31,7 +31,7 @@ from vrusim.scenario import (
 )
 from vrusim.sensing import DetectionModel, default_vut_sensor, first_confirmed_time
 
-from oracles import heatmap_row, totals
+from oracles import heatmap_row, stopping_distance, totals
 from sites import rsu
 
 POLICY = AebPolicy()

@@ -8,6 +8,7 @@ confirms while it goes (`oracles.live_run`).
 
 import hashlib
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,6 @@ from vrusim.aeb import (
     last_possible_brake_time,
     simulate_run,
     stop_margin,
-    stopping_distance,
 )
 from vrusim.geometry import Vec2
 from vrusim.geometry import obb_separation as obb_separation_kernel
@@ -37,9 +37,28 @@ from vrusim.scenario import (
     build_scenario,
     rotate_scenario,
 )
-from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
+from vrusim.sensing import (
+    DEFAULT_RANGE_M,
+    DetectionModel,
+    default_layout,
+    default_vut_sensor,
+    first_confirmed_time,
+    px_to_rad,
+    sense_frame,
+)
 
-from oracles import float_box, footprint, live_run, norm, obb_overlap, obb_separation, position
+import sites
+from oracles import (
+    float_box,
+    footprint,
+    live_run,
+    norm,
+    obb_overlap,
+    obb_separation,
+    observe_every_frame,
+    position,
+    stopping_distance,
+)
 
 POLICY = AebPolicy()
 MODEL = DetectionModel()
@@ -131,6 +150,90 @@ def test_observation_pass_keeps_sensing_through_contact():
     )
     collision_frame = trace.outcome.collision_time * spec.frame_rate
     assert last_event_frame > collision_frame + 5
+
+
+# ------------------------------------------------- roadside skip-ahead
+
+DEFAULT_SENSORS = (default_vut_sensor(), *default_layout())
+
+
+def aimed_ring(count, seed, max_range=DEFAULT_RANGE_M):
+    """Roadside units spread around the conflict point at the origin, each
+    aimed at it give or take 25 degrees of yaw and 5 of pitch."""
+    rnd = random.Random(seed)
+    units = []
+    for i in range(count):
+        theta = 2.0 * math.pi * (i + rnd.random()) / count
+        r = rnd.uniform(4.0, 35.0)
+        x, y, z = r * math.cos(theta), r * math.sin(theta), rnd.uniform(2.5, 9.0)
+        yaw = math.atan2(-y, -x) + math.radians(rnd.uniform(-25.0, 25.0))
+        pitch = -math.atan2(z, r) + math.radians(rnd.uniform(-5.0, 5.0))
+        units.append(sites.rsu(f"ring{i}", x, y, z, yaw, pitch, max_range=max_range))
+    return tuple(units)
+
+
+RING = aimed_ring(60, 11)
+COINED = DetectionModel(miss_probability=0.2, seed=5)
+RING_CASES = {
+    "miss-coin": (RING, COINED),
+    "no-visibility-floor": (RING, replace(COINED, min_visible_fraction=0.0)),
+    "no-width-gate": (RING, replace(COINED, min_apparent_width=0.0)),
+    # a wider width threshold, so that the width gate binds in its place
+    "no-height-gate": (RING, replace(COINED, min_apparent_height=0.0, min_apparent_width=px_to_rad(60.0))),
+    "range-15m": (aimed_ring(60, 11, max_range=15.0), COINED),
+}
+
+
+def ring_specs(stationary=False):
+    for kind in ScenarioKind:
+        for yaw in (0.0, 37.0):
+            spec = rotate_scenario(build_scenario(kind, 40.0), math.radians(yaw))
+            if stationary:
+                spec = replace(spec, vru_track=replace(spec.vru_track, speed=0.0))
+            yield spec
+
+
+def observed_with_calls(monkeypatch, spec, sensors, model):
+    """The observation pass's events, asserted equal to the every-frame
+    reference, and the number of frames it sensed."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sense_frame(*args)
+
+    monkeypatch.setattr(aeb, "sense_frame", counted)
+    events = simulate_run(spec, sensors, model, POLICY).events_by_sensor
+    monkeypatch.undo()
+    assert events == observe_every_frame(spec, sensors, model)
+    return len(calls)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 37.0])
+def test_observation_matches_every_frame_reference_on_default_cells(yaw, monkeypatch):
+    for kind in ScenarioKind:
+        for speed in allowed_speeds_kmh(kind):
+            spec = rotate_scenario(build_scenario(kind, speed), math.radians(yaw))
+            observed_with_calls(monkeypatch, spec, DEFAULT_SENSORS, MODEL)
+
+
+@pytest.mark.parametrize("case", list(RING_CASES))
+def test_ring_observation_matches_every_frame_reference(case, monkeypatch):
+    units, model = RING_CASES[case]
+    calls = frames = 0
+    for spec in ring_specs():
+        calls += observed_with_calls(monkeypatch, spec, units, model)
+        frames += len(units) * spec.n_frames
+    # the skips the case is here to check do happen
+    assert calls < frames
+
+
+def test_stationary_vru_observation_matches_every_frame_reference(monkeypatch):
+    sensors = DEFAULT_SENSORS + RING
+    for spec in ring_specs(stationary=True):
+        calls = observed_with_calls(monkeypatch, spec, sensors, MODEL)
+        # a roadside unit out of reach of the target senses no frame
+        assert calls < len(sensors) * spec.n_frames
 
 
 # ------------------------------------------------------------- closed loop
@@ -532,13 +635,13 @@ def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
 # steps
 LIVE_TRACE_DIGESTS = {
     (ScenarioKind.CBNA, 40.0, 0.0, ("rsu1",)):
-        "dd0257776fb76d6c6a35cfbfcc1c4a959d4fb44db3790cf1f66cfe538538528b",
+        "4c2db7254df3eedd9b8e413d85b288cfd00c556fd0d24f8b29ddcf67c52c13a4",
     (ScenarioKind.CBNA, 40.0, 37.0, ("vut", "rsu5")):
-        "6f2e06a9c3d44da4cc752081ed71cc56991337290e348c47c03274f822d47b75",
+        "390cc993060f701495d6b4f54337d9d195ab9465238726a407d21722f663b62f",
     (ScenarioKind.CBLA, 25.0, 0.0, ("vut",)):
-        "61aff4c8d312604e2238e4523d8bcd91fc1d5acaf9a850b65f73547c80ca8ed3",
+        "96ff824ea15817092b7e9e7eb9d13c70f425a1f7b3efe7f2c758c16f8fd229db",
     (ScenarioKind.CPNC50, 60.0, 90.0, ("rsu2", "rsu3")):
-        "5410ae3bd6d57d5d2e1019f8208a3f77e2e0ba0217accb1ba3a695fa3ac884ac",
+        "f3a41d064b9f1beddb8fcc127636294b4a193d5b56c1f9798594dbee890ee0b6",
 }
 
 
@@ -553,6 +656,7 @@ def test_live_braked_trace_bytes_are_pinned(case):
     _, trace = closed_loop(spec, (default_vut_sensor(), *default_layout()), subset)
     text = format_trace(trace)
     assert trace.outcome.avoided
+    assert text.startswith("# pass=braked ")
     assert any(line.split(",")[8] == "1" for line in text.splitlines()[3:])
     assert hashlib.sha256(text.encode()).hexdigest() == LIVE_TRACE_DIGESTS[case]
 

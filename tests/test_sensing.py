@@ -7,12 +7,16 @@ bearings of its endpoints with atan2, and compare spans.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrusim.geometry import MountPose, Pose2, Silhouette, Vec2, wrap_angle
-from vrusim.scenario import ScenarioKind, WorldState, build_scenario
+from vrusim.scenario import ActorClass, ScenarioKind, WorldState, build_scenario
 from vrusim.sensing import (
+    DEFAULT_RSU_HEIGHT,
     DetectionEvent,
     DetectionModel,
     SensorUnit,
@@ -24,10 +28,13 @@ from vrusim.sensing import (
     first_confirmed_time,
     format_layout,
     parse_layout,
+    _outside_aperture,
     px_to_rad,
+    reach,
     sense_frame,
 )
 
+import oracles
 from oracles import norm, position, world_at
 
 
@@ -91,6 +98,145 @@ def test_available_at_always_frame_time_plus_latency():
             ev = sense_frame(unit, model, world, frame)
             if ev is not None:
                 assert ev.available_at == pytest.approx(frame / 10.0 + 0.025, abs=1e-12)
+
+
+# ------------------------------------------------------------ skip bounds
+
+PROPERTY = settings(
+    max_examples=400,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+ANGLE = st.floats(-7.0, 7.0)
+EXTENT = st.floats(0.05, 6.0)
+WIDE = 2.0 * math.pi
+
+
+def at_range(sensor: SensorUnit, dist: float, bearing: float, heading: float, dims) -> WorldState:
+    """A world with a target `dist` from the sensor along `bearing`."""
+    anchor = Pose2(sensor.pose.x + dist * math.cos(bearing), sensor.pose.y + dist * math.sin(bearing), heading)
+    return make_world(anchor, vru_dims=dims)
+
+
+@st.composite
+def beyond_reach(draw):
+    """A roadside unit seeing all around, model thresholds, and a target
+    whose anchor lies at or past the unit's reach in any direction."""
+    sensor = SensorUnit(
+        "r",
+        "rsu",
+        MountPose(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), draw(st.floats(0.2, 15.0)),
+                  draw(ANGLE), draw(ANGLE)),
+        WIDE,
+        WIDE,
+        draw(st.floats(0.5, 300.0)),
+    )
+    model = DetectionModel(
+        min_visible_fraction=0.0,
+        min_apparent_width=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
+        min_apparent_height=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.8))),
+    )
+    dims = (draw(EXTENT), draw(EXTENT), draw(EXTENT))
+    limit = reach(sensor, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
+    dist = math.nextafter(limit, math.inf) * (1.0 + draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 2.0))))
+    return sensor, model, at_range(sensor, dist, draw(ANGLE), draw(ANGLE), dims), limit
+
+
+@PROPERTY
+@given(beyond_reach())
+def test_no_detection_beyond_reach(case):
+    sensor, model, world, limit = case
+    anchor = world.vru_silhouette.anchor
+    if math.hypot(anchor.x - sensor.pose.x, anchor.y - sensor.pose.y) > limit:
+        assert sense_frame(sensor, model, world, 0) is None
+
+
+@pytest.mark.parametrize("actor", [ActorClass.PEDESTRIAN, ActorClass.CYCLIST])
+def test_reach_is_tight_for_default_units(actor):
+    # just inside its reach, each default unit detects a target of the
+    # scenario's size turned to show its widest extent
+    track = build_scenario(ScenarioKind.CPNC50 if actor is ActorClass.PEDESTRIAN else ScenarioKind.CBNA, 40.0).vru_track
+    assert track.actor_class is actor
+    dims = (track.length, track.width, track.height)
+    model = DetectionModel()
+    for unit in default_layout():
+        unit = replace(unit, hfov=WIDE, vfov=WIDE)
+        limit = reach(unit, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
+        for bearing in (0.0, 2.0, -2.5):
+            widest = bearing + math.atan2(track.length, track.width)
+            assert sense_frame(unit, model, at_range(unit, limit * (1 - 1e-4), bearing, widest, dims), 0)
+            assert sense_frame(unit, model, at_range(unit, limit * (1 + 1e-9), bearing, widest, dims), 0) is None
+
+
+# (model, unit range): the visibility floor is off, so that only the
+# gates a reach bounds can reject
+REACH_GATES = {
+    "height": (DetectionModel(min_visible_fraction=0.0), 250.0),
+    "width": (DetectionModel(min_visible_fraction=0.0, min_apparent_height=0.0), 250.0),
+    "range": (DetectionModel(min_visible_fraction=0.0, min_apparent_width=0.0, min_apparent_height=0.0), 17.0),
+}
+
+
+@pytest.mark.parametrize("gate", list(REACH_GATES))
+def test_last_detecting_range_is_within_reach(gate):
+    # the range at which the gate last passes, bisected to adjacent floats,
+    # from units of the default height and of two others
+    model, max_range = REACH_GATES[gate]
+    track = build_scenario(ScenarioKind.CBNA, 40.0).vru_track
+    dims = (track.length, track.width, track.height)
+    for z in (DEFAULT_RSU_HEIGHT, 2.0, 11.3):
+        unit = SensorUnit("r", "rsu", MountPose(1.25, -3.5, z, 0.0, 0.0), WIDE, WIDE, max_range)
+        limit = reach(unit, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
+        for heading in (0.0, 0.7, math.atan2(track.length, track.width)):
+
+            def detects(dist):
+                return sense_frame(unit, model, at_range(unit, dist, 0.0, heading, dims), 0) is not None
+
+            lo, hi = 1.0, 2.0 * limit
+            assert detects(lo) and not detects(hi)
+            while math.nextafter(lo, hi) < hi:
+                mid = lo + (hi - lo) / 2.0
+                if mid in (lo, hi):
+                    mid = math.nextafter(lo, hi)
+                lo, hi = (mid, hi) if detects(mid) else (lo, mid)
+            anchor = at_range(unit, lo, 0.0, heading, dims).vru_silhouette.anchor
+            assert anchor.x - unit.pose.x <= limit
+
+
+@st.composite
+def aperture_edges(draw):
+    """A sensor and a target whose anchor's bearing lies near where the
+    bearing cull starts, on either side of the optical axis."""
+    pose = MountPose(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), draw(st.floats(0.2, 15.0)),
+                     draw(ANGLE), draw(st.floats(-1.5, 1.5)))
+    hfov = draw(st.floats(0.05, WIDE))
+    length = draw(EXTENT)
+    dist = length * draw(st.floats(1.0, 20.0))
+    edge = hfov / 2.0 + math.asin(min(length / (2.0 * dist), 1.0))
+    side = draw(st.sampled_from((-1.0, 1.0)))
+    bearing = pose.yaw + side * (edge + draw(st.floats(-0.3, 0.3)))
+    x, y = pose.x + dist * math.cos(bearing), pose.y + dist * math.sin(bearing)
+    target = Silhouette(Vec2(x, y), draw(ANGLE), length, draw(EXTENT), draw(EXTENT))
+    return pose, hfov, target
+
+
+@PROPERTY
+@given(aperture_edges())
+def test_bearing_cull_fires_only_on_unseen_targets(case):
+    pose, hfov, target = case
+    dx, dy = target.anchor.x - pose.x, target.anchor.y - pose.y
+    if _outside_aperture(pose, hfov, target, dx, dy, math.hypot(dx, dy)):
+        assert oracles.visible_fraction(pose, hfov, WIDE, 1e3, target, ()) == 0.0
+
+
+def test_bearing_cull_needs_a_target_length_of_range():
+    behind = Silhouette(Vec2(-10.0, 0.0), 0.3, 1.8, 0.6, 1.7)
+    pose = RSU_AT_ORIGIN.pose
+    assert _outside_aperture(pose, RSU_AT_ORIGIN.hfov, behind, -10.0, 0.0, 10.0)
+    close = Silhouette(Vec2(-1.5, 0.0), 0.3, 1.8, 0.6, 1.7)
+    assert not _outside_aperture(pose, RSU_AT_ORIGIN.hfov, close, -1.5, 0.0, 1.5)
 
 
 # ---------------------------------------------------------- apparent sizes
