@@ -11,7 +11,7 @@ from ._version import __version__
 from .aeb import AebPolicy, SafetyOutcome, simulate_run
 from .config import ConfigError, RunConfig, load_config
 from .harness import emit_reports, run_sweep
-from .metrics import accuracy, avoidance_rate, mean_detections_per_frame
+from .metrics import accuracy, mean_detections_per_frame
 from .scenario import ScenarioKind, build_scenario
 from .sensing import DetectionModel, SensorUnit, default_layout, default_vut_sensor
 
@@ -26,7 +26,6 @@ __all__ = [
     "emit_reports",
     "run_sweep",
     "accuracy",
-    "avoidance_rate",
     "mean_detections_per_frame",
     "ScenarioKind",
     "build_scenario",

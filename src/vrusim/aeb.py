@@ -60,7 +60,7 @@ class SafetyOutcome:
 @dataclass(frozen=True)
 class RunTrace:
     spec: ScenarioSpec
-    sensor_ids: tuple[str, ...]
+    # one stream per sensor of the run, in the order it was given them
     events_by_sensor: dict[str, list[DetectionEvent]]
     first_confirmed_time: float | None
     brake_trigger_time: float | None
@@ -288,7 +288,6 @@ def simulate_run(
     )
     return RunTrace(
         spec=spec,
-        sensor_ids=tuple(u.sensor_id for u in sensors),
         events_by_sensor=events_by_sensor,
         first_confirmed_time=trigger_override,
         brake_trigger_time=brake_onset,
@@ -424,7 +423,8 @@ def format_trace(trace: RunTrace) -> str:
     ``unbraked_observation`` for a run with no brake trigger, such as the
     sweep's observation pass (each subset's outcome is in the summary), and
     ``braked`` otherwise. The header row names the columns, one
-    ``det_<sensor>`` flag column per sensor in the trace's order.
+    ``det_<sensor>`` flag column per sensor in the order of its
+    ``events_by_sensor``.
     """
     out = trace.outcome
     kind = "unbraked_observation" if trace.brake_trigger_time is None else "braked"
@@ -442,11 +442,11 @@ def format_trace(trace: RunTrace) -> str:
     cols = [
         "time", "vut_x", "vut_y", "vut_heading", "vut_speed",
         "vru_x", "vru_y", "vru_heading", "braking",
-    ] + [f"det_{sensor_id}" for sensor_id in trace.sensor_ids]
+    ] + [f"det_{sensor_id}" for sensor_id in trace.events_by_sensor]
     lines = head + [",".join(cols)]
     spec = trace.spec
     steps_per_frame = spec.timeline(trace.dt).steps_per_frame
-    detected = [{ev.frame for ev in trace.events_by_sensor[sid]} for sid in trace.sensor_ids]
+    detected = [{ev.frame for ev in events} for events in trace.events_by_sensor.values()]
     onset = trace.brake_trigger_time
     for frame in range(spec.n_frames):
         t = frame / spec.frame_rate

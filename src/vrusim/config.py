@@ -216,15 +216,10 @@ def _resolve_speeds(
             raise ConfigError("speed_range.step_kmh must be positive")
         if hi < lo:
             raise ConfigError("speed_range.max_kmh must be at least min_kmh")
-        wanted = []
-        v = lo
-        while v <= hi + 1e-9:
-            wanted.append(round(v, 6))
-            v += step
         out = {}
         for kind in kinds:
             allowed = allowed_speeds_kmh(kind)
-            picked = tuple(s for s in wanted if s in allowed)
+            picked = tuple(s for s in allowed if _on_grid(s, lo, hi, step))
             if not picked:
                 raise ConfigError(
                     f"speed_range selects no {kind.display_name} speeds "
@@ -233,6 +228,19 @@ def _resolve_speeds(
             out[kind] = picked
         return out
     return {kind: allowed_speeds_kmh(kind) for kind in kinds}
+
+
+def _on_grid(speed: float, lo: float, hi: float, step: float) -> bool:
+    """Whether some lo + k * step (k = 0, 1, ...) at most hi, with 1e-9 of
+    slack, rounds to `speed` at six decimals. Only the grid points on
+    either side of the speed can, so the check costs the same however
+    small the step."""
+    if speed < lo:
+        near: tuple[float, ...] = (lo,)
+    else:
+        below = speed - (speed - lo) % step
+        near = (below, below + step)
+    return any(v <= hi + 1e-9 and round(v, 6) == speed for v in near)
 
 
 def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, ...]:

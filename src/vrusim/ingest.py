@@ -194,15 +194,15 @@ def match_detections(
     ground_truth: Sequence[GroundTruthRecord],
     iou_threshold: float = 0.5,
     inclusive: bool = False,
-    frame_rate: float = 10.0,
-    latency: float = 0.025,
+    *,
+    frame_rate: float,
+    latency: float,
 ) -> MatchResult:
     """Greedy IoU matching of detections to ground truth, per frame and sensor.
 
-    True positives on VRU-class targets become DetectionEvents stamped with
-    the sensor latency, ready for the confirmation rule.  An ingested event
-    carries no geometric view, so visible_fraction is reported as 1.0 (the
-    detector did see it) and the apparent angles as 0.0.
+    True positives on VRU-class targets become DetectionEvents available
+    `latency` seconds after their frame, at the scenario's `frame_rate`,
+    ready for the confirmation rule.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in [0, 1]")
@@ -249,9 +249,6 @@ def match_detections(
                         frame=frame,
                         sensor_id=sensor_id,
                         target_id=gt.target_id,
-                        visible_fraction=1.0,
-                        apparent_width=0.0,
-                        apparent_height=0.0,
                         available_at=frame / frame_rate + latency,
                     )
                 )

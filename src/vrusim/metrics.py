@@ -1,10 +1,9 @@
 """Aggregate detection and safety results into report-ready numbers.
 
 Everything here is pure arithmetic over finished runs: per-frame detection
-accuracy, redundancy (mean detections per frame), avoidance rates over a
-speed sweep, and the per-sensor detection heatmap with the brake deadline
-marked.  The VRU exists from frame 0 in every scenario, so frame counts are
-taken over the whole run.
+accuracy, redundancy (mean detections per frame), and the per-sensor
+detection heatmap with the brake deadline marked.  The VRU exists from
+frame 0 in every scenario, so frame counts are taken over the whole run.
 """
 
 from __future__ import annotations
@@ -14,13 +13,11 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .aeb import SafetyOutcome
 from .sensing import DetectionEvent
 
 __all__ = [
     "accuracy",
     "mean_detections_per_frame",
-    "avoidance_rate",
     "HeatmapMatrix",
     "heatmap_from_frames",
     "sensor_row_order",
@@ -33,9 +30,7 @@ EventMap = Mapping[str, Sequence[DetectionEvent]]
 _GRID_TOLERANCE = 1e-9
 
 
-def _select(events_by_sensor: EventMap, subset: Sequence[str] | None) -> list[Sequence[DetectionEvent]]:
-    if subset is None:
-        return list(events_by_sensor.values())
+def _select(events_by_sensor: EventMap, subset: Sequence[str]) -> list[Sequence[DetectionEvent]]:
     streams = []
     for sensor_id in subset:
         if sensor_id not in events_by_sensor:
@@ -44,11 +39,8 @@ def _select(events_by_sensor: EventMap, subset: Sequence[str] | None) -> list[Se
     return streams
 
 
-def accuracy(events_by_sensor: EventMap, total_frames: int, subset: Sequence[str] | None = None) -> float:
-    """Fraction of frames in which at least one sensor of the subset detected.
-
-    ``subset=None`` uses every stream present.
-    """
+def accuracy(events_by_sensor: EventMap, total_frames: int, subset: Sequence[str]) -> float:
+    """Fraction of frames in which at least one sensor of the subset detected."""
     if total_frames < 1:
         raise ValueError("total_frames must be at least 1")
     detected: set[int] = set()
@@ -57,21 +49,12 @@ def accuracy(events_by_sensor: EventMap, total_frames: int, subset: Sequence[str
     return len(detected) / total_frames
 
 
-def mean_detections_per_frame(
-    events_by_sensor: EventMap, total_frames: int, subset: Sequence[str] | None = None
-) -> float:
+def mean_detections_per_frame(events_by_sensor: EventMap, total_frames: int, subset: Sequence[str]) -> float:
     """Average count of qualifying detections per frame across the subset."""
     if total_frames < 1:
         raise ValueError("total_frames must be at least 1")
     total = sum(len(stream) for stream in _select(events_by_sensor, subset))
     return total / total_frames
-
-
-def avoidance_rate(outcomes: Iterable[SafetyOutcome]) -> float:
-    seq = list(outcomes)
-    if not seq:
-        raise ValueError("need at least one outcome")
-    return sum(1 for out in seq if out.avoided) / len(seq)
 
 
 def natural_key(sensor_id: str) -> tuple:
@@ -126,10 +109,10 @@ class HeatmapMatrix:
             lines.append(sensor_id + "," + ",".join("1" if v else "0" for v in row))
         return "\n".join(lines) + "\n"
 
-    def to_ppm(self, scale: int = 2) -> bytes:
-        """Binary portable pixmap: green detected, white not, red deadline column."""
-        if scale < 1:
-            raise ValueError("scale must be positive")
+    def to_ppm(self) -> bytes:
+        """Binary portable pixmap, two by two pixels a cell: green detected,
+        white not, red deadline column."""
+        scale = 2
         green, white, red = b"\x22\xaa\x44", b"\xff\xff\xff", b"\xcc\x22\x22"
         width = self.n_frames * scale
         height = len(self.sensor_ids) * scale

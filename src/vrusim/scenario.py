@@ -38,17 +38,10 @@ class ScenarioKind(enum.Enum):
         return self.value
 
 
-class ActorClass(enum.Enum):
-    VEHICLE = "vehicle"
-    PEDESTRIAN = "pedestrian"
-    CYCLIST = "cyclist"
-
-
 @dataclass(frozen=True)
 class ActorTrack:
     """Constant-speed motion along a polyline, clamped at the last waypoint."""
 
-    actor_class: ActorClass
     length: float
     width: float
     height: float
@@ -141,7 +134,6 @@ class ScenarioSpec:
     vut_track: ActorTrack
     vru_track: ActorTrack
     occluders: tuple[Prism, ...]
-    conflict_point: Vec2
     nominal_collision_time: float
     sim_duration: float
     frame_rate: float
@@ -274,7 +266,6 @@ def build_scenario(
     duration = sync_time + _POST_CONFLICT_TIME
     vut_start = -v * sync_time
     vut_track = ActorTrack(
-        ActorClass.VEHICLE,
         ov.vut_length,
         ov.vut_width,
         ov.vut_height,
@@ -286,7 +277,6 @@ def build_scenario(
         vc = ov.cyclist_speed_kmh * KMH
         vru_start = -vc * sync_time
         vru_track = ActorTrack(
-            ActorClass.CYCLIST,
             ov.cyclist_length,
             ov.cyclist_width,
             ov.cyclist_height,
@@ -299,16 +289,13 @@ def build_scenario(
         occluders: tuple[Prism, ...] = ()
     else:
         if kind is ScenarioKind.CPNC50:
-            vru_class = ActorClass.PEDESTRIAN
             vru_len, vru_wid, vru_hgt = ov.pedestrian_length, ov.pedestrian_width, ov.pedestrian_height
             vru_speed = ov.pedestrian_speed_kmh * KMH
         else:
-            vru_class = ActorClass.CYCLIST
             vru_len, vru_wid, vru_hgt = ov.cyclist_length, ov.cyclist_width, ov.cyclist_height
             vru_speed = ov.cyclist_speed_kmh * KMH
         vru_start = -vru_speed * sync_time
         vru_track = ActorTrack(
-            vru_class,
             vru_len,
             vru_wid,
             vru_hgt,
@@ -326,7 +313,6 @@ def build_scenario(
         vut_track=vut_track,
         vru_track=vru_track,
         occluders=occluders,
-        conflict_point=Vec2(0.0, 0.0),
         nominal_collision_time=nominal,
         sim_duration=duration,
         frame_rate=ov.frame_rate,
@@ -369,5 +355,4 @@ def rotate_scenario(spec: ScenarioSpec, yaw: float) -> ScenarioSpec:
         vut_track=rot_track(spec.vut_track),
         vru_track=rot_track(spec.vru_track),
         occluders=tuple(rot_prism(p) for p in spec.occluders),
-        conflict_point=spec.conflict_point.rotated(yaw),
     )

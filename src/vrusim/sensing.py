@@ -34,7 +34,8 @@ class SensorUnit:
     For mount "vut" the pose is vehicle-relative: x forward of the vehicle
     center, y to its left, yaw relative to its heading. z stays absolute.
     A unit senses at the scenario frame rate, so it carries no rate of its
-    own.
+    own. Its id names report files and layout columns, so it holds no path
+    separator, no comma and no outer whitespace.
     """
 
     sensor_id: str
@@ -48,6 +49,11 @@ class SensorUnit:
     def __post_init__(self) -> None:
         if not self.sensor_id:
             raise ValueError("sensor id must be non-empty")
+        if self.sensor_id != self.sensor_id.strip() or any(c in self.sensor_id for c in "/\\,"):
+            raise ValueError(
+                f"sensor id {self.sensor_id!r} must not hold a path separator, "
+                "a comma or outer whitespace"
+            )
         if self.mount not in ("vut", "rsu"):
             raise ValueError(f"unknown mount {self.mount!r}")
         if self.pose.z <= 0:
@@ -94,9 +100,6 @@ class DetectionEvent:
     frame: int
     sensor_id: str
     target_id: str
-    visible_fraction: float
-    apparent_width: float
-    apparent_height: float
     available_at: float
 
 
@@ -199,11 +202,9 @@ def sense_frame(
         # sitting inside it has no meaningful view
         return None
 
-    width = apparent_angular_width(pose, target, dist)
-    if width < model.min_apparent_width:
+    if apparent_angular_width(pose, target, dist) < model.min_apparent_width:
         return None
-    height = apparent_angular_height(pose, target, dist)
-    if height < model.min_apparent_height:
+    if apparent_angular_height(pose, target, dist) < model.min_apparent_height:
         return None
 
     # a frame none of whose points can be seen has fraction 0.0
@@ -224,9 +225,6 @@ def sense_frame(
         frame=frame,
         sensor_id=sensor.sensor_id,
         target_id="vru",
-        visible_fraction=fraction,
-        apparent_width=width,
-        apparent_height=height,
         available_at=world.time + sensor.latency,
     )
 

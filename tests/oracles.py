@@ -17,6 +17,8 @@ from the subset's first confirmation; the two must agree exactly.
 ``observe_every_frame`` is that observation pass sensing every unit at
 every frame, where the package skips the frames a roadside unit's range
 and size gates rule out; their events must be equal.
+``speed_range_picks`` walks a config's speed range step by step, where
+the package tests each allowed speed against the range.
 
 The small vector, pose, heatmap and match-count accessors at the top are
 the tests' own: the package reads none of them.
@@ -352,3 +354,15 @@ def visible_fraction(
             continue
         seen += 1
     return seen / len(pts)
+
+
+def speed_range_picks(allowed: tuple[float, ...], lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """The allowed speeds a ``speed_range`` selects: every lo + k * step up
+    to hi (with 1e-9 of slack), summed step by step and rounded to six
+    decimals, that is an allowed speed."""
+    wanted = []
+    v = lo
+    while v <= hi + 1e-9:
+        wanted.append(round(v, 6))
+        v += step
+    return tuple(s for s in wanted if s in allowed)

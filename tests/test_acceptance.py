@@ -22,7 +22,6 @@ from vrusim.metrics import accuracy, heatmap_from_frames
 from vrusim.placement import candidate_sites_from_units, greedy_select
 from vrusim.scenario import (
     KMH,
-    ActorClass,
     ActorTrack,
     ScenarioKind,
     ScenarioSpec,
@@ -280,7 +279,9 @@ def test_box_matching_agrees_with_exhaustive_enumeration():
                         frame, sensor, f"t{t_idx}", rng.choice(labels), box()))
         threshold = rng.choice((0.3, 0.5))
         inclusive = rng.random() < 0.5
-        result = match_detections(dets, gts, iou_threshold=threshold, inclusive=inclusive)
+        result = match_detections(
+            dets, gts, iou_threshold=threshold, inclusive=inclusive, frame_rate=10.0, latency=0.025
+        )
         want = enumerated_matching(dets, gts, threshold, inclusive)
         got = {cell: (c.tp, c.fp, c.fn) for cell, c in result.counts.items()}
         assert got == want
@@ -332,16 +333,16 @@ def test_full_default_sweep_is_reproducible(tmp_path):
 
 def lane_cell(lane_y):
     vut = ActorTrack(
-        ActorClass.VEHICLE, 4.5, 1.8, 1.5, 10.0,
+        4.5, 1.8, 1.5, 10.0,
         (Vec2(-60.0, lane_y), Vec2(200.0, lane_y)),
     )
     ped = ActorTrack(
-        ActorClass.PEDESTRIAN, 0.5, 0.5, 1.8, 0.0,
+        0.5, 0.5, 1.8, 0.0,
         (Vec2(0.0, lane_y), Vec2(0.0, lane_y + 1.0)),
     )
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50, vut_track=vut, vru_track=ped, occluders=(),
-        conflict_point=Vec2(0.0, lane_y), nominal_collision_time=5.75, sim_duration=8.0,
+        nominal_collision_time=5.75, sim_duration=8.0,
         frame_rate=10.0,
     )
 
@@ -377,7 +378,7 @@ def test_greedy_placement_matches_exhaustive_search():
                 spec, (), model, POLICY, trigger_override=fc, sense=False,
             )
             avoided += replay.outcome.avoided
-            accs.append(accuracy(trace.events_by_sensor, spec.n_frames))
+            accs.append(accuracy(trace.events_by_sensor, spec.n_frames, tuple(trace.events_by_sensor)))
         return avoided / len(suite), sum(accs) / len(accs)
 
     for budget in (1, 2, 3):
@@ -419,13 +420,13 @@ def test_heatmap_matches_hand_grid():
     assert csv[0].startswith("sensor,0.0,0.1,")
     assert csv[1] == "vut," + ",".join(map(str, want[0]))
 
-    ppm = grid.to_ppm(scale=1)
+    ppm = grid.to_ppm()
     magic, dims, _depth, pixels = ppm.split(b"\n", 3)
     assert magic == b"P6"
-    assert dims == b"20 3"
+    assert dims == b"40 6"  # two by two pixels a cell
 
     def pixel(row, col):
-        offset = 3 * (row * 20 + col)
+        offset = 3 * (2 * row * 40 + 2 * col)
         return pixels[offset : offset + 3]
 
     for row in range(3):

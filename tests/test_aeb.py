@@ -29,7 +29,6 @@ from vrusim.geometry import Vec2
 from vrusim.geometry import obb_separation as obb_separation_kernel
 from vrusim.scenario import (
     KMH,
-    ActorClass,
     ActorTrack,
     ScenarioKind,
     ScenarioSpec,
@@ -281,14 +280,13 @@ def test_collision_speed_never_exceeds_initial():
 
 
 def static_obstacle_spec(v0: float = 10.0) -> ScenarioSpec:
-    vut = ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, v0, (Vec2(-100, 0), Vec2(100, 0)))
-    ped = ActorTrack(ActorClass.PEDESTRIAN, 0.5, 0.5, 1.8, 0.0, (Vec2(0, 0), Vec2(0, 1)))
+    vut = ActorTrack(4.5, 1.8, 1.5, v0, (Vec2(-100, 0), Vec2(100, 0)))
+    ped = ActorTrack(0.5, 0.5, 1.8, 0.0, (Vec2(0, 0), Vec2(0, 1)))
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50,
         vut_track=vut,
         vru_track=ped,
         occluders=(),
-        conflict_point=Vec2(0, 0),
         nominal_collision_time=9.75,
         sim_duration=13.0,
         frame_rate=10.0,
@@ -367,7 +365,7 @@ def test_infeasible_when_no_trigger_helps():
     # park the obstacle so close that even braking at t=0 cannot help
     close = replace(
         spec,
-        vut_track=ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, 20.0, (Vec2(-10, 0), Vec2(100, 0))),
+        vut_track=ActorTrack(4.5, 1.8, 1.5, 20.0, (Vec2(-10, 0), Vec2(100, 0))),
         nominal_collision_time=0.375,
         sim_duration=5.0,
     )
@@ -570,7 +568,7 @@ def test_shared_timeline_matches_reference_in_any_order(which, draws):
 def test_contact_boxes_take_the_wrapped_heading():
     # a leg along -x whose dy is -0.0 has the atan2 heading -pi; Pose2 wraps
     # it to pi, whose sine has the other sign, and so must the contact box
-    track = ActorTrack(ActorClass.CYCLIST, 1.8, 0.5, 1.8, 5.0, (Vec2(10.0, 0.0), Vec2(-10.0, -0.0)))
+    track = ActorTrack(1.8, 0.5, 1.8, 5.0, (Vec2(10.0, 0.0), Vec2(-10.0, -0.0)))
     x, y, heading, _ = track.locate(3.0)
     assert heading == -math.pi
     pose, _ = track.pose_at_distance(3.0)
@@ -620,7 +618,7 @@ def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
         return obb_separation_kernel(a, b) + 0.5 * aeb._CULL_MARGIN
 
     monkeypatch.setattr(aeb, "obb_gap_bound", rounded_high)
-    ped = ActorTrack(ActorClass.PEDESTRIAN, 0.5, 0.5, 1.8, 1.5, (Vec2(0.0, -16.0), Vec2(-32e-7, 16.0)))
+    ped = ActorTrack(0.5, 0.5, 1.8, 1.5, (Vec2(0.0, -16.0), Vec2(-32e-7, 16.0)))
     spec = replace(static_obstacle_spec(), vru_track=ped)
     got = kernel_replay(spec, 8.4)
     assert got[0]

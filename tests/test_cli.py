@@ -313,6 +313,22 @@ def test_placement_bad_candidates_is_exit_1_with_one_line(tmp_path, caplog, text
     assert not (out / "placement.csv").exists()
 
 
+@pytest.mark.parametrize("sensor_id", ["x/../../../escaped", "x\\..\\escaped"])
+def test_sweep_rejects_a_sensor_id_that_is_no_file_name(tmp_path, caplog, sensor_id):
+    # the id names heatmaps/<cell>_<subset>.csv, which a separator would
+    # place outside --out
+    work = tmp_path / "a" / "b" / "c"
+    work.mkdir(parents=True)
+    layout = work / "layout.txt"
+    layout.write_text(format_layout((RSU1,)).replace("\nrsu1,", f"\n{sensor_id},"), encoding="utf-8")
+    cfg = cfg_file(work, {"scenarios": ["CBNA"], "speeds_kmh": [40], "sensors": {"layout_file": str(layout)}})
+    message = one_line_config_error(caplog, ["sweep", "--config", cfg, "--out", str(work / "out"), "-q"])
+    assert message.startswith("sensors.layout_file: layout line 2: ")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "a", "a/b", "a/b/c", "a/b/c/cfg.yaml", "a/b/c/layout.txt",
+    ]
+
+
 def test_placement_scores_every_scene_yaw(tmp_path):
     # rsu0 and rsu5 each avoid the CBNA cell at yaw 0 and miss it at 90
     ids = ("rsu0", "rsu5")

@@ -1,13 +1,23 @@
 """Configuration loading: defaults, unit conversion, strictness, hashing."""
 
 import math
+import re
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrusim.config import ConfigError, load_config
-from vrusim.scenario import ScenarioKind, build_scenario
+from vrusim.scenario import ScenarioKind, allowed_speeds_kmh, build_scenario
 from vrusim.sensing import DetectionModel, default_layout, format_layout, px_to_rad
+
+from oracles import speed_range_picks
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_cfg(tmp_path, data):
@@ -105,6 +115,46 @@ def test_speed_range_clips_per_scenario(tmp_path):
         load_config(write_cfg(tmp_path, {"speed_range": {"step_kmh": 0}}))
     with pytest.raises(ConfigError, match="at least min_kmh"):
         load_config(write_cfg(tmp_path, {"speed_range": {"min_kmh": 50, "max_kmh": 40}}))
+
+
+# grid-aligned values, where a pick hinges on the rounding, and any others
+RANGE_ENDS = st.one_of(st.integers(0, 140).map(lambda n: n / 2), st.floats(0.0, 70.0))
+RANGE_STEPS = st.one_of(st.sampled_from((0.01, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)), st.floats(0.01, 30.0))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lo=RANGE_ENDS, width=RANGE_ENDS, step=RANGE_STEPS)
+def test_speed_range_picks_what_walking_the_range_picks(lo, width, step):
+    hi = lo + width
+    data = {"speed_range": {"min_kmh": lo, "max_kmh": hi, "step_kmh": step}}
+    want = {kind: speed_range_picks(allowed_speeds_kmh(kind), lo, hi, step) for kind in ScenarioKind}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), data)
+        if not all(want.values()):
+            with pytest.raises(ConfigError, match="selects no"):
+                load_config(path)
+            return
+        assert load_config(path).speeds_by_kind == want
+
+
+def test_speed_range_with_a_tiny_step_resolves_at_once(tmp_path):
+    # walking 40 km/h in 1e-12 steps would never end
+    start = time.perf_counter()
+    cfg = load_config(write_cfg(tmp_path, {"speed_range": {"step_kmh": 1.0e-12}}))
+    assert time.perf_counter() - start < 1.0
+    assert cfg.speeds_by_kind == {kind: allowed_speeds_kmh(kind) for kind in ScenarioKind}
+
+
+def test_readme_lists_the_default_config(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"All keys and their defaults:\n\n```yaml\n(.*?)```", text, re.DOTALL)
+    assert block is not None
+    path = tmp_path / "readme.yaml"
+    path.write_text(block.group(1), encoding="utf-8")
+    documented, defaults = load_config(str(path)), load_config()
+    assert documented.canonical_text() == defaults.canonical_text()
+    assert documented.out_dir == defaults.out_dir
+    assert documented.write_traces == defaults.write_traces
 
 
 def test_speeds_and_range_are_exclusive(tmp_path):

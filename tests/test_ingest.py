@@ -142,8 +142,13 @@ def test_record_validation():
 # ----------------------------------------------------------------- matching
 
 
+def match(dets, gts, **options):
+    """`match_detections` for 10 Hz frames and a 25 ms sensor latency."""
+    return match_detections(dets, gts, frame_rate=10.0, latency=0.025, **options)
+
+
 def test_identical_box_is_tp():
-    res = match_detections(
+    res = match(
         [det(0, "cam0", "pedestrian", 10, 20, 40, 90)],
         [gt(0, "cam0", "vru", "pedestrian", 10, 20, 40, 90)],
     )
@@ -154,7 +159,7 @@ def test_identical_box_is_tp():
 
 def test_low_iou_is_fp_plus_fn():
     # shifted box: IoU well below 0.5
-    res = match_detections(
+    res = match(
         [det(0, "cam0", "pedestrian", 0, 0, 10, 10)],
         [gt(0, "cam0", "vru", "pedestrian", 8, 8, 18, 18)],
     )
@@ -164,7 +169,7 @@ def test_low_iou_is_fp_plus_fn():
 
 
 def test_double_detection_one_tp_one_fp():
-    res = match_detections(
+    res = match(
         [
             det(0, "cam0", "pedestrian", 10, 20, 40, 90),
             det(0, "cam0", "pedestrian", 11, 20, 41, 90),
@@ -176,7 +181,7 @@ def test_double_detection_one_tp_one_fp():
 
 
 def test_label_mismatch_never_matches():
-    res = match_detections(
+    res = match(
         [det(0, "cam0", "car", 10, 20, 40, 90)],
         [gt(0, "cam0", "vru", "pedestrian", 10, 20, 40, 90)],
     )
@@ -187,12 +192,12 @@ def test_threshold_is_strict_with_inclusive_option():
     # intersection 1, union 2: IoU exactly 0.5
     d = [det(0, "cam0", "pedestrian", 0, 0, 2, 1)]
     g = [gt(0, "cam0", "vru", "pedestrian", 0, 0, 1, 1)]
-    assert totals(match_detections(d, g)).tp == 0
-    assert totals(match_detections(d, g, inclusive=True)).tp == 1
+    assert totals(match(d, g)).tp == 0
+    assert totals(match(d, g, inclusive=True)).tp == 1
 
 
 def test_cells_without_counterpart():
-    res = match_detections(
+    res = match(
         [det(0, "cam0", "pedestrian", 0, 0, 1, 1)],
         [gt(1, "cam0", "vru", "pedestrian", 0, 0, 1, 1)],
     )
@@ -225,7 +230,7 @@ def test_matches_full_enumeration_oracle():
         dets, gts = random_fixture(rng)
         thr = rng.choice((0.2, 0.5, 0.7))
         inclusive = rng.random() < 0.5
-        res = match_detections(dets, gts, iou_threshold=thr, inclusive=inclusive)
+        res = match(dets, gts, iou_threshold=thr, inclusive=inclusive)
         got = [
             (p.frame, p.sensor_id, p.detection_index, p.ground_truth_index, p.iou)
             for p in res.pairs
@@ -237,7 +242,7 @@ def test_counting_identities_hold():
     rng = random.Random(31)
     for _ in range(200):
         dets, gts = random_fixture(rng)
-        res = match_detections(dets, gts)
+        res = match(dets, gts)
         for (frame, sensor), counts in res.counts.items():
             n_det = sum(1 for d in dets if (d.frame, d.sensor_id) == (frame, sensor))
             n_gt = sum(1 for g in gts if (g.frame, g.sensor_id) == (frame, sensor))
@@ -253,7 +258,7 @@ def test_raising_threshold_never_increases_tp():
     for _ in range(60):
         dets, gts = random_fixture(rng)
         tps = [
-            totals(match_detections(dets, gts, iou_threshold=t)).tp
+            totals(match(dets, gts, iou_threshold=t)).tp
             for t in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert tps == sorted(tps, reverse=True)
@@ -263,11 +268,11 @@ def test_input_order_does_not_change_scores():
     rng = random.Random(41)
     for _ in range(50):
         dets, gts = random_fixture(rng)
-        base = match_detections(dets, gts)
+        base = match(dets, gts)
         shuffled_d, shuffled_g = dets[:], gts[:]
         rng.shuffle(shuffled_d)
         rng.shuffle(shuffled_g)
-        other = match_detections(shuffled_d, shuffled_g)
+        other = match(shuffled_d, shuffled_g)
         assert base.counts == other.counts
         assert sorted(round(p.iou, 12) for p in base.pairs) == sorted(
             round(p.iou, 12) for p in other.pairs
@@ -285,14 +290,15 @@ def test_tp_events_feed_the_confirmation_rule():
     dets.append(det(2, "cam0", "car", 200, 10, 260, 60))
     gts.append(gt(2, "cam0", "bg7", "car", 200, 10, 260, 60))
 
-    res = match_detections(dets, gts)
+    res = match(dets, gts)
     assert totals(res).tp == 6
     assert len(res.events) == 5
     ev0 = res.events[0]
     assert ev0.target_id == "vru"
-    assert ev0.visible_fraction == 1.0
-    assert ev0.apparent_width == 0.0
     assert ev0.available_at == pytest.approx(0.025)
+    # an event is available its latency after its frame, at the given rate
+    later = match_detections(dets, gts, frame_rate=20.0, latency=0.1).events
+    assert [ev.available_at for ev in later] == pytest.approx([f / 20 + 0.1 for f in range(5)])
 
     streams = res.events_by_sensor("vru")
     confirmations = confirm_stream(streams["cam0"], 3)
@@ -304,14 +310,14 @@ def test_gap_in_tp_frames_delays_confirmation():
     frames = [0, 1, 3, 4, 5]
     dets = [det(f, "cam0", "pedestrian", 0, 0, 10, 10) for f in frames]
     gts = [gt(f, "cam0", "vru", "pedestrian", 0, 0, 10, 10) for f in frames]
-    streams = match_detections(dets, gts).events_by_sensor("vru")
+    streams = match(dets, gts).events_by_sensor("vru")
     assert confirm_stream(streams["cam0"], 3)[0] == pytest.approx(5 / 10 + 0.025)
 
 
 def test_match_parameter_validation():
     with pytest.raises(ValueError):
-        match_detections([], [], iou_threshold=1.5)
+        match([], [], iou_threshold=1.5)
     with pytest.raises(ValueError):
-        match_detections([], [], frame_rate=0.0)
+        match_detections([], [], frame_rate=0.0, latency=0.025)
     with pytest.raises(ValueError):
-        match_detections([], [], latency=-0.1)
+        match_detections([], [], frame_rate=10.0, latency=-0.1)

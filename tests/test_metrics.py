@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from vrusim.aeb import AebPolicy, SafetyOutcome, last_possible_brake_time, simulate_run
+from vrusim.aeb import AebPolicy, last_possible_brake_time, simulate_run
 from vrusim.metrics import (
     HeatmapMatrix,
     accuracy,
-    avoidance_rate,
     heatmap_from_frames,
     mean_detections_per_frame,
     sensor_row_order,
@@ -28,9 +27,6 @@ def ev(frame: int, sensor_id: str) -> DetectionEvent:
         frame=frame,
         sensor_id=sensor_id,
         target_id="vru",
-        visible_fraction=1.0,
-        apparent_width=0.1,
-        apparent_height=0.2,
         available_at=frame / 10.0 + 0.025,
     )
 
@@ -46,23 +42,23 @@ def random_streams(rng: random.Random, sensors, n_frames):
 
 
 def test_accuracy_basic_ratios():
-    assert accuracy({"a": []}, 100) == 0.0
+    assert accuracy({"a": []}, 100, ("a",)) == 0.0
     full = {"a": [ev(f, "a") for f in range(50)]}
-    assert accuracy(full, 50) == 1.0
+    assert accuracy(full, 50, ("a",)) == 1.0
     partial = {"a": [ev(f, "a") for f in range(892)]}
-    assert accuracy(partial, 1000) == pytest.approx(0.892)
+    assert accuracy(partial, 1000, ("a",)) == pytest.approx(0.892)
 
 
 def test_accuracy_counts_a_frame_once_across_sensors():
     events = {"a": [ev(3, "a")], "b": [ev(3, "b"), ev(4, "b")]}
-    assert accuracy(events, 10) == pytest.approx(0.2)
+    assert accuracy(events, 10, ("a", "b")) == pytest.approx(0.2)
 
 
 def test_accuracy_rejects_empty_window_and_unknown_sensor():
     with pytest.raises(ValueError):
-        accuracy({"a": []}, 0)
+        accuracy({"a": []}, 0, ("a",))
     with pytest.raises(ValueError, match="ghost"):
-        accuracy({"a": []}, 10, subset=("ghost",))
+        accuracy({"a": []}, 10, ("ghost",))
 
 
 def test_accuracy_superset_never_lower():
@@ -80,9 +76,9 @@ def test_accuracy_superset_never_lower():
 
 
 def test_mean_detections_examples():
-    assert mean_detections_per_frame({"a": []}, 25) == 0.0
+    assert mean_detections_per_frame({"a": []}, 25, ("a",)) == 0.0
     sensors = {f"rsu{i}": [ev(f, f"rsu{i}") for f in range(30)] for i in range(12)}
-    assert mean_detections_per_frame(sensors, 30) == pytest.approx(12.0)
+    assert mean_detections_per_frame(sensors, 30, tuple(sensors)) == pytest.approx(12.0)
 
 
 def test_mean_detections_matches_recount_and_bound():
@@ -90,37 +86,10 @@ def test_mean_detections_matches_recount_and_bound():
     sensors = ["vut"] + [f"rsu{i}" for i in range(5)]
     for _ in range(100):
         events = random_streams(rng, sensors, 33)
-        got = mean_detections_per_frame(events, 33)
+        got = mean_detections_per_frame(events, 33, tuple(sensors))
         want = sum(len(v) for v in events.values()) / 33
         assert got == pytest.approx(want, abs=1e-12)
         assert 0.0 <= got <= len(sensors)
-
-
-# ----------------------------------------------------------- avoidance rate
-
-
-def out(avoided: bool) -> SafetyOutcome:
-    if avoided:
-        return SafetyOutcome(True, 0.0)
-    return SafetyOutcome(False, 4.0, collision_time=6.0)
-
-
-def test_avoidance_rate_ratios():
-    assert avoidance_rate([out(True)] * 4) == 1.0
-    assert avoidance_rate([out(False)] * 3) == 0.0
-    mixed = [out(True)] * 3 + [out(False)] * 6
-    assert avoidance_rate(mixed) == pytest.approx(1 / 3)
-
-
-def test_avoidance_rate_permutation_invariant_and_validated():
-    rng = random.Random(3)
-    outcomes = [out(rng.random() < 0.4) for _ in range(20)]
-    base = avoidance_rate(outcomes)
-    for _ in range(10):
-        rng.shuffle(outcomes)
-        assert avoidance_rate(outcomes) == pytest.approx(base)
-    with pytest.raises(ValueError):
-        avoidance_rate([])
 
 
 # ---------------------------------------------------------------- heatmaps
@@ -215,14 +184,16 @@ def test_heatmap_csv_labels_every_frame_apart(frame_rate, labels):
 def test_heatmap_ppm_pixels():
     events = {"vut": [ev(0, "vut")], "rsu1": []}
     hm = heatmap_of(events, 3, lpbt=0.21)
-    data = hm.to_ppm(scale=1)
+    data = hm.to_ppm()
     header, rest = data.split(b"\n", 1)
     assert header == b"P6"
     dims, rest = rest.split(b"\n", 1)
-    assert dims == b"3 2"
+    assert dims == b"6 4"
     _, pixels = rest.split(b"\n", 1)
-    assert len(pixels) == 3 * 2 * 3
-    px = [pixels[i : i + 3] for i in range(0, len(pixels), 3)]
+    assert len(pixels) == 6 * 4 * 3
+    # every other pixel of every other row: one per cell
+    px = [pixels[i : i + 3] for i in range(0, len(pixels), 3)][0::2]
+    px = px[0:3] + px[6:9]
     assert px[0] == b"\x22\xaa\x44"    # vut saw frame 0
     assert px[1] == b"\xff\xff\xff"    # nothing at frame 1
     assert px[2] == b"\xcc\x22\x22"    # deadline column
@@ -230,15 +201,16 @@ def test_heatmap_ppm_pixels():
     assert px[5] == b"\xcc\x22\x22"
 
 
-def test_heatmap_ppm_scaling_and_validation():
-    events = {"vut": [ev(0, "vut")]}
-    hm = heatmap_of(events, 4, lpbt=None)
-    small = hm.to_ppm(scale=1)
-    big = hm.to_ppm(scale=3)
-    assert b"12 3" in big.split(b"\n", 2)[1]
-    assert len(big) > len(small)
-    with pytest.raises(ValueError):
-        hm.to_ppm(scale=0)
+def test_heatmap_ppm_draws_each_cell_two_pixels_square():
+    events = {"vut": [ev(0, "vut"), ev(3, "vut")], "rsu1": [ev(1, "rsu1")]}
+    hm = heatmap_of(events, 4, lpbt=0.2)
+    colour = {True: b"\x22\xaa\x44", False: b"\xff\xff\xff"}
+    rows = [
+        b"".join(b"\xcc\x22\x22" if col == 2 else colour[val] for col, val in enumerate(row))
+        for row in hm.cells
+    ]
+    doubled = b"".join(b"".join(row[i : i + 3] * 2 for i in range(0, len(row), 3)) * 2 for row in rows)
+    assert hm.to_ppm() == b"P6\n8 4\n255\n" + doubled
 
 
 def test_heatmap_shape_validation():

@@ -24,7 +24,6 @@ from vrusim.placement import (
     greedy_select,
 )
 from vrusim.scenario import (
-    ActorClass,
     ActorTrack,
     ScenarioKind,
     ScenarioSpec,
@@ -41,17 +40,16 @@ OPEN_GATES = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
 
 def ped_cell(lane_y: float) -> ScenarioSpec:
     vut = ActorTrack(
-        ActorClass.VEHICLE, 4.5, 1.8, 1.5, 10.0, (Vec2(-60, lane_y), Vec2(200, lane_y))
+        4.5, 1.8, 1.5, 10.0, (Vec2(-60, lane_y), Vec2(200, lane_y))
     )
     ped = ActorTrack(
-        ActorClass.PEDESTRIAN, 0.5, 0.5, 1.8, 0.0, (Vec2(0, lane_y), Vec2(0, lane_y + 1))
+        0.5, 0.5, 1.8, 0.0, (Vec2(0, lane_y), Vec2(0, lane_y + 1))
     )
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50,
         vut_track=vut,
         vru_track=ped,
         occluders=(),
-        conflict_point=Vec2(0, lane_y),
         nominal_collision_time=5.75,
         sim_duration=8.0,
         frame_rate=10.0,

@@ -13,7 +13,6 @@ import pytest
 from vrusim.geometry import Vec2, visible_fraction
 from vrusim.scenario import (
     KMH,
-    ActorClass,
     ActorTrack,
     ScenarioKind,
     ScenarioOverrides,
@@ -29,6 +28,9 @@ ALL_CELLS = [
     for kind in ScenarioKind
     for speed in allowed_speeds_kmh(kind)
 ]
+
+# both footprints would meet here unbraked, in every scenario
+CONFLICT_POINT = Vec2(0.0, 0.0)
 
 
 def first_overlap_fine(spec, window=2.0, hz=1000):
@@ -80,7 +82,6 @@ def test_no_overlap_just_before_onset():
 def test_displaced_vru_path_never_collides():
     spec = build_scenario(ScenarioKind.CPNC50, 40.0)
     shifted = ActorTrack(
-        spec.vru_track.actor_class,
         spec.vru_track.length,
         spec.vru_track.width,
         spec.vru_track.height,
@@ -111,7 +112,7 @@ def test_centers_reach_conflict_simultaneously():
         spec = build_scenario(kind, speed)
         arrivals = []
         for track in (spec.vut_track, spec.vru_track):
-            start_d = norm(track.path[0] - spec.conflict_point)
+            start_d = norm(track.path[0] - CONFLICT_POINT)
             arrivals.append(start_d / track.speed)
         assert abs(arrivals[0] - arrivals[1]) <= 1.0 / spec.frame_rate, (kind, speed)
 
@@ -122,7 +123,7 @@ def test_start_distance_rule():
         spec = build_scenario(kind, speed)
         v = speed * KMH
         want = max(8.0 * v, 60.0)
-        got = norm(spec.vut_track.path[0] - spec.conflict_point)
+        got = norm(spec.vut_track.path[0] - CONFLICT_POINT)
         assert got == pytest.approx(want, abs=1e-9), (kind, speed)
 
 
@@ -151,8 +152,10 @@ def test_vru_speeds_follow_scenario():
     assert build_scenario(ScenarioKind.CPNC50, 20.0).vru_track.speed == pytest.approx(5.0 * KMH)
     assert build_scenario(ScenarioKind.CBNA, 60.0).vru_track.speed == pytest.approx(15.0 * KMH)
     assert build_scenario(ScenarioKind.CBLA, 40.0).vru_track.speed == pytest.approx(15.0 * KMH)
-    assert build_scenario(ScenarioKind.CPNC50, 20.0).vru_track.actor_class is ActorClass.PEDESTRIAN
-    assert build_scenario(ScenarioKind.CBNA, 20.0).vru_track.actor_class is ActorClass.CYCLIST
+    pedestrian = build_scenario(ScenarioKind.CPNC50, 20.0).vru_track
+    cyclist = build_scenario(ScenarioKind.CBNA, 20.0).vru_track
+    assert (pedestrian.length, pedestrian.width, pedestrian.height) == (0.5, 0.5, 1.8)
+    assert (cyclist.length, cyclist.width, cyclist.height) == (1.8, 0.5, 1.8)
 
 
 # ---------------------------------------------------------------- occluders
@@ -206,7 +209,7 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
         world = world_at(spec, t)
         sil = world.vru_silhouette
         frac = geometric_fraction((world.vut_pose.x, world.vut_pose.y), sil, spec.occluders)
-        dist = norm(sil.anchor - spec.conflict_point)
+        dist = norm(sil.anchor - CONFLICT_POINT)
         if frac >= 0.5:
             first_visible_dist = dist
             break
@@ -219,7 +222,7 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
 
 
 def test_track_state_basics():
-    track = ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, 10.0, (Vec2(0, 0), Vec2(100, 0)))
+    track = ActorTrack(4.5, 1.8, 1.5, 10.0, (Vec2(0, 0), Vec2(100, 0)))
     pose, speed = track.state_at(0.0)
     assert (pose.x, pose.y) == (0.0, 0.0)
     assert speed == 10.0
@@ -231,7 +234,7 @@ def test_track_state_basics():
 
 
 def test_track_follows_corners():
-    track = ActorTrack(ActorClass.CYCLIST, 1.8, 0.5, 1.8, 2.0, (Vec2(0, 0), Vec2(10, 0), Vec2(10, 10)))
+    track = ActorTrack(1.8, 0.5, 1.8, 2.0, (Vec2(0, 0), Vec2(10, 0), Vec2(10, 10)))
     pose, _ = track.state_at(2.0)
     assert (pose.x, pose.y, pose.heading) == pytest.approx((4.0, 0.0, 0.0))
     pose, _ = track.state_at(7.0)
@@ -241,11 +244,11 @@ def test_track_follows_corners():
 
 def test_track_validation():
     with pytest.raises(ValueError):
-        ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, -1.0, (Vec2(0, 0), Vec2(1, 0)))
+        ActorTrack(4.5, 1.8, 1.5, -1.0, (Vec2(0, 0), Vec2(1, 0)))
     with pytest.raises(ValueError):
-        ActorTrack(ActorClass.VEHICLE, 4.5, 1.8, 1.5, 1.0, (Vec2(0, 0),))
+        ActorTrack(4.5, 1.8, 1.5, 1.0, (Vec2(0, 0),))
     with pytest.raises(ValueError):
-        ActorTrack(ActorClass.VEHICLE, 0.0, 1.8, 1.5, 1.0, (Vec2(0, 0), Vec2(1, 0)))
+        ActorTrack(0.0, 1.8, 1.5, 1.0, (Vec2(0, 0), Vec2(1, 0)))
 
 
 # ------------------------------------------------------------ determinism

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vrusim.geometry import MountPose, Pose2, Silhouette, Vec2, wrap_angle
+from vrusim.geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction, wrap_angle
 from vrusim.scenario import ScenarioKind, WorldState, build_scenario
 from vrusim.sensing import (
     DEFAULT_RSU_HEIGHT,
@@ -56,10 +56,17 @@ def test_unoccluded_pedestrian_detected_with_full_fraction():
     world = make_world(Pose2(10.0, 0.0, math.pi / 2), time=0.4)  # frame 4 at 10 Hz
     ev = sense_frame(RSU_AT_ORIGIN, DetectionModel(), world, 4)
     assert ev is not None
-    assert ev.visible_fraction == 1.0
+    unit = RSU_AT_ORIGIN
+    assert visible_fraction(unit.pose, unit.hfov, unit.vfov, unit.max_range, world.vru_silhouette, (), 0.0) == 1.0
     assert ev.sensor_id == "r"
     assert ev.frame == 4
     assert ev.available_at == pytest.approx(0.425)
+
+
+@pytest.mark.parametrize("sensor_id", ["", "a/b", "a\\b", "a,b", " a", "a\t"])
+def test_sensor_id_must_be_a_plain_name(sensor_id):
+    with pytest.raises(ValueError, match="sensor id"):
+        replace(RSU_AT_ORIGIN, sensor_id=sensor_id)
 
 
 def test_target_beyond_range_not_detected():
@@ -328,7 +335,7 @@ def test_px_conversion():
 
 
 def ev(frame, available=None):
-    return DetectionEvent(frame, "s", "vru", 1.0, 0.1, 0.1, frame / 10.0 + 0.025 if available is None else available)
+    return DetectionEvent(frame, "s", "vru", frame / 10.0 + 0.025 if available is None else available)
 
 
 def test_confirm_three_consecutive():

@@ -1,29 +1,22 @@
-"""Source hygiene: every public name in the package is used.
+"""Source hygiene: every public name in the package is used by the package.
 
-A public function or class that no module of the package references, and
-that no ``__all__`` exports, is code that only tests (or nothing) run; it
-belongs in the tests or nowhere. The same holds for a public method or
-property of a package class whose name no module of the package reads as
-an attribute.
+A public function or class counts as used only when another statement of
+its own module names it, or another package module imports it by name. A
+re-export from ``vrusim/__init__.py`` is no use, and neither is an
+``__all__``, except that of a library-only module: one no package module
+imports, whose ``__all__`` is its API.
+
+A public method or property of a package class must be read as an
+attribute somewhere in the package, and so must every public field of a
+dataclass: state the package writes and never reads belongs nowhere. A
+class that a library-only module exports is API, and its members are
+exempt.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vrusim"
-
-
-def referenced_names(node: ast.AST) -> set[str]:
-    """Names a piece of code reads, calls, imports or annotates with."""
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.name)
-    return names
 
 
 def exported_names(tree: ast.Module) -> set[str]:
@@ -39,22 +32,55 @@ def package_modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
+def imports_by_name(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every ``from .module import name`` in a module."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def library_api(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """The ``__all__`` of each module no package module imports; the
+    package's own re-exports are no API of this kind."""
+    imported = {module for tree in modules.values() for module, _ in imports_by_name(tree)}
+    return {
+        name: exported_names(tree)
+        for name, tree in modules.items()
+        if name != "__init__" and name not in imported
+    }
+
+
 def unused_public_definitions() -> list[str]:
     modules = package_modules()
-    exported = set().union(*(exported_names(tree) for tree in modules.values()))
-    # (module, statement, names it references), one per top-level statement
-    statements = [
-        (name, stmt, referenced_names(stmt)) for name, tree in modules.items() for stmt in tree.body
-    ]
+    api = library_api(modules)
     unused = []
-    for module, stmt, _ in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name.startswith("_") or stmt.name in exported:
-            continue
-        # a definition's own body (a recursive call) does not count as a use
-        if not any(stmt.name in refs for _, other, refs in statements if other is not stmt):
-            unused.append(f"{module}.{stmt.name}")
+    for module, tree in modules.items():
+        exempt = api.get(module, set())
+        imported_elsewhere = {
+            name
+            for other, other_tree in modules.items()
+            if other not in (module, "__init__")
+            for source, name in imports_by_name(other_tree)
+            if source == module
+        }
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if name.startswith("_") or name in exempt or name in imported_elsewhere:
+                continue
+            # a definition's own body (a recursive call) does not count as a
+            # use, and an attribute of the same name is some other object's
+            if not any(
+                isinstance(node, ast.Name) and node.id == name
+                for other in tree.body
+                if other is not stmt
+                for node in ast.walk(other)
+            ):
+                unused.append(f"{module}.{name}")
     return unused
 
 
@@ -62,23 +88,50 @@ def test_every_public_definition_is_used_or_exported():
     assert unused_public_definitions() == []
 
 
-def unread_public_members() -> list[str]:
+def attributes_read(modules: dict[str, ast.Module]) -> set[str]:
+    return {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_members(fields: bool) -> list[str]:
+    """Public dataclass fields (``fields``) or public methods and
+    properties of package classes that no package module reads as an
+    attribute."""
     modules = package_modules()
-    read = {sub.attr for tree in modules.values() for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+    read = attributes_read(modules)
+    api = library_api(modules)
     unread = []
     for module, tree in modules.items():
         for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
+            if not isinstance(cls, ast.ClassDef) or cls.name in api.get(module, ()):
                 continue
             for stmt in cls.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not stmt.name.startswith("_")
-                    and stmt.name not in read
-                ):
-                    unread.append(f"{module}.{cls.name}.{stmt.name}")
+                if fields and isinstance(stmt, ast.AnnAssign) and is_dataclass(cls):
+                    name = stmt.target.id
+                elif not fields and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                else:
+                    continue
+                if not name.startswith("_") and name not in read:
+                    unread.append(f"{module}.{cls.name}.{name}")
     return unread
 
 
 def test_every_public_method_is_read_by_the_package():
-    assert unread_public_members() == []
+    assert unread_members(fields=False) == []
+
+
+def test_every_public_dataclass_field_is_read_by_the_package():
+    assert unread_members(fields=True) == []
