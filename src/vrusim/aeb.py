@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .geometry import Box, obb_gap_bound, obb_overlap, obb_separation, wrap_angle
+from .geometry import Box, Pose2, obb_gap_bound, obb_overlap, obb_separation
 from .scenario import ActorTrack, ScenarioSpec, Timeline, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, reach, sense_frame
 
@@ -133,9 +133,9 @@ def _radius(track: ActorTrack) -> float:
     return math.hypot(track.length / 2, track.width / 2)
 
 
-def _box(track: ActorTrack, x: float, y: float, heading: float) -> Box:
+def _box(track: ActorTrack, x: float, y: float) -> Box:
     """A track's footprint at a located position, as a float box."""
-    return (x, y, wrap_angle(heading), track.length / 2, track.width / 2)
+    return (x, y, track.heading, track.length / 2, track.width / 2)
 
 
 def _point_gap(box: Box, x: float, y: float) -> float:
@@ -170,15 +170,15 @@ def _first_contact(
     k = 0
     while k < n:
         t = times[k]
-        ux, uy, uh, _ = vut_locate(travel[k])
-        rx, ry, rh, _ = vru_locate(vru_speed * t)
+        ux, uy = vut_locate(travel[k])
+        rx, ry = vru_locate(vru_speed * t)
         bound = math.hypot(rx - ux, ry - uy) - vut_r - vru_r
         if bound > _CULL_MARGIN:
             closing = speeds[k] + vru_speed
             if closing <= 0.0:
                 return None
             k = bisect_left(times, t + (bound - 2.0 * _CULL_MARGIN) / closing, k + 1)
-        elif obb_overlap(_box(vut_track, ux, uy, uh), _box(vru_track, rx, ry, rh)):
+        elif obb_overlap(_box(vut_track, ux, uy), _box(vru_track, rx, ry)):
             return k
         else:
             k += 1
@@ -204,10 +204,10 @@ def _sense_frames(
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
-    worlds = [
-        WorldState(t, vut_track.pose_at_distance(frame_travel[frame])[0], vru_track.silhouette_at(t), spec.occluders)
-        for frame, t in enumerate(times)
-    ]
+    worlds = []
+    for frame, t in enumerate(times):
+        x, y = vut_track.locate(frame_travel[frame])
+        worlds.append(WorldState(t, Pose2(x, y, vut_track.heading), vru_track.silhouette_at(t), spec.occluders))
     vru_speed = vru_track.speed
     n = len(worlds)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
@@ -325,34 +325,31 @@ def stop_margin(trace: RunTrace) -> float:
     vut_locate, vru_locate = vut_track.locate, vru_track.locate
     vru_speed = vru_track.speed
 
-    def centres(k: int) -> tuple[float, float, float, float, float, float]:
-        ux, uy, uh, _ = vut_locate(travel[k])
-        rx, ry, rh, _ = vru_locate(vru_speed * times[k])
-        return ux, uy, uh, rx, ry, rh
+    def centres(k: int) -> tuple[float, float, float, float]:
+        ux, uy = vut_locate(travel[k])
+        rx, ry = vru_locate(vru_speed * times[k])
+        return ux, uy, rx, ry
 
     n = len(times)
     # the target: a far-field frame start's own value, or the distance
     # from one actor's centre to the other's box at the nearest one
     target, nearest, nearest_gap = math.inf, None, math.inf
     for k in range(0, n, timeline.steps_per_frame):
-        ux, uy, _, rx, ry, _ = centres(k)
+        ux, uy, rx, ry = centres(k)
         gap = math.hypot(rx - ux, ry - uy)
         if gap > near_field:
             target = min(target, gap - vut_r - vru_r)
         elif gap < nearest_gap:
             nearest, nearest_gap = k, gap
     if nearest is not None:
-        ux, uy, uh, rx, ry, rh = centres(nearest)
-        target = min(
-            target,
-            _point_gap(_box(vut_track, ux, uy, uh), rx, ry),
-            _point_gap(_box(vru_track, rx, ry, rh), ux, uy),
-        )
+        ux, uy, rx, ry = centres(nearest)
+        vut_box, vru_box = _box(vut_track, ux, uy), _box(vru_track, rx, ry)
+        target = min(target, _point_gap(vut_box, rx, ry), _point_gap(vru_box, ux, uy))
     margin = math.inf
     near: list[tuple[float, int]] = []  # (bound, step)
     k = 0
     while k < n:
-        ux, uy, _, rx, ry, _ = centres(k)
+        ux, uy, rx, ry = centres(k)
         gap = math.hypot(rx - ux, ry - uy)
         bound = gap - vut_r - vru_r
         if bound > target + _CULL_MARGIN:
@@ -370,8 +367,8 @@ def stop_margin(trace: RunTrace) -> float:
     for bound, k in sorted(near):
         if bound > margin + _CULL_MARGIN:
             break
-        ux, uy, uh, rx, ry, rh = centres(k)
-        vut_box, vru_box = _box(vut_track, ux, uy, uh), _box(vru_track, rx, ry, rh)
+        ux, uy, rx, ry = centres(k)
+        vut_box, vru_box = _box(vut_track, ux, uy), _box(vru_track, rx, ry)
         if obb_gap_bound(vut_box, vru_box) > margin + _CULL_MARGIN:
             continue
         margin = min(margin, obb_separation(vut_box, vru_box))
@@ -448,20 +445,21 @@ def format_trace(trace: RunTrace) -> str:
     steps_per_frame = spec.timeline(trace.dt).steps_per_frame
     detected = [{ev.frame for ev in events} for events in trace.events_by_sensor.values()]
     onset = trace.brake_trigger_time
+    vut_track, vru_track = spec.vut_track, spec.vru_track
     for frame in range(spec.n_frames):
         t = frame / spec.frame_rate
         start = frame * steps_per_frame
-        vut_pose, _ = spec.vut_track.pose_at_distance(trace.travel[start])
-        vru_pose, _ = spec.vru_track.state_at(t)
+        ux, uy = vut_track.locate(trace.travel[start])
+        rx, ry = vru_track.locate(vru_track.speed * t)
         row = [
             f"{t:.3f}",
-            f"{vut_pose.x:.6f}",
-            f"{vut_pose.y:.6f}",
-            f"{vut_pose.heading:.6f}",
+            f"{ux:.6f}",
+            f"{uy:.6f}",
+            f"{vut_track.heading:.6f}",
             f"{trace.speeds[start]:.6f}",
-            f"{vru_pose.x:.6f}",
-            f"{vru_pose.y:.6f}",
-            f"{vru_pose.heading:.6f}",
+            f"{rx:.6f}",
+            f"{ry:.6f}",
+            f"{vru_track.heading:.6f}",
             "1" if onset is not None and t >= onset else "0",
         ] + ["1" if frame in frames else "0" for frames in detected]
         lines.append(",".join(row))

@@ -54,7 +54,6 @@ class SubsetSpec:
 class RunConfig:
     scenarios: tuple[ScenarioKind, ...]
     speeds_by_kind: Mapping[ScenarioKind, tuple[float, ...]]  # km/h
-    seed: int
     out_dir: str
     dt: float
     scene_yaws_deg: tuple[float, ...]
@@ -87,7 +86,7 @@ class RunConfig:
                 k.display_name + ":" + ",".join(f"{s:g}" for s in self.speeds_by_kind[k])
                 for k in self.scenarios
             ),
-            f"seed={self.seed}",
+            f"seed={self.model.seed}",
             f"dt={self.dt:.9g}",
             "yaws=" + ",".join(f"{y:.9g}" for y in self.scene_yaws_deg),
             f"policy={self.policy.deceleration:.9g},{self.policy.latency:.9g},{self.policy.confirm_frames}",
@@ -434,7 +433,6 @@ def load_config(
     config = RunConfig(
         scenarios=kinds,
         speeds_by_kind=speeds_by_kind,
-        seed=cfg_seed if seed is None else seed,
         out_dir=cfg_out if out_dir is None else out_dir,
         dt=dt,
         scene_yaws_deg=yaws,
@@ -468,8 +466,25 @@ def load_config(
             scenarios=tuple(k for k in config.scenarios if k in kept),
             speeds_by_kind=kept,
         )
+    _check_report_names(config)
     _check_scenarios(config)
     return config
+
+
+def cell_tag(yaw_deg: float, kind: ScenarioKind, speed_kmh: float) -> str:
+    """A sweep cell's name in its report file names."""
+    tag = f"{kind.display_name}_{speed_kmh:g}"
+    return tag if yaw_deg == 0.0 else f"{tag}_yaw{yaw_deg:g}"
+
+
+def _check_report_names(config: RunConfig) -> None:
+    """Reject, before any simulation, a subset whose heatmap file name
+    ``<cell>_<subset>.csv`` (or ``.ppm``) passes the 255-byte limit."""
+    longest = max(len(cell_tag(*cell).encode()) for cell in config.cells())
+    for sub in config.subsets:
+        size = longest + len(f"_{sub.name}.csv".encode())
+        if size > 255:
+            raise ConfigError(f"subsets: subset {sub.name!r} names report files of {size} bytes; the limit is 255")
 
 
 def _check_scenarios(config: RunConfig) -> None:

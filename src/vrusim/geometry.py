@@ -34,12 +34,6 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite Vec2: ({self.x}, {self.y})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
     def rotated(self, angle: float) -> "Vec2":
         c, s = math.cos(angle), math.sin(angle)
         return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from ._version import __version__
 from .aeb import SafetyOutcome, format_trace, last_possible_brake_time, simulate_run, stop_margin
-from .config import RunConfig
+from .config import RunConfig, cell_tag
 from .metrics import accuracy, heatmap_from_frames, mean_detections_per_frame
 from .scenario import ScenarioKind, build_scenario, rotate_scenario
 from .sensing import first_confirmed_time
@@ -169,13 +169,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cell_tag(cell: CellResult) -> str:
-    tag = f"{cell.kind.display_name}_{cell.speed_kmh:g}"
-    if cell.yaw_deg != 0.0:
-        tag += f"_yaw{cell.yaw_deg:g}"
-    return tag
-
-
 def _summary_csv(result: SweepResult) -> str:
     header = (
         "scene_yaw_deg,scenario,speed_kmh,subset,accuracy,mean_detections_per_frame,"
@@ -282,6 +275,7 @@ def emit_reports(result: SweepResult, out_dir: str) -> Manifest:
         write(f"avoidance_by_subset{suffix}.csv", _avoidance_csv(result, yaw))
 
     for cell in result.cells:
+        tag = cell_tag(cell.yaw_deg, cell.kind, cell.speed_kmh)
         for sub in cell.subsets:
             frames = {
                 sensor_id: cell.detection_frames[sensor_id] for sensor_id in sub.sensor_ids
@@ -289,18 +283,18 @@ def emit_reports(result: SweepResult, out_dir: str) -> Manifest:
             hm = heatmap_from_frames(
                 frames, cell.n_frames, cell.frame_rate, cell.last_possible_brake_time
             )
-            base = f"heatmaps/{_cell_tag(cell)}_{sub.name}"
+            base = f"heatmaps/{tag}_{sub.name}"
             write(base + ".csv", hm.to_csv())
             write(base + ".ppm", hm.to_ppm())
         if cell.trace_text is not None:
-            write(f"traces/{_cell_tag(cell)}.txt", cell.trace_text)
+            write(f"traces/{tag}.txt", cell.trace_text)
 
     entries.sort()
     failures.sort()
     manifest_lines = [
         f"version {result.version}",
         f"config_hash {result.config_hash}",
-        f"seed {result.config.seed}",
+        f"seed {result.config.model.seed}",
         f"files {len(entries)}",
     ]
     manifest_lines += [f"{digest}  {rel}" for rel, digest in entries]

@@ -1,8 +1,9 @@
 """EuroNCAP VRU test-case construction.
 
-Each scenario is a parametric timeline: the vehicle under test drives east
-along y = 0 and the vulnerable road user moves so that, absent braking, the
-two footprints meet at the conflict point at the origin. Start positions are
+Each scenario is a parametric timeline in which each actor drives one
+straight leg at constant speed: the vehicle under test drives east along
+y = 0 and the vulnerable road user moves so that, absent braking, the two
+footprints meet at the conflict point at the origin. Start positions are
 back-computed so both actor centers arrive simultaneously; the stored
 nominal collision time is the (earlier) analytic instant when the footprints
 first touch.
@@ -40,63 +41,45 @@ class ScenarioKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ActorTrack:
-    """Constant-speed motion along a polyline, clamped at the last waypoint."""
+    """Constant-speed motion along one straight leg from ``path[0]`` to
+    ``path[1]``, clamped at its end."""
 
     length: float
     width: float
     height: float
     speed: float
-    path: tuple[Vec2, ...]
-    # (start x, start y, dx, dy, length, heading) per leg of the path
-    _legs: tuple[tuple[float, float, float, float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    path: tuple[Vec2, Vec2]
+    # the leg's direction, normalized
+    heading: float = field(init=False, repr=False, compare=False)
+    # (start x, start y, dx, dy, length) of the leg
+    _leg: tuple[float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.width <= 0 or self.height <= 0:
             raise ValueError("actor dimensions must be positive")
         if self.speed < 0:
             raise ValueError("speed must be non-negative")
-        if len(self.path) < 2:
-            raise ValueError("path needs at least two waypoints")
-        legs = []
-        for a, b in zip(self.path, self.path[1:]):
-            dx, dy = b.x - a.x, b.y - a.y
-            legs.append((a.x, a.y, dx, dy, math.hypot(dx, dy), math.atan2(dy, dx)))
-        object.__setattr__(self, "_legs", tuple(legs))
+        if len(self.path) != 2:
+            raise ValueError("path must be one leg: a start and an end waypoint")
+        a, b = self.path
+        dx, dy = b.x - a.x, b.y - a.y
+        object.__setattr__(self, "heading", wrap_angle(math.atan2(dy, dx)))
+        object.__setattr__(self, "_leg", (a.x, a.y, dx, dy, math.hypot(dx, dy)))
 
-    def state_at(self, t: float) -> tuple[Pose2, float]:
-        """Pose and instantaneous speed after travelling speed*t along the path."""
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        pose, clamped = self.pose_at_distance(self.speed * t)
-        return pose, 0.0 if clamped else self.speed
-
-    def pose_at_distance(self, distance: float) -> tuple[Pose2, bool]:
-        """Pose after travelling `distance` along the polyline.
-
-        The second value reports clamping at the final waypoint.
-        """
-        if distance < 0:
-            raise ValueError("distance must be non-negative")
-        x, y, heading, clamped = self.locate(distance)
-        return Pose2(x, y, heading), clamped
-
-    def locate(self, distance: float) -> tuple[float, float, float, bool]:
-        """Position, leg heading and clamping flag after `distance` along the
-        polyline, as plain floats; `distance` must be non-negative."""
-        for ax, ay, dx, dy, length, heading in self._legs:
-            if distance <= length:
-                frac = distance / length if length > 0 else 0.0
-                return ax + dx * frac, ay + dy * frac, heading, False
-            distance -= length
-        end = self.path[-1]
-        return end.x, end.y, self._legs[-1][5], True
+    def locate(self, distance: float) -> tuple[float, float]:
+        """Position after `distance` along the leg, as plain floats;
+        `distance` must be non-negative."""
+        ax, ay, dx, dy, length = self._leg
+        if distance <= length:
+            frac = distance / length if length > 0 else 0.0
+            return ax + dx * frac, ay + dy * frac
+        end = self.path[1]
+        return end.x, end.y
 
     def silhouette_at(self, t: float) -> Silhouette:
-        """The sensing plane at time t, at the pose `state_at` gives."""
-        x, y, heading, _ = self.locate(self.speed * t)
-        return Silhouette(Vec2(x, y), wrap_angle(heading), self.length, self.width, self.height)
+        """The sensing plane at time t."""
+        x, y = self.locate(self.speed * t)
+        return Silhouette(Vec2(x, y), self.heading, self.length, self.width, self.height)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction, wrap_angle
+from .geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction
 from .scenario import DEFAULT_OVERRIDES, WorldState
 
 SENSOR_IMAGE_WIDTH_PX = 1920
@@ -162,20 +162,6 @@ def reach(sensor: SensorUnit, model: DetectionModel, target: Silhouette) -> floa
     )
 
 
-def _outside_aperture(pose: MountPose, hfov: float, target: Silhouette, dx: float, dy: float, dist: float) -> bool:
-    """Whether every sample point of a target whose anchor lies (dx, dy)
-    from the sensor, `dist` away, is outside the horizontal aperture.
-
-    Each point lies within length / 3 of the anchor, so from beyond one
-    target length its bearing is within asin(length / (2 * dist)) of the
-    anchor's; the 1e-6 rad margin dwarfs the rounding of either bearing.
-    """
-    if dist <= target.length:
-        return False
-    off = abs(wrap_angle(math.atan2(dy, dx) - pose.yaw))
-    return off > hfov / 2.0 + math.asin(target.length / (2.0 * dist)) + 1e-6
-
-
 def _miss_coin(seed: int, sensor_id: str, frame: int) -> float:
     """Stateless per-(sensor, frame) uniform draw in [0, 1)."""
     digest = hashlib.sha256(f"{seed}:{sensor_id}:{frame}".encode()).digest()
@@ -192,9 +178,7 @@ def sense_frame(
     pose = sensor.world_pose(world.vut_pose)
     target = world.vru_silhouette
 
-    dx = target.anchor.x - pose.x
-    dy = target.anchor.y - pose.y
-    dist = math.hypot(dx, dy)
+    dist = math.hypot(target.anchor.x - pose.x, target.anchor.y - pose.y)
     if dist - target.length / 2.0 > sensor.max_range:
         return None
     if dist < 1e-9:
@@ -205,10 +189,6 @@ def sense_frame(
     if apparent_angular_width(pose, target, dist) < model.min_apparent_width:
         return None
     if apparent_angular_height(pose, target, dist) < model.min_apparent_height:
-        return None
-
-    # a frame none of whose points can be seen has fraction 0.0
-    if model.min_visible_fraction > 0.0 and _outside_aperture(pose, sensor.hfov, target, dx, dy, dist):
         return None
 
     fraction = visible_fraction(

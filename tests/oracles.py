@@ -21,7 +21,8 @@ and size gates rule out; their events must be equal.
 the package tests each allowed speed against the range.
 
 The small vector, pose, heatmap and match-count accessors at the top are
-the tests' own: the package reads none of them.
+the tests' own: the package reads none of them. ``pose_at`` places a track
+where the package's `ActorTrack.locate` does, as a ``Pose2``.
 """
 
 import math
@@ -44,6 +45,14 @@ from vrusim.scenario import ActorTrack, ScenarioSpec, WorldState
 from vrusim.sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
 
 
+def add(a: Vec2, b: Vec2) -> Vec2:
+    return Vec2(a.x + b.x, a.y + b.y)
+
+
+def sub(a: Vec2, b: Vec2) -> Vec2:
+    return Vec2(a.x - b.x, a.y - b.y)
+
+
 def scaled(v: Vec2, k: float) -> Vec2:
     return Vec2(v.x * k, v.y * k)
 
@@ -58,6 +67,12 @@ def norm(v: Vec2) -> float:
 
 def position(pose: Pose2) -> Vec2:
     return Vec2(pose.x, pose.y)
+
+
+def pose_at(track: ActorTrack, distance: float) -> Pose2:
+    """A track's pose `distance` along its leg."""
+    x, y = track.locate(distance)
+    return Pose2(x, y, track.heading)
 
 
 def heatmap_row(hm: HeatmapMatrix, sensor_id: str) -> tuple[bool, ...]:
@@ -85,7 +100,7 @@ def corners(box: OrientedBox) -> tuple[Vec2, Vec2, Vec2, Vec2]:
     dl = scaled(fwd, box.half_long)
     dw = scaled(lat, box.half_lat)
     c = box.center
-    return (c + dl + dw, c + dl - dw, c - dl - dw, c - dl + dw)
+    return (add(add(c, dl), dw), sub(add(c, dl), dw), sub(sub(c, dl), dw), add(sub(c, dl), dw))
 
 
 def footprint(track: ActorTrack, pose: Pose2) -> OrientedBox:
@@ -129,12 +144,12 @@ def obb_separation(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    seg = b - a
+    seg = sub(b, a)
     ln2 = dot(seg, seg)
     if ln2 <= _EPS:
-        return norm(p - a)
-    t = max(0.0, min(1.0, dot(p - a, seg) / ln2))
-    return norm(p - (a + scaled(seg, t)))
+        return norm(sub(p, a))
+    t = max(0.0, min(1.0, dot(sub(p, a), seg) / ln2))
+    return norm(sub(p, add(a, scaled(seg, t))))
 
 
 def stopping_distance(v: float, policy: AebPolicy) -> float:
@@ -148,8 +163,8 @@ def world_at(spec: ScenarioSpec, t: float, vut_pose: Pose2 | None = None) -> Wor
     """What a sensing frame at time t sees, from the vehicle at `vut_pose`
     or, by default, where braking disabled puts it."""
     if vut_pose is None:
-        vut_pose, _ = spec.vut_track.state_at(t)
-    vru_pose, _ = spec.vru_track.state_at(t)
+        vut_pose = pose_at(spec.vut_track, spec.vut_track.speed * t)
+    vru_pose = pose_at(spec.vru_track, spec.vru_track.speed * t)
     vru = spec.vru_track
     target = Silhouette(position(vru_pose), vru_pose.heading, vru.length, vru.width, vru.height)
     return WorldState(t, vut_pose, target, spec.occluders)
@@ -166,7 +181,7 @@ def observe_every_frame(
     timeline = spec.timeline(dt)
     events: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for frame in range(spec.n_frames):
-        vut_pose, _ = spec.vut_track.pose_at_distance(timeline.travel[frame * timeline.steps_per_frame])
+        vut_pose = pose_at(spec.vut_track, timeline.travel[frame * timeline.steps_per_frame])
         world = world_at(spec, frame / spec.frame_rate, vut_pose)
         for unit in sensors:
             ev = sense_frame(unit, model, world, frame)
@@ -210,7 +225,7 @@ def live_run(
     trigger = onset = None
     for frame in range(spec.n_frames):
         t_frame = frame / spec.frame_rate
-        vut_pose, _ = spec.vut_track.pose_at_distance(travelled)
+        vut_pose = pose_at(spec.vut_track, travelled)
         world = world_at(spec, t_frame, vut_pose)
         for unit in sensors:
             ev = sense_frame(unit, model, world, frame)
@@ -240,10 +255,10 @@ def touch(spec: ScenarioSpec, t: float, travelled: float) -> bool:
     `travelled` metres along its path; boxes whose bounding circles lie a
     metre apart are not tested."""
     vut, vru = spec.vut_track, spec.vru_track
-    vut_pose, _ = vut.pose_at_distance(travelled)
-    vru_pose, _ = vru.state_at(t)
+    vut_pose = pose_at(vut, travelled)
+    vru_pose = pose_at(vru, vru.speed * t)
     reach = math.hypot(vut.length / 2, vut.width / 2) + math.hypot(vru.length / 2, vru.width / 2) + 1.0
-    if norm(position(vru_pose) - position(vut_pose)) > reach:
+    if norm(sub(position(vru_pose), position(vut_pose))) > reach:
         return False
     return obb_overlap(footprint(vut, vut_pose), footprint(vru, vru_pose))
 
@@ -252,8 +267,8 @@ def nominal_collision_check(spec: ScenarioSpec) -> float | None:
     """Time of first footprint overlap with braking disabled, on the frame grid."""
     for i in range(spec.n_frames):
         t = i / spec.frame_rate
-        vut_pose, _ = spec.vut_track.state_at(t)
-        vru_pose, _ = spec.vru_track.state_at(t)
+        vut_pose = pose_at(spec.vut_track, spec.vut_track.speed * t)
+        vru_pose = pose_at(spec.vru_track, spec.vru_track.speed * t)
         if obb_overlap(footprint(spec.vut_track, vut_pose), footprint(spec.vru_track, vru_pose)):
             return t
     return None
@@ -310,10 +325,10 @@ def ray_blocked(
     crossing dips below the prism top."""
     o = Vec2(origin[0], origin[1])
     t = Vec2(target[0], target[1])
-    span = t - o
+    span = sub(t, o)
     # slab test in the footprint's local frame
     fwd, lat = axes(occluder)
-    rel = o - occluder.center
+    rel = sub(o, occluder.center)
     t_lo, t_hi = 0.0, 1.0
     for axis, half in ((fwd, occluder.half_long), (lat, occluder.half_lat)):
         d = dot(span, axis)

@@ -30,7 +30,7 @@ from vrusim.scenario import (
 )
 from vrusim.sensing import DetectionModel, default_vut_sensor, first_confirmed_time
 
-from oracles import heatmap_row, stopping_distance, totals
+from oracles import heatmap_row, pose_at, stopping_distance, totals
 from sites import rsu
 
 POLICY = AebPolicy()
@@ -102,7 +102,7 @@ def vut_first_sight_distance(speed, model):
     events = trace.events_by_sensor["vut"]
     assert events, f"vehicle camera never sees the cyclist at {speed:g} km/h"
     t = events[0].frame / spec.frame_rate
-    pose, _ = spec.vru_track.state_at(t)
+    pose = pose_at(spec.vru_track, spec.vru_track.speed * t)
     return math.hypot(pose.x, pose.y)
 
 

@@ -25,7 +25,7 @@ from vrusim.aeb import (
     simulate_run,
     stop_margin,
 )
-from vrusim.geometry import Vec2
+from vrusim.geometry import Pose2, Vec2
 from vrusim.geometry import obb_separation as obb_separation_kernel
 from vrusim.scenario import (
     KMH,
@@ -55,8 +55,10 @@ from oracles import (
     obb_overlap,
     obb_separation,
     observe_every_frame,
+    pose_at,
     position,
     stopping_distance,
+    sub,
 )
 
 POLICY = AebPolicy()
@@ -465,9 +467,9 @@ def reference_replay(spec, policy, trigger, dt=0.005):
 
     def contact(t):
         nonlocal collision_time, collision_speed, margin
-        vut_pose, _ = vut_track.pose_at_distance(travelled)
-        vru_pose, _ = vru_track.state_at(t)
-        gap = norm(position(vru_pose) - position(vut_pose))
+        vut_pose = pose_at(vut_track, travelled)
+        vru_pose = pose_at(vru_track, vru_track.speed * t)
+        gap = norm(sub(position(vru_pose), position(vut_pose)))
         if gap > near_field:
             margin = min(margin, gap - vut_r - vru_r)
             return False
@@ -567,12 +569,13 @@ def test_shared_timeline_matches_reference_in_any_order(which, draws):
 
 def test_contact_boxes_take_the_wrapped_heading():
     # a leg along -x whose dy is -0.0 has the atan2 heading -pi; Pose2 wraps
-    # it to pi, whose sine has the other sign, and so must the contact box
+    # it to pi, whose sine has the other sign, and so must the track and
+    # its contact box
     track = ActorTrack(1.8, 0.5, 1.8, 5.0, (Vec2(10.0, 0.0), Vec2(-10.0, -0.0)))
-    x, y, heading, _ = track.locate(3.0)
-    assert heading == -math.pi
-    pose, _ = track.pose_at_distance(3.0)
-    assert _box(track, x, y, heading) == float_box(footprint(track, pose))
+    raw = math.atan2(-0.0, -20.0)
+    assert raw == -math.pi and track.heading == math.pi
+    x, y = track.locate(3.0)
+    assert _box(track, x, y) == float_box(footprint(track, Pose2(x, y, raw)))
 
 
 def clamped_vru(spec, end_y):

@@ -329,6 +329,33 @@ def test_sweep_rejects_a_sensor_id_that_is_no_file_name(tmp_path, caplog, sensor
     ]
 
 
+@pytest.mark.parametrize(
+    "lengths, rc", [((121, 121), 0), ((121, 122), 1), ((141, 141), 1)], ids=["255-bytes", "256-bytes", "283-bytes"]
+)
+def test_sweep_bounds_report_file_names_at_load_time(tmp_path, caplog, lengths, rc):
+    # heatmaps/CBNA_40_<subset>.csv names 12 bytes besides the subset, so
+    # two ids of 121 characters joined by "+" make a 255-byte name
+    ids = ("a" * lengths[0], "b" * lengths[1])
+    rows = format_layout(default_layout()[1:3])
+    rows = rows.replace("\nrsu1,", f"\n{ids[0]},").replace("\nrsu2,", f"\n{ids[1]},")
+    layout = tmp_path / "layout.txt"
+    layout.write_text(rows, encoding="utf-8")
+    cfg = cfg_file(
+        tmp_path,
+        {"scenarios": ["CBNA"], "speeds_kmh": [40], "sensors": {"layout_file": str(layout)}, "subsets": [list(ids)]},
+    )
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", cfg, "--out", str(out), "-q"]
+    if rc == 0:
+        assert main(argv) == 0
+        assert len(f"CBNA_40_{'+'.join(ids)}.csv") == 255
+        assert (out / "heatmaps" / f"CBNA_40_{'+'.join(ids)}.ppm").exists()
+        return
+    message = one_line_config_error(caplog, argv)
+    assert message.startswith(f"subsets: subset '{'+'.join(ids)}' names report files of ")
+    assert not out.exists()
+
+
 def test_placement_scores_every_scene_yaw(tmp_path):
     # rsu0 and rsu5 each avoid the CBNA cell at yaw 0 and miss it at 90
     ids = ("rsu0", "rsu5")

@@ -37,7 +37,7 @@ def test_default_config_shape():
     assert cfg.subsets[-1].sensor_ids == tuple(["vut"] + [f"rsu{i}" for i in range(12)])
     assert len(cfg.all_units()) == 13
     assert cfg.all_units()[0].sensor_id == "vut"
-    assert cfg.seed == 0
+    assert cfg.model.seed == 0
     assert cfg.dt == 0.005
     assert cfg.scene_yaws_deg == (0.0,)
     assert cfg.out_dir == "out"
@@ -64,7 +64,6 @@ def test_hash_is_stable_and_sensitive(tmp_path):
     seeded = load_config(seed=7)
     assert seeded.config_hash() != base.config_hash()
     assert seeded.model.seed == 7
-    assert seeded.seed == 7
 
     wide = load_config(write_cfg(tmp_path, {"camera": {"hfov_deg": 110}}))
     assert wide.config_hash() != base.config_hash()

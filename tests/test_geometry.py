@@ -29,7 +29,7 @@ from vrusim.geometry import (
 )
 
 import oracles
-from oracles import axes, corners, dot, float_box, in_frustum, ray_blocked, scaled, unit_vector
+from oracles import add, axes, corners, dot, float_box, in_frustum, ray_blocked, scaled, unit_vector
 
 
 # ---------------------------------------------------------------- oracles
@@ -246,7 +246,7 @@ def box_pairs(draw):
             offset = draw(st.floats(-a.half_lat, a.half_lat))
         else:
             offset = draw(st.sampled_from((1.0, -1.0))) * (a.half_lat + across)
-        center = a.center + scaled(fwd, side * (a.half_long + along)) + scaled(lat, offset)
+        center = add(add(a.center, scaled(fwd, side * (a.half_long + along))), scaled(lat, offset))
     return a, OrientedBox(center, half_long, half_lat, b_heading)
 
 
@@ -285,7 +285,8 @@ def test_projection_gap_is_exact_face_to_face(heading):
     a = OrientedBox(Vec2(1.0, -2.0), 2.25, 0.9, heading)
     fwd, lat = axes(a)
     # b sits 0.8 m beyond a's front face, turned a quarter, and slid sideways
-    b = OrientedBox(a.center + scaled(fwd, 2.25 + 0.8 + 0.25) + scaled(lat, 0.3), 0.9, 0.25, heading + math.pi / 2)
+    center = add(add(a.center, scaled(fwd, 2.25 + 0.8 + 0.25)), scaled(lat, 0.3))
+    b = OrientedBox(center, 0.9, 0.25, heading + math.pi / 2)
     got = obb_gap_bound(float_box(a), float_box(b))
     assert got == pytest.approx(0.8, abs=1e-12)
     assert got == pytest.approx(obb_separation(float_box(a), float_box(b)), abs=1e-12)

@@ -21,7 +21,7 @@ from vrusim.scenario import (
     rotate_scenario,
 )
 
-from oracles import footprint, nominal_collision_check, norm, obb_overlap, world_at
+from oracles import footprint, nominal_collision_check, norm, obb_overlap, pose_at, sub, world_at
 
 ALL_CELLS = [
     (kind, speed)
@@ -40,8 +40,8 @@ def first_overlap_fine(spec, window=2.0, hz=1000):
     n0, n1 = int(t0 * hz), int(t1 * hz) + 1
     for i in range(n0, n1):
         t = i / hz
-        vut_pose, _ = spec.vut_track.state_at(t)
-        vru_pose, _ = spec.vru_track.state_at(t)
+        vut_pose = pose_at(spec.vut_track, spec.vut_track.speed * t)
+        vru_pose = pose_at(spec.vru_track, spec.vru_track.speed * t)
         if obb_overlap(footprint(spec.vut_track, vut_pose), footprint(spec.vru_track, vru_pose)):
             return t
     return None
@@ -72,8 +72,8 @@ def test_no_overlap_just_before_onset():
     for kind, speed in ALL_CELLS:
         spec = build_scenario(kind, speed)
         t = spec.nominal_collision_time - 0.02
-        vut_pose, _ = spec.vut_track.state_at(t)
-        vru_pose, _ = spec.vru_track.state_at(t)
+        vut_pose = pose_at(spec.vut_track, spec.vut_track.speed * t)
+        vru_pose = pose_at(spec.vru_track, spec.vru_track.speed * t)
         assert not obb_overlap(
             footprint(spec.vut_track, vut_pose), footprint(spec.vru_track, vru_pose)
         ), (kind, speed)
@@ -112,7 +112,7 @@ def test_centers_reach_conflict_simultaneously():
         spec = build_scenario(kind, speed)
         arrivals = []
         for track in (spec.vut_track, spec.vru_track):
-            start_d = norm(track.path[0] - CONFLICT_POINT)
+            start_d = norm(sub(track.path[0], CONFLICT_POINT))
             arrivals.append(start_d / track.speed)
         assert abs(arrivals[0] - arrivals[1]) <= 1.0 / spec.frame_rate, (kind, speed)
 
@@ -123,7 +123,7 @@ def test_start_distance_rule():
         spec = build_scenario(kind, speed)
         v = speed * KMH
         want = max(8.0 * v, 60.0)
-        got = norm(spec.vut_track.path[0] - CONFLICT_POINT)
+        got = norm(sub(spec.vut_track.path[0], CONFLICT_POINT))
         assert got == pytest.approx(want, abs=1e-9), (kind, speed)
 
 
@@ -209,7 +209,7 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
         world = world_at(spec, t)
         sil = world.vru_silhouette
         frac = geometric_fraction((world.vut_pose.x, world.vut_pose.y), sil, spec.occluders)
-        dist = norm(sil.anchor - CONFLICT_POINT)
+        dist = norm(sub(sil.anchor, CONFLICT_POINT))
         if frac >= 0.5:
             first_visible_dist = dist
             break
@@ -223,32 +223,43 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
 
 def test_track_state_basics():
     track = ActorTrack(4.5, 1.8, 1.5, 10.0, (Vec2(0, 0), Vec2(100, 0)))
-    pose, speed = track.state_at(0.0)
-    assert (pose.x, pose.y) == (0.0, 0.0)
-    assert speed == 10.0
-    pose, _ = track.state_at(5.0)
-    assert pose.x == pytest.approx(50.0)
-    pose, speed = track.state_at(99.0)
-    assert pose.x == pytest.approx(100.0)
-    assert speed == 0.0
-
-
-def test_track_follows_corners():
-    track = ActorTrack(1.8, 0.5, 1.8, 2.0, (Vec2(0, 0), Vec2(10, 0), Vec2(10, 10)))
-    pose, _ = track.state_at(2.0)
-    assert (pose.x, pose.y, pose.heading) == pytest.approx((4.0, 0.0, 0.0))
-    pose, _ = track.state_at(7.0)
-    assert (pose.x, pose.y) == pytest.approx((10.0, 4.0))
-    assert pose.heading == pytest.approx(math.pi / 2)
+    assert track.locate(0.0) == (0.0, 0.0)
+    assert track.locate(10.0 * 5.0)[0] == pytest.approx(50.0)
+    # past the end of its leg a track stands at the end
+    assert track.locate(10.0 * 99.0) == (100.0, 0.0)
+    assert track.heading == 0.0
+    up = ActorTrack(1.8, 0.5, 1.8, 2.0, (Vec2(10, 0), Vec2(10, 10)))
+    assert up.locate(8.0) == pytest.approx((10.0, 8.0))
+    assert up.heading == pytest.approx(math.pi / 2)
 
 
 def test_track_validation():
     with pytest.raises(ValueError):
         ActorTrack(4.5, 1.8, 1.5, -1.0, (Vec2(0, 0), Vec2(1, 0)))
     with pytest.raises(ValueError):
-        ActorTrack(4.5, 1.8, 1.5, 1.0, (Vec2(0, 0),))
-    with pytest.raises(ValueError):
         ActorTrack(0.0, 1.8, 1.5, 1.0, (Vec2(0, 0), Vec2(1, 0)))
+
+
+@pytest.mark.parametrize("path", [(Vec2(0, 0),), (Vec2(0, 0), Vec2(10, 0), Vec2(10, 10))], ids=["1", "3"])
+def test_track_is_one_leg(path):
+    with pytest.raises(ValueError, match="one leg"):
+        ActorTrack(1.8, 0.5, 1.8, 2.0, path)
+
+
+@pytest.mark.parametrize("frame_rate", [10.0, 25.0])
+@pytest.mark.parametrize("yaw", [0.0, 37.0])
+def test_every_track_stays_on_its_leg_through_the_run(yaw, frame_rate):
+    """No built track reaches the end of its leg within a run: the VRU
+    covers speed * sim_duration, and the vehicle, unbraked, its last
+    timeline travel; braking only shortens that."""
+    overrides = ScenarioOverrides(frame_rate=frame_rate)
+    for kind, speed in ALL_CELLS:
+        spec = rotate_scenario(build_scenario(kind, speed, overrides), math.radians(yaw))
+        vut, vru = spec.vut_track, spec.vru_track
+        assert len(vut.path) == len(vru.path) == 2
+        vut_leg, vru_leg = norm(sub(vut.path[1], vut.path[0])), norm(sub(vru.path[1], vru.path[0]))
+        assert spec.timeline(0.005).travel[-1] < vut_leg, (kind, speed)
+        assert vru.speed * spec.sim_duration < vru_leg, (kind, speed)
 
 
 # ------------------------------------------------------------ determinism

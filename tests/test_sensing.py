@@ -28,7 +28,6 @@ from vrusim.sensing import (
     first_confirmed_time,
     format_layout,
     parse_layout,
-    _outside_aperture,
     px_to_rad,
     reach,
     sense_frame,
@@ -208,40 +207,6 @@ def test_last_detecting_range_is_within_reach(gate):
                 lo, hi = (mid, hi) if detects(mid) else (lo, mid)
             anchor = at_range(unit, lo, 0.0, heading, dims).vru_silhouette.anchor
             assert anchor.x - unit.pose.x <= limit
-
-
-@st.composite
-def aperture_edges(draw):
-    """A sensor and a target whose anchor's bearing lies near where the
-    bearing cull starts, on either side of the optical axis."""
-    pose = MountPose(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), draw(st.floats(0.2, 15.0)),
-                     draw(ANGLE), draw(st.floats(-1.5, 1.5)))
-    hfov = draw(st.floats(0.05, WIDE))
-    length = draw(EXTENT)
-    dist = length * draw(st.floats(1.0, 20.0))
-    edge = hfov / 2.0 + math.asin(min(length / (2.0 * dist), 1.0))
-    side = draw(st.sampled_from((-1.0, 1.0)))
-    bearing = pose.yaw + side * (edge + draw(st.floats(-0.3, 0.3)))
-    x, y = pose.x + dist * math.cos(bearing), pose.y + dist * math.sin(bearing)
-    target = Silhouette(Vec2(x, y), draw(ANGLE), length, draw(EXTENT), draw(EXTENT))
-    return pose, hfov, target
-
-
-@PROPERTY
-@given(aperture_edges())
-def test_bearing_cull_fires_only_on_unseen_targets(case):
-    pose, hfov, target = case
-    dx, dy = target.anchor.x - pose.x, target.anchor.y - pose.y
-    if _outside_aperture(pose, hfov, target, dx, dy, math.hypot(dx, dy)):
-        assert oracles.visible_fraction(pose, hfov, WIDE, 1e3, target, ()) == 0.0
-
-
-def test_bearing_cull_needs_a_target_length_of_range():
-    behind = Silhouette(Vec2(-10.0, 0.0), 0.3, 1.8, 0.6, 1.7)
-    pose = RSU_AT_ORIGIN.pose
-    assert _outside_aperture(pose, RSU_AT_ORIGIN.hfov, behind, -10.0, 0.0, 10.0)
-    close = Silhouette(Vec2(-1.5, 0.0), 0.3, 1.8, 0.6, 1.7)
-    assert not _outside_aperture(pose, RSU_AT_ORIGIN.hfov, close, -1.5, 0.0, 1.5)
 
 
 # ---------------------------------------------------------- apparent sizes
