@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .geometry import Box, Pose2, obb_gap_bound, obb_overlap, obb_separation
+from .geometry import Box, Pose2, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
 from .scenario import ActorTrack, ScenarioSpec, Timeline, WorldState
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, reach, sense_frame
 
@@ -194,13 +194,18 @@ def _sense_frames(
     """Each unit's detections over a run's frames, the vehicle
     `frame_travel[f]` along its path at frame f.
 
-    A roadside unit's pose is fixed, and the VRU's anchor moves no faster
-    than its speed, so its ground range to the unit changes no faster
-    either. From a frame whose anchor lies beyond the unit's `reach` (plus
-    _CULL_MARGIN) by g, no frame within (g - _CULL_MARGIN) / speed can pass
-    that unit's range and size gates, and the scan bisects past them
-    without sensing: they would draw no detection, and the miss coin is
-    stateless per (seed, sensor, frame), so no other frame changes.
+    A roadside unit's pose is fixed, so its occluder records are built
+    once per run, of the occluders whose footprint, grown by _CULL_MARGIN,
+    meets the fan of sight lines from the mount to the VRU's leg extended
+    by half its length at each end, where every sample point lies. A
+    vehicle unit's records are built per frame, of every occluder.
+
+    The VRU's anchor moves no faster than its speed, nor does its ground
+    range to a roadside unit. From a frame whose anchor lies beyond the
+    unit's `reach` (plus _CULL_MARGIN) by g, no frame within
+    (g - _CULL_MARGIN) / speed can pass that unit's range and size gates,
+    and the scan bisects past them: they would draw no detection, and the
+    miss coin is stateless per (seed, sensor, frame).
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
@@ -208,6 +213,13 @@ def _sense_frames(
     for frame, t in enumerate(times):
         x, y = vut_track.locate(frame_travel[frame])
         worlds.append(WorldState(t, Pose2(x, y, vut_track.heading), vru_track.silhouette_at(t), spec.occluders))
+    start, end = vru_track.path
+    ex, ey = math.cos(vru_track.heading) * vru_track.length / 2.0, math.sin(vru_track.heading) * vru_track.length / 2.0
+    leg = ((start.x - ex, start.y - ey), (end.x + ex, end.y + ey))
+    grown = [
+        (o, (o.center.x, o.center.y, o.heading, o.half_long + _CULL_MARGIN, o.half_lat + _CULL_MARGIN))
+        for o in spec.occluders
+    ]
     vru_speed = vru_track.speed
     n = len(worlds)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
@@ -217,6 +229,7 @@ def _sense_frames(
         if fixed:
             sx, sy = unit.pose.x, unit.pose.y
             far = reach(unit, model, worlds[0].vru_silhouette) + _CULL_MARGIN
+            slabs = occluder_slabs(sx, sy, [o for o, box in grown if triangle_meets_box(((sx, sy), *leg), box)])
         frame = 0
         while frame < n:
             world = worlds[frame]
@@ -228,7 +241,10 @@ def _sense_frames(
                         break
                     frame = bisect_left(times, times[frame] + (gap - _CULL_MARGIN) / vru_speed, frame + 1)
                     continue
-            ev = sense_frame(unit, model, world, frame)
+            else:
+                pose = unit.world_pose(world.vut_pose)
+                slabs = occluder_slabs(pose.x, pose.y, world.occluders)
+            ev = sense_frame(unit, model, world, frame, slabs)
             if ev is not None:
                 events.append(ev)
             frame += 1

@@ -344,10 +344,13 @@ def load_config(
     img_w = _number(cam.take("image_width_px", 1920.0), "camera.image_width_px")
     img_h = _number(cam.take("image_height_px", 1080.0), "camera.image_height_px")
     cam.finish()
-    if not 0 < hfov_deg <= 360 or img_w <= 0 or img_h <= 0:
-        raise ConfigError("camera: hfov_deg must be in (0, 360] and image sizes positive")
+    # the vertical aperture follows the horizontal one and the aspect
+    # ratio, and a pinhole's horizontal aperture ends at 180 degrees
+    if not 0 < hfov_deg <= 180:
+        raise ConfigError("camera.hfov_deg must be in (0, 180]")
+    if img_w <= 0 or img_h <= 0:
+        raise ConfigError("camera: image sizes must be positive")
     hfov = math.radians(hfov_deg)
-    # vertical aperture follows the sensor aspect ratio
     vfov = 2.0 * math.atan(math.tan(hfov / 2.0) * img_h / img_w)
 
     det = top.section("detection")

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 _EPS = 1e-9
 _SILHOUETTE_COLS = 3
 _SILHOUETTE_ROWS = 3
+# how far a bound clears what it bounds, in metres and in radians
+_SLACK, _ANGLE_SLACK = 1e-6, 1e-9
 
 
 def wrap_angle(a: float) -> float:
@@ -88,19 +90,11 @@ class Prism(OrientedBox):
     """Vertical extrusion of an oriented footprint, sitting on the ground."""
 
     height: float
-    # (center x, center y, forward x, forward y, lateral x, lateral y,
-    # half_long, half_lat, height): the slabs the occlusion test reads
-    _slab: tuple[float, float, float, float, float, float, float, float, float] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.height <= 0.0:
             raise ValueError("Prism height must be positive")
-        fx, fy = math.cos(self.heading), math.sin(self.heading)
-        slab = (self.center.x, self.center.y, fx, fy, -fy, fx, self.half_long, self.half_lat, self.height)
-        object.__setattr__(self, "_slab", slab)
 
 
 @dataclass(frozen=True)
@@ -192,6 +186,14 @@ def obb_overlap(a: Box, b: Box) -> bool:
     return _frames_overlap(_box_frame(a), _box_frame(b))
 
 
+def triangle_meets_box(triangle: tuple[tuple[float, float], ...], box: Box) -> bool:
+    """Separating-axis test of a triangle, given by its three corners,
+    against a box; touching counts as meeting, and a triangle whose
+    corners are collinear is the segment they span."""
+    normals = tuple((ay - by, bx - ax) for (ax, ay), (bx, by) in zip(triangle, triangle[1:] + triangle[:1]))
+    return _frames_overlap((triangle, normals), _box_frame(box))
+
+
 def obb_gap_bound(a: Box, b: Box) -> float:
     """The largest gap between the two boxes' projections on the four box
     axes, negative where every projection overlaps.
@@ -261,17 +263,106 @@ def iou_axis_box(a: AxisBox2, b: AxisBox2) -> float:
     return inter / union
 
 
+def _pad(distance: float) -> float:
+    """A distance bound widened far past the rounding of the tests it bounds."""
+    return distance * (1.0 + 1e-9) + _SLACK
+
+
+# (top - _EPS, per slab (axis x, axis y, -half - s, half - s, |s| > half) at the origin's
+# offset s, the footprint's bearing interval as centre and half-width, its far distance)
+Slabs = tuple[tuple[float, tuple[tuple[float, float, float, float, bool], ...], float, float, float], ...]
+
+
+def occluder_slabs(x: float, y: float, occluders: tuple[Prism, ...] | list[Prism]) -> Slabs:
+    """Each occluder's record for `visible_fraction` from a sensor origin
+    at (x, y). The bearing interval and far distance are those of the
+    footprint grown by _SLACK; the interval is padded by _ANGLE_SLACK, and
+    is the whole circle for an origin within _SLACK of the grown footprint."""
+    records = []
+    for occ in occluders:
+        cx, cy = occ.center.x, occ.center.y
+        fx, fy = math.cos(occ.heading), math.sin(occ.heading)
+        rx, ry = x - cx, y - cy
+        axes, inside = [], True
+        for ax, ay, half in ((fx, fy, occ.half_long), (-fy, fx, occ.half_lat)):
+            s = rx * ax + ry * ay
+            axes.append((ax, ay, -half - s, half - s, abs(s) > half))
+            inside = inside and abs(s) <= half + 2.0 * _SLACK
+        grown_long, grown_lat = occ.half_long + _SLACK, occ.half_lat + _SLACK
+        corners = [  # the grown footprint's, from the origin
+            (fx * u - fy * v - rx, fy * u + fx * v - ry)
+            for u in (grown_long, -grown_long)
+            for v in (grown_lat, -grown_lat)
+        ]
+        centre, half_width = 0.0, math.inf
+        if not inside:
+            # clear of the origin, it subtends less than pi about its centre
+            mid = math.atan2(-ry, -rx)
+            offsets = [wrap_angle(math.atan2(dy, dx) - mid) for dx, dy in corners]
+            centre = wrap_angle(mid + (min(offsets) + max(offsets)) / 2.0)
+            half_width = (max(offsets) - min(offsets)) / 2.0 + _ANGLE_SLACK
+        far = _pad(max(math.hypot(dx, dy) for dx, dy in corners))
+        records.append((occ.height - _EPS, tuple(axes), centre, half_width, far))
+    return tuple(records)
+
+
+def _certified(pose: MountPose, hfov: float, vfov: float, max_range: float, target: Silhouette, slabs: Slabs) -> bool:
+    """Whether bounds, each clear of its test by _SLACK or _ANGLE_SLACK,
+    show every sample point inside the frustum and unblocked.
+
+    The columns lie within `spread` of the anchor, so their ground
+    ranges lie in [near, far] and their bearings within asin(spread /
+    dist) of its own. An elevation atan2(dz, ground) is monotone in each
+    argument, so its extremes lie at the corners of rows and ranges, and
+    wrapping an angle never makes it larger. A
+    sight line meets an occluder only inside both bearing intervals and
+    the footprint's far distance, no lower than the lowest row's line to
+    the nearest column.
+    """
+    ox, oy, oz = pose.x, pose.y, pose.z
+    dx, dy = target.anchor.x - ox, target.anchor.y - oy
+    dist = math.hypot(dx, dy)
+    spread = _pad(target.length * (0.5 - 0.5 / _SILHOUETTE_COLS))
+    near, far = dist - spread, dist + spread
+    if near <= _SLACK:
+        return False
+    dz_low = target.points[0][2] - oz
+    dz_high = target.points[_SILHOUETTE_ROWS - 1][2] - oz
+    if _pad(math.sqrt(far * far + max(dz_low * dz_low, dz_high * dz_high))) > max_range:
+        return False
+    heading = math.atan2(dy, dx)
+    bearing = heading - pose.yaw
+    if not -math.pi < bearing <= math.pi:
+        bearing = wrap_angle(bearing)
+    half_angle = math.asin(spread / dist) + _ANGLE_SLACK
+    if abs(bearing) + half_angle > hfov / 2.0 - _ANGLE_SLACK:
+        return False
+    lowest = math.atan2(dz_low, near if dz_low < 0.0 else far) - pose.pitch
+    highest = math.atan2(dz_high, far if dz_high < 0.0 else near) - pose.pitch
+    half_v = vfov / 2.0 - _ANGLE_SLACK
+    if lowest < -half_v or highest > half_v:
+        return False
+    drop = min(dz_low, 0.0)
+    for top, _, centre, half_width, farthest in slabs:
+        apart = abs(heading - centre)
+        if min(apart, 2.0 * math.pi - apart) > half_width + half_angle:
+            continue
+        if oz + drop * min(1.0, farthest / near) <= _pad(top):
+            return False
+    return True
+
+
 def visible_fraction(
     pose: MountPose,
     hfov: float,
     vfov: float,
     max_range: float,
     target: Silhouette,
-    occluders: tuple[Prism, ...] | list[Prism],
+    slabs: Slabs,
     floor: float,
 ) -> float:
     """Fraction of silhouette sample points both inside the frustum and
-    unblocked by every occluder.
+    unblocked by every occluder, each given by its `occluder_slabs` record.
 
     A point is inside the frustum when it lies within the range sphere and
     the horizontal and vertical apertures, every boundary inclusive; a point
@@ -279,25 +370,17 @@ def visible_fraction(
     projection crosses a prism footprint (the slab method) and its height
     over the crossing dips below the prism top.
 
-    The loop stops once the fraction can no longer reach `floor` and then
-    returns a value below `floor`; a fraction at or above `floor` is exact.
+    A target `_certified` wholly in view returns 1.0 at once. Otherwise the
+    loop stops once the fraction can no longer reach `floor`, returning a
+    value below it; a fraction at or above `floor` is exact.
     """
+    if _certified(pose, hfov, vfov, max_range, target, slabs):
+        return 1.0
     ox, oy, oz = pose.x, pose.y, pose.z
     yaw, pitch = pose.yaw, pose.pitch
     reach = max_range + _EPS
     half_h = hfov / 2.0 + _EPS
     half_v = vfov / 2.0 + _EPS
-    # the origin's offset within each slab is fixed for the whole call:
-    # (top - _EPS, ((axis x, axis y, -half - s, half - s, |s| > half), ...))
-    slabs = []
-    for occ in occluders:
-        cx, cy, fx, fy, lx, ly, half_long, half_lat, height = occ._slab
-        rx, ry = ox - cx, oy - cy
-        axes = []
-        for ax, ay, half in ((fx, fy, half_long), (lx, ly, half_lat)):
-            s = rx * ax + ry * ay
-            axes.append((ax, ay, -half - s, half - s, abs(s) > half))
-        slabs.append((height - _EPS, axes))
 
     points = target.points
     n = len(points)
@@ -345,12 +428,12 @@ def visible_fraction(
     return reachable / n
 
 
-def _slab_crossings(dx: float, dy: float, slabs) -> list[tuple[float, float, float]]:
-    """(top - _EPS, t_lo, t_hi) for each occluder slab set from
-    visible_fraction whose footprint the ground sight line from the sensor
-    along (dx, dy) crosses, over [t_lo, t_hi] of its length."""
+def _slab_crossings(dx: float, dy: float, slabs: Slabs) -> list[tuple[float, float, float]]:
+    """(top - _EPS, t_lo, t_hi) for each occluder record whose footprint
+    the ground sight line from the sensor along (dx, dy) crosses, over
+    [t_lo, t_hi] of its length."""
     out = []
-    for top, axes in slabs:
+    for top, axes, _, _, _ in slabs:
         t_lo, t_hi = 0.0, 1.0
         for ax, ay, lo, hi, outside in axes:
             d = dx * ax + dy * ay

@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction
+from .geometry import MountPose, Pose2, Silhouette, Slabs, Vec2, _pad, visible_fraction
 from .scenario import DEFAULT_OVERRIDES, WorldState
 
 SENSOR_IMAGE_WIDTH_PX = 1920
@@ -123,11 +123,6 @@ def apparent_angular_height(sensor_pose: MountPose, target: Silhouette, dist: fl
     return 2.0 * math.atan2(target.height / 2.0, slant)
 
 
-def _pad(distance: float) -> float:
-    """A distance bound widened far past the rounding of the gates it bounds."""
-    return distance * (1.0 + 1e-9) + 1e-6
-
-
 def _size_range(extent: float, angle: float) -> float:
     """Greatest ground or slant range at which `extent` subtends `angle`;
     unbounded for an angle of 0 (or one whose half rounds to 0)."""
@@ -173,8 +168,10 @@ def sense_frame(
     model: DetectionModel,
     world: WorldState,
     frame: int,
+    slabs: Slabs,
 ) -> DetectionEvent | None:
-    """Detection attempt on the VRU for one frame; None when any gate fails."""
+    """Detection attempt on the VRU for one frame; None when any gate fails.
+    `slabs` are the sensor origin's records of the occluders that can matter."""
     pose = sensor.world_pose(world.vut_pose)
     target = world.vru_silhouette
 
@@ -192,7 +189,7 @@ def sense_frame(
         return None
 
     fraction = visible_fraction(
-        pose, sensor.hfov, sensor.vfov, sensor.max_range, target, world.occluders, model.min_visible_fraction
+        pose, sensor.hfov, sensor.vfov, sensor.max_range, target, slabs, model.min_visible_fraction
     )
     if fraction < model.min_visible_fraction:
         return None

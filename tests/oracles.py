@@ -15,8 +15,13 @@ in ``vrusim.geometry`` must give the same bits.
 package defines instead as an observation pass followed by a run forced
 from the subset's first confirmation; the two must agree exactly.
 ``observe_every_frame`` is that observation pass sensing every unit at
-every frame, where the package skips the frames a roadside unit's range
-and size gates rule out; their events must be equal.
+every frame with the gates of ``sense_reference``: the package's gate
+order over the ``Vec2`` visible fraction on every raw prism. The package
+skips the frames a roadside unit's range and size gates rule out, keeps
+per mount only the occluders its sight lines can meet, and certifies a
+target wholly in view without its point loop; their events must be equal.
+``sense`` calls the package's ``sense_frame`` with the records of every
+occluder of the world, built from the unit's origin in that frame.
 ``speed_range_picks`` walks a config's speed range step by step, where
 the package tests each allowed speed against the range.
 
@@ -25,6 +30,7 @@ the tests' own: the package reads none of them. ``pose_at`` places a track
 where the package's `ActorTrack.locate` does, as a ``Pose2``.
 """
 
+import hashlib
 import math
 from typing import NamedTuple
 
@@ -37,12 +43,20 @@ from vrusim.geometry import (
     Prism,
     Silhouette,
     Vec2,
+    occluder_slabs,
     wrap_angle,
 )
 from vrusim.ingest import MatchCounts, MatchResult
 from vrusim.metrics import HeatmapMatrix
 from vrusim.scenario import ActorTrack, ScenarioSpec, WorldState
-from vrusim.sensing import DetectionEvent, DetectionModel, SensorUnit, sense_frame
+from vrusim.sensing import (
+    DetectionEvent,
+    DetectionModel,
+    SensorUnit,
+    apparent_angular_height,
+    apparent_angular_width,
+    sense_frame,
+)
 
 
 def add(a: Vec2, b: Vec2) -> Vec2:
@@ -170,6 +184,36 @@ def world_at(spec: ScenarioSpec, t: float, vut_pose: Pose2 | None = None) -> Wor
     return WorldState(t, vut_pose, target, spec.occluders)
 
 
+def sense(unit: SensorUnit, model: DetectionModel, world: WorldState, frame: int) -> DetectionEvent | None:
+    """The package's `sense_frame`, given the records of all the world's
+    occluders from where the unit is in this frame."""
+    pose = unit.world_pose(world.vut_pose)
+    return sense_frame(unit, model, world, frame, occluder_slabs(pose.x, pose.y, world.occluders))
+
+
+def sense_reference(unit: SensorUnit, model: DetectionModel, world: WorldState, frame: int) -> DetectionEvent | None:
+    """One frame's detection by `sense_frame`'s gates in its order, with
+    the exact ``Vec2`` visible fraction over every occluder of the world
+    and the miss coin drawn from its hash."""
+    pose = unit.world_pose(world.vut_pose)
+    target = world.vru_silhouette
+    dist = math.hypot(target.anchor.x - pose.x, target.anchor.y - pose.y)
+    if dist - target.length / 2.0 > unit.max_range or dist < 1e-9:
+        return None
+    if apparent_angular_width(pose, target, dist) < model.min_apparent_width:
+        return None
+    if apparent_angular_height(pose, target, dist) < model.min_apparent_height:
+        return None
+    fraction = visible_fraction(pose, unit.hfov, unit.vfov, unit.max_range, target, world.occluders)
+    if fraction < model.min_visible_fraction:
+        return None
+    if model.miss_probability > 0.0:
+        digest = hashlib.sha256(f"{model.seed}:{unit.sensor_id}:{frame}".encode()).digest()
+        if int.from_bytes(digest[:8], "big") / 2**64 <= model.miss_probability:
+            return None
+    return DetectionEvent(frame, unit.sensor_id, "vru", world.time + unit.latency)
+
+
 def observe_every_frame(
     spec: ScenarioSpec,
     sensors: tuple[SensorUnit, ...],
@@ -177,14 +221,15 @@ def observe_every_frame(
     dt: float = 0.005,
 ) -> dict[str, list[DetectionEvent]]:
     """An unbraked sensing run's events with nothing skipped: every unit
-    senses every frame, the vehicle where its unbraked timeline puts it."""
+    senses every frame by `sense_reference`, the vehicle where its
+    unbraked timeline puts it."""
     timeline = spec.timeline(dt)
     events: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for frame in range(spec.n_frames):
         vut_pose = pose_at(spec.vut_track, timeline.travel[frame * timeline.steps_per_frame])
         world = world_at(spec, frame / spec.frame_rate, vut_pose)
         for unit in sensors:
-            ev = sense_frame(unit, model, world, frame)
+            ev = sense_reference(unit, model, world, frame)
             if ev is not None:
                 events[unit.sensor_id].append(ev)
     return events
@@ -208,14 +253,15 @@ def live_run(
 ) -> LiveRun:
     """The closed loop of `subset`, confirmed while the run goes.
 
-    Every frame start senses from where the vehicle has got to; a sensor
-    of the subset confirms on the frame that completes a run of
-    ``policy.confirm_frames`` consecutive detections, and a confirmation
-    earlier than the trigger so far moves the braking onset earlier. The
-    frame's dt steps are then driven with `_advance` from the onset as it
-    stands, from t = 0 on. Returns the trigger, the vehicle's travel and
-    speed at t = 0 and at the end of every step, the events, and whether
-    the footprints never touch at any of those instants.
+    Every frame start senses by `sense_reference` from where the vehicle
+    has got to; a sensor of the subset confirms on the frame that
+    completes a run of ``policy.confirm_frames`` consecutive detections,
+    and a confirmation earlier than the trigger so far moves the braking
+    onset earlier. The frame's dt steps are then driven with `_advance`
+    from the onset as it stands, from t = 0 on. Returns the trigger, the
+    vehicle's travel and speed at t = 0 and at the end of every step, the
+    events, and whether the footprints never touch at any of those
+    instants.
     """
     steps_per_frame = round(1.0 / spec.frame_rate / dt)
     travelled, speed = 0.0, spec.vut_track.speed
@@ -228,7 +274,7 @@ def live_run(
         vut_pose = pose_at(spec.vut_track, travelled)
         world = world_at(spec, t_frame, vut_pose)
         for unit in sensors:
-            ev = sense_frame(unit, model, world, frame)
+            ev = sense_reference(unit, model, world, frame)
             if ev is None:
                 run_len[unit.sensor_id] = 0
                 continue

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vrusim import aeb
+from vrusim import aeb, geometry, sensing
 from vrusim.aeb import (
     AebPolicy,
     _advance,
@@ -25,7 +25,7 @@ from vrusim.aeb import (
     simulate_run,
     stop_margin,
 )
-from vrusim.geometry import Pose2, Vec2
+from vrusim.geometry import Pose2, Prism, Vec2
 from vrusim.geometry import obb_separation as obb_separation_kernel
 from vrusim.scenario import (
     KMH,
@@ -173,7 +173,22 @@ def aimed_ring(count, seed, max_range=DEFAULT_RANGE_M):
     return tuple(units)
 
 
-RING = aimed_ring(60, 11)
+# units whose sight lines to CPNC-50's pedestrian (walking north along
+# x = 0) pass over or beside its parked cars, x in +-[0.5, 5] and y in
+# [-4.55, -2.75], 1.5 m tall: over a car from the east, level with the
+# roof, just north of a car's long side, low behind the west car, and
+# mounts inside a footprint above and below its top and on a face
+CAR_SIGHTS = (
+    sites.rsu("over-east", 9.0, -3.65, 3.0, math.pi, -0.2),
+    sites.rsu("over-high", 9.0, -3.65, 8.0, math.pi, -0.6),
+    sites.rsu("roof-level", 12.0, -4.0, 1.5, math.pi, 0.0),
+    sites.rsu("beside", 9.0, -2.7, 1.2, math.pi, 0.0),
+    sites.rsu("west-low", -9.0, -4.0, 1.0, 0.0, 0.0),
+    sites.rsu("inside-above", 2.75, -3.65, 2.5, math.pi, -0.3),
+    sites.rsu("inside-below", -2.75, -3.65, 1.0, 0.0, 0.0),
+    sites.rsu("on-face", 0.5, -3.0, 1.2, math.pi, 0.0),
+)
+RING = aimed_ring(60, 11) + CAR_SIGHTS
 COINED = DetectionModel(miss_probability=0.2, seed=5)
 RING_CASES = {
     "miss-coin": (RING, COINED),
@@ -181,7 +196,7 @@ RING_CASES = {
     "no-width-gate": (RING, replace(COINED, min_apparent_width=0.0)),
     # a wider width threshold, so that the width gate binds in its place
     "no-height-gate": (RING, replace(COINED, min_apparent_height=0.0, min_apparent_width=px_to_rad(60.0))),
-    "range-15m": (aimed_ring(60, 11, max_range=15.0), COINED),
+    "range-15m": (aimed_ring(60, 11, max_range=15.0) + CAR_SIGHTS, COINED),
 }
 
 
@@ -229,12 +244,51 @@ def test_ring_observation_matches_every_frame_reference(case, monkeypatch):
     assert calls < frames
 
 
+def test_certificate_decides_most_wholly_visible_ring_frames(monkeypatch):
+    # every frame the kernel finds wholly in view, and those of them the
+    # certificate decides before the point loop
+    certified = []
+    full = []
+
+    def certify(*args):
+        certified.append(certificate(*args))
+        return certified[-1]
+
+    def fraction(*args):
+        full.append(kernel(*args) == 1.0)
+        return full[-1]
+
+    certificate, kernel = geometry._certified, sensing.visible_fraction
+    monkeypatch.setattr(geometry, "_certified", certify)
+    monkeypatch.setattr(sensing, "visible_fraction", fraction)
+    for spec in ring_specs():
+        simulate_run(spec, RING, MODEL, POLICY)
+    assert sum(certified) >= 0.9 * sum(full) > 0
+
+
 def test_stationary_vru_observation_matches_every_frame_reference(monkeypatch):
     sensors = DEFAULT_SENSORS + RING
     for spec in ring_specs(stationary=True):
         calls = observed_with_calls(monkeypatch, spec, sensors, MODEL)
         # a roadside unit out of reach of the target senses no frame
         assert calls < len(sensors) * spec.n_frames
+
+
+def test_cull_keeps_an_occluder_seen_only_past_the_leg_start(monkeypatch):
+    # a cyclist standing at the start of its leg, heading north, has its
+    # rear column 0.6 m behind that start; a post on the sight line to it
+    # lies outside the fan from the mount to the leg itself
+    spec = build_scenario(ScenarioKind.CBNA, 40.0)
+    spec = replace(spec, vru_track=replace(spec.vru_track, speed=0.0))
+    start = spec.vru_track.path[0]
+    post = Prism(Vec2(start.x + 2.0, start.y - 0.6), 0.1, 0.1, 0.0, height=3.0)
+    spec = replace(spec, occluders=spec.occluders + (post,))
+    unit = sites.rsu("east", start.x + 5.0, start.y - 0.6, 2.0, math.pi, -0.2)
+    model = DetectionModel(min_visible_fraction=0.8)
+    observed_with_calls(monkeypatch, spec, (unit,), model)
+    # the post hides the rear column's three points, so no frame passes
+    assert observe_every_frame(spec, (unit,), model) == {"east": []}
+    assert observe_every_frame(replace(spec, occluders=spec.occluders[:-1]), (unit,), model)["east"]
 
 
 # ------------------------------------------------------------- closed loop

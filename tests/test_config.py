@@ -182,6 +182,18 @@ def test_camera_validation(tmp_path):
             load_config(write_cfg(tmp_path, {"camera": bad}))
 
 
+@pytest.mark.parametrize("hfov_deg", [180.5, 270, 360])
+def test_hfov_beyond_180_is_rejected_by_its_key(tmp_path, hfov_deg):
+    # the vertical aperture 2 atan(tan(hfov / 2) h / w) is negative there
+    with pytest.raises(ConfigError, match=r"camera\.hfov_deg"):
+        load_config(write_cfg(tmp_path, {"camera": {"hfov_deg": hfov_deg}}))
+
+
+def test_hfov_of_180_loads(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, {"camera": {"hfov_deg": 180}}))
+    assert all(unit.hfov == math.pi and 0.0 < unit.vfov <= math.pi for unit in cfg.all_units())
+
+
 def test_policy_section(tmp_path):
     cfg = load_config(
         write_cfg(

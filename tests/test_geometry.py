@@ -24,6 +24,7 @@ from vrusim.geometry import (
     obb_gap_bound,
     obb_overlap,
     obb_separation,
+    occluder_slabs,
     visible_fraction,
     wrap_angle,
 )
@@ -387,7 +388,8 @@ def test_tall_wall_blocks_everything():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
     wall = Prism(Vec2(5, 0), 0.2, 5.0, 0.0, height=10.0)
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (wall,), 0.0) == 0.0
+    slabs = occluder_slabs(0, 0, (wall,))
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, slabs, 0.0) == 0.0
 
 
 def test_low_wall_near_target_leaves_top_row_visible():
@@ -397,7 +399,7 @@ def test_low_wall_near_target_leaves_top_row_visible():
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
     wall = Prism(Vec2(9.0, 0.0), 5.0, 0.1, math.pi / 2, height=1.8)
     hfov, vfov, rng = math.radians(90), math.radians(59), 250.0
-    got = visible_fraction(pose, hfov, vfov, rng, target, (wall,), 0.0)
+    got = visible_fraction(pose, hfov, vfov, rng, target, occluder_slabs(0, 0, (wall,)), 0.0)
     oracle = dense_ray_fraction(pose, hfov, vfov, rng, target, (wall,))
     assert got == pytest.approx(1.0 / 3.0)
     assert abs(got - oracle) <= 1.0 / 9.0 + 1e-9
@@ -431,8 +433,8 @@ def test_removing_occluders_never_decreases_fraction():
             )
             for _ in range(3)
         ]
-        full = visible_fraction(pose, hfov, vfov, rng_m, target, occs, 0.0)
-        fewer = visible_fraction(pose, hfov, vfov, rng_m, target, occs[:1], 0.0)
+        full = visible_fraction(pose, hfov, vfov, rng_m, target, occluder_slabs(pose.x, pose.y, occs), 0.0)
+        fewer = visible_fraction(pose, hfov, vfov, rng_m, target, occluder_slabs(pose.x, pose.y, occs[:1]), 0.0)
         assert fewer >= full
 
 
@@ -489,7 +491,7 @@ def sensing_cases(draw):
 
 def assert_matches_reference(pose, hfov, vfov, max_range, target, occluders, floor=0.0):
     want = oracles.visible_fraction(pose, hfov, vfov, max_range, target, occluders)
-    got = visible_fraction(pose, hfov, vfov, max_range, target, occluders, floor)
+    got = visible_fraction(pose, hfov, vfov, max_range, target, occluder_slabs(pose.x, pose.y, occluders), floor)
     # below the floor the kernel may stop early; at or above it, exact bits
     assert (got < floor) == (want < floor)
     if want >= floor:
@@ -649,6 +651,116 @@ def test_ray_grazing_a_prism_top_matches_reference():
         return high, WIDE, WIDE, 100.0, target, (Prism(Vec2(6.0, 0.3), 0.5, 1.5, 0.6, height=height),)
 
     assert_boundary_matches(lambda h: oracles.visible_fraction(*tilted(h)), 0.1, 6.0, tilted)
+
+
+# ---------------------------------------- whole-target certificate edges
+
+EDGES = ("aperture", "column", "range", "elevation", "arc", "column-arc", "top", "clearance", "mount", "wide")
+NUDGE = st.sampled_from((-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6))
+
+
+def radial_prism(sx, sy, bearing, r, half_long, half_lat, height):
+    """A prism centred `r` from (sx, sy) along `bearing`, its long axis
+    pointing back at that point."""
+    centre = Vec2(sx + r * math.cos(bearing), sy + r * math.sin(bearing))
+    return Prism(centre, half_long, half_lat, bearing, height=height)
+
+
+@st.composite
+def certificate_edges(draw):
+    """A sensor aimed at a silhouette with one bound of the certificate in
+    `visible_fraction`, or the exact test that bound stands for, placed at
+    its edge give or take a nudge: the aperture against the anchor's
+    bearing plus the columns' spread or against a column's own bearing,
+    the range sphere, an elevation corner, an occluder's bearing interval
+    against the certificate's or a column's, a prism top against a sight
+    line or against the certificate's clearance, a mount on or inside a
+    footprint, and apertures up to 360 degrees."""
+    sx, sy, sz = draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)), draw(st.floats(0.3, 10.0))
+    dist, theta = draw(st.floats(0.5, 60.0)), draw(st.floats(-math.pi, math.pi))
+    target = Silhouette(
+        Vec2(sx + dist * math.cos(theta), sy + dist * math.sin(theta)),
+        draw(st.floats(-4.0, 4.0)),
+        draw(st.floats(0.2, 5.0)),
+        draw(st.floats(0.2, 3.0)),
+        draw(st.floats(0.3, 3.0)),
+    )
+    turns = draw(st.sampled_from((0.0, 2 * math.pi, -4 * math.pi)))
+    yaw = theta + draw(st.floats(-0.5, 0.5)) + turns
+    pose = MountPose(sx, sy, sz, yaw, math.atan2(1.0 - sz, dist) + draw(st.floats(-0.3, 0.3)))
+    hfov, vfov = draw(st.floats(1.0, math.pi)), draw(st.floats(1.0, math.pi))
+    slants = [math.dist((sx, sy, sz), p) for p in target.points]
+    max_range = max(slants) * draw(st.floats(1.0, 2.0))
+    occluders = ()
+    edge, nudge = draw(st.sampled_from(EDGES)), draw(NUDGE)
+    # the certificate's own quantities
+    spread = target.length / 3 * (1 + 1e-9) + 1e-6
+    half_angle = math.asin(min(1.0, spread / dist))
+    near, far = dist - spread, dist + spread
+    columns = [target.points[i] for i in (0, 3, 6)]
+    col_bearings = [math.atan2(p[1] - sy, p[0] - sx) for p in columns]
+    if edge == "aperture":
+        hfov = 2 * (abs(wrap_angle(theta - pose.yaw)) + half_angle) + nudge
+    elif edge == "column":
+        hfov = 2 * max(abs(wrap_angle(b - pose.yaw)) for b in col_bearings) + nudge
+    elif edge == "range":
+        dz = max(abs(target.points[i][2] - sz) for i in (0, 2))
+        max_range = draw(st.sampled_from((math.hypot(far, dz), max(slants)))) + nudge
+    elif edge == "elevation":
+        dz = target.points[draw(st.sampled_from((0, 2)))][2] - sz
+        ground = draw(st.sampled_from((near, far, math.hypot(columns[0][0] - sx, columns[0][1] - sy))))
+        vfov = 2 * abs(math.atan2(dz, max(ground, 1e-3)) - pose.pitch) + nudge
+    elif edge in ("arc", "column-arc"):
+        side = draw(st.sampled_from((-1.0, 1.0)))
+        if edge == "arc":
+            bearing = theta + side * half_angle
+        else:
+            bearing = col_bearings[0 if side < 0 else 2]
+        r = dist * draw(st.floats(0.2, 0.9))
+        half_long, half_lat = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
+        # the near corner's bearing offset from the box's axis
+        corner = math.atan2(half_lat, r - half_long)
+        height = draw(st.floats(0.5, 12.0))
+        occluders = (radial_prism(sx, sy, bearing + side * corner + nudge, r, half_long, half_lat, height),)
+    elif edge in ("top", "clearance"):
+        col = draw(st.sampled_from(columns))
+        bearing = math.atan2(col[1] - sy, col[0] - sx)
+        ground = math.hypot(col[0] - sx, col[1] - sy)
+        r, half_long = ground * draw(st.floats(0.2, 0.8)), draw(st.floats(0.05, 1.0))
+        half_long = min(half_long, r / 2)
+        dz_low = target.points[0][2] - sz
+        if edge == "top":
+            top = sz + dz_low * (r + half_long) / ground
+        else:
+            farthest = occluder_slabs(sx, sy, (radial_prism(sx, sy, bearing, r, half_long, 3.0, 1.0),))[0][4]
+            top = ((sz + min(dz_low, 0.0) * min(1.0, farthest / near)) - 1e-6) / (1 + 1e-9) + 1e-9
+        if top + nudge > 0.0:
+            occluders = (radial_prism(sx, sy, bearing, r, half_long, 3.0, top + nudge),)
+    elif edge == "mount":
+        heading, half_long, half_lat = draw(st.floats(-4.0, 4.0)), draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+        along = half_long * draw(st.sampled_from((1.0, 0.5, 0.0, -1.0))) + nudge
+        across = half_lat * draw(st.sampled_from((1.0, 0.5, 0.0, -1.0)))
+        fx, fy = math.cos(heading), math.sin(heading)
+        centre = Vec2(sx - fx * along + fy * across, sy - fy * along - fx * across)
+        height = sz + draw(st.floats(-0.9, 0.9)) * min(sz, 1.0)
+        occluders = (Prism(centre, half_long, half_lat, heading, height=height),)
+    else:
+        hfov = draw(st.floats(math.pi, 2 * math.pi))
+        pose = MountPose(sx, sy, sz, theta + draw(st.floats(-math.pi, math.pi)) + turns, pose.pitch)
+    floor = draw(st.sampled_from((0.0, 1.0 / 3.0, 0.5, 8.0 / 9.0, 1.0)))
+    return pose, max(hfov, 1e-6), max(vfov, 1e-6), max(max_range, 1e-6), target, occluders, floor
+
+
+@settings(
+    max_examples=1500,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(certificate_edges())
+def test_visible_fraction_matches_reference_at_certificate_edges(case):
+    assert_matches_reference(*case)
 
 
 # ------------------------------------------------------------------- misc

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from vrusim.geometry import Vec2, visible_fraction
+from vrusim.geometry import Vec2, occluder_slabs, visible_fraction
 from vrusim.scenario import (
     KMH,
     ActorTrack,
@@ -197,7 +197,8 @@ def geometric_fraction(observer_xy, target_sil, occluders):
     from vrusim.geometry import MountPose
 
     pose = MountPose(observer_xy[0], observer_xy[1], 0.0, 0.0, 0.0)
-    return visible_fraction(pose, 2 * math.pi, 2 * math.pi, 1e9, target_sil, occluders, 0.0)
+    slabs = occluder_slabs(pose.x, pose.y, occluders)
+    return visible_fraction(pose, 2 * math.pi, 2 * math.pi, 1e9, target_sil, slabs, 0.0)
 
 
 @pytest.mark.parametrize("speed", allowed_speeds_kmh(ScenarioKind.CBNA))

@@ -30,11 +30,10 @@ from vrusim.sensing import (
     parse_layout,
     px_to_rad,
     reach,
-    sense_frame,
 )
 
 import oracles
-from oracles import norm, position, world_at
+from oracles import norm, position, sense, world_at
 
 
 def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=(), time=0.0):
@@ -53,7 +52,7 @@ RSU_AT_ORIGIN = SensorUnit(
 
 def test_unoccluded_pedestrian_detected_with_full_fraction():
     world = make_world(Pose2(10.0, 0.0, math.pi / 2), time=0.4)  # frame 4 at 10 Hz
-    ev = sense_frame(RSU_AT_ORIGIN, DetectionModel(), world, 4)
+    ev = sense(RSU_AT_ORIGIN, DetectionModel(), world, 4)
     assert ev is not None
     unit = RSU_AT_ORIGIN
     assert visible_fraction(unit.pose, unit.hfov, unit.vfov, unit.max_range, world.vru_silhouette, (), 0.0) == 1.0
@@ -70,7 +69,7 @@ def test_sensor_id_must_be_a_plain_name(sensor_id):
 
 def test_target_beyond_range_not_detected():
     world = make_world(Pose2(260.0, 0.0, math.pi / 2))
-    assert sense_frame(RSU_AT_ORIGIN, DetectionModel(), world, 0) is None
+    assert sense(RSU_AT_ORIGIN, DetectionModel(), world, 0) is None
 
 
 def test_cbna_wall_hides_cyclist_30m_out():
@@ -83,7 +82,7 @@ def test_cbna_wall_hides_cyclist_30m_out():
         frame = round(t_30 * spec.frame_rate)
         world = world_at(spec, frame / spec.frame_rate)
         assert abs(world.vru_silhouette.anchor.y + 30.0) < 0.5
-        assert sense_frame(vut_sensor, model, world, frame) is None, speed
+        assert sense(vut_sensor, model, world, frame) is None, speed
 
 
 def test_vut_mounted_sensor_tracks_the_vehicle():
@@ -101,7 +100,7 @@ def test_available_at_always_frame_time_plus_latency():
     for unit in default_layout():
         for frame in range(0, n, 7):
             world = world_at(spec, frame / spec.frame_rate)
-            ev = sense_frame(unit, model, world, frame)
+            ev = sense(unit, model, world, frame)
             if ev is not None:
                 assert ev.available_at == pytest.approx(frame / 10.0 + 0.025, abs=1e-12)
 
@@ -156,7 +155,7 @@ def test_no_detection_beyond_reach(case):
     sensor, model, world, limit = case
     anchor = world.vru_silhouette.anchor
     if math.hypot(anchor.x - sensor.pose.x, anchor.y - sensor.pose.y) > limit:
-        assert sense_frame(sensor, model, world, 0) is None
+        assert sense(sensor, model, world, 0) is None
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.CPNC50, ScenarioKind.CBNA], ids=("pedestrian", "cyclist"))
@@ -171,7 +170,7 @@ def test_reach_is_tight_for_default_units(kind):
         limit = reach(unit, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
         for bearing in (0.0, 2.0, -2.5):
             widest = bearing + math.atan2(track.length, track.width)
-            assert sense_frame(unit, model, at_range(unit, limit * (1 - 1e-4), bearing, widest, dims), 0)
+            assert sense(unit, model, at_range(unit, limit * (1 - 1e-4), bearing, widest, dims), 0)
 
 
 # (model, unit range): the visibility floor is off, so that only the
@@ -196,7 +195,7 @@ def test_last_detecting_range_is_within_reach(gate):
         for heading in (0.0, 0.7, math.atan2(track.length, track.width)):
 
             def detects(dist):
-                return sense_frame(unit, model, at_range(unit, dist, 0.0, heading, dims), 0) is not None
+                return sense(unit, model, at_range(unit, dist, 0.0, heading, dims), 0) is not None
 
             lo, hi = 1.0, 2.0 * limit
             assert detects(lo) and not detects(hi)
@@ -368,7 +367,7 @@ def test_confirmation_never_earlier_with_stricter_gates():
         for frame in range(n):
             world = world_at(spec, frame / spec.frame_rate)
             for u in sensors:
-                e = sense_frame(u, model, world, frame)
+                e = sense(u, model, world, frame)
                 if e is not None:
                     out[u.sensor_id].append(e)
         return out
@@ -391,24 +390,24 @@ def test_confirmation_never_earlier_with_stricter_gates():
 
 def test_zero_miss_probability_is_deterministic():
     world = make_world(Pose2(10.0, 0.0, math.pi / 2))
-    a = sense_frame(RSU_AT_ORIGIN, DetectionModel(seed=1), world, 3)
-    b = sense_frame(RSU_AT_ORIGIN, DetectionModel(seed=2), world, 3)
+    a = sense(RSU_AT_ORIGIN, DetectionModel(seed=1), world, 3)
+    b = sense(RSU_AT_ORIGIN, DetectionModel(seed=2), world, 3)
     assert a == b
 
 
 def test_certain_miss_never_detects():
     world = make_world(Pose2(10.0, 0.0, math.pi / 2))
     model = DetectionModel(miss_probability=1.0)
-    assert all(sense_frame(RSU_AT_ORIGIN, model, world, f) is None for f in range(50))
+    assert all(sense(RSU_AT_ORIGIN, model, world, f) is None for f in range(50))
 
 
 def test_miss_coin_reproducible_and_seed_sensitive():
     world = make_world(Pose2(10.0, 0.0, math.pi / 2))
     m1 = DetectionModel(miss_probability=0.5, seed=7)
     m2 = DetectionModel(miss_probability=0.5, seed=8)
-    run1 = [sense_frame(RSU_AT_ORIGIN, m1, world, f) is not None for f in range(200)]
-    run1b = [sense_frame(RSU_AT_ORIGIN, m1, world, f) is not None for f in range(200)]
-    run2 = [sense_frame(RSU_AT_ORIGIN, m2, world, f) is not None for f in range(200)]
+    run1 = [sense(RSU_AT_ORIGIN, m1, world, f) is not None for f in range(200)]
+    run1b = [sense(RSU_AT_ORIGIN, m1, world, f) is not None for f in range(200)]
+    run2 = [sense(RSU_AT_ORIGIN, m2, world, f) is not None for f in range(200)]
     assert run1 == run1b
     assert run1 != run2
     assert 40 < sum(run1) < 160  # roughly half survive
@@ -489,14 +488,14 @@ def test_rsu1_picks_up_cbna_cyclist_near_entry():
     n = int(spec.sim_duration * spec.frame_rate) + 1
     for frame in range(n):
         world = world_at(spec, frame / spec.frame_rate)
-        e = sense_frame(rsu1, model, world, frame)
+        e = sense(rsu1, model, world, frame)
         if e is not None:
             events.append((frame, world.vru_silhouette.anchor.y))
     assert events, "rsu1 must see the cyclist"
     first_y = events[0][1]
     # frustum edge lies where the cyclist passes y = -12
     assert -12.5 < first_y < -11.0
-    stream = [e for e in (sense_frame(rsu1, model, world_at(spec, f / 10.0), f) for f in range(n)) if e]
+    stream = [e for e in (sense(rsu1, model, world_at(spec, f / 10.0), f) for f in range(n)) if e]
     assert confirm_stream(stream, 3)
 
 
@@ -507,4 +506,4 @@ def test_away_facing_rsu_never_sees_cbna():
     n = int(spec.sim_duration * spec.frame_rate) + 1
     for frame in range(n):
         world = world_at(spec, frame / spec.frame_rate)
-        assert sense_frame(rsu8, model, world, frame) is None
+        assert sense(rsu8, model, world, frame) is None

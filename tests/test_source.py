@@ -11,6 +11,10 @@ attribute somewhere in the package, and so must every public field of a
 dataclass: state the package writes and never reads belongs nowhere. A
 class that a library-only module exports is API, and its members are
 exempt.
+
+No module imports numpy: the kernels must give the bits of ``math``'s
+scalar functions, which vectorised loops need not, and numpy is only a
+test dependency.
 """
 
 import ast
@@ -135,3 +139,18 @@ def test_every_public_method_is_read_by_the_package():
 
 def test_every_public_dataclass_field_is_read_by_the_package():
     assert unread_members(fields=True) == []
+
+
+def imported_packages(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_numpy():
+    assert [module for module, tree in package_modules().items() if "numpy" in imported_packages(tree)] == []
