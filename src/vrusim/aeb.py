@@ -17,16 +17,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .geometry import Box, Pose2, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
-from .scenario import ActorTrack, ScenarioSpec, Timeline, WorldState
+from .geometry import _SLACK, Box, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
+from .scenario import ActorTrack, ScenarioSpec, Timeline
 from .sensing import DetectionEvent, DetectionModel, SensorUnit, reach, sense_frame
 
 log = logging.getLogger(__name__)
 
 _NEAR_FIELD_SLACK = 10.0
-# how far a circle bound must clear a threshold before the exact box test
-# it stands for is skipped; far above the rounding of either computation
-_CULL_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,11 +153,11 @@ def _first_contact(
 
     Centre distance minus both bounding-circle radii bounds the gap from
     below, and the exact box test runs only where that bound is within
-    _CULL_MARGIN of contact. The vehicle only slows, so from a step where
-    it drives at v the centres close at most at v plus the VRU's speed;
-    after a step with bound b at time t no step before
-    t + (b - 2 * _CULL_MARGIN) / closing can come that near, and the scan
-    bisects past them without locating either actor.
+    _SLACK of contact. The vehicle only slows, so from a step where it
+    drives at v the centres close at most at v plus the VRU's speed; after
+    a step with bound b at time t no step before t + (b - 2 * _SLACK) /
+    closing can come that near, and the scan bisects past them without
+    locating either actor.
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
@@ -173,11 +170,11 @@ def _first_contact(
         ux, uy = vut_locate(travel[k])
         rx, ry = vru_locate(vru_speed * t)
         bound = math.hypot(rx - ux, ry - uy) - vut_r - vru_r
-        if bound > _CULL_MARGIN:
+        if bound > _SLACK:
             closing = speeds[k] + vru_speed
             if closing <= 0.0:
                 return None
-            k = bisect_left(times, t + (bound - 2.0 * _CULL_MARGIN) / closing, k + 1)
+            k = bisect_left(times, t + (bound - 2.0 * _SLACK) / closing, k + 1)
         elif obb_overlap(_box(vut_track, ux, uy), _box(vru_track, rx, ry)):
             return k
         else:
@@ -194,57 +191,56 @@ def _sense_frames(
     """Each unit's detections over a run's frames, the vehicle
     `frame_travel[f]` along its path at frame f.
 
-    A roadside unit's pose is fixed, so its occluder records are built
-    once per run, of the occluders whose footprint, grown by _CULL_MARGIN,
-    meets the fan of sight lines from the mount to the VRU's leg extended
-    by half its length at each end, where every sample point lies. A
-    vehicle unit's records are built per frame, of every occluder.
+    A vehicle unit's mount is located, and its occluder records built of
+    every occluder, from the vehicle's position in each frame. A roadside
+    unit senses from its own fixed pose and reads nothing of the vehicle;
+    its records are built once per run, of the occluders whose footprint,
+    grown by _SLACK, meets the fan of sight lines from the mount to the
+    VRU's leg extended by half its length at each end, where every sample
+    point lies.
 
     The VRU's anchor moves no faster than its speed, nor does its ground
     range to a roadside unit. From a frame whose anchor lies beyond the
-    unit's `reach` (plus _CULL_MARGIN) by g, no frame within
-    (g - _CULL_MARGIN) / speed can pass that unit's range and size gates,
-    and the scan bisects past them: they would draw no detection, and the
-    miss coin is stateless per (seed, sensor, frame).
+    unit's `reach` (plus _SLACK) by g, no frame within (g - _SLACK) /
+    speed can pass that unit's range and size gates, and the scan bisects
+    past them: they would draw no detection, and the miss coin is
+    stateless per (seed, sensor, frame).
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
-    worlds = []
-    for frame, t in enumerate(times):
-        x, y = vut_track.locate(frame_travel[frame])
-        worlds.append(WorldState(t, Pose2(x, y, vut_track.heading), vru_track.silhouette_at(t), spec.occluders))
+    targets = [vru_track.silhouette_at(t) for t in times]
     start, end = vru_track.path
     ex, ey = math.cos(vru_track.heading) * vru_track.length / 2.0, math.sin(vru_track.heading) * vru_track.length / 2.0
     leg = ((start.x - ex, start.y - ey), (end.x + ex, end.y + ey))
     grown = [
-        (o, (o.center.x, o.center.y, o.heading, o.half_long + _CULL_MARGIN, o.half_lat + _CULL_MARGIN))
+        (o, (o.center.x, o.center.y, o.heading, o.half_long + _SLACK, o.half_lat + _SLACK))
         for o in spec.occluders
     ]
     vru_speed = vru_track.speed
-    n = len(worlds)
+    n = len(targets)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for unit in sensors:
         events = events_by_sensor[unit.sensor_id]
         fixed = unit.mount == "rsu"
         if fixed:
-            sx, sy = unit.pose.x, unit.pose.y
-            far = reach(unit, model, worlds[0].vru_silhouette) + _CULL_MARGIN
+            pose = unit.pose
+            sx, sy = pose.x, pose.y
+            far = reach(unit, model, targets[0]) + _SLACK
             slabs = occluder_slabs(sx, sy, [o for o, box in grown if triangle_meets_box(((sx, sy), *leg), box)])
         frame = 0
         while frame < n:
-            world = worlds[frame]
+            target = targets[frame]
             if fixed:
-                anchor = world.vru_silhouette.anchor
-                gap = math.hypot(anchor.x - sx, anchor.y - sy) - far
+                gap = math.hypot(target.anchor.x - sx, target.anchor.y - sy) - far
                 if gap > 0.0:
                     if vru_speed <= 0.0:
                         break
-                    frame = bisect_left(times, times[frame] + (gap - _CULL_MARGIN) / vru_speed, frame + 1)
+                    frame = bisect_left(times, times[frame] + (gap - _SLACK) / vru_speed, frame + 1)
                     continue
             else:
-                pose = unit.world_pose(world.vut_pose)
-                slabs = occluder_slabs(pose.x, pose.y, world.occluders)
-            ev = sense_frame(unit, model, world, frame, slabs)
+                pose = unit.world_pose(*vut_track.locate(frame_travel[frame]), vut_track.heading)
+                slabs = occluder_slabs(pose.x, pose.y, spec.occluders)
+            ev = sense_frame(unit, model, pose, target, frame, times[frame], slabs)
             if ev is not None:
                 events.append(ev)
             frame += 1
@@ -368,11 +364,11 @@ def stop_margin(trace: RunTrace) -> float:
         ux, uy, rx, ry = centres(k)
         gap = math.hypot(rx - ux, ry - uy)
         bound = gap - vut_r - vru_r
-        if bound > target + _CULL_MARGIN:
+        if bound > target + _SLACK:
             closing = speeds[k] + vru_speed
             if closing <= 0.0:
                 break
-            k = bisect_left(times, times[k] + (bound - target - 2.0 * _CULL_MARGIN) / closing, k + 1)
+            k = bisect_left(times, times[k] + (bound - target - 2.0 * _SLACK) / closing, k + 1)
             continue
         if gap > near_field:
             margin = min(margin, bound)
@@ -381,11 +377,11 @@ def stop_margin(trace: RunTrace) -> float:
             near.append((bound, k))
         k += 1
     for bound, k in sorted(near):
-        if bound > margin + _CULL_MARGIN:
+        if bound > margin + _SLACK:
             break
         ux, uy, rx, ry = centres(k)
         vut_box, vru_box = _box(vut_track, ux, uy), _box(vru_track, rx, ry)
-        if obb_gap_bound(vut_box, vru_box) > margin + _CULL_MARGIN:
+        if obb_gap_bound(vut_box, vru_box) > margin + _SLACK:
             continue
         margin = min(margin, obb_separation(vut_box, vru_box))
     return margin

@@ -243,8 +243,9 @@ def _on_grid(speed: float, lo: float, hi: float, step: float) -> bool:
 
 
 def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, ...]:
-    """The units of a layout file, with unique ids, each at the scenario
-    frame rate; ``where`` (a config key or a flag) prefixes every error."""
+    """The units of a layout file, with unique ids, none of them the fused
+    subset's name ``any``, each at the scenario frame rate; ``where`` (a
+    config key or a flag) prefixes every error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             units = parse_layout(fh.read(), frame_rate)
@@ -253,6 +254,8 @@ def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, .
     ids = [u.sensor_id for u in units]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{where}: sensor ids must be unique")
+    if "any" in ids:
+        raise ConfigError(f"{where}: the sensor id 'any' is reserved for the fused subset")
     return units
 
 

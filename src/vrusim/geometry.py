@@ -42,21 +42,6 @@ class Vec2:
 
 
 @dataclass(frozen=True)
-class Pose2:
-    """Ground-plane position plus heading; heading stored normalized."""
-
-    x: float
-    y: float
-    heading: float
-
-    def __post_init__(self) -> None:
-        for v in (self.x, self.y, self.heading):
-            if not math.isfinite(v):
-                raise ValueError("non-finite Pose2 component")
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-
-@dataclass(frozen=True)
 class MountPose:
     """3D sensor mount: position, yaw about z, pitch about the lateral axis.
 

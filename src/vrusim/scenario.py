@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 
-from .geometry import Pose2, Prism, Silhouette, Vec2, wrap_angle
+from .geometry import Prism, Silhouette, Vec2, wrap_angle
 
 KMH = 1.0 / 3.6
 
@@ -164,17 +164,6 @@ class ScenarioSpec:
                 times.append(t1)
                 travel.append(travelled)
         return Timeline(steps_per_frame, starts, times, travel)
-
-
-@dataclass(frozen=True)
-class WorldState:
-    """What one sensing frame reads: the pose of the vehicle that carries
-    the vut-mounted sensors, the VRU's silhouette and the static occluders."""
-
-    time: float
-    vut_pose: Pose2
-    vru_silhouette: Silhouette
-    occluders: tuple[Prism, ...]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .geometry import MountPose, Pose2, Silhouette, Slabs, Vec2, _pad, visible_fraction
-from .scenario import DEFAULT_OVERRIDES, WorldState
+from .geometry import _EPS, MountPose, Silhouette, Slabs, _pad, visible_fraction
+from .scenario import DEFAULT_OVERRIDES
 
 SENSOR_IMAGE_WIDTH_PX = 1920
 
@@ -65,17 +65,13 @@ class SensorUnit:
         if self.hfov <= 0 or self.vfov <= 0:
             raise ValueError("apertures must be positive")
 
-    def world_pose(self, vut_pose: Pose2) -> MountPose:
-        if self.mount == "rsu":
-            return self.pose
-        offset = Vec2(self.pose.x, self.pose.y).rotated(vut_pose.heading)
-        return MountPose(
-            vut_pose.x + offset.x,
-            vut_pose.y + offset.y,
-            self.pose.z,
-            vut_pose.heading + self.pose.yaw,
-            self.pose.pitch,
-        )
+    def world_pose(self, x: float, y: float, heading: float) -> MountPose:
+        """A vehicle unit's mount in the world, the vehicle's centre at
+        (x, y) and facing `heading`."""
+        c, s = math.cos(heading), math.sin(heading)
+        px, py = self.pose.x, self.pose.y
+        mx, my = x + (c * px - s * py), y + (s * px + c * py)
+        return MountPose(mx, my, self.pose.z, heading + self.pose.yaw, self.pose.pitch)
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class DetectionEvent:
 def apparent_angular_width(sensor_pose: MountPose, target: Silhouette, dist: float) -> float:
     """Angle subtended by the target extent perpendicular to the sight line;
     `dist` is the ground range from the sensor to the target anchor."""
-    if dist < 1e-9:
+    if dist < _EPS:
         raise ValueError("target coincides with the sensor")
     bearing = math.atan2(target.anchor.y - sensor_pose.y, target.anchor.x - sensor_pose.x)
     delta = target.heading - bearing
@@ -117,7 +113,7 @@ def apparent_angular_width(sensor_pose: MountPose, target: Silhouette, dist: flo
 def apparent_angular_height(sensor_pose: MountPose, target: Silhouette, dist: float) -> float:
     """Angle subtended by the target height at the slant range to mid-height;
     `dist` is the ground range from the sensor to the target anchor."""
-    if dist < 1e-9:
+    if dist < _EPS:
         raise ValueError("target coincides with the sensor")
     slant = math.hypot(dist, sensor_pose.z - target.height / 2.0)
     return 2.0 * math.atan2(target.height / 2.0, slant)
@@ -166,19 +162,20 @@ def _miss_coin(seed: int, sensor_id: str, frame: int) -> float:
 def sense_frame(
     sensor: SensorUnit,
     model: DetectionModel,
-    world: WorldState,
+    pose: MountPose,
+    target: Silhouette,
     frame: int,
+    time: float,
     slabs: Slabs,
 ) -> DetectionEvent | None:
-    """Detection attempt on the VRU for one frame; None when any gate fails.
-    `slabs` are the sensor origin's records of the occluders that can matter."""
-    pose = sensor.world_pose(world.vut_pose)
-    target = world.vru_silhouette
-
+    """Detection attempt on the VRU's `target` silhouette in the frame at
+    `time`, by the sensor mounted at the world `pose`; None when any gate
+    fails. `slabs` are the records, from `pose`, of the occluders that can
+    matter."""
     dist = math.hypot(target.anchor.x - pose.x, target.anchor.y - pose.y)
     if dist - target.length / 2.0 > sensor.max_range:
         return None
-    if dist < 1e-9:
+    if dist < _EPS:
         # an unbraked run drives straight through the target; a sensor
         # sitting inside it has no meaningful view
         return None
@@ -202,7 +199,7 @@ def sense_frame(
         frame=frame,
         sensor_id=sensor.sensor_id,
         target_id="vru",
-        available_at=world.time + sensor.latency,
+        available_at=time + sensor.latency,
     )
 
 

@@ -21,17 +21,21 @@ skips the frames a roadside unit's range and size gates rule out, keeps
 per mount only the occluders its sight lines can meet, and certifies a
 target wholly in view without its point loop; their events must be equal.
 ``sense`` calls the package's ``sense_frame`` with the records of every
-occluder of the world, built from the unit's origin in that frame.
+occluder it is given, built from the unit's origin in that frame.
+``world_at`` gives what a unit reads in a frame: its mount pose, carried
+by the vehicle for a vehicle unit, and the VRU's silhouette.
 ``speed_range_picks`` walks a config's speed range step by step, where
 the package tests each allowed speed against the range.
 
 The small vector, pose, heatmap and match-count accessors at the top are
-the tests' own: the package reads none of them. ``pose_at`` places a track
-where the package's `ActorTrack.locate` does, as a ``Pose2``.
+the tests' own: the package reads none of them. ``Pose2`` is a ground
+position and a normalized heading, and ``pose_at`` places a track where
+the package's `ActorTrack.locate` does, as one.
 """
 
 import hashlib
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from vrusim.aeb import AebPolicy, _advance
@@ -39,7 +43,6 @@ from vrusim.geometry import (
     _EPS,
     MountPose,
     OrientedBox,
-    Pose2,
     Prism,
     Silhouette,
     Vec2,
@@ -48,7 +51,7 @@ from vrusim.geometry import (
 )
 from vrusim.ingest import MatchCounts, MatchResult
 from vrusim.metrics import HeatmapMatrix
-from vrusim.scenario import ActorTrack, ScenarioSpec, WorldState
+from vrusim.scenario import ActorTrack, ScenarioSpec
 from vrusim.sensing import (
     DetectionEvent,
     DetectionModel,
@@ -77,6 +80,18 @@ def dot(a: Vec2, b: Vec2) -> float:
 
 def norm(v: Vec2) -> float:
     return math.hypot(v.x, v.y)
+
+
+@dataclass(frozen=True)
+class Pose2:
+    """Ground-plane position plus heading; heading stored normalized."""
+
+    x: float
+    y: float
+    heading: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 
 def position(pose: Pose2) -> Vec2:
@@ -173,30 +188,48 @@ def stopping_distance(v: float, policy: AebPolicy) -> float:
     return v * policy.latency + v * v / (2.0 * policy.deceleration)
 
 
-def world_at(spec: ScenarioSpec, t: float, vut_pose: Pose2 | None = None) -> WorldState:
-    """What a sensing frame at time t sees, from the vehicle at `vut_pose`
+def world_at(
+    spec: ScenarioSpec, t: float, unit: SensorUnit, vut_pose: Pose2 | None = None
+) -> tuple[MountPose, Silhouette]:
+    """What `unit` reads in a sensing frame at time t: its mount pose and
+    the VRU's silhouette. A vehicle unit rides the vehicle at `vut_pose`
     or, by default, where braking disabled puts it."""
-    if vut_pose is None:
-        vut_pose = pose_at(spec.vut_track, spec.vut_track.speed * t)
     vru_pose = pose_at(spec.vru_track, spec.vru_track.speed * t)
     vru = spec.vru_track
     target = Silhouette(position(vru_pose), vru_pose.heading, vru.length, vru.width, vru.height)
-    return WorldState(t, vut_pose, target, spec.occluders)
+    if unit.mount == "rsu":
+        return unit.pose, target
+    if vut_pose is None:
+        vut_pose = pose_at(spec.vut_track, spec.vut_track.speed * t)
+    return unit.world_pose(vut_pose.x, vut_pose.y, vut_pose.heading), target
 
 
-def sense(unit: SensorUnit, model: DetectionModel, world: WorldState, frame: int) -> DetectionEvent | None:
-    """The package's `sense_frame`, given the records of all the world's
-    occluders from where the unit is in this frame."""
-    pose = unit.world_pose(world.vut_pose)
-    return sense_frame(unit, model, world, frame, occluder_slabs(pose.x, pose.y, world.occluders))
+def sense(
+    unit: SensorUnit,
+    model: DetectionModel,
+    pose: MountPose,
+    target: Silhouette,
+    frame: int,
+    time: float,
+    occluders: tuple[Prism, ...] = (),
+) -> DetectionEvent | None:
+    """The package's `sense_frame`, given the records of all `occluders`
+    from the unit's mount at `pose`."""
+    return sense_frame(unit, model, pose, target, frame, time, occluder_slabs(pose.x, pose.y, occluders))
 
 
-def sense_reference(unit: SensorUnit, model: DetectionModel, world: WorldState, frame: int) -> DetectionEvent | None:
+def sense_reference(
+    unit: SensorUnit,
+    model: DetectionModel,
+    pose: MountPose,
+    target: Silhouette,
+    frame: int,
+    time: float,
+    occluders: tuple[Prism, ...],
+) -> DetectionEvent | None:
     """One frame's detection by `sense_frame`'s gates in its order, with
-    the exact ``Vec2`` visible fraction over every occluder of the world
-    and the miss coin drawn from its hash."""
-    pose = unit.world_pose(world.vut_pose)
-    target = world.vru_silhouette
+    the exact ``Vec2`` visible fraction over every one of `occluders` and
+    the miss coin drawn from its hash."""
     dist = math.hypot(target.anchor.x - pose.x, target.anchor.y - pose.y)
     if dist - target.length / 2.0 > unit.max_range or dist < 1e-9:
         return None
@@ -204,14 +237,14 @@ def sense_reference(unit: SensorUnit, model: DetectionModel, world: WorldState, 
         return None
     if apparent_angular_height(pose, target, dist) < model.min_apparent_height:
         return None
-    fraction = visible_fraction(pose, unit.hfov, unit.vfov, unit.max_range, target, world.occluders)
+    fraction = visible_fraction(pose, unit.hfov, unit.vfov, unit.max_range, target, occluders)
     if fraction < model.min_visible_fraction:
         return None
     if model.miss_probability > 0.0:
         digest = hashlib.sha256(f"{model.seed}:{unit.sensor_id}:{frame}".encode()).digest()
         if int.from_bytes(digest[:8], "big") / 2**64 <= model.miss_probability:
             return None
-    return DetectionEvent(frame, unit.sensor_id, "vru", world.time + unit.latency)
+    return DetectionEvent(frame, unit.sensor_id, "vru", time + unit.latency)
 
 
 def observe_every_frame(
@@ -226,10 +259,11 @@ def observe_every_frame(
     timeline = spec.timeline(dt)
     events: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for frame in range(spec.n_frames):
+        t = frame / spec.frame_rate
         vut_pose = pose_at(spec.vut_track, timeline.travel[frame * timeline.steps_per_frame])
-        world = world_at(spec, frame / spec.frame_rate, vut_pose)
         for unit in sensors:
-            ev = sense_reference(unit, model, world, frame)
+            pose, target = world_at(spec, t, unit, vut_pose)
+            ev = sense_reference(unit, model, pose, target, frame, t, spec.occluders)
             if ev is not None:
                 events[unit.sensor_id].append(ev)
     return events
@@ -272,9 +306,9 @@ def live_run(
     for frame in range(spec.n_frames):
         t_frame = frame / spec.frame_rate
         vut_pose = pose_at(spec.vut_track, travelled)
-        world = world_at(spec, t_frame, vut_pose)
         for unit in sensors:
-            ev = sense_reference(unit, model, world, frame)
+            pose, target = world_at(spec, t_frame, unit, vut_pose)
+            ev = sense_reference(unit, model, pose, target, frame, t_frame, spec.occluders)
             if ev is None:
                 run_len[unit.sensor_id] = 0
                 continue

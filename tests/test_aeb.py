@@ -25,7 +25,7 @@ from vrusim.aeb import (
     simulate_run,
     stop_margin,
 )
-from vrusim.geometry import Pose2, Prism, Vec2
+from vrusim.geometry import Prism, Vec2
 from vrusim.geometry import obb_separation as obb_separation_kernel
 from vrusim.scenario import (
     KMH,
@@ -48,6 +48,7 @@ from vrusim.sensing import (
 
 import sites
 from oracles import (
+    Pose2,
     float_box,
     footprint,
     live_run,
@@ -231,6 +232,32 @@ def test_observation_matches_every_frame_reference_on_default_cells(yaw, monkeyp
         for speed in allowed_speeds_kmh(kind):
             spec = rotate_scenario(build_scenario(kind, speed), math.radians(yaw))
             observed_with_calls(monkeypatch, spec, DEFAULT_SENSORS, MODEL)
+
+
+class NoTravel:
+    """A frame-travel list that may not be read."""
+
+    def __getitem__(self, frame):
+        raise AssertionError("a roadside pass read the vehicle's travel")
+
+
+@pytest.mark.parametrize("yaw", [0.0, 90.0])
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda kind: kind.value)
+def test_roadside_events_depend_only_on_the_vru_track(kind, yaw):
+    # 30 and 60 km/h both sync at 8 s, so they share the VRU track, the
+    # occluders and the frames; a roadside pass reads nothing of the
+    # vehicle, so its events are the same at either speed, braked or not
+    slow, fast = (rotate_scenario(build_scenario(kind, v), math.radians(yaw)) for v in (30.0, 60.0))
+    assert (slow.vru_track, slow.occluders, slow.n_frames) == (fast.vru_track, fast.occluders, fast.n_frames)
+    roadside = default_layout()
+    model = DetectionModel(miss_probability=0.2, seed=5)
+    braked = simulate_run(fast, roadside, model, POLICY, trigger_override=fast.nominal_collision_time - 2.0)
+    assert braked.travel != fast.timeline(braked.dt).travel
+    events = braked.events_by_sensor
+    assert sum(map(len, events.values())) > 0
+    assert simulate_run(slow, roadside, model, POLICY).events_by_sensor == events
+    assert simulate_run(fast, roadside, model, POLICY).events_by_sensor == events
+    assert aeb._sense_frames(fast, roadside, model, NoTravel()) == events
 
 
 @pytest.mark.parametrize("case", list(RING_CASES))
@@ -666,13 +693,13 @@ def test_skip_ahead_matches_reference_kernel_exactly(name):
 
 def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
     # the projection gap may round a few ulps above the exact gap, so the
-    # prune only trusts it by the cull margin. Here a pedestrian drifts
-    # 1e-7 m closer per metre as it crosses the front of the stopped car:
-    # the step nearest the centre line sets the margin first, and the
-    # later, smaller gaps lie within a fraction of the cull margin of it.
-    # A bound that overshoots by half the cull margin must still find them.
+    # prune only trusts it by the slack (geometry._SLACK). Here a pedestrian
+    # drifts 1e-7 m closer per metre as it crosses the front of the stopped
+    # car: the step nearest the centre line sets the margin first, and the
+    # later, smaller gaps lie within a fraction of the slack of it. A bound
+    # that overshoots by half the slack must still find them.
     def rounded_high(a, b):
-        return obb_separation_kernel(a, b) + 0.5 * aeb._CULL_MARGIN
+        return obb_separation_kernel(a, b) + 0.5 * geometry._SLACK
 
     monkeypatch.setattr(aeb, "obb_gap_bound", rounded_high)
     ped = ActorTrack(0.5, 0.5, 1.8, 1.5, (Vec2(0.0, -16.0), Vec2(-32e-7, 16.0)))

@@ -296,8 +296,9 @@ RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
         format_layout(default_layout()[:2], 20.0),
         format_layout((RSU1,)).replace("\nrsu1,", "\n,"),
         format_layout((default_vut_sensor(),)),
+        format_layout((RSU1,)).replace("\nrsu1,", "\nany,"),
     ],
-    ids=["duplicate-ids", "header-only", "rate-20-at-10-hz", "empty-id", "vut-mounted"],
+    ids=["duplicate-ids", "header-only", "rate-20-at-10-hz", "empty-id", "vut-mounted", "reserved-id-any"],
 )
 def test_placement_bad_candidates_is_exit_1_with_one_line(tmp_path, caplog, text):
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})
@@ -327,6 +328,17 @@ def test_sweep_rejects_a_sensor_id_that_is_no_file_name(tmp_path, caplog, sensor
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
         "a", "a/b", "a/b/c", "a/b/c/cfg.yaml", "a/b/c/layout.txt",
     ]
+
+
+def test_sweep_rejects_the_sensor_id_any(tmp_path, caplog):
+    # "any" names the fused subset: a unit of that id would make two
+    # subsets of the name, whose report rows and files collide
+    layout = tmp_path / "layout.txt"
+    layout.write_text(format_layout(default_layout()[:2]).replace("\nrsu1,", "\nany,"), encoding="utf-8")
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "sensors": {"layout_file": str(layout)}})
+    message = one_line_config_error(caplog, ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "-q"])
+    assert message.startswith("sensors.layout_file: ") and "'any'" in message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "layout.txt"]
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from vrusim.scenario import (
     build_scenario,
     rotate_scenario,
 )
+from vrusim.sensing import default_vut_sensor
 
 from oracles import footprint, nominal_collision_check, norm, obb_overlap, pose_at, sub, world_at
 
@@ -207,9 +208,8 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
     first_visible_dist = None
     for i in range(spec.n_frames):
         t = i / spec.frame_rate
-        world = world_at(spec, t)
-        sil = world.vru_silhouette
-        frac = geometric_fraction((world.vut_pose.x, world.vut_pose.y), sil, spec.occluders)
+        pose, sil = world_at(spec, t, default_vut_sensor())
+        frac = geometric_fraction((pose.x, pose.y), sil, spec.occluders)
         dist = norm(sub(sil.anchor, CONFLICT_POINT))
         if frac >= 0.5:
             first_visible_dist = dist

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vrusim.geometry import MountPose, Pose2, Silhouette, Vec2, visible_fraction, wrap_angle
-from vrusim.scenario import ScenarioKind, WorldState, build_scenario
+from vrusim.geometry import MountPose, Silhouette, Vec2, visible_fraction, wrap_angle
+from vrusim.scenario import ScenarioKind, build_scenario
 from vrusim.sensing import (
     DEFAULT_RSU_HEIGHT,
     DetectionEvent,
@@ -33,13 +33,12 @@ from vrusim.sensing import (
 )
 
 import oracles
-from oracles import norm, position, sense, world_at
+from oracles import Pose2, norm, position, sense, world_at
 
 
-def make_world(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8), vut_pose=Pose2(-200.0, 0.0, 0.0), occluders=(), time=0.0):
+def make_target(vru_pose: Pose2, vru_dims=(0.5, 0.5, 1.8)) -> Silhouette:
     length, width, height = vru_dims
-    vru = Silhouette(position(vru_pose), vru_pose.heading, length, width, height)
-    return WorldState(time, vut_pose, vru, tuple(occluders))
+    return Silhouette(position(vru_pose), vru_pose.heading, length, width, height)
 
 
 RSU_AT_ORIGIN = SensorUnit(
@@ -51,11 +50,11 @@ RSU_AT_ORIGIN = SensorUnit(
 
 
 def test_unoccluded_pedestrian_detected_with_full_fraction():
-    world = make_world(Pose2(10.0, 0.0, math.pi / 2), time=0.4)  # frame 4 at 10 Hz
-    ev = sense(RSU_AT_ORIGIN, DetectionModel(), world, 4)
-    assert ev is not None
+    target = make_target(Pose2(10.0, 0.0, math.pi / 2))
     unit = RSU_AT_ORIGIN
-    assert visible_fraction(unit.pose, unit.hfov, unit.vfov, unit.max_range, world.vru_silhouette, (), 0.0) == 1.0
+    ev = sense(unit, DetectionModel(), unit.pose, target, 4, 0.4)  # frame 4 at 10 Hz
+    assert ev is not None
+    assert visible_fraction(unit.pose, unit.hfov, unit.vfov, unit.max_range, target, (), 0.0) == 1.0
     assert ev.sensor_id == "r"
     assert ev.frame == 4
     assert ev.available_at == pytest.approx(0.425)
@@ -68,8 +67,8 @@ def test_sensor_id_must_be_a_plain_name(sensor_id):
 
 
 def test_target_beyond_range_not_detected():
-    world = make_world(Pose2(260.0, 0.0, math.pi / 2))
-    assert sense(RSU_AT_ORIGIN, DetectionModel(), world, 0) is None
+    target = make_target(Pose2(260.0, 0.0, math.pi / 2))
+    assert sense(RSU_AT_ORIGIN, DetectionModel(), RSU_AT_ORIGIN.pose, target, 0, 0.0) is None
 
 
 def test_cbna_wall_hides_cyclist_30m_out():
@@ -80,17 +79,26 @@ def test_cbna_wall_hides_cyclist_30m_out():
         spec = build_scenario(ScenarioKind.CBNA, speed)
         t_30 = (abs(spec.vru_track.path[0].y) - 30.0) / spec.vru_track.speed
         frame = round(t_30 * spec.frame_rate)
-        world = world_at(spec, frame / spec.frame_rate)
-        assert abs(world.vru_silhouette.anchor.y + 30.0) < 0.5
-        assert sense(vut_sensor, model, world, frame) is None, speed
+        t = frame / spec.frame_rate
+        pose, target = world_at(spec, t, vut_sensor)
+        assert abs(target.anchor.y + 30.0) < 0.5
+        assert sense(vut_sensor, model, pose, target, frame, t, spec.occluders) is None, speed
 
 
 def test_vut_mounted_sensor_tracks_the_vehicle():
     sensor = default_vut_sensor()
-    pose = sensor.world_pose(Pose2(10.0, 5.0, math.pi / 2))
+    pose = sensor.world_pose(10.0, 5.0, math.pi / 2)
     assert (pose.x, pose.y) == pytest.approx((10.0, 5.0))
     assert pose.yaw == pytest.approx(math.pi / 2)
     assert pose.z == pytest.approx(1.6)
+    # an offset mount is carried round by the bits of Vec2.rotated
+    mount = MountPose(1.3, -0.4, 1.2, 0.3, -0.1)
+    offset_unit = replace(sensor, pose=mount)
+    for heading in (0.0, 0.7, -2.9, math.pi):
+        offset = Vec2(mount.x, mount.y).rotated(heading)
+        assert offset_unit.world_pose(-3.1, 7.7, heading) == MountPose(
+            -3.1 + offset.x, 7.7 + offset.y, mount.z, heading + mount.yaw, mount.pitch
+        )
 
 
 def test_available_at_always_frame_time_plus_latency():
@@ -99,8 +107,8 @@ def test_available_at_always_frame_time_plus_latency():
     n = int(spec.sim_duration * spec.frame_rate)
     for unit in default_layout():
         for frame in range(0, n, 7):
-            world = world_at(spec, frame / spec.frame_rate)
-            ev = sense(unit, model, world, frame)
+            t = frame / spec.frame_rate
+            ev = sense(unit, model, *world_at(spec, t, unit), frame, t, spec.occluders)
             if ev is not None:
                 assert ev.available_at == pytest.approx(frame / 10.0 + 0.025, abs=1e-12)
 
@@ -119,10 +127,10 @@ EXTENT = st.floats(0.05, 6.0)
 WIDE = 2.0 * math.pi
 
 
-def at_range(sensor: SensorUnit, dist: float, bearing: float, heading: float, dims) -> WorldState:
-    """A world with a target `dist` from the sensor along `bearing`."""
+def at_range(sensor: SensorUnit, dist: float, bearing: float, heading: float, dims) -> Silhouette:
+    """A target `dist` from the sensor along `bearing`."""
     anchor = Pose2(sensor.pose.x + dist * math.cos(bearing), sensor.pose.y + dist * math.sin(bearing), heading)
-    return make_world(anchor, vru_dims=dims)
+    return make_target(anchor, vru_dims=dims)
 
 
 @st.composite
@@ -144,7 +152,7 @@ def beyond_reach(draw):
         min_apparent_height=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.8))),
     )
     dims = (draw(EXTENT), draw(EXTENT), draw(EXTENT))
-    limit = reach(sensor, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
+    limit = reach(sensor, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
     dist = math.nextafter(limit, math.inf) * (1.0 + draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 2.0))))
     return sensor, model, at_range(sensor, dist, draw(ANGLE), draw(ANGLE), dims), limit
 
@@ -152,10 +160,10 @@ def beyond_reach(draw):
 @PROPERTY
 @given(beyond_reach())
 def test_no_detection_beyond_reach(case):
-    sensor, model, world, limit = case
-    anchor = world.vru_silhouette.anchor
+    sensor, model, target, limit = case
+    anchor = target.anchor
     if math.hypot(anchor.x - sensor.pose.x, anchor.y - sensor.pose.y) > limit:
-        assert sense(sensor, model, world, 0) is None
+        assert sense(sensor, model, sensor.pose, target, 0, 0.0) is None
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.CPNC50, ScenarioKind.CBNA], ids=("pedestrian", "cyclist"))
@@ -167,10 +175,10 @@ def test_reach_is_tight_for_default_units(kind):
     model = DetectionModel()
     for unit in default_layout():
         unit = replace(unit, hfov=WIDE, vfov=WIDE)
-        limit = reach(unit, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
+        limit = reach(unit, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
         for bearing in (0.0, 2.0, -2.5):
             widest = bearing + math.atan2(track.length, track.width)
-            assert sense(unit, model, at_range(unit, limit * (1 - 1e-4), bearing, widest, dims), 0)
+            assert sense(unit, model, unit.pose, at_range(unit, limit * (1 - 1e-4), bearing, widest, dims), 0, 0.0)
 
 
 # (model, unit range): the visibility floor is off, so that only the
@@ -191,11 +199,11 @@ def test_last_detecting_range_is_within_reach(gate):
     dims = (track.length, track.width, track.height)
     for z in (DEFAULT_RSU_HEIGHT, 2.0, 11.3):
         unit = SensorUnit("r", "rsu", MountPose(1.25, -3.5, z, 0.0, 0.0), WIDE, WIDE, max_range)
-        limit = reach(unit, model, make_world(Pose2(0.0, 0.0, 0.0), vru_dims=dims).vru_silhouette)
+        limit = reach(unit, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
         for heading in (0.0, 0.7, math.atan2(track.length, track.width)):
 
             def detects(dist):
-                return sense(unit, model, at_range(unit, dist, 0.0, heading, dims), 0) is not None
+                return sense(unit, model, unit.pose, at_range(unit, dist, 0.0, heading, dims), 0, 0.0) is not None
 
             lo, hi = 1.0, 2.0 * limit
             assert detects(lo) and not detects(hi)
@@ -204,7 +212,7 @@ def test_last_detecting_range_is_within_reach(gate):
                 if mid in (lo, hi):
                     mid = math.nextafter(lo, hi)
                 lo, hi = (mid, hi) if detects(mid) else (lo, mid)
-            anchor = at_range(unit, lo, 0.0, heading, dims).vru_silhouette.anchor
+            anchor = at_range(unit, lo, 0.0, heading, dims).anchor
             assert anchor.x - unit.pose.x <= limit
 
 
@@ -365,9 +373,9 @@ def test_confirmation_never_earlier_with_stricter_gates():
     def streams(model):
         out = {u.sensor_id: [] for u in sensors}
         for frame in range(n):
-            world = world_at(spec, frame / spec.frame_rate)
+            t = frame / spec.frame_rate
             for u in sensors:
-                e = sense(u, model, world, frame)
+                e = sense(u, model, *world_at(spec, t, u), frame, t, spec.occluders)
                 if e is not None:
                     out[u.sensor_id].append(e)
         return out
@@ -389,25 +397,25 @@ def test_confirmation_never_earlier_with_stricter_gates():
 
 
 def test_zero_miss_probability_is_deterministic():
-    world = make_world(Pose2(10.0, 0.0, math.pi / 2))
-    a = sense(RSU_AT_ORIGIN, DetectionModel(seed=1), world, 3)
-    b = sense(RSU_AT_ORIGIN, DetectionModel(seed=2), world, 3)
+    target, pose = make_target(Pose2(10.0, 0.0, math.pi / 2)), RSU_AT_ORIGIN.pose
+    a = sense(RSU_AT_ORIGIN, DetectionModel(seed=1), pose, target, 3, 0.3)
+    b = sense(RSU_AT_ORIGIN, DetectionModel(seed=2), pose, target, 3, 0.3)
     assert a == b
 
 
 def test_certain_miss_never_detects():
-    world = make_world(Pose2(10.0, 0.0, math.pi / 2))
+    target, pose = make_target(Pose2(10.0, 0.0, math.pi / 2)), RSU_AT_ORIGIN.pose
     model = DetectionModel(miss_probability=1.0)
-    assert all(sense(RSU_AT_ORIGIN, model, world, f) is None for f in range(50))
+    assert all(sense(RSU_AT_ORIGIN, model, pose, target, f, 0.0) is None for f in range(50))
 
 
 def test_miss_coin_reproducible_and_seed_sensitive():
-    world = make_world(Pose2(10.0, 0.0, math.pi / 2))
+    target, pose = make_target(Pose2(10.0, 0.0, math.pi / 2)), RSU_AT_ORIGIN.pose
     m1 = DetectionModel(miss_probability=0.5, seed=7)
     m2 = DetectionModel(miss_probability=0.5, seed=8)
-    run1 = [sense(RSU_AT_ORIGIN, m1, world, f) is not None for f in range(200)]
-    run1b = [sense(RSU_AT_ORIGIN, m1, world, f) is not None for f in range(200)]
-    run2 = [sense(RSU_AT_ORIGIN, m2, world, f) is not None for f in range(200)]
+    run1 = [sense(RSU_AT_ORIGIN, m1, pose, target, f, 0.0) is not None for f in range(200)]
+    run1b = [sense(RSU_AT_ORIGIN, m1, pose, target, f, 0.0) is not None for f in range(200)]
+    run2 = [sense(RSU_AT_ORIGIN, m2, pose, target, f, 0.0) is not None for f in range(200)]
     assert run1 == run1b
     assert run1 != run2
     assert 40 < sum(run1) < 160  # roughly half survive
@@ -487,15 +495,18 @@ def test_rsu1_picks_up_cbna_cyclist_near_entry():
     events = []
     n = int(spec.sim_duration * spec.frame_rate) + 1
     for frame in range(n):
-        world = world_at(spec, frame / spec.frame_rate)
-        e = sense(rsu1, model, world, frame)
+        t = frame / spec.frame_rate
+        pose, target = world_at(spec, t, rsu1)
+        e = sense(rsu1, model, pose, target, frame, t, spec.occluders)
         if e is not None:
-            events.append((frame, world.vru_silhouette.anchor.y))
+            events.append((frame, target.anchor.y))
     assert events, "rsu1 must see the cyclist"
     first_y = events[0][1]
     # frustum edge lies where the cyclist passes y = -12
     assert -12.5 < first_y < -11.0
-    stream = [e for e in (sense(rsu1, model, world_at(spec, f / 10.0), f) for f in range(n)) if e]
+    stream = [
+        e for e in (sense(rsu1, model, *world_at(spec, f / 10.0, rsu1), f, f / 10.0, spec.occluders) for f in range(n)) if e
+    ]
     assert confirm_stream(stream, 3)
 
 
@@ -505,5 +516,5 @@ def test_away_facing_rsu_never_sees_cbna():
     model = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
     n = int(spec.sim_duration * spec.frame_rate) + 1
     for frame in range(n):
-        world = world_at(spec, frame / spec.frame_rate)
-        assert sense(rsu8, model, world, frame) is None
+        t = frame / spec.frame_rate
+        assert sense(rsu8, model, *world_at(spec, t, rsu8), frame, t, spec.occluders) is None

@@ -14,7 +14,8 @@ exempt.
 
 No module imports numpy: the kernels must give the bits of ``math``'s
 scalar functions, which vectorised loops need not, and numpy is only a
-test dependency.
+test dependency. And no module imports a name it never uses: a name in an
+annotation (quoted or not) or in ``__all__`` counts as used.
 """
 
 import ast
@@ -154,3 +155,38 @@ def imported_packages(tree: ast.Module) -> set[str]:
 
 def test_no_module_imports_numpy():
     assert [module for module, tree in package_modules().items() if "numpy" in imported_packages(tree)] == []
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    """Every name a module loads, including those inside quoted
+    annotations, and every name its ``__all__`` exports."""
+    used = exported_names(tree) | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [
+        node.returns if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else node.annotation
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for module, tree in package_modules().items():
+        used = names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{module}: {name}" for name in bound if name not in used]
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports() == []
