@@ -135,17 +135,6 @@ def _box(track: ActorTrack, x: float, y: float) -> Box:
     return (x, y, track.heading, track.length / 2, track.width / 2)
 
 
-def _point_gap(box: Box, x: float, y: float) -> float:
-    """Distance from a point to a box: at least the gap between that box
-    and any box that holds the point."""
-    cx, cy, heading, half_long, half_lat = box
-    c, s = math.cos(heading), math.sin(heading)
-    dx, dy = x - cx, y - cy
-    along = max(abs(dx * c + dy * s) - half_long, 0.0)
-    across = max(abs(dy * c - dx * s) - half_lat, 0.0)
-    return math.hypot(along, across)
-
-
 def _first_contact(
     spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float]
 ) -> int | None:
@@ -316,15 +305,14 @@ def stop_margin(trace: RunTrace) -> float:
 
     Steps whose centres are more than _NEAR_FIELD_SLACK beyond both
     bounding circles count by their circle bound; the closer ones by their
-    exact box gap. No step's value is below its circle bound or above the
-    distance from either centre to the other box, so the frame starts give
-    a target the minimum cannot exceed, and the scan bisects past the
-    steps whose circle bound the closing speed keeps above it, as the
-    contact scan does. The close steps take their exact gap in ascending
-    bound order, until no bound can beat the minimum, and only where their
-    axis-projection gap (`obb_gap_bound`, a lower bound on it) does not
-    already exceed it. A minimum does not depend on which values above it
-    are skipped.
+    exact box gap. No step's value is below its circle bound, and the
+    minimum cannot exceed a frame start's own value, so the frame starts
+    give a target, and the scan bisects past the steps whose circle bound the
+    closing speed keeps above it, as the contact scan does. The close steps
+    take their exact gap in ascending bound order, until no bound can beat
+    the minimum, and only where their axis-projection gap (`obb_gap_bound`,
+    a lower bound on it) does not already exceed it. A minimum does not
+    depend on which values above it are skipped.
     """
     if not trace.outcome.avoided:
         raise ValueError("a run that made contact has no stop margin")
@@ -343,8 +331,8 @@ def stop_margin(trace: RunTrace) -> float:
         return ux, uy, rx, ry
 
     n = len(times)
-    # the target: a far-field frame start's own value, or the distance
-    # from one actor's centre to the other's box at the nearest one
+    # the target: a far-field frame start's own value, or the nearest
+    # one's exact gap
     target, nearest, nearest_gap = math.inf, None, math.inf
     for k in range(0, n, timeline.steps_per_frame):
         ux, uy, rx, ry = centres(k)
@@ -355,8 +343,7 @@ def stop_margin(trace: RunTrace) -> float:
             nearest, nearest_gap = k, gap
     if nearest is not None:
         ux, uy, rx, ry = centres(nearest)
-        vut_box, vru_box = _box(vut_track, ux, uy), _box(vru_track, rx, ry)
-        target = min(target, _point_gap(vut_box, rx, ry), _point_gap(vru_box, ux, uy))
+        target = min(target, obb_separation(_box(vut_track, ux, uy), _box(vru_track, rx, ry)))
     margin = math.inf
     near: list[tuple[float, int]] = []  # (bound, step)
     k = 0

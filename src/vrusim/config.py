@@ -1,11 +1,12 @@
 """Run configuration: YAML surface, validation, and canonical hashing.
 
-The config file speaks user units (km/h, degrees, pixels); everything is
-converted to SI radians/meters/seconds exactly once, here.  Unknown keys
-are errors at every level, so a typo cannot silently fall back to a
-default.  The resolved RunConfig is what the rest of the harness consumes,
-and its canonical text (hence hash) covers every value that can influence
-the outputs.
+The config file speaks user units (km/h, degrees, pixels); all but the
+pixel floors, which each unit reads by its own aperture, are converted to
+SI radians/meters/seconds exactly once, here.  Unknown keys are errors at
+every level, so a typo cannot silently fall back to a default.  The
+resolved RunConfig is what the rest of the harness consumes, and its
+canonical text (hence hash) covers every value that can influence the
+outputs.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ from .scenario import (
     frame_steps,
 )
 from .sensing import (
-    DEFAULT_MIN_HEIGHT_PX,
-    DEFAULT_MIN_WIDTH_PX,
+    DEFAULT_HFOV_RAD,
+    DEFAULT_IMAGE_HEIGHT_PX,
+    DEFAULT_RANGE_M,
     DetectionModel,
     SensorUnit,
     default_layout,
     default_vut_sensor,
     parse_layout,
-    px_to_rad,
+    vertical_aperture,
 )
 
 __all__ = ["SubsetSpec", "RunConfig", "load_config", "ConfigError"]
@@ -95,8 +97,9 @@ class RunConfig:
                 f"{v:.9g}"
                 for v in (
                     self.model.min_visible_fraction,
-                    self.model.min_apparent_width,
-                    self.model.min_apparent_height,
+                    self.model.min_width_px,
+                    self.model.min_height_px,
+                    self.model.image_width_px,
                     self.model.miss_probability,
                 )
             )
@@ -343,9 +346,9 @@ def load_config(
         raise ConfigError("scene_yaw_deg: duplicate entries")
 
     cam = top.section("camera")
-    hfov_deg = _number(cam.take("hfov_deg", 90.0), "camera.hfov_deg")
-    img_w = _number(cam.take("image_width_px", 1920.0), "camera.image_width_px")
-    img_h = _number(cam.take("image_height_px", 1080.0), "camera.image_height_px")
+    hfov_deg = _number(cam.take("hfov_deg", math.degrees(DEFAULT_HFOV_RAD)), "camera.hfov_deg")
+    img_w = _number(cam.take("image_width_px", DetectionModel.image_width_px), "camera.image_width_px")
+    img_h = _number(cam.take("image_height_px", DEFAULT_IMAGE_HEIGHT_PX), "camera.image_height_px")
     cam.finish()
     # the vertical aperture follows the horizontal one and the aspect
     # ratio, and a pinhole's horizontal aperture ends at 180 degrees
@@ -354,19 +357,19 @@ def load_config(
     if img_w <= 0 or img_h <= 0:
         raise ConfigError("camera: image sizes must be positive")
     hfov = math.radians(hfov_deg)
-    vfov = 2.0 * math.atan(math.tan(hfov / 2.0) * img_h / img_w)
+    vfov = vertical_aperture(hfov, img_w, img_h)
 
     det = top.section("detection")
-    min_w_px = _number(det.take("min_width_px", DEFAULT_MIN_WIDTH_PX), "detection.min_width_px")
-    min_h_px = _number(det.take("min_height_px", DEFAULT_MIN_HEIGHT_PX), "detection.min_height_px")
-    min_frac = _number(det.take("min_visible_fraction", 0.5), "detection.min_visible_fraction")
-    miss_p = _number(det.take("miss_probability", 0.0), "detection.miss_probability")
+    min_w_px = _number(det.take("min_width_px", DetectionModel.min_width_px), "detection.min_width_px")
+    min_h_px = _number(det.take("min_height_px", DetectionModel.min_height_px), "detection.min_height_px")
+    min_frac = _number(det.take("min_visible_fraction", DetectionModel.min_visible_fraction), "detection.min_visible_fraction")
+    miss_p = _number(det.take("miss_probability", DetectionModel.miss_probability), "detection.miss_probability")
     det.finish()
 
     pol = top.section("policy")
-    decel = _number(pol.take("deceleration_mps2", 7.72), "policy.deceleration_mps2")
-    latency = _number(pol.take("latency_s", 0.025), "policy.latency_s")
-    confirm = _integer(pol.take("confirm_frames", 3), "policy.confirm_frames")
+    decel = _number(pol.take("deceleration_mps2", AebPolicy.deceleration), "policy.deceleration_mps2")
+    latency = _number(pol.take("latency_s", AebPolicy.latency), "policy.latency_s")
+    confirm = _integer(pol.take("confirm_frames", AebPolicy.confirm_frames), "policy.confirm_frames")
     pol.finish()
     if decel <= 0:
         raise ConfigError("policy.deceleration_mps2 must be positive")
@@ -377,8 +380,8 @@ def load_config(
 
     sens = top.section("sensors")
     layout_file = sens.take("layout_file", None)
-    range_m = _number(sens.take("range_m", 250.0), "sensors.range_m")
-    sensor_latency = _number(sens.take("latency_s", 0.025), "sensors.latency_s")
+    range_m = _number(sens.take("range_m", DEFAULT_RANGE_M), "sensors.range_m")
+    sensor_latency = _number(sens.take("latency_s", SensorUnit.latency), "sensors.latency_s")
     sens.finish()
 
     ov = top.section("scenario_overrides")
@@ -411,8 +414,9 @@ def load_config(
     try:
         model = DetectionModel(
             min_visible_fraction=min_frac,
-            min_apparent_width=px_to_rad(min_w_px, hfov=hfov, image_width_px=img_w),
-            min_apparent_height=px_to_rad(min_h_px, hfov=hfov, image_width_px=img_w),
+            min_width_px=min_w_px,
+            min_height_px=min_h_px,
+            image_width_px=img_w,
             miss_probability=miss_p,
             seed=cfg_seed if seed is None else seed,
         )
@@ -425,9 +429,9 @@ def load_config(
         rsu_units = read_layout(layout_file, overrides.frame_rate, "sensors.layout_file")
     hardware = dict(hfov=hfov, vfov=vfov, max_range=range_m, latency=sensor_latency)
     try:
-        vut_sensor = default_vut_sensor(**hardware)
+        vut_sensor = replace(default_vut_sensor(), **hardware)
         if layout_file is None:
-            rsu_units = default_layout(**hardware)
+            rsu_units = tuple(replace(u, **hardware) for u in default_layout())
     except ValueError as exc:
         raise ConfigError(f"sensors: {exc}") from None
     ids = [vut_sensor.sensor_id] + [u.sensor_id for u in rsu_units]

@@ -128,10 +128,12 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
 
 def run_sweep(config: RunConfig, workers: int = 1) -> SweepResult:
     """Execute every sweep cell; results are in configured order regardless
-    of worker count."""
+    of worker count. A pool starts all its workers at once, so it gets no
+    more than there are cells."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     tasks = [(config, *cell) for cell in config.cells()]
+    workers = min(workers, len(tasks))
     log.info("running %d sweep cells with %d worker(s)", len(tasks), workers)
     if workers == 1:
         cells = tuple(_run_cell(t) for t in tasks)

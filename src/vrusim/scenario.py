@@ -41,12 +41,11 @@ class ScenarioKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ActorTrack:
-    """Constant-speed motion along one straight leg from ``path[0]`` to
-    ``path[1]``, clamped at its end."""
+    """A footprint's constant-speed motion along one straight leg from
+    ``path[0]`` to ``path[1]``, clamped at its end."""
 
     length: float
     width: float
-    height: float
     speed: float
     path: tuple[Vec2, Vec2]
     # the leg's direction, normalized
@@ -55,7 +54,7 @@ class ActorTrack:
     _leg: tuple[float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
+        if self.length <= 0 or self.width <= 0:
             raise ValueError("actor dimensions must be positive")
         if self.speed < 0:
             raise ValueError("speed must be non-negative")
@@ -75,6 +74,18 @@ class ActorTrack:
             return ax + dx * frac, ay + dy * frac
         end = self.path[1]
         return end.x, end.y
+
+
+@dataclass(frozen=True)
+class VruTrack(ActorTrack):
+    """The track of the road user the sensors look for, `height` tall."""
+
+    height: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.height <= 0:
+            raise ValueError("actor dimensions must be positive")
 
     def silhouette_at(self, t: float) -> Silhouette:
         """The sensing plane at time t."""
@@ -115,7 +126,7 @@ def frame_steps(frame_rate: float, dt: float) -> int:
 class ScenarioSpec:
     kind: ScenarioKind
     vut_track: ActorTrack
-    vru_track: ActorTrack
+    vru_track: VruTrack
     occluders: tuple[Prism, ...]
     nominal_collision_time: float
     sim_duration: float
@@ -173,7 +184,6 @@ class ScenarioOverrides:
     frame_rate: float = 10.0
     vut_length: float = 4.5
     vut_width: float = 1.8
-    vut_height: float = 1.5
     pedestrian_speed_kmh: float = 5.0
     pedestrian_length: float = 0.5
     pedestrian_width: float = 0.5
@@ -240,7 +250,6 @@ def build_scenario(
     vut_track = ActorTrack(
         ov.vut_length,
         ov.vut_width,
-        ov.vut_height,
         v,
         (Vec2(vut_start, 0.0), Vec2(abs(vut_start) + v * duration + 20.0, 0.0)),
     )
@@ -248,12 +257,12 @@ def build_scenario(
     if kind is ScenarioKind.CBLA:
         vc = ov.cyclist_speed_kmh * KMH
         vru_start = -vc * sync_time
-        vru_track = ActorTrack(
+        vru_track = VruTrack(
             ov.cyclist_length,
             ov.cyclist_width,
-            ov.cyclist_height,
             vc,
             (Vec2(vru_start, 0.0), Vec2(abs(vru_start) + vc * duration + 20.0, 0.0)),
+            height=ov.cyclist_height,
         )
         closing = v - vc
         touch_gap = ov.vut_length / 2 + ov.cyclist_length / 2
@@ -267,12 +276,12 @@ def build_scenario(
             vru_len, vru_wid, vru_hgt = ov.cyclist_length, ov.cyclist_width, ov.cyclist_height
             vru_speed = ov.cyclist_speed_kmh * KMH
         vru_start = -vru_speed * sync_time
-        vru_track = ActorTrack(
+        vru_track = VruTrack(
             vru_len,
             vru_wid,
-            vru_hgt,
             vru_speed,
             (Vec2(0.0, vru_start), Vec2(0.0, abs(vru_start) + vru_speed * duration + 20.0)),
+            height=vru_hgt,
         )
         # axis-aligned onset: the later of the two per-axis touch instants
         x_touch = sync_time - (ov.vut_length / 2 + vru_wid / 2) / v

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 from .geometry import _EPS, MountPose, Silhouette, Slabs, _pad, visible_fraction
 from .scenario import DEFAULT_OVERRIDES
 
-SENSOR_IMAGE_WIDTH_PX = 1920
-
 DEFAULT_HFOV_RAD = math.radians(90.0)
-DEFAULT_MIN_WIDTH_PX = 15.0
-DEFAULT_MIN_HEIGHT_PX = 110.0
+DEFAULT_IMAGE_HEIGHT_PX = 1080.0
 
 
-def px_to_rad(px: float, hfov: float = DEFAULT_HFOV_RAD, image_width_px: float = SENSOR_IMAGE_WIDTH_PX) -> float:
-    """Pixel-count threshold to radians, one pixel = hfov / image width."""
-    return px * hfov / image_width_px
+def vertical_aperture(hfov: float, image_width_px: float, image_height_px: float) -> float:
+    """A pinhole camera's vertical aperture, its pixels square."""
+    return 2.0 * math.atan(math.tan(hfov / 2.0) * image_height_px / image_width_px)
 
 
 @dataclass(frozen=True)
@@ -76,9 +73,13 @@ class SensorUnit:
 
 @dataclass(frozen=True)
 class DetectionModel:
+    """The detector's gates, one for every unit; each unit reads the pixel
+    floors by its own aperture (`size_floors`)."""
+
     min_visible_fraction: float = 0.5
-    min_apparent_width: float = px_to_rad(DEFAULT_MIN_WIDTH_PX)
-    min_apparent_height: float = px_to_rad(DEFAULT_MIN_HEIGHT_PX)
+    min_width_px: float = 15.0
+    min_height_px: float = 110.0
+    image_width_px: float = 1920.0
     miss_probability: float = 0.0
     seed: int = 0
 
@@ -87,8 +88,13 @@ class DetectionModel:
             raise ValueError("min_visible_fraction must be within [0, 1]")
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ValueError("miss_probability must be within [0, 1]")
-        if self.min_apparent_width < 0 or self.min_apparent_height < 0:
-            raise ValueError("apparent-size thresholds must be non-negative")
+        if self.min_width_px < 0 or self.min_height_px < 0 or not self.image_width_px > 0:
+            raise ValueError("pixel floors must be non-negative and the image width positive")
+
+    def size_floors(self, sensor: SensorUnit) -> tuple[float, float]:
+        """`sensor`'s least apparent width and height: a pixel spans its hfov over the image width."""
+        hfov, image_width = sensor.hfov, self.image_width_px
+        return self.min_width_px * hfov / image_width, self.min_height_px * hfov / image_width
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,15 @@ def reach(sensor: SensorUnit, model: DetectionModel, target: Silhouette) -> floa
     whatever its heading.
     """
     widest = math.hypot(target.length, target.width)
+    min_width, min_height = model.size_floors(sensor)
     # the slant bound is padded before the subtraction, which cancels where
     # the sensor barely sees the target tall enough from straight above
-    slant = _pad(_size_range(target.height, model.min_apparent_height))
+    slant = _pad(_size_range(target.height, min_height))
     rise = sensor.pose.z - target.height / 2.0
     return _pad(
         min(
             sensor.max_range + target.length / 2.0,
-            _size_range(widest, model.min_apparent_width),
+            _size_range(widest, min_width),
             math.sqrt(max(slant * slant - rise * rise, 0.0)),
         )
     )
@@ -180,9 +187,10 @@ def sense_frame(
         # sitting inside it has no meaningful view
         return None
 
-    if apparent_angular_width(pose, target, dist) < model.min_apparent_width:
+    min_width, min_height = model.size_floors(sensor)
+    if apparent_angular_width(pose, target, dist) < min_width:
         return None
-    if apparent_angular_height(pose, target, dist) < model.min_apparent_height:
+    if apparent_angular_height(pose, target, dist) < min_height:
         return None
 
     fraction = visible_fraction(
@@ -257,47 +265,36 @@ _RSU_TABLE = (
 
 DEFAULT_RSU_HEIGHT = 7.0
 DEFAULT_RSU_PITCH = math.radians(-15.0)
-DEFAULT_VFOV_RAD = 2.0 * math.atan(math.tan(DEFAULT_HFOV_RAD / 2.0) * 1080.0 / 1920.0)
+DEFAULT_VFOV_RAD = vertical_aperture(DEFAULT_HFOV_RAD, DetectionModel.image_width_px, DEFAULT_IMAGE_HEIGHT_PX)
 DEFAULT_RANGE_M = 250.0
 DEFAULT_VUT_SENSOR_HEIGHT = 1.6
 
 
-def default_layout(
-    hfov: float = DEFAULT_HFOV_RAD,
-    vfov: float = DEFAULT_VFOV_RAD,
-    max_range: float = DEFAULT_RANGE_M,
-    latency: float = 0.025,
-) -> tuple[SensorUnit, ...]:
-    """Twelve roadside units on the corners and masts of a 4-way junction."""
+def default_layout() -> tuple[SensorUnit, ...]:
+    """Twelve roadside units on the corners and masts of a 4-way junction,
+    each a default camera."""
     return tuple(
         SensorUnit(
             sensor_id=name,
             mount="rsu",
             pose=MountPose(x, y, DEFAULT_RSU_HEIGHT, math.radians(yaw_deg), DEFAULT_RSU_PITCH),
-            hfov=hfov,
-            vfov=vfov,
-            max_range=max_range,
-            latency=latency,
+            hfov=DEFAULT_HFOV_RAD,
+            vfov=DEFAULT_VFOV_RAD,
+            max_range=DEFAULT_RANGE_M,
         )
         for name, x, y, yaw_deg in _RSU_TABLE
     )
 
 
-def default_vut_sensor(
-    hfov: float = DEFAULT_HFOV_RAD,
-    vfov: float = DEFAULT_VFOV_RAD,
-    max_range: float = DEFAULT_RANGE_M,
-    latency: float = 0.025,
-) -> SensorUnit:
-    """Forward camera behind the windshield of the test vehicle."""
+def default_vut_sensor() -> SensorUnit:
+    """Forward default camera behind the windshield of the test vehicle."""
     return SensorUnit(
         sensor_id="vut",
         mount="vut",
         pose=MountPose(0.0, 0.0, DEFAULT_VUT_SENSOR_HEIGHT, 0.0, 0.0),
-        hfov=hfov,
-        vfov=vfov,
-        max_range=max_range,
-        latency=latency,
+        hfov=DEFAULT_HFOV_RAD,
+        vfov=DEFAULT_VFOV_RAD,
+        max_range=DEFAULT_RANGE_M,
     )
 
 

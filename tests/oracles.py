@@ -233,9 +233,10 @@ def sense_reference(
     dist = math.hypot(target.anchor.x - pose.x, target.anchor.y - pose.y)
     if dist - target.length / 2.0 > unit.max_range or dist < 1e-9:
         return None
-    if apparent_angular_width(pose, target, dist) < model.min_apparent_width:
+    # a pixel spans the unit's hfov over the image width, across and up
+    if apparent_angular_width(pose, target, dist) < model.min_width_px * unit.hfov / model.image_width_px:
         return None
-    if apparent_angular_height(pose, target, dist) < model.min_apparent_height:
+    if apparent_angular_height(pose, target, dist) < model.min_height_px * unit.hfov / model.image_width_px:
         return None
     fraction = visible_fraction(pose, unit.hfov, unit.vfov, unit.max_range, target, occluders)
     if fraction < model.min_visible_fraction:

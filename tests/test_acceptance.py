@@ -5,6 +5,7 @@ assertions hold, so a -s run reads as a checklist.  Tolerances are pinned
 here and nowhere else; loosening one is a release decision, not a test fix.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from vrusim.aeb import AebPolicy, simulate_run
+from vrusim.cli import main
 from vrusim.config import load_config
 from vrusim.geometry import Vec2
 from vrusim.harness import emit_reports, run_sweep
@@ -25,16 +27,25 @@ from vrusim.scenario import (
     ActorTrack,
     ScenarioKind,
     ScenarioSpec,
+    VruTrack,
     allowed_speeds_kmh,
     build_scenario,
 )
-from vrusim.sensing import DetectionModel, default_vut_sensor, first_confirmed_time
+from vrusim.sensing import (
+    DetectionModel,
+    default_layout,
+    default_vut_sensor,
+    first_confirmed_time,
+    format_layout,
+)
 
 from oracles import heatmap_row, pose_at, stopping_distance, totals
 from sites import rsu
 
 POLICY = AebPolicy()
-GOLDEN_MANIFEST = Path(__file__).parent / "golden" / "default_sweep_manifest.txt"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MANIFEST = GOLDEN / "default_sweep_manifest.txt"
+GOLDEN_PLACEMENT = GOLDEN / "default_placement.txt"
 
 
 def all_cells():
@@ -109,7 +120,7 @@ def vut_first_sight_distance(speed, model):
 def test_wall_releases_cyclist_seventeen_meters_out():
     """The vehicle camera first sees the cyclist no farther than 17±0.5 m
     from the conflict point, at every speed."""
-    geometric = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
+    geometric = DetectionModel(min_width_px=0.0, min_height_px=0.0)
     sized = DetectionModel()
     worst_geo, worst_any = 0.0, 0.0
     for speed in allowed_speeds_kmh(ScenarioKind.CBNA):
@@ -295,10 +306,10 @@ def test_box_matching_agrees_with_exhaustive_enumeration():
 # --------------------------------------------------------------- gate 7
 
 
-def golden_manifest_entries():
-    """(path, sha256) pairs from the committed digest lines, in manifest order."""
+def golden_entries(path):
+    """(path, sha256) pairs from committed digest lines, in file order."""
     entries = []
-    for line in GOLDEN_MANIFEST.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         digest, rel = line.split("  ", 1)
         entries.append((rel, digest))
     return tuple(entries)
@@ -316,7 +327,7 @@ def test_full_default_sweep_is_reproducible(tmp_path):
 
     assert first.complete and second.complete
     assert first.entries == second.entries
-    assert first.entries == golden_manifest_entries()
+    assert first.entries == golden_entries(GOLDEN_MANIFEST)
     bytes_a = (tmp_path / "a" / "manifest.txt").read_bytes()
     bytes_b = (tmp_path / "b" / "manifest.txt").read_bytes()
     assert bytes_a == bytes_b
@@ -328,17 +339,35 @@ def test_full_default_sweep_is_reproducible(tmp_path):
     )
 
 
+def test_default_placement_is_reproducible(tmp_path):
+    """`vrusim placement` over the default suite, with the built-in roadside
+    units as candidates and a budget of 3, writes reports equal to the
+    committed golden digests."""
+    candidates = tmp_path / "candidates.txt"
+    candidates.write_text(format_layout(default_layout()), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["placement", "--candidates", str(candidates), "--budget", "3", "--out", str(out), "-q"]
+    assert main(argv) == 0
+    written = tuple(
+        (rel, hashlib.sha256((out / rel).read_bytes()).hexdigest())
+        for rel in ("placement.csv", "selected_layout.txt")
+    )
+    assert written == golden_entries(GOLDEN_PLACEMENT)
+    print("PASS: default-suite placement reports equal the golden digests")
+
+
 # --------------------------------------------------------------- gate 8
 
 
 def lane_cell(lane_y):
     vut = ActorTrack(
-        4.5, 1.8, 1.5, 10.0,
+        4.5, 1.8, 10.0,
         (Vec2(-60.0, lane_y), Vec2(200.0, lane_y)),
     )
-    ped = ActorTrack(
-        0.5, 0.5, 1.8, 0.0,
+    ped = VruTrack(
+        0.5, 0.5, 0.0,
         (Vec2(0.0, lane_y), Vec2(0.0, lane_y + 1.0)),
+        height=1.8,
     )
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50, vut_track=vut, vru_track=ped, occluders=(),
@@ -363,7 +392,7 @@ def test_greedy_placement_matches_exhaustive_search():
             hfov=math.radians(359.0), max_range=80.0,
         ),
     ))
-    model = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
+    model = DetectionModel(min_width_px=0.0, min_height_px=0.0)
 
     def performance(site_subset):
         avoided, accs = 0, []

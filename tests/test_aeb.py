@@ -32,6 +32,7 @@ from vrusim.scenario import (
     ActorTrack,
     ScenarioKind,
     ScenarioSpec,
+    VruTrack,
     allowed_speeds_kmh,
     build_scenario,
     rotate_scenario,
@@ -42,7 +43,6 @@ from vrusim.sensing import (
     default_layout,
     default_vut_sensor,
     first_confirmed_time,
-    px_to_rad,
     sense_frame,
 )
 
@@ -194,9 +194,9 @@ COINED = DetectionModel(miss_probability=0.2, seed=5)
 RING_CASES = {
     "miss-coin": (RING, COINED),
     "no-visibility-floor": (RING, replace(COINED, min_visible_fraction=0.0)),
-    "no-width-gate": (RING, replace(COINED, min_apparent_width=0.0)),
+    "no-width-gate": (RING, replace(COINED, min_width_px=0.0)),
     # a wider width threshold, so that the width gate binds in its place
-    "no-height-gate": (RING, replace(COINED, min_apparent_height=0.0, min_apparent_width=px_to_rad(60.0))),
+    "no-height-gate": (RING, replace(COINED, min_height_px=0.0, min_width_px=60.0)),
     "range-15m": (aimed_ring(60, 11, max_range=15.0) + CAR_SIGHTS, COINED),
 }
 
@@ -363,8 +363,8 @@ def test_collision_speed_never_exceeds_initial():
 
 
 def static_obstacle_spec(v0: float = 10.0) -> ScenarioSpec:
-    vut = ActorTrack(4.5, 1.8, 1.5, v0, (Vec2(-100, 0), Vec2(100, 0)))
-    ped = ActorTrack(0.5, 0.5, 1.8, 0.0, (Vec2(0, 0), Vec2(0, 1)))
+    vut = ActorTrack(4.5, 1.8, v0, (Vec2(-100, 0), Vec2(100, 0)))
+    ped = VruTrack(0.5, 0.5, 0.0, (Vec2(0, 0), Vec2(0, 1)), height=1.8)
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50,
         vut_track=vut,
@@ -448,7 +448,7 @@ def test_infeasible_when_no_trigger_helps():
     # park the obstacle so close that even braking at t=0 cannot help
     close = replace(
         spec,
-        vut_track=ActorTrack(4.5, 1.8, 1.5, 20.0, (Vec2(-10, 0), Vec2(100, 0))),
+        vut_track=ActorTrack(4.5, 1.8, 20.0, (Vec2(-10, 0), Vec2(100, 0))),
         nominal_collision_time=0.375,
         sim_duration=5.0,
     )
@@ -652,7 +652,7 @@ def test_contact_boxes_take_the_wrapped_heading():
     # a leg along -x whose dy is -0.0 has the atan2 heading -pi; Pose2 wraps
     # it to pi, whose sine has the other sign, and so must the track and
     # its contact box
-    track = ActorTrack(1.8, 0.5, 1.8, 5.0, (Vec2(10.0, 0.0), Vec2(-10.0, -0.0)))
+    track = ActorTrack(1.8, 0.5, 5.0, (Vec2(10.0, 0.0), Vec2(-10.0, -0.0)))
     raw = math.atan2(-0.0, -20.0)
     assert raw == -math.pi and track.heading == math.pi
     x, y = track.locate(3.0)
@@ -702,7 +702,7 @@ def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
         return obb_separation_kernel(a, b) + 0.5 * geometry._SLACK
 
     monkeypatch.setattr(aeb, "obb_gap_bound", rounded_high)
-    ped = ActorTrack(0.5, 0.5, 1.8, 1.5, (Vec2(0.0, -16.0), Vec2(-32e-7, 16.0)))
+    ped = VruTrack(0.5, 0.5, 1.5, (Vec2(0.0, -16.0), Vec2(-32e-7, 16.0)), height=1.8)
     spec = replace(static_obstacle_spec(), vru_track=ped)
     got = kernel_replay(spec, 8.4)
     assert got[0]

@@ -124,3 +124,20 @@ def test_every_workload_piece_exists(perfbench):
         for module, name in workload.pieces:
             owner = importlib.import_module(f"vrusim.{module}")
             assert callable(getattr(owner, name, None)), f"{workload.name}: vrusim.{module}.{name}"
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_every_workload_input_loads(perfbench, tmp_path, seed):
+    # the generators build units with the package's defaults and keywords
+    # and write them through its layout format; what they write must load
+    # as the benchmark's own run loads it
+    m = imported_modules(perfbench)
+    for name, workload in perfbench.workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        inputs = workload.make_inputs(seed, work, m.sensing, m.geometry)
+        config = m.config.load_config(str(inputs["config"]))
+        assert config.cells(), name
+        if "candidates" in inputs:
+            units = m.config.read_layout(str(inputs["candidates"]), config.overrides.frame_rate, "--candidates")
+            assert m.placement.candidate_sites_from_units(units), name

@@ -42,6 +42,13 @@ def test_sweep_bad_config_is_exit_1(tmp_path):
     assert main(["sweep", "--config", cfg, "-q"]) == 1
 
 
+def test_sweep_vehicle_height_is_an_unknown_key(tmp_path, caplog):
+    # no gate reads the vehicle's height, so no key sets it
+    cfg = cfg_file(tmp_path, {"scenario_overrides": {"vut_height": 1.5}})
+    assert main(["sweep", "--config", cfg, "-q"]) == 1
+    assert "unknown field 'vut_height'" in caplog.text
+
+
 def test_sweep_missing_config_file_is_exit_1(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.yaml"), "-q"]) == 1
 
@@ -160,8 +167,11 @@ def test_sweep_speed_filter_respected(tmp_path):
 
 
 def test_sweep_workers_flag_matches_serial(tmp_path):
-    assert main(tiny_sweep_args(tmp_path, out="a")) == 0
-    assert main(tiny_sweep_args(tmp_path, out="b", extra=("--workers", "2"))) == 0
+    # two cells, so that two workers make a pool rather than a serial run
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40, 45]})
+    args = ["sweep", "--config", cfg, "--subset", "vut", "--subset", "any", "-q", "--out"]
+    assert main([*args, str(tmp_path / "a")]) == 0
+    assert main([*args, str(tmp_path / "b"), "--workers", "2"]) == 0
     a = (tmp_path / "a" / "manifest.txt").read_bytes()
     b = (tmp_path / "b" / "manifest.txt").read_bytes()
     assert a == b

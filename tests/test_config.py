@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrusim.config import ConfigError, load_config
+from vrusim.geometry import MountPose, Silhouette, Vec2, occluder_slabs
 from vrusim.scenario import ScenarioKind, allowed_speeds_kmh, build_scenario
-from vrusim.sensing import DetectionModel, default_layout, format_layout, px_to_rad
+from vrusim.sensing import DetectionModel, SensorUnit, default_layout, format_layout, sense_frame
 
 from oracles import speed_range_picks
 
@@ -45,13 +46,10 @@ def test_default_config_shape():
 
 
 def test_default_gates_match_model_defaults():
-    # the YAML defaults and the DetectionModel constructor defaults are the
-    # same numbers expressed in different units
+    # the YAML defaults are the DetectionModel constructor defaults, pixel
+    # floors and image width included
     cfg = load_config()
-    ref = DetectionModel()
-    assert cfg.model.min_apparent_width == pytest.approx(ref.min_apparent_width, rel=1e-12)
-    assert cfg.model.min_apparent_height == pytest.approx(ref.min_apparent_height, rel=1e-12)
-    assert cfg.model.min_visible_fraction == ref.min_visible_fraction
+    assert cfg.model == DetectionModel()
     assert cfg.model.miss_probability == 0.0
 
 
@@ -168,12 +166,34 @@ def test_camera_drives_fov_and_pixel_gates(tmp_path):
     for unit in cfg.all_units():
         assert unit.hfov == pytest.approx(hfov, rel=1e-12)
         assert unit.vfov == pytest.approx(vfov, rel=1e-12)
-    assert cfg.model.min_apparent_width == pytest.approx(
-        px_to_rad(15.0, hfov=hfov, image_width_px=1920.0), rel=1e-12
+        assert cfg.model.size_floors(unit) == pytest.approx(
+            (15.0 * hfov / 1920.0, 110.0 * hfov / 1920.0), rel=1e-12
+        )
+    sharp = load_config(write_cfg(tmp_path, {"camera": {"image_width_px": 3840}}))
+    assert sharp.model.size_floors(sharp.vut_sensor) == pytest.approx(
+        (15.0 * (math.pi / 2) / 3840.0, 110.0 * (math.pi / 2) / 3840.0), rel=1e-12
     )
-    assert cfg.model.min_apparent_height == pytest.approx(
-        px_to_rad(110.0, hfov=hfov, image_width_px=1920.0), rel=1e-12
-    )
+
+
+def test_a_layout_unit_judges_size_by_its_own_aperture(tmp_path):
+    # a 30-degree unit spreads its pixels over a third of the 90-degree
+    # camera's aperture, so its pixel floors are a third as many radians: a
+    # broadside pedestrian 40 or 55 m out is wide and tall enough for it,
+    # though not 70 m out
+    hfov = math.radians(30.0)
+    vfov = 2.0 * math.atan(math.tan(hfov / 2.0) * 1080.0 / 1920.0)
+    narrow = SensorUnit("tele", "rsu", MountPose(0.0, 0.0, 3.0, 0.0, 0.0), hfov, vfov, 250.0)
+    layout = tmp_path / "layout.txt"
+    layout.write_text(format_layout((narrow,)), encoding="utf-8")
+    cfg = load_config(write_cfg(tmp_path, {"sensors": {"layout_file": str(layout)}}))
+    (unit,) = cfg.rsu_units
+    open_road = occluder_slabs(0.0, 0.0, ())
+
+    def detected(x):
+        pedestrian = Silhouette(Vec2(x, 0.0), math.pi / 2.0, 0.5, 0.5, 1.8)
+        return sense_frame(unit, cfg.model, unit.pose, pedestrian, 0, 0.0, open_road) is not None
+
+    assert [detected(x) for x in (15.0, 40.0, 55.0, 70.0)] == [True, True, True, False]
 
 
 def test_camera_validation(tmp_path):
@@ -215,8 +235,10 @@ def test_policy_section(tmp_path):
 def test_detection_validation(tmp_path):
     with pytest.raises(ConfigError, match="detection"):
         load_config(write_cfg(tmp_path, {"detection": {"miss_probability": 1.5}}))
+    with pytest.raises(ConfigError, match="detection"):
+        load_config(write_cfg(tmp_path, {"detection": {"min_height_px": -1}}))
     relaxed = load_config(write_cfg(tmp_path, {"detection": {"min_width_px": 0}}))
-    assert relaxed.model.min_apparent_width == 0.0
+    assert relaxed.model.size_floors(relaxed.vut_sensor)[0] == 0.0
 
 
 def test_scenario_overrides(tmp_path):
@@ -224,6 +246,8 @@ def test_scenario_overrides(tmp_path):
     assert cfg.overrides.pedestrian_speed_kmh == 10.0
     with pytest.raises(ConfigError, match="unknown field.*known:"):
         load_config(write_cfg(tmp_path, {"scenario_overrides": {"ped_speed": 10}}))
+    with pytest.raises(ConfigError, match="CPNC-50 at 20 km/h: actor dimensions must be positive"):
+        load_config(write_cfg(tmp_path, {"scenario_overrides": {"pedestrian_height": 0}}))
 
 
 @pytest.mark.parametrize(
@@ -257,8 +281,8 @@ def test_frame_rate_consistency(tmp_path):
     cfg = load_config(write_cfg(tmp_path, {"scenario_overrides": {"frame_rate": 20}}))
     assert cfg.overrides.frame_rate == 20.0
     # the same resolved values, hence the same hashes, as when two keys set it
-    assert cfg.config_hash() == "efa0490e7e0a91f1"
-    assert load_config().config_hash() == "2547dafe4c8d56e2"
+    assert cfg.config_hash() == "faaba1702b2dd4b7"
+    assert load_config().config_hash() == "ab7123af88884a6a"
     with pytest.raises(ConfigError, match="sensors: rate_hz"):
         load_config(write_cfg(tmp_path, {"sensors": {"rate_hz": 20}}))
 

@@ -6,6 +6,7 @@ import os
 import pytest
 import yaml
 
+import vrusim.harness
 from vrusim.config import load_config
 from vrusim.harness import Manifest, emit_reports, run_sweep
 from vrusim.metrics import heatmap_from_frames
@@ -55,6 +56,34 @@ def test_worker_count_does_not_change_results(tmp_path):
     serial = run_sweep(config, workers=1)
     parallel = run_sweep(config, workers=3)
     assert serial.cells == parallel.cells
+
+
+def test_pool_holds_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a pool forks every worker it is given up front, so the sweep must size
+    # it by its cells; the stand-in records the size and starts no process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(vrusim.harness, "ProcessPoolExecutor", InProcessPool)
+    config = small_config(tmp_path)
+    serial = run_sweep(config)
+    assert run_sweep(config, workers=500).cells == serial.cells
+    assert sizes == [len(config.cells())] == [2]
+    one_cell = small_config(tmp_path, speed_filter=(40.0,))
+    assert run_sweep(one_cell, workers=500).cells == serial.cells[:1]
+    assert sizes == [2]
 
 
 def test_worker_count_validation(tmp_path):

@@ -27,6 +27,7 @@ from vrusim.scenario import (
     ActorTrack,
     ScenarioKind,
     ScenarioSpec,
+    VruTrack,
     build_scenario,
 )
 from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor
@@ -35,16 +36,12 @@ from oracles import live_run
 from sites import rsu
 
 POLICY = AebPolicy()
-OPEN_GATES = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
+OPEN_GATES = DetectionModel(min_width_px=0.0, min_height_px=0.0)
 
 
 def ped_cell(lane_y: float) -> ScenarioSpec:
-    vut = ActorTrack(
-        4.5, 1.8, 1.5, 10.0, (Vec2(-60, lane_y), Vec2(200, lane_y))
-    )
-    ped = ActorTrack(
-        0.5, 0.5, 1.8, 0.0, (Vec2(0, lane_y), Vec2(0, lane_y + 1))
-    )
+    vut = ActorTrack(4.5, 1.8, 10.0, (Vec2(-60, lane_y), Vec2(200, lane_y)))
+    ped = VruTrack(0.5, 0.5, 0.0, (Vec2(0, lane_y), Vec2(0, lane_y + 1)), height=1.8)
     return ScenarioSpec(
         kind=ScenarioKind.CPNC50,
         vut_track=vut,

@@ -16,6 +16,7 @@ from vrusim.scenario import (
     ActorTrack,
     ScenarioKind,
     ScenarioOverrides,
+    VruTrack,
     allowed_speeds_kmh,
     build_scenario,
     rotate_scenario,
@@ -82,15 +83,7 @@ def test_no_overlap_just_before_onset():
 
 def test_displaced_vru_path_never_collides():
     spec = build_scenario(ScenarioKind.CPNC50, 40.0)
-    shifted = ActorTrack(
-        spec.vru_track.length,
-        spec.vru_track.width,
-        spec.vru_track.height,
-        spec.vru_track.speed,
-        tuple(Vec2(p.x + 50.0, p.y) for p in spec.vru_track.path),
-    )
-    from dataclasses import replace
-
+    shifted = replace(spec.vru_track, path=tuple(Vec2(p.x + 50.0, p.y) for p in spec.vru_track.path))
     assert nominal_collision_check(replace(spec, vru_track=shifted)) is None
 
 
@@ -223,28 +216,30 @@ def test_cbna_cyclist_hidden_beyond_17m(speed):
 
 
 def test_track_state_basics():
-    track = ActorTrack(4.5, 1.8, 1.5, 10.0, (Vec2(0, 0), Vec2(100, 0)))
+    track = ActorTrack(4.5, 1.8, 10.0, (Vec2(0, 0), Vec2(100, 0)))
     assert track.locate(0.0) == (0.0, 0.0)
     assert track.locate(10.0 * 5.0)[0] == pytest.approx(50.0)
     # past the end of its leg a track stands at the end
     assert track.locate(10.0 * 99.0) == (100.0, 0.0)
     assert track.heading == 0.0
-    up = ActorTrack(1.8, 0.5, 1.8, 2.0, (Vec2(10, 0), Vec2(10, 10)))
+    up = ActorTrack(1.8, 0.5, 2.0, (Vec2(10, 0), Vec2(10, 10)))
     assert up.locate(8.0) == pytest.approx((10.0, 8.0))
     assert up.heading == pytest.approx(math.pi / 2)
 
 
 def test_track_validation():
     with pytest.raises(ValueError):
-        ActorTrack(4.5, 1.8, 1.5, -1.0, (Vec2(0, 0), Vec2(1, 0)))
+        ActorTrack(4.5, 1.8, -1.0, (Vec2(0, 0), Vec2(1, 0)))
     with pytest.raises(ValueError):
-        ActorTrack(0.0, 1.8, 1.5, 1.0, (Vec2(0, 0), Vec2(1, 0)))
+        ActorTrack(0.0, 1.8, 1.0, (Vec2(0, 0), Vec2(1, 0)))
+    with pytest.raises(ValueError):
+        VruTrack(0.5, 0.5, 1.0, (Vec2(0, 0), Vec2(1, 0)), height=0.0)
 
 
 @pytest.mark.parametrize("path", [(Vec2(0, 0),), (Vec2(0, 0), Vec2(10, 0), Vec2(10, 10))], ids=["1", "3"])
 def test_track_is_one_leg(path):
     with pytest.raises(ValueError, match="one leg"):
-        ActorTrack(1.8, 0.5, 1.8, 2.0, path)
+        ActorTrack(1.8, 0.5, 2.0, path)
 
 
 @pytest.mark.parametrize("frame_rate", [10.0, 25.0])

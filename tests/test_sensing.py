@@ -28,7 +28,6 @@ from vrusim.sensing import (
     first_confirmed_time,
     format_layout,
     parse_layout,
-    px_to_rad,
     reach,
 )
 
@@ -73,7 +72,7 @@ def test_target_beyond_range_not_detected():
 
 def test_cbna_wall_hides_cyclist_30m_out():
     # the wall alone must explain the miss, so size gates are zeroed
-    model = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
+    model = DetectionModel(min_width_px=0.0, min_height_px=0.0)
     vut_sensor = default_vut_sensor()
     for speed in (20.0, 40.0, 60.0):
         spec = build_scenario(ScenarioKind.CBNA, speed)
@@ -125,6 +124,9 @@ PROPERTY = settings(
 ANGLE = st.floats(-7.0, 7.0)
 EXTENT = st.floats(0.05, 6.0)
 WIDE = 2.0 * math.pi
+# the image width over WIDE at the default camera's pixels per radian, so
+# that the default pixel floors stay the default camera's
+WIDE_IMAGE_PX = 4 * DetectionModel.image_width_px
 
 
 def at_range(sensor: SensorUnit, dist: float, bearing: float, heading: float, dims) -> Silhouette:
@@ -148,8 +150,9 @@ def beyond_reach(draw):
     )
     model = DetectionModel(
         min_visible_fraction=0.0,
-        min_apparent_width=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
-        min_apparent_height=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.8))),
+        min_width_px=draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0))),
+        min_height_px=draw(st.one_of(st.just(0.0), st.floats(0.0, 1000.0))),
+        image_width_px=WIDE_IMAGE_PX,
     )
     dims = (draw(EXTENT), draw(EXTENT), draw(EXTENT))
     limit = reach(sensor, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
@@ -172,7 +175,7 @@ def test_reach_is_tight_for_default_units(kind):
     # scenario's size turned to show its widest extent
     track = build_scenario(kind, 40.0).vru_track
     dims = (track.length, track.width, track.height)
-    model = DetectionModel()
+    model = DetectionModel(image_width_px=WIDE_IMAGE_PX)
     for unit in default_layout():
         unit = replace(unit, hfov=WIDE, vfov=WIDE)
         limit = reach(unit, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
@@ -184,9 +187,9 @@ def test_reach_is_tight_for_default_units(kind):
 # (model, unit range): the visibility floor is off, so that only the
 # gates a reach bounds can reject
 REACH_GATES = {
-    "height": (DetectionModel(min_visible_fraction=0.0), 250.0),
-    "width": (DetectionModel(min_visible_fraction=0.0, min_apparent_height=0.0), 250.0),
-    "range": (DetectionModel(min_visible_fraction=0.0, min_apparent_width=0.0, min_apparent_height=0.0), 17.0),
+    "height": (DetectionModel(min_visible_fraction=0.0, image_width_px=WIDE_IMAGE_PX), 250.0),
+    "width": (DetectionModel(min_visible_fraction=0.0, min_height_px=0.0, image_width_px=WIDE_IMAGE_PX), 250.0),
+    "range": (DetectionModel(min_visible_fraction=0.0, min_width_px=0.0, min_height_px=0.0), 17.0),
 }
 
 
@@ -298,9 +301,12 @@ def test_zero_distance_rejected():
         apparent_angular_height(pose, target, ground_range(pose, target))
 
 
-def test_px_conversion():
-    assert px_to_rad(15.0) == pytest.approx(15.0 * (math.pi / 2) / 1920.0)
-    assert px_to_rad(1920.0) == pytest.approx(math.pi / 2)
+def test_size_floors_follow_the_units_aperture():
+    # one pixel spans a unit's hfov over the image width, across and up
+    model = DetectionModel()
+    assert model.size_floors(RSU_AT_ORIGIN) == (15.0 * (math.pi / 2) / 1920.0, 110.0 * (math.pi / 2) / 1920.0)
+    narrow = replace(RSU_AT_ORIGIN, hfov=math.radians(30.0))
+    assert model.size_floors(narrow) == pytest.approx(tuple(f / 3.0 for f in model.size_floors(RSU_AT_ORIGIN)))
 
 
 # ------------------------------------------------------------- confirmation
@@ -382,7 +388,7 @@ def test_confirmation_never_earlier_with_stricter_gates():
 
     base = streams(DetectionModel())
     strict = streams(
-        DetectionModel(min_visible_fraction=0.8, min_apparent_width=px_to_rad(40.0))
+        DetectionModel(min_visible_fraction=0.8, min_width_px=40.0)
     )
     ids = tuple(u.sensor_id for u in sensors)
     t_base = first_confirmed_time(base, 3, ids)
@@ -513,7 +519,7 @@ def test_rsu1_picks_up_cbna_cyclist_near_entry():
 def test_away_facing_rsu_never_sees_cbna():
     spec = build_scenario(ScenarioKind.CBNA, 30.0)
     rsu8 = next(u for u in default_layout() if u.sensor_id == "rsu8")
-    model = DetectionModel(min_apparent_width=0.0, min_apparent_height=0.0)
+    model = DetectionModel(min_width_px=0.0, min_height_px=0.0)
     n = int(spec.sim_duration * spec.frame_rate) + 1
     for frame in range(n):
         t = frame / spec.frame_rate
