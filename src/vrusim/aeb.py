@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 from .geometry import _SLACK, Box, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
 from .scenario import ActorTrack, ScenarioSpec, Timeline
-from .sensing import DetectionEvent, DetectionModel, SensorUnit, reach, sense_frame
+from .sensing import (
+    DetectionEvent,
+    DetectionModel,
+    SensorUnit,
+    anchor_window,
+    draw_detection,
+    sense_frame,
+    span_passes,
+)
 
 log = logging.getLogger(__name__)
 
@@ -188,12 +196,15 @@ def _sense_frames(
     VRU's leg extended by half its length at each end, where every sample
     point lies.
 
-    The VRU's anchor moves no faster than its speed, nor does its ground
-    range to a roadside unit. From a frame whose anchor lies beyond the
-    unit's `reach` (plus _SLACK) by g, no frame within (g - _SLACK) /
-    speed can pass that unit's range and size gates, and the scan bisects
-    past them: they would draw no detection, and the miss coin is
-    stateless per (seed, sensor, frame).
+    A roadside unit senses only the window of frames whose anchor, on the
+    VRU's line and clamped at the leg's end, lies in its `anchor_window`:
+    no other frame can pass, and the miss coin is stateless per (seed,
+    sensor, frame), so a frame left out draws none. Within the window,
+    after a frame that detected, one `span_passes` check settles a span of
+    the frames that follow at once, each still drawing its own coin. A
+    span starts at two frames, doubles after a check that passes and is
+    retried at half its length after one that fails; below two frames the
+    next frame is sensed alone.
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
@@ -205,32 +216,48 @@ def _sense_frames(
         (o, (o.center.x, o.center.y, o.heading, o.half_long + _SLACK, o.half_lat + _SLACK))
         for o in spec.occluders
     ]
-    vru_speed = vru_track.speed
+    vru_speed, leg_length = vru_track.speed, math.hypot(end.x - start.x, end.y - start.y)
+
+    def along(t: float) -> float:
+        return min(vru_speed * t, leg_length)
+
     n = len(targets)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for unit in sensors:
         events = events_by_sensor[unit.sensor_id]
-        fixed = unit.mount == "rsu"
-        if fixed:
-            pose = unit.pose
-            sx, sy = pose.x, pose.y
-            far = reach(unit, model, targets[0]) + _SLACK
-            slabs = occluder_slabs(sx, sy, [o for o, box in grown if triangle_meets_box(((sx, sy), *leg), box)])
-        frame = 0
-        while frame < n:
-            target = targets[frame]
-            if fixed:
-                gap = math.hypot(target.anchor.x - sx, target.anchor.y - sy) - far
-                if gap > 0.0:
-                    if vru_speed <= 0.0:
-                        break
-                    frame = bisect_left(times, times[frame] + (gap - _SLACK) / vru_speed, frame + 1)
-                    continue
-            else:
+        floors = model.size_floors(unit)
+        if unit.mount != "rsu":
+            for frame in range(n):
                 pose = unit.world_pose(*vut_track.locate(frame_travel[frame]), vut_track.heading)
                 slabs = occluder_slabs(pose.x, pose.y, spec.occluders)
-            ev = sense_frame(unit, model, pose, target, frame, times[frame], slabs)
-            if ev is not None:
+                ev = sense_frame(unit, model, pose, targets[frame], frame, times[frame], slabs, floors)
+                if ev is not None:
+                    events.append(ev)
+            continue
+        lo, hi = anchor_window(unit, model, floors, targets[0])
+        frame, stop = bisect_left(times, lo, key=along), bisect_right(times, hi, key=along)
+        if frame >= stop:
+            continue
+        pose = unit.pose
+        sx, sy = pose.x, pose.y
+        slabs = occluder_slabs(sx, sy, [o for o, box in grown if triangle_meets_box(((sx, sy), *leg), box)])
+        span, detected = 2, False
+        while frame < stop:
+            if detected:
+                span = min(span, stop - frame)
+                while span > 1 and not span_passes(unit, floors, targets[frame], targets[frame + span - 1], slabs):
+                    span //= 2
+                if span > 1:
+                    for f in range(frame, frame + span):
+                        ev = draw_detection(unit, model, f, times[f])
+                        if ev is not None:
+                            events.append(ev)
+                    frame, span = frame + span, 2 * span
+                    continue
+                span = 2
+            ev = sense_frame(unit, model, pose, targets[frame], frame, times[frame], slabs, floors)
+            detected = ev is not None
+            if detected:
                 events.append(ev)
             frame += 1
     return events_by_sensor

@@ -344,6 +344,12 @@ def load_config(
     yaws = tuple(_number(v, "scene_yaw_deg") for v in yaws_raw)
     if len(set(yaws)) != len(yaws):
         raise ConfigError("scene_yaw_deg: duplicate entries")
+    labels: dict[str, float] = {}
+    for yaw in yaws:
+        other = labels.setdefault(f"{yaw:g}", yaw)
+        if other != yaw:
+            # `cell_tag` and summary.csv print a yaw with :g
+            raise ConfigError(f"scene_yaw_deg: {other!r} and {yaw!r} both read {yaw:g} in report names and rows")
 
     cam = top.section("camera")
     hfov_deg = _number(cam.take("hfov_deg", math.degrees(DEFAULT_HFOV_RAD)), "camera.hfov_deg")

@@ -291,28 +291,45 @@ def occluder_slabs(x: float, y: float, occluders: tuple[Prism, ...] | list[Prism
     return tuple(records)
 
 
-def _certified(pose: MountPose, hfov: float, vfov: float, max_range: float, target: Silhouette, slabs: Slabs) -> bool:
-    """Whether bounds, each clear of its test by _SLACK or _ANGLE_SLACK,
-    show every sample point inside the frustum and unblocked.
+def column_spread(length: float, travel: float = 0.0) -> float:
+    """How far from an anchor the sample columns of a silhouette `length`
+    long can lie, the anchor itself within `travel` of that point along
+    the silhouette's heading; padded for rounding."""
+    return _pad(length * (0.5 - 0.5 / _SILHOUETTE_COLS) + travel)
 
-    The columns lie within `spread` of the anchor, so their ground
-    ranges lie in [near, far] and their bearings within asin(spread /
-    dist) of its own. An elevation atan2(dz, ground) is monotone in each
-    argument, so its extremes lie at the corners of rows and ranges, and
-    wrapping an angle never makes it larger. A
-    sight line meets an occluder only inside both bearing intervals and
-    the footprint's far distance, no lower than the lowest row's line to
-    the nearest column.
+
+def _certified(
+    pose: MountPose,
+    hfov: float,
+    vfov: float,
+    max_range: float,
+    x: float,
+    y: float,
+    spread: float,
+    z_low: float,
+    z_high: float,
+    slabs: Slabs,
+) -> bool:
+    """Whether bounds, each clear of its test by _SLACK or _ANGLE_SLACK,
+    show inside the frustum and unblocked every sample point whose column
+    lies within `spread` of (x, y) on the ground and whose height lies
+    between the rows `z_low` and `z_high`.
+
+    Such columns' ground ranges lie in [near, far] and their bearings
+    within asin(spread / dist) of the point's own. An elevation atan2(dz,
+    ground) is monotone in each argument, so its extremes lie at the
+    corners of rows and ranges, and wrapping an angle never makes it
+    larger. A sight line meets an occluder only inside both bearing
+    intervals and the footprint's far distance, no lower than the lowest
+    row's line to the nearest column.
     """
     ox, oy, oz = pose.x, pose.y, pose.z
-    dx, dy = target.anchor.x - ox, target.anchor.y - oy
+    dx, dy = x - ox, y - oy
     dist = math.hypot(dx, dy)
-    spread = _pad(target.length * (0.5 - 0.5 / _SILHOUETTE_COLS))
     near, far = dist - spread, dist + spread
     if near <= _SLACK:
         return False
-    dz_low = target.points[0][2] - oz
-    dz_high = target.points[_SILHOUETTE_ROWS - 1][2] - oz
+    dz_low, dz_high = z_low - oz, z_high - oz
     if _pad(math.sqrt(far * far + max(dz_low * dz_low, dz_high * dz_high))) > max_range:
         return False
     heading = math.atan2(dy, dx)
@@ -359,7 +376,11 @@ def visible_fraction(
     loop stops once the fraction can no longer reach `floor`, returning a
     value below it; a fraction at or above `floor` is exact.
     """
-    if _certified(pose, hfov, vfov, max_range, target, slabs):
+    points = target.points
+    anchor = target.anchor
+    spread = column_spread(target.length)
+    low, high = points[0][2], points[_SILHOUETTE_ROWS - 1][2]
+    if _certified(pose, hfov, vfov, max_range, anchor.x, anchor.y, spread, low, high, slabs):
         return 1.0
     ox, oy, oz = pose.x, pose.y, pose.z
     yaw, pitch = pose.yaw, pose.pitch
@@ -367,7 +388,6 @@ def visible_fraction(
     half_h = hfov / 2.0 + _EPS
     half_v = vfov / 2.0 + _EPS
 
-    points = target.points
     n = len(points)
     reachable = n  # points not yet ruled out
     # a column's points share their ground position, so its ground range,

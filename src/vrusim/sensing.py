@@ -12,7 +12,19 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .geometry import _EPS, MountPose, Silhouette, Slabs, _pad, visible_fraction
+from .geometry import (
+    _ANGLE_SLACK,
+    _EPS,
+    _SILHOUETTE_ROWS,
+    _SLACK,
+    MountPose,
+    Silhouette,
+    Slabs,
+    _certified,
+    _pad,
+    column_spread,
+    visible_fraction,
+)
 from .scenario import DEFAULT_OVERRIDES
 
 DEFAULT_HFOV_RAD = math.radians(90.0)
@@ -135,10 +147,11 @@ def _size_range(extent: float, angle: float) -> float:
     return extent / 2.0 / tangent if tangent > 0.0 else math.inf
 
 
-def reach(sensor: SensorUnit, model: DetectionModel, target: Silhouette) -> float:
+def reach(sensor: SensorUnit, target: Silhouette, floors: tuple[float, float]) -> float:
     """Largest anchor ground range from the sensor at which the range,
     apparent-width and apparent-height gates of `sense_frame` can all pass
-    for a target of this size, padded for rounding.
+    for a target of this size, `floors` the sensor's `size_floors`, padded
+    for rounding.
 
     The perpendicular extent a target shows is at most hypot(length,
     width), and both apparent sizes only fall as the range grows, so a
@@ -146,7 +159,7 @@ def reach(sensor: SensorUnit, model: DetectionModel, target: Silhouette) -> floa
     whatever its heading.
     """
     widest = math.hypot(target.length, target.width)
-    min_width, min_height = model.size_floors(sensor)
+    min_width, min_height = floors
     # the slant bound is padded before the subtraction, which cancels where
     # the sensor barely sees the target tall enough from straight above
     slant = _pad(_size_range(target.height, min_height))
@@ -160,10 +173,70 @@ def reach(sensor: SensorUnit, model: DetectionModel, target: Silhouette) -> floa
     )
 
 
+def anchor_window(
+    sensor: SensorUnit, model: DetectionModel, floors: tuple[float, float], target: Silhouette
+) -> tuple[float, float]:
+    """The signed distances (lo, hi) along `target`'s heading from its
+    anchor between which the anchor of a silhouette of its size and
+    heading must lie to pass every gate of `sense_frame` from the roadside
+    `sensor`; empty where lo > hi.
+
+    The anchor must lie within the `reach` disc, grown by `_pad`. With a
+    positive visibility floor some column must also lie inside the
+    horizontal aperture, widened by _EPS (the kernel's own allowance) and
+    _ANGLE_SLACK. Below a half-aperture of pi / 2 that wedge is the meet of
+    two half-planes through the mount, each moved out by _SLACK. The
+    columns lie on the anchor's line within `column_spread` of it, so the
+    anchor lies on the wedge's part of the line widened by that much.
+    Those margins clear the rounding of the frames' anchors and of this
+    arithmetic by orders of magnitude.
+    """
+    fx, fy = math.cos(target.heading), math.sin(target.heading)
+    pose = sensor.pose
+    rx, ry = target.anchor.x - pose.x, target.anchor.y - pose.y
+    # the mount's offset across the line, and the foot of its perpendicular
+    across, foot = fx * ry - fy * rx, -(rx * fx + ry * fy)
+    radius = _pad(reach(sensor, target, floors))
+    if abs(across) > radius:
+        return math.inf, -math.inf
+    half_chord = math.sqrt((radius - across) * (radius + across)) + _SLACK
+    lo, hi = foot - half_chord, foot + half_chord
+    half_aperture = sensor.hfov / 2.0 + _EPS + _ANGLE_SLACK
+    if model.min_visible_fraction > 0.0 and half_aperture < math.pi / 2.0:
+        spread = column_spread(target.length)
+        for side in (-1.0, 1.0):
+            # a point p = r + s * f from the mount lies inside the wedge where
+            # -side * cross(edge, p) = at_anchor + per_metre * s >= 0
+            edge = pose.yaw + side * half_aperture
+            ex, ey = math.cos(edge), math.sin(edge)
+            at_anchor, per_metre = side * (rx * ey - ry * ex), side * (fx * ey - fy * ex)
+            if per_metre > 0.0:
+                lo = max(lo, (-_SLACK - at_anchor) / per_metre - spread)
+            elif per_metre < 0.0:
+                hi = min(hi, (-_SLACK - at_anchor) / per_metre + spread)
+            elif at_anchor < -_SLACK:
+                return math.inf, -math.inf
+    return lo, hi
+
+
 def _miss_coin(seed: int, sensor_id: str, frame: int) -> float:
     """Stateless per-(sensor, frame) uniform draw in [0, 1)."""
     digest = hashlib.sha256(f"{seed}:{sensor_id}:{frame}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def draw_detection(sensor: SensorUnit, model: DetectionModel, frame: int, time: float) -> DetectionEvent | None:
+    """The detection of a frame at `time` whose every other gate passed,
+    unless its miss coin drops it."""
+    if model.miss_probability > 0.0:
+        if _miss_coin(model.seed, sensor.sensor_id, frame) <= model.miss_probability:
+            return None
+    return DetectionEvent(
+        frame=frame,
+        sensor_id=sensor.sensor_id,
+        target_id="vru",
+        available_at=time + sensor.latency,
+    )
 
 
 def sense_frame(
@@ -174,11 +247,12 @@ def sense_frame(
     frame: int,
     time: float,
     slabs: Slabs,
+    floors: tuple[float, float],
 ) -> DetectionEvent | None:
     """Detection attempt on the VRU's `target` silhouette in the frame at
     `time`, by the sensor mounted at the world `pose`; None when any gate
     fails. `slabs` are the records, from `pose`, of the occluders that can
-    matter."""
+    matter, and `floors` the sensor's `size_floors`."""
     dist = math.hypot(target.anchor.x - pose.x, target.anchor.y - pose.y)
     if dist - target.length / 2.0 > sensor.max_range:
         return None
@@ -187,7 +261,7 @@ def sense_frame(
         # sitting inside it has no meaningful view
         return None
 
-    min_width, min_height = model.size_floors(sensor)
+    min_width, min_height = floors
     if apparent_angular_width(pose, target, dist) < min_width:
         return None
     if apparent_angular_height(pose, target, dist) < min_height:
@@ -198,16 +272,37 @@ def sense_frame(
     )
     if fraction < model.min_visible_fraction:
         return None
+    return draw_detection(sensor, model, frame, time)
 
-    if model.miss_probability > 0.0:
-        if _miss_coin(model.seed, sensor.sensor_id, frame) <= model.miss_probability:
-            return None
 
-    return DetectionEvent(
-        frame=frame,
-        sensor_id=sensor.sensor_id,
-        target_id="vru",
-        available_at=time + sensor.latency,
+def span_passes(
+    sensor: SensorUnit, floors: tuple[float, float], first: Silhouette, last: Silhouette, slabs: Slabs
+) -> bool:
+    """Whether every silhouette of `first`'s size and heading whose anchor
+    lies between `first`'s and `last`'s passes every gate of `sense_frame`
+    but the miss coin, seen from the roadside `sensor`'s own pose.
+
+    Such silhouettes lie on one line, so their columns lie within the
+    spread grown by half the anchors' distance of the midpoint, which
+    `_certified` then shows wholly in view; its range sphere holds every
+    anchor, a column itself, within `max_range`. A silhouette shows at
+    least min(length, width) across the sight line, and both apparent
+    sizes only fall with the range, so the size gates hold at every anchor
+    where they hold for that extent at the farthest, padded.
+    """
+    pose = sensor.pose
+    ax, ay, bx, by = first.anchor.x, first.anchor.y, last.anchor.x, last.anchor.y
+    farthest = _pad(max(math.hypot(ax - pose.x, ay - pose.y), math.hypot(bx - pose.x, by - pose.y)))
+    min_width, min_height = floors
+    if 2.0 * math.atan2(min(first.length, first.width) / 2.0, farthest) < min_width:
+        return False
+    if apparent_angular_height(pose, first, farthest) < min_height:
+        return False
+    spread = column_spread(first.length, math.hypot(bx - ax, by - ay) / 2.0)
+    points = first.points
+    return _certified(
+        pose, sensor.hfov, sensor.vfov, sensor.max_range, (ax + bx) / 2.0, (ay + by) / 2.0,
+        spread, points[0][2], points[_SILHOUETTE_ROWS - 1][2], slabs,
     )
 
 

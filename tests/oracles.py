@@ -17,11 +17,13 @@ from the subset's first confirmation; the two must agree exactly.
 ``observe_every_frame`` is that observation pass sensing every unit at
 every frame with the gates of ``sense_reference``: the package's gate
 order over the ``Vec2`` visible fraction on every raw prism. The package
-skips the frames a roadside unit's range and size gates rule out, keeps
-per mount only the occluders its sight lines can meet, and certifies a
-target wholly in view without its point loop; their events must be equal.
+senses only the window of frames a roadside unit's reach and aperture
+leave open, settles runs of frames with one swept check, keeps per mount
+only the occluders its sight lines can meet, and certifies a target
+wholly in view without its point loop; their events must be equal.
 ``sense`` calls the package's ``sense_frame`` with the records of every
-occluder it is given, built from the unit's origin in that frame.
+occluder it is given, built from the unit's origin in that frame, and
+the unit's size floors.
 ``world_at`` gives what a unit reads in a frame: its mount pose, carried
 by the vehicle for a vehicle unit, and the VRU's silhouette.
 ``speed_range_picks`` walks a config's speed range step by step, where
@@ -215,7 +217,8 @@ def sense(
 ) -> DetectionEvent | None:
     """The package's `sense_frame`, given the records of all `occluders`
     from the unit's mount at `pose`."""
-    return sense_frame(unit, model, pose, target, frame, time, occluder_slabs(pose.x, pose.y, occluders))
+    slabs = occluder_slabs(pose.x, pose.y, occluders)
+    return sense_frame(unit, model, pose, target, frame, time, slabs, model.size_floors(unit))
 
 
 def sense_reference(

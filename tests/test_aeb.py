@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vrusim import aeb, geometry, sensing
+from vrusim import aeb, geometry
 from vrusim.aeb import (
     AebPolicy,
     _advance,
@@ -198,6 +198,8 @@ RING_CASES = {
     # a wider width threshold, so that the width gate binds in its place
     "no-height-gate": (RING, replace(COINED, min_height_px=0.0, min_width_px=60.0)),
     "range-15m": (aimed_ring(60, 11, max_range=15.0) + CAR_SIGHTS, COINED),
+    # a half-aperture of pi / 2, where the frame window keeps no wedge
+    "hfov-180": (tuple(replace(u, hfov=math.pi) for u in RING), COINED),
 }
 
 
@@ -272,25 +274,29 @@ def test_ring_observation_matches_every_frame_reference(case, monkeypatch):
 
 
 def test_certificate_decides_most_wholly_visible_ring_frames(monkeypatch):
-    # every frame the kernel finds wholly in view, and those of them the
-    # certificate decides before the point loop
+    # every frame the reference finds wholly in view past the size gates,
+    # against those of them a span settles (each draws its detection in
+    # the run itself) or the certificate decides before the point loop
     certified = []
-    full = []
+    spanned = []
 
     def certify(*args):
         certified.append(certificate(*args))
         return certified[-1]
 
-    def fraction(*args):
-        full.append(kernel(*args) == 1.0)
-        return full[-1]
+    def draw(*args):
+        spanned.append(args)
+        return draw_detection(*args)
 
-    certificate, kernel = geometry._certified, sensing.visible_fraction
+    certificate, draw_detection = geometry._certified, aeb.draw_detection
     monkeypatch.setattr(geometry, "_certified", certify)
-    monkeypatch.setattr(sensing, "visible_fraction", fraction)
+    monkeypatch.setattr(aeb, "draw_detection", draw)
+    whole = replace(MODEL, min_visible_fraction=1.0)
+    wholly_visible = 0
     for spec in ring_specs():
         simulate_run(spec, RING, MODEL, POLICY)
-    assert sum(certified) >= 0.9 * sum(full) > 0
+        wholly_visible += sum(map(len, observe_every_frame(spec, RING, whole).values()))
+    assert len(spanned) + sum(certified) >= 0.9 * wholly_visible > 0
 
 
 def test_stationary_vru_observation_matches_every_frame_reference(monkeypatch):
@@ -299,6 +305,39 @@ def test_stationary_vru_observation_matches_every_frame_reference(monkeypatch):
         calls = observed_with_calls(monkeypatch, spec, sensors, MODEL)
         # a roadside unit out of reach of the target senses no frame
         assert calls < len(sensors) * spec.n_frames
+
+
+@st.composite
+def roadside_legs(draw):
+    """CBNA at 40 km/h with its cyclist on a drawn leg, standing or moving
+    fast enough to reach the leg's end within the run, and roadside units
+    aimed near that end, some on or beside the leg's line, with apertures
+    up to 180 degrees; the model's visibility floor on or off, coin on."""
+    spec = build_scenario(ScenarioKind.CBNA, 40.0)
+    end = Vec2(draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)))
+    heading, length = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, 40.0))
+    fx, fy = math.cos(heading), math.sin(heading)
+    start = Vec2(end.x - fx * length, end.y - fy * length)
+    speed = draw(st.sampled_from((0.0, 1.0, 6.0)))
+    vru = replace(spec.vru_track, speed=speed, path=(start, end))
+    units = []
+    for i in range(3):
+        line = draw(st.sampled_from(("off", "on", "beside")))
+        t = draw(st.floats(-10.0, 10.0))
+        off = draw(st.floats(-15.0, 15.0)) if line == "off" else 0.0 if line == "on" else 1e-6
+        x, y = end.x + fx * t - fy * off, end.y + fy * t + fx * off
+        aim = math.atan2(end.y - y, end.x - x) + draw(st.floats(-1.0, 1.0))
+        hfov = draw(st.sampled_from((math.pi, math.pi - 1e-6, math.radians(90.0), math.radians(30.0))))
+        units.append(sites.rsu(f"u{i}", x, y, draw(st.floats(0.5, 8.0)), aim, draw(st.floats(-0.8, 0.0)), hfov=hfov))
+    model = DetectionModel(min_visible_fraction=draw(st.sampled_from((0.0, 0.5))), miss_probability=0.2, seed=3)
+    return replace(spec, vru_track=vru), tuple(units), model
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(roadside_legs())
+def test_roadside_windows_and_spans_match_every_frame_reference(case):
+    spec, units, model = case
+    assert aeb._sense_frames(spec, units, model, NoTravel()) == observe_every_frame(spec, units, model)
 
 
 def test_cull_keeps_an_occluder_seen_only_past_the_leg_start(monkeypatch):

@@ -351,6 +351,16 @@ def test_sweep_rejects_the_sensor_id_any(tmp_path, caplog):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "layout.txt"]
 
 
+def test_sweep_rejects_scene_yaws_that_print_alike(tmp_path, caplog):
+    # summary.csv rows and the per-yaw report names print a yaw with :g,
+    # six significant digits, so the second cell would overwrite the first
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "scene_yaw_deg": [10.0000001, 10.0000002]})
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--subset", "vut", "-q"]
+    message = one_line_config_error(caplog, argv)
+    assert message.startswith("scene_yaw_deg: ") and "10.0000001" in message and "10.0000002" in message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
 @pytest.mark.parametrize(
     "lengths, rc", [((121, 121), 0), ((121, 122), 1), ((141, 141), 1)], ids=["255-bytes", "256-bytes", "283-bytes"]
 )

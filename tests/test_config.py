@@ -191,7 +191,7 @@ def test_a_layout_unit_judges_size_by_its_own_aperture(tmp_path):
 
     def detected(x):
         pedestrian = Silhouette(Vec2(x, 0.0), math.pi / 2.0, 0.5, 0.5, 1.8)
-        return sense_frame(unit, cfg.model, unit.pose, pedestrian, 0, 0.0, open_road) is not None
+        return sense_frame(unit, cfg.model, unit.pose, pedestrian, 0, 0.0, open_road, cfg.model.size_floors(unit)) is not None
 
     assert [detected(x) for x in (15.0, 40.0, 55.0, 70.0)] == [True, True, True, False]
 

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vrusim.geometry import MountPose, Silhouette, Vec2, visible_fraction, wrap_angle
+from vrusim.geometry import MountPose, Prism, Silhouette, Vec2, occluder_slabs, visible_fraction, wrap_angle
 from vrusim.scenario import ScenarioKind, build_scenario
 from vrusim.sensing import (
     DEFAULT_RSU_HEIGHT,
     DetectionEvent,
     DetectionModel,
     SensorUnit,
+    anchor_window,
     apparent_angular_height,
     apparent_angular_width,
     confirm_stream,
@@ -29,6 +30,7 @@ from vrusim.sensing import (
     format_layout,
     parse_layout,
     reach,
+    span_passes,
 )
 
 import oracles
@@ -155,7 +157,7 @@ def beyond_reach(draw):
         image_width_px=WIDE_IMAGE_PX,
     )
     dims = (draw(EXTENT), draw(EXTENT), draw(EXTENT))
-    limit = reach(sensor, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
+    limit = reach(sensor, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims), model.size_floors(sensor))
     dist = math.nextafter(limit, math.inf) * (1.0 + draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 2.0))))
     return sensor, model, at_range(sensor, dist, draw(ANGLE), draw(ANGLE), dims), limit
 
@@ -178,7 +180,7 @@ def test_reach_is_tight_for_default_units(kind):
     model = DetectionModel(image_width_px=WIDE_IMAGE_PX)
     for unit in default_layout():
         unit = replace(unit, hfov=WIDE, vfov=WIDE)
-        limit = reach(unit, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
+        limit = reach(unit, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims), model.size_floors(unit))
         for bearing in (0.0, 2.0, -2.5):
             widest = bearing + math.atan2(track.length, track.width)
             assert sense(unit, model, unit.pose, at_range(unit, limit * (1 - 1e-4), bearing, widest, dims), 0, 0.0)
@@ -202,7 +204,7 @@ def test_last_detecting_range_is_within_reach(gate):
     dims = (track.length, track.width, track.height)
     for z in (DEFAULT_RSU_HEIGHT, 2.0, 11.3):
         unit = SensorUnit("r", "rsu", MountPose(1.25, -3.5, z, 0.0, 0.0), WIDE, WIDE, max_range)
-        limit = reach(unit, model, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims))
+        limit = reach(unit, make_target(Pose2(0.0, 0.0, 0.0), vru_dims=dims), model.size_floors(unit))
         for heading in (0.0, 0.7, math.atan2(track.length, track.width)):
 
             def detects(dist):
@@ -217,6 +219,124 @@ def test_last_detecting_range_is_within_reach(gate):
                 lo, hi = (mid, hi) if detects(mid) else (lo, mid)
             anchor = at_range(unit, lo, 0.0, heading, dims).anchor
             assert anchor.x - unit.pose.x <= limit
+
+
+# ------------------------------------------------ frame windows and spans
+
+# half-apertures at pi / 2 and just under it, where the window drops or
+# keeps its wedge
+HFOV = st.one_of(
+    st.sampled_from((math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-9, math.pi - 1e-6)),
+    st.floats(0.05, math.pi),
+)
+
+
+def along(target: Silhouette, s: float) -> Silhouette:
+    """`target` moved `s` along its own heading."""
+    anchor = Vec2(target.anchor.x + s * math.cos(target.heading), target.anchor.y + s * math.sin(target.heading))
+    return Silhouette(anchor, target.heading, target.length, target.width, target.height)
+
+
+@st.composite
+def window_lines(draw):
+    """A roadside unit with apertures up to 180 degrees, model gates with
+    the visibility floor on or off, and a silhouette whose line runs
+    anywhere, through the mount or a nudge beside it; and a fraction."""
+    sx, sy, sz = draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)), draw(st.floats(0.3, 10.0))
+    heading = draw(ANGLE)
+    fx, fy = math.cos(heading), math.sin(heading)
+    line = draw(st.sampled_from(("anywhere", "through", "beside")))
+    if line == "anywhere":
+        ax, ay = sx + draw(st.floats(-40.0, 40.0)), sy + draw(st.floats(-40.0, 40.0))
+    else:
+        off = 0.0 if line == "through" else draw(st.sampled_from((-2.0, -1e-6, -1e-12, 1e-9, 1e-3, 0.3)))
+        t = draw(st.floats(-40.0, 40.0))
+        ax, ay = sx + fx * t - fy * off, sy + fy * t + fx * off
+    pose = MountPose(sx, sy, sz, draw(ANGLE), draw(st.floats(-1.2, 0.5)))
+    unit = SensorUnit("r", "rsu", pose, draw(HFOV), draw(st.floats(0.2, math.pi)), draw(st.floats(2.0, 150.0)))
+    model = DetectionModel(
+        min_visible_fraction=draw(st.sampled_from((0.0, 1.0 / 9.0, 0.5, 1.0))),
+        min_width_px=draw(st.sampled_from((0.0, 15.0))),
+        min_height_px=draw(st.sampled_from((0.0, 110.0))),
+    )
+    dims = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 1.5)), draw(st.floats(0.5, 2.5)))
+    return unit, model, make_target(Pose2(ax, ay, heading), vru_dims=dims), draw(st.floats(0.0, 1.0))
+
+
+@PROPERTY
+@given(window_lines())
+def test_no_anchor_outside_the_window_passes(case):
+    # just past either end of the window, and farther out; anywhere on a
+    # line whose window is empty
+    unit, model, target, u = case
+    lo, hi = anchor_window(unit, model, model.size_floors(unit), target)
+    if lo > hi:
+        outside = (120.0 * u - 60.0, 0.0)
+    else:
+        outside = (math.nextafter(lo, -math.inf) - 60.0 * u, math.nextafter(hi, math.inf) + 60.0 * u)
+    for s in outside:
+        assert oracles.sense_reference(unit, model, unit.pose, along(target, s), 0, 0.0, ()) is None
+
+
+def test_a_180_degree_window_keeps_a_far_anchor_on_the_aperture_edge():
+    # a half-aperture of pi / 2 plus the kernel's allowance is no wedge:
+    # its two edge half-planes would meet in less than the half-plane in
+    # front, and miss an anchor square to the unit by more than the padding
+    unit = SensorUnit("r", "rsu", MountPose(0.0, 0.0, 1.0, 0.0, 0.0), math.pi, math.pi, 2000.0)
+    model = DetectionModel(min_width_px=0.0, min_height_px=0.0)
+    target = make_target(Pose2(0.0, 0.0, math.pi / 2.0))
+    lo, hi = anchor_window(unit, model, model.size_floors(unit), target)
+    assert lo <= 1500.0 <= hi
+    assert oracles.sense_reference(unit, model, unit.pose, along(target, 1500.0), 0, 0.0, ())
+
+
+SPAN_EDGES = ("none", "range", "aperture", "height", "prism")
+
+
+@st.composite
+def swept_spans(draw):
+    """A roadside unit aimed near a run of frames along one line, evenly
+    spaced and the last ones possibly clamped at the leg's end, with the
+    unit's range, aperture or height floor at what the run needs, give or
+    take a nudge, or a prism near the sight lines."""
+    sx, sy, sz = draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)), draw(st.floats(0.3, 10.0))
+    dist, theta = draw(st.floats(3.0, 60.0)), draw(ANGLE)
+    dims = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 1.5)), draw(st.floats(0.5, 2.5)))
+    middle = make_target(Pose2(sx + dist * math.cos(theta), sy + dist * math.sin(theta), draw(ANGLE)), vru_dims=dims)
+    frames, step = draw(st.integers(2, 16)), draw(st.floats(0.0, 0.6))
+    moving = frames - draw(st.integers(0, frames - 1))
+    offsets = [(min(i, moving - 1) - (frames - 1) / 2.0) * step for i in range(frames)]
+    targets = [along(middle, s) for s in offsets]
+    pose = MountPose(sx, sy, sz, theta + draw(st.floats(-0.6, 0.6)), math.atan2(1.0 - sz, dist) + draw(st.floats(-0.3, 0.3)))
+    hfov, vfov, max_range = draw(st.floats(0.5, math.pi)), draw(st.floats(1.0, math.pi)), 2.0 * dist + 10.0
+    model = DetectionModel(min_width_px=draw(st.sampled_from((0.0, 5.0))), min_height_px=draw(st.sampled_from((0.0, 20.0))))
+    edge, nudge = draw(st.sampled_from(SPAN_EDGES)), draw(st.sampled_from((-1e-6, -1e-9, 0.0, 1e-9, 1e-6, 0.05)))
+    occluders = ()
+    if edge == "range":
+        max_range = max(math.dist((sx, sy, sz), p) for t in targets for p in t.points) * (1.0 + nudge)
+    elif edge == "aperture":
+        hfov = 2.0 * max(abs(wrap_angle(math.atan2(p[1] - sy, p[0] - sx) - pose.yaw)) for t in targets for p in t.points)
+        hfov = min(hfov * (1.0 + nudge), math.pi)
+    elif edge == "height":
+        unit = SensorUnit("r", "rsu", pose, hfov, vfov, max_range)
+        least = min(apparent_angular_height(pose, t, ground_range(pose, t)) for t in targets)
+        model = replace(model, min_height_px=least * (1.0 + nudge) * model.image_width_px / hfov)
+    elif edge == "prism":
+        r, bearing = dist * draw(st.floats(0.2, 0.9)), theta + draw(st.floats(-0.3, 0.3))
+        centre = Vec2(sx + r * math.cos(bearing), sy + r * math.sin(bearing))
+        occluders = (Prism(centre, draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0)), draw(ANGLE), height=draw(st.floats(0.2, 8.0))),)
+    return SensorUnit("r", "rsu", pose, hfov, vfov, max_range), model, targets, occluders
+
+
+@PROPERTY
+@given(swept_spans())
+def test_every_frame_of_an_accepted_span_is_wholly_visible(case):
+    unit, model, targets, occluders = case
+    slabs = occluder_slabs(unit.pose.x, unit.pose.y, occluders)
+    if span_passes(unit, model.size_floors(unit), targets[0], targets[-1], slabs):
+        whole = replace(model, min_visible_fraction=1.0)
+        for frame, target in enumerate(targets):
+            assert oracles.sense_reference(unit, whole, unit.pose, target, frame, 0.0, occluders) is not None
 
 
 # ---------------------------------------------------------- apparent sizes
