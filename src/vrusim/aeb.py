@@ -16,6 +16,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from .geometry import _SLACK, Box, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
 from .scenario import ActorTrack, ScenarioSpec, Timeline
@@ -143,16 +144,16 @@ def _box(track: ActorTrack, x: float, y: float) -> Box:
     return (x, y, track.heading, track.length / 2, track.width / 2)
 
 
-def _first_contact(
-    spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float]
-) -> int | None:
-    """Index of the first step whose footprints touch, or None.
+def _close_steps(
+    spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float], ceiling: float
+) -> Iterator[tuple[int, float, float]]:
+    """(step, centre distance, circle bound) for every step of a run whose
+    circle bound, centre distance minus both bounding-circle radii, is at
+    most `ceiling` + _SLACK, in step order.
 
-    Centre distance minus both bounding-circle radii bounds the gap from
-    below, and the exact box test runs only where that bound is within
-    _SLACK of contact. The vehicle only slows, so from a step where it
-    drives at v the centres close at most at v plus the VRU's speed; after
-    a step with bound b at time t no step before t + (b - 2 * _SLACK) /
+    The vehicle only slows, so from a step where it drives at v the
+    centres close at most at v plus the VRU's speed; after a step with
+    bound b at time t no step before t + (b - ceiling - 2 * _SLACK) /
     closing can come that near, and the scan bisects past them without
     locating either actor.
     """
@@ -166,16 +167,36 @@ def _first_contact(
         t = times[k]
         ux, uy = vut_locate(travel[k])
         rx, ry = vru_locate(vru_speed * t)
-        bound = math.hypot(rx - ux, ry - uy) - vut_r - vru_r
-        if bound > _SLACK:
+        gap = math.hypot(rx - ux, ry - uy)
+        bound = gap - vut_r - vru_r
+        if bound > ceiling + _SLACK:
             closing = speeds[k] + vru_speed
             if closing <= 0.0:
-                return None
-            k = bisect_left(times, t + (bound - 2.0 * _SLACK) / closing, k + 1)
-        elif obb_overlap(_box(vut_track, ux, uy), _box(vru_track, rx, ry)):
+                return
+            k = bisect_left(times, t + (bound - ceiling - 2.0 * _SLACK) / closing, k + 1)
+            continue
+        yield k, gap, bound
+        k += 1
+
+
+def _boxes(spec: ScenarioSpec, times: array[float], travel: array[float], k: int) -> tuple[Box, Box]:
+    """The vehicle's and the VRU's footprints at step k."""
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    return (
+        _box(vut_track, *vut_track.locate(travel[k])),
+        _box(vru_track, *vru_track.locate(vru_track.speed * times[k])),
+    )
+
+
+def _first_contact(
+    spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float]
+) -> int | None:
+    """Index of the first step whose footprints touch, or None. No step's
+    gap is below its circle bound, so the exact box test runs only at the
+    `_close_steps` to a ceiling of 0."""
+    for k, _, _ in _close_steps(spec, times, travel, speeds, 0.0):
+        if obb_overlap(*_boxes(spec, times, travel, k)):
             return k
-        else:
-            k += 1
     return None
 
 
@@ -334,12 +355,11 @@ def stop_margin(trace: RunTrace) -> float:
     bounding circles count by their circle bound; the closer ones by their
     exact box gap. No step's value is below its circle bound, and the
     minimum cannot exceed a frame start's own value, so the frame starts
-    give a target, and the scan bisects past the steps whose circle bound the
-    closing speed keeps above it, as the contact scan does. The close steps
-    take their exact gap in ascending bound order, until no bound can beat
-    the minimum, and only where their axis-projection gap (`obb_gap_bound`,
-    a lower bound on it) does not already exceed it. A minimum does not
-    depend on which values above it are skipped.
+    give a target, and only the `_close_steps` to it are taken. The close
+    steps take their exact gap in ascending bound order, until no bound
+    can beat the minimum, and only where their axis-projection gap
+    (`obb_gap_bound`, a lower bound on it) does not already exceed it. A
+    minimum does not depend on which values above it are skipped.
     """
     if not trace.outcome.avoided:
         raise ValueError("a run that made contact has no stop margin")
@@ -349,52 +369,31 @@ def stop_margin(trace: RunTrace) -> float:
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     near_field = vut_r + vru_r + _NEAR_FIELD_SLACK
-    vut_locate, vru_locate = vut_track.locate, vru_track.locate
-    vru_speed = vru_track.speed
 
-    def centres(k: int) -> tuple[float, float, float, float]:
-        ux, uy = vut_locate(travel[k])
-        rx, ry = vru_locate(vru_speed * times[k])
-        return ux, uy, rx, ry
-
-    n = len(times)
     # the target: a far-field frame start's own value, or the nearest
     # one's exact gap
     target, nearest, nearest_gap = math.inf, None, math.inf
-    for k in range(0, n, timeline.steps_per_frame):
-        ux, uy, rx, ry = centres(k)
+    for k in range(0, len(times), timeline.steps_per_frame):
+        ux, uy = vut_track.locate(travel[k])
+        rx, ry = vru_track.locate(vru_track.speed * times[k])
         gap = math.hypot(rx - ux, ry - uy)
         if gap > near_field:
             target = min(target, gap - vut_r - vru_r)
         elif gap < nearest_gap:
             nearest, nearest_gap = k, gap
     if nearest is not None:
-        ux, uy, rx, ry = centres(nearest)
-        target = min(target, obb_separation(_box(vut_track, ux, uy), _box(vru_track, rx, ry)))
+        target = min(target, obb_separation(*_boxes(spec, times, travel, nearest)))
     margin = math.inf
     near: list[tuple[float, int]] = []  # (bound, step)
-    k = 0
-    while k < n:
-        ux, uy, rx, ry = centres(k)
-        gap = math.hypot(rx - ux, ry - uy)
-        bound = gap - vut_r - vru_r
-        if bound > target + _SLACK:
-            closing = speeds[k] + vru_speed
-            if closing <= 0.0:
-                break
-            k = bisect_left(times, times[k] + (bound - target - 2.0 * _SLACK) / closing, k + 1)
-            continue
+    for k, gap, bound in _close_steps(spec, times, travel, speeds, target):
         if gap > near_field:
             margin = min(margin, bound)
-            target = min(target, bound)
         else:
             near.append((bound, k))
-        k += 1
     for bound, k in sorted(near):
         if bound > margin + _SLACK:
             break
-        ux, uy, rx, ry = centres(k)
-        vut_box, vru_box = _box(vut_track, ux, uy), _box(vru_track, rx, ry)
+        vut_box, vru_box = _boxes(spec, times, travel, k)
         if obb_gap_bound(vut_box, vru_box) > margin + _SLACK:
             continue
         margin = min(margin, obb_separation(vut_box, vru_box))

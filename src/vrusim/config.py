@@ -42,6 +42,10 @@ from .sensing import (
 __all__ = ["SubsetSpec", "RunConfig", "load_config", "ConfigError"]
 
 
+# the dt steps one run may take; the default sweep's longest run takes 2 980
+_MAX_RUN_STEPS = 10**6
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
@@ -405,11 +409,14 @@ def load_config(
     for name in ("frame_rate", "pedestrian_speed_kmh", "cyclist_speed_kmh"):
         if not getattr(overrides, name) > 0:
             raise ConfigError(f"scenario_overrides.{name} must be positive")
+    period = 1.0 / overrides.frame_rate
+    if period > _MAX_RUN_STEPS * dt:
+        raise ConfigError(f"dt_s={dt:g} splits the {period:g} s frame period into more than {_MAX_RUN_STEPS:.0e} steps")
     try:
         frame_steps(overrides.frame_rate, dt)
     except ValueError:
         raise ConfigError(
-            f"dt_s={dt:g} must divide the {1.0 / overrides.frame_rate:g} s frame period "
+            f"dt_s={dt:g} must divide the {period:g} s frame period "
             "evenly, into two steps or more"
         ) from None
 
@@ -505,13 +512,19 @@ def _check_report_names(config: RunConfig) -> None:
 
 def _check_scenarios(config: RunConfig) -> None:
     """Build every configured (scenario, speed) once, so that overrides no
-    scenario can be built with fail at load time, not in the middle of a
-    sweep."""
+    scenario can be built with, and a run of more than _MAX_RUN_STEPS dt
+    steps, fail at load time, not in the middle of a sweep."""
     for kind in config.scenarios:
         for speed in config.speeds_by_kind[kind]:
             try:
-                build_scenario(kind, speed, config.overrides)
+                spec = build_scenario(kind, speed, config.overrides)
             except ValueError as exc:
                 raise ConfigError(
                     f"scenario_overrides: {kind.display_name} at {speed:g} km/h: {exc}"
                 ) from None
+            # its frame periods, the last frame's included, over dt
+            if (spec.sim_duration + 1.0 / spec.frame_rate) / config.dt > _MAX_RUN_STEPS:
+                raise ConfigError(
+                    f"dt_s={config.dt:g} at {spec.frame_rate:g} frames/s makes the {kind.display_name} "
+                    f"run at {speed:g} km/h take more than {_MAX_RUN_STEPS:.0e} steps"
+                )

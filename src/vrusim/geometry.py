@@ -259,10 +259,11 @@ Slabs = tuple[tuple[float, tuple[tuple[float, float, float, float, bool], ...], 
 
 
 def occluder_slabs(x: float, y: float, occluders: tuple[Prism, ...] | list[Prism]) -> Slabs:
-    """Each occluder's record for `visible_fraction` from a sensor origin
-    at (x, y). The bearing interval and far distance are those of the
-    footprint grown by _SLACK; the interval is padded by _ANGLE_SLACK, and
-    is the whole circle for an origin within _SLACK of the grown footprint."""
+    """Each occluder's record for `visible_fraction` and `_certified` from
+    a sensor origin at (x, y). The bearing interval and far distance are
+    those of the footprint grown by _SLACK; the interval is padded by
+    _ANGLE_SLACK, and is the whole circle for an origin within _SLACK of
+    the grown footprint."""
     records = []
     for occ in occluders:
         cx, cy = occ.center.x, occ.center.y
@@ -361,7 +362,6 @@ def visible_fraction(
     max_range: float,
     target: Silhouette,
     slabs: Slabs,
-    floor: float,
 ) -> float:
     """Fraction of silhouette sample points both inside the frustum and
     unblocked by every occluder, each given by its `occluder_slabs` record.
@@ -371,17 +371,8 @@ def visible_fraction(
     at the sensor origin is inside. A sight line is blocked when its ground
     projection crosses a prism footprint (the slab method) and its height
     over the crossing dips below the prism top.
-
-    A target `_certified` wholly in view returns 1.0 at once. Otherwise the
-    loop stops once the fraction can no longer reach `floor`, returning a
-    value below it; a fraction at or above `floor` is exact.
     """
     points = target.points
-    anchor = target.anchor
-    spread = column_spread(target.length)
-    low, high = points[0][2], points[_SILHOUETTE_ROWS - 1][2]
-    if _certified(pose, hfov, vfov, max_range, anchor.x, anchor.y, spread, low, high, slabs):
-        return 1.0
     ox, oy, oz = pose.x, pose.y, pose.z
     yaw, pitch = pose.yaw, pose.pitch
     reach = max_range + _EPS
@@ -405,8 +396,6 @@ def visible_fraction(
         if not ahead and horiz >= _EPS:
             # no row is at the sensor origin, so every row is outside
             reachable -= _SILHOUETTE_ROWS
-            if reachable / n < floor:
-                return reachable / n
             continue
         crossings = None
         for _, _, pz in points[col : col + _SILHOUETTE_ROWS]:
@@ -428,8 +417,6 @@ def visible_fraction(
                         break
             if not seen:
                 reachable -= 1
-                if reachable / n < floor:
-                    return reachable / n
     return reachable / n
 
 

@@ -65,6 +65,9 @@ class SensorUnit:
             )
         if self.mount not in ("vut", "rsu"):
             raise ValueError(f"unknown mount {self.mount!r}")
+        p = self.pose
+        if not all(map(math.isfinite, (p.x, p.y, p.z, p.yaw, p.pitch, self.hfov, self.vfov, self.max_range, self.latency))):
+            raise ValueError("pose, apertures, range and latency must be finite")
         if self.pose.z <= 0:
             raise ValueError("sensor height must be positive")
         if self.max_range <= 0:
@@ -267,10 +270,7 @@ def sense_frame(
     if apparent_angular_height(pose, target, dist) < min_height:
         return None
 
-    fraction = visible_fraction(
-        pose, sensor.hfov, sensor.vfov, sensor.max_range, target, slabs, model.min_visible_fraction
-    )
-    if fraction < model.min_visible_fraction:
+    if visible_fraction(pose, sensor.hfov, sensor.vfov, sensor.max_range, target, slabs) < model.min_visible_fraction:
         return None
     return draw_detection(sensor, model, frame, time)
 

@@ -18,9 +18,9 @@ from the subset's first confirmation; the two must agree exactly.
 every frame with the gates of ``sense_reference``: the package's gate
 order over the ``Vec2`` visible fraction on every raw prism. The package
 senses only the window of frames a roadside unit's reach and aperture
-leave open, settles runs of frames with one swept check, keeps per mount
-only the occluders its sight lines can meet, and certifies a target
-wholly in view without its point loop; their events must be equal.
+leave open, settles runs of frames with one swept check, and keeps per
+mount only the occluders its sight lines can meet; their events must be
+equal.
 ``sense`` calls the package's ``sense_frame`` with the records of every
 occluder it is given, built from the unit's origin in that frame, and
 the unit's size floors.

@@ -275,28 +275,22 @@ def test_ring_observation_matches_every_frame_reference(case, monkeypatch):
 
 def test_certificate_decides_most_wholly_visible_ring_frames(monkeypatch):
     # every frame the reference finds wholly in view past the size gates,
-    # against those of them a span settles (each draws its detection in
-    # the run itself) or the certificate decides before the point loop
-    certified = []
+    # against those of them a swept span settles: each draws its detection
+    # in the run itself
     spanned = []
-
-    def certify(*args):
-        certified.append(certificate(*args))
-        return certified[-1]
 
     def draw(*args):
         spanned.append(args)
         return draw_detection(*args)
 
-    certificate, draw_detection = geometry._certified, aeb.draw_detection
-    monkeypatch.setattr(geometry, "_certified", certify)
+    draw_detection = aeb.draw_detection
     monkeypatch.setattr(aeb, "draw_detection", draw)
     whole = replace(MODEL, min_visible_fraction=1.0)
     wholly_visible = 0
     for spec in ring_specs():
         simulate_run(spec, RING, MODEL, POLICY)
         wholly_visible += sum(map(len, observe_every_frame(spec, RING, whole).values()))
-    assert len(spanned) + sum(certified) >= 0.9 * wholly_visible > 0
+    assert len(spanned) >= 0.9 * wholly_visible > 0
 
 
 def test_stationary_vru_observation_matches_every_frame_reference(monkeypatch):

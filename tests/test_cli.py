@@ -298,6 +298,33 @@ def test_placement_layout_reads_back_at_a_rate_six_digits_cannot_hold(tmp_path):
 RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
 
 
+def with_cell(text, sensor_id, column, value):
+    """Layout text with one unit's cell in `column` set to `value`."""
+    header, *rows = text.splitlines()
+    at = header.split(",").index(column)
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if cells[0] == sensor_id:
+            cells[at] = value
+            rows[i] = ",".join(cells)
+    return "\n".join([header, *rows]) + "\n"
+
+
+NON_FINITE_CELLS = [("latency_s", "nan"), ("x", "nan"), ("z", "inf"), ("pitch_deg", "-inf"), ("hfov_deg", "inf"), ("range_m", "inf")]
+
+
+@pytest.mark.parametrize("column, value", NON_FINITE_CELLS, ids=[f"{c}-{v}" for c, v in NON_FINITE_CELLS])
+def test_sweep_rejects_a_non_finite_layout_number(tmp_path, caplog, column, value):
+    # a nan latency used to print nan as the unit's trigger times in
+    # summary.csv, and a nan position to run without an error
+    layout = tmp_path / "layout.txt"
+    layout.write_text(with_cell(format_layout(default_layout()), "rsu1", column, value), encoding="utf-8")
+    cfg = cfg_file(tmp_path, {"scenarios": ["CPNC-50"], "speeds_kmh": [40], "sensors": {"layout_file": str(layout)}})
+    message = one_line_config_error(caplog, ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "-q"])
+    assert message == "sensors.layout_file: layout line 3: pose, apertures, range and latency must be finite"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "layout.txt"]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -307,8 +334,13 @@ RSU1 = next(u for u in default_layout() if u.sensor_id == "rsu1")
         format_layout((RSU1,)).replace("\nrsu1,", "\n,"),
         format_layout((default_vut_sensor(),)),
         format_layout((RSU1,)).replace("\nrsu1,", "\nany,"),
+        with_cell(format_layout(default_layout()[:2]), "rsu1", "latency_s", "nan"),
+        with_cell(format_layout(default_layout()[:2]), "rsu1", "x", "inf"),
     ],
-    ids=["duplicate-ids", "header-only", "rate-20-at-10-hz", "empty-id", "vut-mounted", "reserved-id-any"],
+    ids=[
+        "duplicate-ids", "header-only", "rate-20-at-10-hz", "empty-id", "vut-mounted", "reserved-id-any",
+        "latency-nan", "x-inf",
+    ],
 )
 def test_placement_bad_candidates_is_exit_1_with_one_line(tmp_path, caplog, text):
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})

@@ -317,6 +317,27 @@ def test_dt_must_divide_frame_period(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"dt_s": 1.0e-300}, "splits the 0.1 s frame period into more than 1e+06 steps"),
+        ({"dt_s": 5.0e-324}, "splits the 0.1 s frame period into more than 1e+06 steps"),
+        ({"dt_s": 1.0e-6, "scenario_overrides": {"frame_rate": 1000}}, "CBNA run at 40 km/h take more than 1e+06 steps"),
+        # two steps a frame, but over a million frames
+        ({"dt_s": 5.0e-6, "scenario_overrides": {"frame_rate": 100000}}, "take more than 1e+06 steps"),
+        # more frames than an integer can count from a float
+        ({"dt_s": 5.0e-309, "scenario_overrides": {"frame_rate": 1.0e308}}, "take more than 1e+06 steps"),
+    ],
+    ids=["dt-1e-300", "dt-subnormal", "dt-1e-6-at-1-khz", "two-steps-at-100-khz", "rate-1e308"],
+)
+def test_run_steps_are_bounded_at_load(tmp_path, data, message):
+    # a run steps its timeline up front, so a run of 10**300 steps would
+    # fill memory before its first frame
+    with pytest.raises(ConfigError, match="^dt_s=") as info:
+        load_config(write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], **data}))
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
     "dt, ok",
     [
         (0.005, True), (0.0025, True), (0.01, True), (0.03, False), (0.05, True),

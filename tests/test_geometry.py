@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from vrusim.geometry import (
@@ -20,6 +20,8 @@ from vrusim.geometry import (
     Prism,
     Silhouette,
     Vec2,
+    _certified,
+    column_spread,
     iou_axis_box,
     obb_gap_bound,
     obb_overlap,
@@ -381,7 +383,7 @@ def test_pitch_shifts_vertical_aperture():
 def test_unobstructed_target_fully_visible():
     pose = MountPose(0, 0, 1.6, 0.0, 0.0)
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (), 0.0) == 1.0
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, ()) == 1.0
 
 
 def test_tall_wall_blocks_everything():
@@ -389,7 +391,7 @@ def test_tall_wall_blocks_everything():
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
     wall = Prism(Vec2(5, 0), 0.2, 5.0, 0.0, height=10.0)
     slabs = occluder_slabs(0, 0, (wall,))
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, slabs, 0.0) == 0.0
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, slabs) == 0.0
 
 
 def test_low_wall_near_target_leaves_top_row_visible():
@@ -399,7 +401,7 @@ def test_low_wall_near_target_leaves_top_row_visible():
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
     wall = Prism(Vec2(9.0, 0.0), 5.0, 0.1, math.pi / 2, height=1.8)
     hfov, vfov, rng = math.radians(90), math.radians(59), 250.0
-    got = visible_fraction(pose, hfov, vfov, rng, target, occluder_slabs(0, 0, (wall,)), 0.0)
+    got = visible_fraction(pose, hfov, vfov, rng, target, occluder_slabs(0, 0, (wall,)))
     oracle = dense_ray_fraction(pose, hfov, vfov, rng, target, (wall,))
     assert got == pytest.approx(1.0 / 3.0)
     assert abs(got - oracle) <= 1.0 / 9.0 + 1e-9
@@ -408,7 +410,7 @@ def test_low_wall_near_target_leaves_top_row_visible():
 def test_target_outside_frustum_has_zero_fraction():
     pose = MountPose(0, 0, 1.6, math.pi, 0.0)  # looking away
     target = Silhouette(Vec2(10, 0), math.pi / 2, 0.5, 0.5, 1.8)
-    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, (), 0.0) == 0.0
+    assert visible_fraction(pose, math.radians(90), math.radians(59), 250.0, target, ()) == 0.0
 
 
 def test_removing_occluders_never_decreases_fraction():
@@ -433,8 +435,8 @@ def test_removing_occluders_never_decreases_fraction():
             )
             for _ in range(3)
         ]
-        full = visible_fraction(pose, hfov, vfov, rng_m, target, occluder_slabs(pose.x, pose.y, occs), 0.0)
-        fewer = visible_fraction(pose, hfov, vfov, rng_m, target, occluder_slabs(pose.x, pose.y, occs[:1]), 0.0)
+        full = visible_fraction(pose, hfov, vfov, rng_m, target, occluder_slabs(pose.x, pose.y, occs))
+        fewer = visible_fraction(pose, hfov, vfov, rng_m, target, occluder_slabs(pose.x, pose.y, occs[:1]))
         assert fewer >= full
 
 
@@ -452,7 +454,7 @@ def test_ray_blocked_respects_height():
 @st.composite
 def sensing_cases(draw):
     """A sensor roughly aimed at a silhouette, with 0-3 rotated prisms
-    scattered around the sight line and a visibility floor."""
+    scattered around the sight line."""
     coord = st.floats(-30.0, 30.0)
     sx, sy = draw(coord), draw(coord)
     ax, ay = draw(coord), draw(coord)
@@ -485,17 +487,13 @@ def sensing_cases(draw):
     hfov = draw(st.floats(0.2, 2 * math.pi))
     vfov = draw(st.floats(0.2, math.pi))
     max_range = (math.hypot(ground, sz) + target.length) * draw(st.floats(0.9, 2.0))
-    floor = draw(st.sampled_from((0.0, 0.5, 1.0 / 3.0, 1.0, draw(st.floats(0.0, 1.0)))))
-    return pose, hfov, vfov, max_range, target, tuple(occluders), floor
+    return pose, hfov, vfov, max_range, target, tuple(occluders)
 
 
-def assert_matches_reference(pose, hfov, vfov, max_range, target, occluders, floor=0.0):
+def assert_matches_reference(pose, hfov, vfov, max_range, target, occluders):
     want = oracles.visible_fraction(pose, hfov, vfov, max_range, target, occluders)
-    got = visible_fraction(pose, hfov, vfov, max_range, target, occluder_slabs(pose.x, pose.y, occluders), floor)
-    # below the floor the kernel may stop early; at or above it, exact bits
-    assert (got < floor) == (want < floor)
-    if want >= floor:
-        assert got == want
+    got = visible_fraction(pose, hfov, vfov, max_range, target, occluder_slabs(pose.x, pose.y, occluders))
+    assert got == want
     return want
 
 
@@ -668,9 +666,9 @@ def radial_prism(sx, sy, bearing, r, half_long, half_lat, height):
 
 @st.composite
 def certificate_edges(draw):
-    """A sensor aimed at a silhouette with one bound of the certificate in
-    `visible_fraction`, or the exact test that bound stands for, placed at
-    its edge give or take a nudge: the aperture against the anchor's
+    """A sensor aimed at a silhouette with one bound of the whole-target
+    certificate `_certified`, or the exact test that bound stands for,
+    placed at its edge give or take a nudge: the aperture against the anchor's
     bearing plus the columns' spread or against a column's own bearing,
     the range sphere, an elevation corner, an occluder's bearing interval
     against the certificate's or a column's, a prism top against a sight
@@ -726,6 +724,7 @@ def certificate_edges(draw):
         col = draw(st.sampled_from(columns))
         bearing = math.atan2(col[1] - sy, col[0] - sx)
         ground = math.hypot(col[0] - sx, col[1] - sy)
+        assume(ground > 0.0)  # a column at the mount has no sight line to block
         r, half_long = ground * draw(st.floats(0.2, 0.8)), draw(st.floats(0.05, 1.0))
         half_long = min(half_long, r / 2)
         dz_low = target.points[0][2] - sz
@@ -747,8 +746,7 @@ def certificate_edges(draw):
     else:
         hfov = draw(st.floats(math.pi, 2 * math.pi))
         pose = MountPose(sx, sy, sz, theta + draw(st.floats(-math.pi, math.pi)) + turns, pose.pitch)
-    floor = draw(st.sampled_from((0.0, 1.0 / 3.0, 0.5, 8.0 / 9.0, 1.0)))
-    return pose, max(hfov, 1e-6), max(vfov, 1e-6), max(max_range, 1e-6), target, occluders, floor
+    return pose, max(hfov, 1e-6), max(vfov, 1e-6), max(max_range, 1e-6), target, occluders
 
 
 @settings(
@@ -760,7 +758,14 @@ def certificate_edges(draw):
 )
 @given(certificate_edges())
 def test_visible_fraction_matches_reference_at_certificate_edges(case):
-    assert_matches_reference(*case)
+    # the kernel's bits are the reference's there, and wherever the
+    # certificate holds for the silhouette's own spread all nine points pass
+    fraction = assert_matches_reference(*case)
+    pose, hfov, vfov, max_range, target, occluders = case
+    low, high = target.points[0][2], target.points[2][2]
+    spread, slabs = column_spread(target.length), occluder_slabs(pose.x, pose.y, occluders)
+    if _certified(pose, hfov, vfov, max_range, target.anchor.x, target.anchor.y, spread, low, high, slabs):
+        assert fraction == 1.0
 
 
 # ------------------------------------------------------------------- misc

@@ -192,7 +192,7 @@ def geometric_fraction(observer_xy, target_sil, occluders):
 
     pose = MountPose(observer_xy[0], observer_xy[1], 0.0, 0.0, 0.0)
     slabs = occluder_slabs(pose.x, pose.y, occluders)
-    return visible_fraction(pose, 2 * math.pi, 2 * math.pi, 1e9, target_sil, slabs, 0.0)
+    return visible_fraction(pose, 2 * math.pi, 2 * math.pi, 1e9, target_sil, slabs)
 
 
 @pytest.mark.parametrize("speed", allowed_speeds_kmh(ScenarioKind.CBNA))

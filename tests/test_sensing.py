@@ -55,7 +55,7 @@ def test_unoccluded_pedestrian_detected_with_full_fraction():
     unit = RSU_AT_ORIGIN
     ev = sense(unit, DetectionModel(), unit.pose, target, 4, 0.4)  # frame 4 at 10 Hz
     assert ev is not None
-    assert visible_fraction(unit.pose, unit.hfov, unit.vfov, unit.max_range, target, (), 0.0) == 1.0
+    assert visible_fraction(unit.pose, unit.hfov, unit.vfov, unit.max_range, target, ()) == 1.0
     assert ev.sensor_id == "r"
     assert ev.frame == 4
     assert ev.available_at == pytest.approx(0.425)
