@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import yaml
@@ -25,7 +25,7 @@ from .scenario import (
     ScenarioOverrides,
     allowed_speeds_kmh,
     build_scenario,
-    frame_steps,
+    integrator_step,
 )
 from .sensing import (
     DEFAULT_HFOV_RAD,
@@ -42,7 +42,7 @@ from .sensing import (
 __all__ = ["SubsetSpec", "RunConfig", "load_config", "ConfigError"]
 
 
-# the dt steps one run may take; the default sweep's longest run takes 2 980
+# the kinematics steps one run may take; the default sweep's longest run takes 2 980
 _MAX_RUN_STEPS = 10**6
 
 
@@ -61,7 +61,6 @@ class RunConfig:
     scenarios: tuple[ScenarioKind, ...]
     speeds_by_kind: Mapping[ScenarioKind, tuple[float, ...]]  # km/h
     out_dir: str
-    dt: float
     scene_yaws_deg: tuple[float, ...]
     policy: AebPolicy
     model: DetectionModel
@@ -70,6 +69,11 @@ class RunConfig:
     subsets: tuple[SubsetSpec, ...]
     overrides: ScenarioOverrides
     write_traces: bool
+
+    @property
+    def dt(self) -> float:
+        """The kinematics step, which the frame rate fixes."""
+        return integrator_step(self.overrides.frame_rate)
 
     def all_units(self) -> tuple[SensorUnit, ...]:
         return (self.vut_sensor, *self.rsu_units)
@@ -84,53 +88,27 @@ class RunConfig:
         )
 
     def canonical_text(self) -> str:
-        """Deterministic dump of every outcome-relevant resolved value."""
-        parts = [
-            "scenarios=" + ",".join(k.display_name for k in self.scenarios),
-            "speeds="
-            + ";".join(
-                k.display_name + ":" + ",".join(f"{s:g}" for s in self.speeds_by_kind[k])
-                for k in self.scenarios
-            ),
-            f"seed={self.model.seed}",
-            f"dt={self.dt:.9g}",
-            "yaws=" + ",".join(f"{y:.9g}" for y in self.scene_yaws_deg),
-            f"policy={self.policy.deceleration:.9g},{self.policy.latency:.9g},{self.policy.confirm_frames}",
-            "model="
-            + ",".join(
-                f"{v:.9g}"
-                for v in (
-                    self.model.min_visible_fraction,
-                    self.model.min_width_px,
-                    self.model.min_height_px,
-                    self.model.image_width_px,
-                    self.model.miss_probability,
-                )
-            )
-            + f",{self.model.seed}",
-            "units="
-            + ";".join(_unit_text(u, self.overrides.frame_rate) for u in self.all_units()),
-            "subsets=" + ";".join(f"{s.name}:{','.join(s.sensor_ids)}" for s in self.subsets),
-            "overrides="
-            + ",".join(
-                f"{f.name}={getattr(self.overrides, f.name):.9g}"
-                for f in fields(ScenarioOverrides)
-            ),
-        ]
-        return "\n".join(parts) + "\n"
+        """Every field but `out_dir` and `write_traces`, one a line, walked
+        down to its numbers, each float in repr, which is exact."""
+        return "".join(
+            f"{f.name}={_canonical(getattr(self, f.name))}\n"
+            for f in fields(self)
+            if f.name not in ("out_dir", "write_traces")
+        )
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def _unit_text(u: SensorUnit, frame_rate: float) -> str:
-    # a unit's text follows the layout file's columns, whose rate column is
-    # the scenario frame rate
-    return (
-        f"{u.sensor_id},{u.mount},{u.pose.x:.9g},{u.pose.y:.9g},{u.pose.z:.9g},"
-        f"{u.pose.yaw:.9g},{u.pose.pitch:.9g},{u.hfov:.9g},{u.vfov:.9g},"
-        f"{u.max_range:.9g},{frame_rate:.9g},{u.latency:.9g}"
-    )
+def _canonical(value: Any) -> str:
+    """`value` as text that tells apart any two values that differ."""
+    if is_dataclass(value):
+        return "(" + ",".join(f"{f.name}={_canonical(getattr(value, f.name))}" for f in fields(value)) + ")"
+    if isinstance(value, Mapping):
+        return "{" + ",".join(f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_canonical, value)) + ")"
+    return repr(value)
 
 
 class _Section:
@@ -189,64 +167,27 @@ def _kind(name: Any) -> ScenarioKind:
     raise ConfigError(f"unknown scenario {name!r}; choose from {options}")
 
 
-def _resolve_speeds(
-    kinds: Sequence[ScenarioKind],
-    explicit: Any,
-    range_section: _Section | None,
-) -> dict[ScenarioKind, tuple[float, ...]]:
-    if explicit is not None and range_section is not None:
-        raise ConfigError("give either speeds_kmh or speed_range, not both")
-    if explicit is not None:
-        if not isinstance(explicit, list) or not explicit:
-            raise ConfigError("speeds_kmh: expected a non-empty list")
-        speeds = tuple(_number(v, "speeds_kmh") for v in explicit)
-        if len(set(speeds)) != len(speeds):
-            raise ConfigError("speeds_kmh: duplicate entries")
-        out = {}
-        for kind in kinds:
-            allowed = allowed_speeds_kmh(kind)
-            for s in speeds:
-                if s not in allowed:
-                    raise ConfigError(
-                        f"speed {s:g} km/h is not a {kind.display_name} sweep speed; "
-                        f"allowed: {allowed[0]:g}..{allowed[-1]:g} in steps of 5"
-                    )
-            out[kind] = tuple(sorted(speeds))
-        return out
-    if range_section is not None:
-        lo = _number(range_section.take("min_kmh", 20.0), "speed_range.min_kmh")
-        hi = _number(range_section.take("max_kmh", 60.0), "speed_range.max_kmh")
-        step = _number(range_section.take("step_kmh", 5.0), "speed_range.step_kmh")
-        range_section.finish()
-        if step <= 0:
-            raise ConfigError("speed_range.step_kmh must be positive")
-        if hi < lo:
-            raise ConfigError("speed_range.max_kmh must be at least min_kmh")
-        out = {}
-        for kind in kinds:
-            allowed = allowed_speeds_kmh(kind)
-            picked = tuple(s for s in allowed if _on_grid(s, lo, hi, step))
-            if not picked:
-                raise ConfigError(
-                    f"speed_range selects no {kind.display_name} speeds "
-                    f"(allowed {allowed[0]:g}..{allowed[-1]:g})"
-                )
-            out[kind] = picked
-        return out
-    return {kind: allowed_speeds_kmh(kind) for kind in kinds}
-
-
-def _on_grid(speed: float, lo: float, hi: float, step: float) -> bool:
-    """Whether some lo + k * step (k = 0, 1, ...) at most hi, with 1e-9 of
-    slack, rounds to `speed` at six decimals. Only the grid points on
-    either side of the speed can, so the check costs the same however
-    small the step."""
-    if speed < lo:
-        near: tuple[float, ...] = (lo,)
-    else:
-        below = speed - (speed - lo) % step
-        near = (below, below + step)
-    return any(v <= hi + 1e-9 and round(v, 6) == speed for v in near)
+def _resolve_speeds(kinds: Sequence[ScenarioKind], explicit: Any) -> dict[ScenarioKind, tuple[float, ...]]:
+    """Each scenario's sweep speeds: all it allows, or those of `explicit`
+    it allows, where each listed speed must suit some scenario and each
+    scenario some listed speed."""
+    if explicit is None:
+        return {kind: allowed_speeds_kmh(kind) for kind in kinds}
+    if not isinstance(explicit, list) or not explicit:
+        raise ConfigError("speeds_kmh: expected a non-empty list")
+    speeds = sorted(_number(v, "speeds_kmh") for v in explicit)
+    if len(set(speeds)) != len(speeds):
+        raise ConfigError("speeds_kmh: duplicate entries")
+    out = {kind: tuple(s for s in speeds if s in allowed_speeds_kmh(kind)) for kind in kinds}
+    unused = [s for s in speeds if not any(s in picked for picked in out.values())]
+    empty = [kind.display_name for kind, picked in out.items() if not picked]
+    if unused or empty:
+        what = f"{unused[0]:g} km/h suits no configured scenario" if unused else f"no {empty[0]} speed is listed"
+        grids = ", ".join(
+            f"{kind.display_name} {allowed_speeds_kmh(kind)[0]:g}..{allowed_speeds_kmh(kind)[-1]:g}" for kind in kinds
+        )
+        raise ConfigError(f"speeds_kmh: {what}; allowed: {grids} in steps of 5")
+    return out
 
 
 def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, ...]:
@@ -329,18 +270,12 @@ def load_config(
     if len(set(kinds)) != len(kinds):
         raise ConfigError("scenarios: duplicate entries")
 
-    explicit_speeds = top.take("speeds_kmh", None)
-    range_raw = top.take("speed_range", None)
-    range_section = _Section(range_raw, "speed_range") if range_raw is not None else None
-    speeds_by_kind = _resolve_speeds(kinds, explicit_speeds, range_section)
+    speeds_by_kind = _resolve_speeds(kinds, top.take("speeds_kmh", None))
 
     cfg_seed = _integer(top.take("seed", 0), "seed")
     cfg_out = top.take("out_dir", "out")
     if not isinstance(cfg_out, str) or not cfg_out:
         raise ConfigError("out_dir: expected a non-empty string")
-    dt = _number(top.take("dt_s", 0.005), "dt_s")
-    if dt <= 0:
-        raise ConfigError("dt_s must be positive")
 
     yaws_raw = top.take("scene_yaw_deg", [0.0])
     if not isinstance(yaws_raw, list) or not yaws_raw:
@@ -409,16 +344,6 @@ def load_config(
     for name in ("frame_rate", "pedestrian_speed_kmh", "cyclist_speed_kmh"):
         if not getattr(overrides, name) > 0:
             raise ConfigError(f"scenario_overrides.{name} must be positive")
-    period = 1.0 / overrides.frame_rate
-    if period > _MAX_RUN_STEPS * dt:
-        raise ConfigError(f"dt_s={dt:g} splits the {period:g} s frame period into more than {_MAX_RUN_STEPS:.0e} steps")
-    try:
-        frame_steps(overrides.frame_rate, dt)
-    except ValueError:
-        raise ConfigError(
-            f"dt_s={dt:g} must divide the {period:g} s frame period "
-            "evenly, into two steps or more"
-        ) from None
 
     cfg_traces = _boolean(top.take("write_traces", False), "write_traces")
     subsets_raw = top.take("subsets", None)
@@ -457,7 +382,6 @@ def load_config(
         scenarios=kinds,
         speeds_by_kind=speeds_by_kind,
         out_dir=cfg_out if out_dir is None else out_dir,
-        dt=dt,
         scene_yaws_deg=yaws,
         policy=policy,
         model=model,
@@ -512,8 +436,13 @@ def _check_report_names(config: RunConfig) -> None:
 
 def _check_scenarios(config: RunConfig) -> None:
     """Build every configured (scenario, speed) once, so that overrides no
-    scenario can be built with, and a run of more than _MAX_RUN_STEPS dt
-    steps, fail at load time, not in the middle of a sweep."""
+    scenario can be built with, and a run of more than _MAX_RUN_STEPS
+    kinematics steps, fail at load time, not in the middle of a sweep."""
+    rate = config.overrides.frame_rate
+    try:
+        dt = config.dt
+    except ValueError as exc:
+        raise ConfigError(f"scenario_overrides.frame_rate: {exc}") from None
     for kind in config.scenarios:
         for speed in config.speeds_by_kind[kind]:
             try:
@@ -523,8 +452,8 @@ def _check_scenarios(config: RunConfig) -> None:
                     f"scenario_overrides: {kind.display_name} at {speed:g} km/h: {exc}"
                 ) from None
             # its frame periods, the last frame's included, over dt
-            if (spec.sim_duration + 1.0 / spec.frame_rate) / config.dt > _MAX_RUN_STEPS:
+            if (spec.sim_duration + 1.0 / rate) / dt > _MAX_RUN_STEPS:
                 raise ConfigError(
-                    f"dt_s={config.dt:g} at {spec.frame_rate:g} frames/s makes the {kind.display_name} "
-                    f"run at {speed:g} km/h take more than {_MAX_RUN_STEPS:.0e} steps"
+                    f"scenario_overrides.frame_rate: at {rate:g} frames/s the {kind.display_name} "
+                    f"run at {speed:g} km/h takes more than {_MAX_RUN_STEPS:.0e} steps of {dt:g} s"
                 )

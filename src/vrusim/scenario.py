@@ -110,16 +110,37 @@ class Timeline:
     travel: array[float]
 
 
+# the kinematics step wherever whole steps of it fill the frame period
+_STEP = 0.005
+
+
 def frame_steps(frame_rate: float, dt: float) -> int:
     """Steps of length dt in one frame period, which must split into two
     or more whole steps."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     period = 1.0 / frame_rate
-    steps = round(period / dt)
+    quotient = period / dt
+    if not math.isfinite(quotient):
+        raise ValueError(f"the {period:g} s frame period holds more dt steps than a float can count")
+    steps = round(quotient)
     if steps < 2 or abs(steps * dt - period) > 1e-9:
         raise ValueError("the frame period must split into two or more whole dt steps")
     return steps
+
+
+def integrator_step(frame_rate: float) -> float:
+    """The kinematics step at a frame rate: exactly 5 ms where whole 5 ms
+    steps fill the frame period, else the period split into the nearest
+    whole number of steps, at least two."""
+    try:
+        frame_steps(frame_rate, _STEP)
+        return _STEP
+    except ValueError:
+        period = 1.0 / frame_rate
+        if not math.isfinite(period / _STEP):
+            raise
+        return period / max(2, round(period / _STEP))
 
 
 @dataclass(frozen=True)
@@ -145,7 +166,10 @@ class ScenarioSpec:
     @property
     def n_frames(self) -> int:
         """Frames in a run, one per frame period with both ends included."""
-        return int(round(self.sim_duration * self.frame_rate)) + 1
+        periods = self.sim_duration * self.frame_rate
+        if not math.isfinite(periods):
+            raise ValueError(f"a {self.sim_duration:g} s run at {self.frame_rate:g} frames/s has more frames than a float can count")
+        return round(periods) + 1
 
     def timeline(self, dt: float) -> Timeline:
         """The vehicle's unbraked steps of length dt up to the last frame.

@@ -26,8 +26,6 @@ occluder it is given, built from the unit's origin in that frame, and
 the unit's size floors.
 ``world_at`` gives what a unit reads in a frame: its mount pose, carried
 by the vehicle for a vehicle unit, and the VRU's silhouette.
-``speed_range_picks`` walks a config's speed range step by step, where
-the package tests each allowed speed against the range.
 
 The small vector, pose, heatmap and match-count accessors at the top are
 the tests' own: the package reads none of them. ``Pose2`` is a ground
@@ -453,15 +451,3 @@ def visible_fraction(
             continue
         seen += 1
     return seen / len(pts)
-
-
-def speed_range_picks(allowed: tuple[float, ...], lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """The allowed speeds a ``speed_range`` selects: every lo + k * step up
-    to hi (with 1e-9 of slack), summed step by step and rounded to six
-    decimals, that is an allowed speed."""
-    wanted = []
-    v = lo
-    while v <= hi + 1e-9:
-        wanted.append(round(v, 6))
-        v += step
-    return tuple(s for s in wanted if s in allowed)

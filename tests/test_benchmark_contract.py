@@ -138,6 +138,10 @@ def test_every_workload_input_loads(perfbench, tmp_path, seed):
         inputs = workload.make_inputs(seed, work, m.sensing, m.geometry)
         config = m.config.load_config(str(inputs["config"]))
         assert config.cells(), name
+        # every attribute the workloads read off the config
+        for attribute in ("policy", "model", "scenarios", "speeds_by_kind", "overrides", "scene_yaws_deg", "subsets"):
+            assert getattr(config, attribute) is not None, (name, attribute)
+        assert config.dt == 0.005, name
         if "candidates" in inputs:
             units = m.config.read_layout(str(inputs["candidates"]), config.overrides.frame_rate, "--candidates")
             assert m.placement.candidate_sites_from_units(units), name

@@ -88,7 +88,7 @@ def one_line_config_error(caplog, argv):
     "data, where",
     [
         ({"policy": {"latency_s": float("nan")}}, "policy.latency_s"),
-        ({"dt_s": float("nan")}, "dt_s"),
+        ({"policy": {"deceleration_mps2": float("nan")}}, "policy.deceleration_mps2"),
         ({"scenario_overrides": {"cyclist_speed_kmh": 0}}, "cyclist_speed_kmh"),
         (
             {
@@ -101,14 +101,19 @@ def one_line_config_error(caplog, argv):
         ({"scenario_overrides": {"vut_length": -2}}, "scenario_overrides"),
         ({"sensors": {"range_m": -1}}, "sensors"),
         ({"scenario_overrides": {"frame_rate": 0}}, "frame_rate"),
-        ({"dt_s": 0.1}, "dt_s"),
+        # a frame period too long for a float, and too short
+        ({"scenario_overrides": {"frame_rate": 1.0e-320}}, "scenario_overrides.frame_rate"),
+        ({"scenario_overrides": {"frame_rate": 1.0e308}}, "scenario_overrides.frame_rate"),
+        # the frame rate fixes the step, and speeds_kmh lists the speeds
+        ({"dt_s": 0.005}, "top level: dt_s"),
+        ({"speed_range": {"min_kmh": 20}}, "top level: speed_range"),
         ({"speeds_kmh": [40, 40.0]}, "speeds_kmh: duplicate"),
         ({"scene_yaw_deg": [0, 0]}, "scene_yaw_deg: duplicate"),
     ],
     ids=[
-        "latency-nan", "dt-nan", "cyclist-speed-zero", "cbla-cyclist-not-slower",
-        "vut-length-negative", "range-negative", "frame-rate-zero", "dt-one-step-per-frame",
-        "speeds-duplicate", "yaws-duplicate",
+        "latency-nan", "deceleration-nan", "cyclist-speed-zero", "cbla-cyclist-not-slower",
+        "vut-length-negative", "range-negative", "frame-rate-zero", "frame-rate-1e-320",
+        "frame-rate-1e308", "dt-s-unknown", "speed-range-unknown", "speeds-duplicate", "yaws-duplicate",
     ],
 )
 def test_sweep_bad_number_is_exit_1_with_one_line(tmp_path, caplog, data, where):
@@ -279,7 +284,6 @@ def test_placement_layout_reads_back_at_a_rate_six_digits_cannot_hold(tmp_path):
         {
             "scenarios": ["CBNA"],
             "speeds_kmh": [40],
-            "dt_s": 0.0035,
             "scenario_overrides": {"frame_rate": rate},
         },
     )

@@ -2,21 +2,16 @@
 
 import math
 import re
-import tempfile
-import time
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vrusim.config import ConfigError, load_config
 from vrusim.geometry import MountPose, Silhouette, Vec2, occluder_slabs
-from vrusim.scenario import ScenarioKind, allowed_speeds_kmh, build_scenario
+from vrusim.scenario import ScenarioKind, build_scenario
 from vrusim.sensing import DetectionModel, SensorUnit, default_layout, format_layout, sense_frame
-
-from oracles import speed_range_picks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,6 +62,45 @@ def test_hash_is_stable_and_sensitive(tmp_path):
     assert wide.config_hash() != base.config_hash()
 
 
+def float_leaves(value, path=()):
+    """(path, number) for every float under `value`, through dataclass
+    fields, mapping values and tuple items."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from float_leaves(getattr(value, f.name), (*path, f.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from float_leaves(item, (*path, key))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from float_leaves(item, (*path, i))
+    elif isinstance(value, float):
+        yield path, value
+
+
+def with_leaf(value, path, number):
+    """`value` with the leaf at `path` set to `number`."""
+    if not path:
+        return number
+    head, rest = path[0], path[1:]
+    if is_dataclass(value):
+        return replace(value, **{head: with_leaf(getattr(value, head), rest, number)})
+    if isinstance(value, dict):
+        return {**value, head: with_leaf(value[head], rest, number)}
+    return (*value[:head], with_leaf(value[head], rest, number), *value[head + 1:])
+
+
+def test_hash_tells_apart_numbers_one_ulp_apart():
+    # a fixed-digit dump prints a float and its neighbour alike
+    base = load_config()
+    leaves = list(float_leaves(base))
+    roots = {path[0] for path, _ in leaves}
+    assert {"scene_yaws_deg", "policy", "model", "vut_sensor", "rsu_units", "overrides"} <= roots
+    for path, number in leaves:
+        nudged = with_leaf(base, path, math.nextafter(number, math.inf))
+        assert nudged.config_hash() != base.config_hash(), path
+
+
 def test_unknown_keys_rejected_with_path(tmp_path):
     with pytest.raises(ConfigError, match="top level: speling"):
         load_config(write_cfg(tmp_path, {"speling": 1}))
@@ -74,8 +108,10 @@ def test_unknown_keys_rejected_with_path(tmp_path):
         load_config(write_cfg(tmp_path, {"camera": {"zoom": 2}}))
     with pytest.raises(ConfigError, match="policy: jerk"):
         load_config(write_cfg(tmp_path, {"policy": {"jerk": 1}}))
-    with pytest.raises(ConfigError, match="speed_range: stride"):
-        load_config(write_cfg(tmp_path, {"speed_range": {"stride": 5}}))
+    # the frame rate fixes the kinematics step, and speeds_kmh lists the speeds
+    for gone in ("dt_s", "speed_range"):
+        with pytest.raises(ConfigError, match=f"top level: {gone}$"):
+            load_config(write_cfg(tmp_path, {gone: {}}))
 
 
 def test_scenario_list_validation(tmp_path):
@@ -91,55 +127,26 @@ def test_explicit_speeds(tmp_path):
     cfg = load_config(write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40, 20]}))
     assert cfg.speeds_by_kind[ScenarioKind.CBNA] == (20.0, 40.0)
     # 20 km/h exists for the crossing scenarios but not the longitudinal one
-    with pytest.raises(ConfigError, match=r"not a CBLA sweep speed.*25\.\.60"):
+    with pytest.raises(ConfigError, match=r"^speeds_kmh: 20 km/h suits no configured scenario; allowed: CBLA 25\.\.60 in steps of 5$"):
         load_config(write_cfg(tmp_path, {"scenarios": ["CBLA"], "speeds_kmh": [20]}))
-    with pytest.raises(ConfigError, match="not a CBNA sweep speed"):
+    with pytest.raises(ConfigError, match="22 km/h suits no configured scenario; allowed: CBNA 20..60"):
         load_config(write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [22]}))
+    with pytest.raises(ConfigError, match=r"^speeds_kmh: no CBLA speed is listed; allowed: CPNC-50 20\.\.60, CBLA 25\.\.60 in steps of 5$"):
+        load_config(write_cfg(tmp_path, {"scenarios": ["CPNC-50", "CBLA"], "speeds_kmh": [20]}))
 
 
-def test_speed_range_clips_per_scenario(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, {"speed_range": {"min_kmh": 20, "max_kmh": 60}}))
-    assert cfg.speeds_by_kind[ScenarioKind.CPNC50][0] == 20.0
-    assert cfg.speeds_by_kind[ScenarioKind.CBLA][0] == 25.0
-    assert len(cfg.speeds_by_kind[ScenarioKind.CBLA]) == 8
-
-    narrow = load_config(write_cfg(tmp_path, {"speed_range": {"min_kmh": 30, "max_kmh": 40}}))
-    assert narrow.speeds_by_kind[ScenarioKind.CBNA] == (30.0, 35.0, 40.0)
-
-    with pytest.raises(ConfigError, match="selects no"):
-        load_config(write_cfg(tmp_path, {"speed_range": {"min_kmh": 61, "max_kmh": 64}}))
-    with pytest.raises(ConfigError, match="step_kmh must be positive"):
-        load_config(write_cfg(tmp_path, {"speed_range": {"step_kmh": 0}}))
-    with pytest.raises(ConfigError, match="at least min_kmh"):
-        load_config(write_cfg(tmp_path, {"speed_range": {"min_kmh": 50, "max_kmh": 40}}))
-
-
-# grid-aligned values, where a pick hinges on the rounding, and any others
-RANGE_ENDS = st.one_of(st.integers(0, 140).map(lambda n: n / 2), st.floats(0.0, 70.0))
-RANGE_STEPS = st.one_of(st.sampled_from((0.01, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)), st.floats(0.01, 30.0))
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(lo=RANGE_ENDS, width=RANGE_ENDS, step=RANGE_STEPS)
-def test_speed_range_picks_what_walking_the_range_picks(lo, width, step):
-    hi = lo + width
-    data = {"speed_range": {"min_kmh": lo, "max_kmh": hi, "step_kmh": step}}
-    want = {kind: speed_range_picks(allowed_speeds_kmh(kind), lo, hi, step) for kind in ScenarioKind}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_cfg(Path(tmp), data)
-        if not all(want.values()):
-            with pytest.raises(ConfigError, match="selects no"):
-                load_config(path)
-            return
-        assert load_config(path).speeds_by_kind == want
-
-
-def test_speed_range_with_a_tiny_step_resolves_at_once(tmp_path):
-    # walking 40 km/h in 1e-12 steps would never end
-    start = time.perf_counter()
-    cfg = load_config(write_cfg(tmp_path, {"speed_range": {"step_kmh": 1.0e-12}}))
-    assert time.perf_counter() - start < 1.0
-    assert cfg.speeds_by_kind == {kind: allowed_speeds_kmh(kind) for kind in ScenarioKind}
+def test_listed_speeds_apply_per_scenario(tmp_path):
+    # each scenario sweeps the listed speeds it allows, as --speeds does
+    cfg = load_config(write_cfg(tmp_path, {"speeds_kmh": [20, 25, 60]}))
+    assert cfg.speeds_by_kind == {
+        ScenarioKind.CPNC50: (20.0, 25.0, 60.0),
+        ScenarioKind.CBNA: (20.0, 25.0, 60.0),
+        ScenarioKind.CBLA: (25.0, 60.0),
+    }
+    assert cfg.speeds_by_kind == load_config(speed_filter=(20.0, 25.0, 60.0)).speeds_by_kind
+    # listing the whole crossing grid gives the default sweep
+    every = load_config(write_cfg(tmp_path, {"speeds_kmh": list(range(20, 65, 5))}))
+    assert every.canonical_text() == load_config().canonical_text()
 
 
 def test_readme_lists_the_default_config(tmp_path):
@@ -152,11 +159,6 @@ def test_readme_lists_the_default_config(tmp_path):
     assert documented.canonical_text() == defaults.canonical_text()
     assert documented.out_dir == defaults.out_dir
     assert documented.write_traces == defaults.write_traces
-
-
-def test_speeds_and_range_are_exclusive(tmp_path):
-    with pytest.raises(ConfigError, match="not both"):
-        load_config(write_cfg(tmp_path, {"speeds_kmh": [40], "speed_range": {}}))
 
 
 def test_camera_drives_fov_and_pixel_gates(tmp_path):
@@ -257,12 +259,12 @@ def test_scenario_overrides(tmp_path):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda v: {"dt_s": v},
+        lambda v: {"camera": {"hfov_deg": v}},
         lambda v: {"scene_yaw_deg": [v]},
         lambda v: {"policy": {"latency_s": v}},
         lambda v: {"scenario_overrides": {"vut_length": v}},
     ],
-    ids=["dt_s", "scene_yaw_deg", "policy.latency_s", "scenario_overrides.vut_length"],
+    ids=["camera.hfov_deg", "scene_yaw_deg", "policy.latency_s", "scenario_overrides.vut_length"],
 )
 def test_non_finite_numbers_rejected(tmp_path, build, value):
     with pytest.raises(ConfigError, match="finite"):
@@ -280,9 +282,9 @@ def test_frame_rate_consistency(tmp_path):
     # the scenario frame rate is the one rate key; no unit holds a rate
     cfg = load_config(write_cfg(tmp_path, {"scenario_overrides": {"frame_rate": 20}}))
     assert cfg.overrides.frame_rate == 20.0
-    # the same resolved values, hence the same hashes, as when two keys set it
-    assert cfg.config_hash() == "faaba1702b2dd4b7"
-    assert load_config().config_hash() == "ab7123af88884a6a"
+    # pinned, so that any change to the canonical text shows here
+    assert cfg.config_hash() == "9c9cdc136cfeb222"
+    assert load_config().config_hash() == "564464a627e12ab5"
     with pytest.raises(ConfigError, match="sensors: rate_hz"):
         load_config(write_cfg(tmp_path, {"sensors": {"rate_hz": 20}}))
 
@@ -307,33 +309,24 @@ def test_every_swept_speed_is_built_at_load(tmp_path):
     assert load_config(path, speed_filter=(20.0,)).speeds_by_kind[ScenarioKind.CBNA] == (20.0,)
 
 
-def test_dt_must_divide_frame_period(tmp_path):
-    with pytest.raises(ConfigError, match="divide"):
-        load_config(write_cfg(tmp_path, {"dt_s": 0.03}))
-    with pytest.raises(ConfigError, match="positive"):
-        load_config(write_cfg(tmp_path, {"dt_s": -0.01}))
-    cfg = load_config(write_cfg(tmp_path, {"dt_s": 0.01}))
-    assert cfg.dt == 0.01
-
-
 @pytest.mark.parametrize(
-    "data, message",
+    "rate, message",
     [
-        ({"dt_s": 1.0e-300}, "splits the 0.1 s frame period into more than 1e+06 steps"),
-        ({"dt_s": 5.0e-324}, "splits the 0.1 s frame period into more than 1e+06 steps"),
-        ({"dt_s": 1.0e-6, "scenario_overrides": {"frame_rate": 1000}}, "CBNA run at 40 km/h take more than 1e+06 steps"),
-        # two steps a frame, but over a million frames
-        ({"dt_s": 5.0e-6, "scenario_overrides": {"frame_rate": 100000}}, "take more than 1e+06 steps"),
+        # two 5 us steps a frame, but over a million frames
+        (100000, "at 100000 frames/s the CBNA run at 40 km/h takes more than 1e+06 steps of 5e-06 s"),
+        # 5 ms steps, but a frame period of 20 million of them
+        (1.0e-5, "at 1e-05 frames/s the CBNA run at 40 km/h takes more than 1e+06 steps of 0.005 s"),
         # more frames than an integer can count from a float
-        ({"dt_s": 5.0e-309, "scenario_overrides": {"frame_rate": 1.0e308}}, "take more than 1e+06 steps"),
+        (1.0e308, "takes more than 1e+06 steps"),
     ],
-    ids=["dt-1e-300", "dt-subnormal", "dt-1e-6-at-1-khz", "two-steps-at-100-khz", "rate-1e308"],
+    ids=["two-steps-at-100-khz", "period-1e5-s", "rate-1e308"],
 )
-def test_run_steps_are_bounded_at_load(tmp_path, data, message):
+def test_run_steps_are_bounded_at_load(tmp_path, rate, message):
     # a run steps its timeline up front, so a run of 10**300 steps would
     # fill memory before its first frame
-    with pytest.raises(ConfigError, match="^dt_s=") as info:
-        load_config(write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], **data}))
+    data = {"scenarios": ["CBNA"], "speeds_kmh": [40], "scenario_overrides": {"frame_rate": rate}}
+    with pytest.raises(ConfigError, match=r"^scenario_overrides\.frame_rate: ") as info:
+        load_config(write_cfg(tmp_path, data))
     assert message in str(info.value)
 
 
@@ -344,19 +337,16 @@ def test_run_steps_are_bounded_at_load(tmp_path, data, message):
         (0.06, False), (0.1, False), (0.0, False), (-0.005, False),
     ],
 )
-def test_config_and_scenario_share_the_step_grid_rule(tmp_path, dt, ok):
-    # the 0.1 s frame period must split into two or more whole dt steps
-    try:
-        load_config(write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "dt_s": dt}))
-        config_ok = True
-    except ConfigError:
-        config_ok = False
+def test_config_and_scenario_share_the_step_grid_rule(dt, ok):
+    # the 0.1 s frame period must split into two or more whole dt steps;
+    # the config takes no step of its own, but the one its frame rate
+    # fixes (scenario.integrator_step), which obeys this rule
     try:
         build_scenario(ScenarioKind.CBNA, 40.0).timeline(dt)
         scenario_ok = True
     except ValueError:
         scenario_ok = False
-    assert config_ok == scenario_ok == ok
+    assert scenario_ok == ok
 
 
 def test_layout_file_replaces_default_units(tmp_path):

@@ -9,6 +9,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrusim.geometry import Vec2, occluder_slabs, visible_fraction
 from vrusim.scenario import (
@@ -19,6 +21,8 @@ from vrusim.scenario import (
     VruTrack,
     allowed_speeds_kmh,
     build_scenario,
+    frame_steps,
+    integrator_step,
     rotate_scenario,
 )
 from vrusim.sensing import default_vut_sensor
@@ -325,3 +329,49 @@ def test_replaced_and_rotated_specs_never_inherit_a_timeline():
     assert rotated.timeline(0.005) is not built
     assert rotate_scenario(spec, 0.0) is spec
 
+
+# frame periods of whole 5 ms steps, and rates of every size a float's
+# frame period holds 5 ms steps of
+STEP_RATES = st.one_of(
+    st.integers(2, 2000).map(lambda k: 1.0 / (k * 0.005)),
+    st.floats(0.01, 10000.0),
+    st.floats(1.0e-300, 1.0e300),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(rate=STEP_RATES)
+def test_integrator_step_is_5_ms_where_it_fits_and_splits_the_period_elsewhere(rate):
+    step = integrator_step(rate)
+    try:
+        frame_steps(rate, 0.005)
+    except ValueError:
+        pass
+    else:
+        assert step == 0.005
+        return
+    spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=rate))
+    # load_config's run-length bound
+    if (spec.sim_duration + 1.0 / rate) / step > 10**6:
+        return
+    # the timeline's step rule reads only the frame rate and the step, so
+    # a spec of one frame shows it without stepping a whole run
+    assert replace(spec, sim_duration=0.25 / rate).timeline(step).steps_per_frame >= 2
+
+
+def test_whole_5_ms_periods_take_5_ms_steps():
+    for k in range(2, 2001):
+        rate = 1.0 / (k * 0.005)
+        assert frame_steps(rate, 0.005) == k
+        assert integrator_step(rate) == 0.005
+
+
+def test_non_finite_frame_quotients_raise_value_error():
+    # a 1e320 s frame period overflows to inf, and so do 1e308 frames a second
+    with pytest.raises(ValueError, match="more dt steps than a float can count"):
+        build_scenario(ScenarioKind.CBNA, 40.0).timeline(1e-320)
+    with pytest.raises(ValueError, match="more dt steps than a float can count"):
+        integrator_step(1e-320)
+    spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=1e308))
+    with pytest.raises(ValueError, match="more frames than a float can count"):
+        spec.n_frames
