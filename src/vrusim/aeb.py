@@ -42,6 +42,8 @@ class AebPolicy:
     confirm_frames: int = 3
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.deceleration) and math.isfinite(self.latency)):
+            raise ValueError("deceleration and latency must be finite")
         if self.deceleration <= 0:
             raise ValueError("deceleration must be positive")
         if self.latency < 0:
@@ -71,9 +73,8 @@ class RunTrace:
     first_confirmed_time: float | None
     brake_trigger_time: float | None
     outcome: SafetyOutcome
-    # the run's steps, indexed like spec.timeline(dt): the vehicle's travel
-    # and speed at the end of each
-    dt: float
+    # the run's steps, indexed like spec.timeline: the vehicle's travel and
+    # speed at the end of each
     travel: array[float]
     speeds: array[float]
 
@@ -289,11 +290,11 @@ def simulate_run(
     sensors: tuple[SensorUnit, ...],
     model: DetectionModel,
     policy: AebPolicy,
-    dt: float = 0.005,
     trigger_override: float | None = None,
     sense: bool = True,
 ) -> RunTrace:
-    """One run: braking from a forced confirmation, kinematics at dt steps.
+    """One run: braking from a forced confirmation, kinematics on the
+    spec's own step grid.
 
     `trigger_override` is the confirmation instant the maneuver starts
     from (plus the policy latency), or None for an unbraked run. A
@@ -313,7 +314,7 @@ def simulate_run(
     Every run reads the spec's unbraked timeline and steps only its
     braking segment.
     """
-    timeline = spec.timeline(dt)
+    timeline = spec.timeline
     brake_onset: float | None = (
         trigger_override + policy.latency if trigger_override is not None else None
     )
@@ -341,7 +342,6 @@ def simulate_run(
         first_confirmed_time=trigger_override,
         brake_trigger_time=brake_onset,
         outcome=outcome,
-        dt=dt,
         travel=travel,
         speeds=speeds,
     )
@@ -364,7 +364,7 @@ def stop_margin(trace: RunTrace) -> float:
     if not trace.outcome.avoided:
         raise ValueError("a run that made contact has no stop margin")
     spec, travel, speeds = trace.spec, trace.travel, trace.speeds
-    timeline = spec.timeline(trace.dt)
+    timeline = spec.timeline
     times = timeline.times
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
@@ -400,11 +400,7 @@ def stop_margin(trace: RunTrace) -> float:
     return margin
 
 
-def last_possible_brake_time(
-    spec: ScenarioSpec,
-    policy: AebPolicy,
-    dt: float = 0.005,
-) -> float | None:
+def last_possible_brake_time(spec: ScenarioSpec, policy: AebPolicy) -> float | None:
     """Latest forced-confirmation instant, on the frame grid, that still avoids.
 
     Earlier braking can only delay the vehicle along its path, and every
@@ -413,9 +409,7 @@ def last_possible_brake_time(
     """
 
     def avoided(j: int) -> bool:
-        trace = simulate_run(
-            spec, (), DetectionModel(), policy, dt=dt, trigger_override=j / spec.frame_rate, sense=False
-        )
+        trace = simulate_run(spec, (), DetectionModel(), policy, trigger_override=j / spec.frame_rate, sense=False)
         return trace.outcome.avoided
 
     if not avoided(0):
@@ -467,7 +461,7 @@ def format_trace(trace: RunTrace) -> str:
     ] + [f"det_{sensor_id}" for sensor_id in trace.events_by_sensor]
     lines = head + [",".join(cols)]
     spec = trace.spec
-    steps_per_frame = spec.timeline(trace.dt).steps_per_frame
+    steps_per_frame = spec.timeline.steps_per_frame
     detected = [{ev.frame for ev in events} for events in trace.events_by_sensor.values()]
     onset = trace.brake_trigger_time
     vut_track, vru_track = spec.vut_track, spec.vru_track

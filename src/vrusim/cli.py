@@ -157,10 +157,8 @@ def _cmd_placement(args: argparse.Namespace) -> int:
             rotate_scenario(build_scenario(kind, speed, config.overrides), math.radians(yaw))
             for yaw, kind, speed in config.cells()
         )
-        scores = evaluate_sites(candidates, suite, config.policy, config.model, dt=config.dt)
-        picked = greedy_select(
-            candidates, args.budget, suite, config.policy, config.model, dt=config.dt
-        )
+        scores = evaluate_sites(candidates, suite, config.policy, config.model)
+        picked = greedy_select(candidates, args.budget, suite, config.policy, config.model)
     except Exception:
         log.exception("placement failed")
         return EXIT_RUNTIME

@@ -25,7 +25,7 @@ from .scenario import (
     ScenarioOverrides,
     allowed_speeds_kmh,
     build_scenario,
-    integrator_step,
+    kinematics_grid,
 )
 from .sensing import (
     DEFAULT_HFOV_RAD,
@@ -73,7 +73,7 @@ class RunConfig:
     @property
     def dt(self) -> float:
         """The kinematics step, which the frame rate fixes."""
-        return integrator_step(self.overrides.frame_rate)
+        return kinematics_grid(self.overrides.frame_rate)[0]
 
     def all_units(self) -> tuple[SensorUnit, ...]:
         return (self.vut_sensor, *self.rsu_units)

@@ -77,10 +77,10 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
         spec = rotate_scenario(spec, math.radians(yaw_deg))
     units = config.all_units()
 
-    watch = simulate_run(spec, units, config.model, config.policy, dt=config.dt, sense=True)
+    watch = simulate_run(spec, units, config.model, config.policy, sense=True)
     events = watch.events_by_sensor
     n_frames = spec.n_frames
-    deadline = last_possible_brake_time(spec, config.policy, dt=config.dt)
+    deadline = last_possible_brake_time(spec, config.policy)
 
     # subsets that confirm at the same instant brake identically; only
     # summary.csv reads a stop margin, so only these replays take one
@@ -90,8 +90,7 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
         trigger = first_confirmed_time(events, config.policy.confirm_frames, sub.sensor_ids)
         if trigger not in replays:
             replay = simulate_run(
-                spec, (), config.model, config.policy,
-                dt=config.dt, trigger_override=trigger, sense=False,
+                spec, (), config.model, config.policy, trigger_override=trigger, sense=False
             )
             margin = stop_margin(replay) if replay.outcome.avoided else None
             replays[trigger] = (replay.outcome, replay.brake_trigger_time, margin)

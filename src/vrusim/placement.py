@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .aeb import AebPolicy, simulate_run
 from .metrics import accuracy, natural_key
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, kinematics_grid
 from .sensing import DetectionModel, SensorUnit, first_confirmed_time
 
 __all__ = [
@@ -85,7 +85,6 @@ class _ObservedSuite:
     events: list[Mapping]
     policy: AebPolicy
     model: DetectionModel
-    dt: float
     # (scenario index, trigger) -> avoided; subsets sharing a trigger share it
     _replays: dict = field(default_factory=dict)
 
@@ -95,10 +94,7 @@ class _ObservedSuite:
         for i, (spec, events) in enumerate(zip(self.specs, self.events)):
             trigger = first_confirmed_time(events, self.policy.confirm_frames, subset)
             if (i, trigger) not in self._replays:
-                trace = simulate_run(
-                    spec, (), self.model, self.policy,
-                    dt=self.dt, trigger_override=trigger, sense=False,
-                )
+                trace = simulate_run(spec, (), self.model, self.policy, trigger_override=trigger, sense=False)
                 self._replays[i, trigger] = trace.outcome.avoided
             if self._replays[i, trigger]:
                 avoided += 1
@@ -111,21 +107,23 @@ def _observe(
     sites: Sequence[CandidateSite],
     policy: AebPolicy,
     model: DetectionModel,
-    dt: float,
+    dt: float | None,
 ) -> _ObservedSuite:
     if not sites:
         raise ValueError("need at least one candidate site")
     if not suite:
         raise ValueError("need at least one scenario")
+    if dt is not None and any(kinematics_grid(spec.frame_rate)[0] != dt for spec in suite):
+        raise ValueError(f"dt={dt!r} is not the kinematics step of every suite spec")
     ids = [s.site_id for s in sites]
     if len(set(ids)) != len(ids):
         raise ValueError("candidate site ids must be unique")
     units = tuple(s.to_unit() for s in sites)
     events = [
-        simulate_run(spec, units, model, policy, dt=dt, sense=True).events_by_sensor
+        simulate_run(spec, units, model, policy, sense=True).events_by_sensor
         for spec in suite
     ]
-    return _ObservedSuite(suite, events, policy, model, dt)
+    return _ObservedSuite(suite, events, policy, model)
 
 
 def evaluate_sites(
@@ -133,9 +131,10 @@ def evaluate_sites(
     suite: Sequence[ScenarioSpec],
     policy: AebPolicy,
     model: DetectionModel,
-    dt: float = 0.005,
+    dt: float | None = None,
 ) -> tuple[SiteScore, ...]:
-    """Score every candidate alone over the whole suite."""
+    """Score every candidate alone over the whole suite. Each run steps on
+    its spec's own grid; a `dt` other than that step raises ValueError."""
     observed = _observe(suite, candidates, policy, model, dt)
     scores = []
     for site in candidates:
@@ -150,12 +149,13 @@ def greedy_select(
     suite: Sequence[ScenarioSpec],
     policy: AebPolicy,
     model: DetectionModel,
-    dt: float = 0.005,
+    dt: float | None = None,
 ) -> PlacementResult:
     """Pick up to ``budget`` sites, one at a time, by re-simulated gain.
 
     Each round adds the site whose fused subset gives the best (avoidance,
-    accuracy) pair; ties fall to the lower site id.
+    accuracy) pair; ties fall to the lower site id. `dt` is checked as
+    `evaluate_sites` checks it.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

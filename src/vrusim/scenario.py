@@ -15,6 +15,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .geometry import Prism, Silhouette, Vec2, wrap_angle
 
@@ -95,7 +96,7 @@ class VruTrack(ActorTrack):
 
 @dataclass(frozen=True)
 class Timeline:
-    """The vehicle's unbraked dt steps through a run.
+    """The vehicle's unbraked kinematics steps through a run.
 
     Step k runs from ``starts[k]`` to ``times[k]``, and ``travel[k]`` is the
     distance the vehicle has driven by its end. Index 0 is t = 0 itself
@@ -114,33 +115,19 @@ class Timeline:
 _STEP = 0.005
 
 
-def frame_steps(frame_rate: float, dt: float) -> int:
-    """Steps of length dt in one frame period, which must split into two
-    or more whole steps."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+def kinematics_grid(frame_rate: float) -> tuple[float, int]:
+    """The kinematics step at a frame rate and the steps in one frame
+    period: exactly 5 ms where two or more whole 5 ms steps fill the
+    period, else the period split into the nearest whole number of steps,
+    at least two."""
     period = 1.0 / frame_rate
-    quotient = period / dt
+    quotient = period / _STEP
     if not math.isfinite(quotient):
-        raise ValueError(f"the {period:g} s frame period holds more dt steps than a float can count")
-    steps = round(quotient)
-    if steps < 2 or abs(steps * dt - period) > 1e-9:
-        raise ValueError("the frame period must split into two or more whole dt steps")
-    return steps
-
-
-def integrator_step(frame_rate: float) -> float:
-    """The kinematics step at a frame rate: exactly 5 ms where whole 5 ms
-    steps fill the frame period, else the period split into the nearest
-    whole number of steps, at least two."""
-    try:
-        frame_steps(frame_rate, _STEP)
-        return _STEP
-    except ValueError:
-        period = 1.0 / frame_rate
-        if not math.isfinite(period / _STEP):
-            raise
-        return period / max(2, round(period / _STEP))
+        raise ValueError(f"the {period:g} s frame period holds more steps than a float can count")
+    steps = max(2, round(quotient))
+    if abs(steps * _STEP - period) <= 1e-9:
+        return _STEP, steps
+    return period / steps, steps
 
 
 @dataclass(frozen=True)
@@ -152,10 +139,6 @@ class ScenarioSpec:
     nominal_collision_time: float
     sim_duration: float
     frame_rate: float
-    # dt -> the unbraked timeline, built on first use
-    _timelines: dict[float, Timeline] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.frame_rate <= 0:
@@ -171,29 +154,25 @@ class ScenarioSpec:
             raise ValueError(f"a {self.sim_duration:g} s run at {self.frame_rate:g} frames/s has more frames than a float can count")
         return round(periods) + 1
 
-    def timeline(self, dt: float) -> Timeline:
-        """The vehicle's unbraked steps of length dt up to the last frame.
+    @cached_property
+    def timeline(self) -> Timeline:
+        """The vehicle's unbraked steps up to the last frame, on the
+        `kinematics_grid` of the spec's frame rate, built on first use.
 
-        Step times are ``t_frame + step * dt`` within each frame, and each
+        Step times are ``t_frame + i * step`` within each frame, and each
         step adds ``speed * (t1 - t0)`` to the travel, the arithmetic of an
         unbraked `aeb._advance`, so a braked run shares every step that
         ends by its onset bit for bit.
         """
-        timeline = self._timelines.get(dt)
-        if timeline is None:
-            timeline = self._timelines[dt] = self._build_timeline(dt)
-        return timeline
-
-    def _build_timeline(self, dt: float) -> Timeline:
-        steps_per_frame = frame_steps(self.frame_rate, dt)
+        step, steps_per_frame = kinematics_grid(self.frame_rate)
         speed = self.vut_track.speed
         travelled = 0.0
         starts, times, travel = array("d", [0.0]), array("d", [0.0]), array("d", [0.0])
         for frame in range(self.n_frames - 1):
             t_frame = frame / self.frame_rate
-            for step in range(steps_per_frame):
-                t0 = t_frame + step * dt
-                t1 = t_frame + (step + 1) * dt
+            for i in range(steps_per_frame):
+                t0 = t_frame + i * step
+                t1 = t_frame + (i + 1) * step
                 travelled = travelled + speed * (t1 - t0)
                 starts.append(t0)
                 times.append(t1)

@@ -103,6 +103,8 @@ class DetectionModel:
             raise ValueError("min_visible_fraction must be within [0, 1]")
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ValueError("miss_probability must be within [0, 1]")
+        if not all(map(math.isfinite, (self.min_width_px, self.min_height_px, self.image_width_px))):
+            raise ValueError("pixel floors and the image width must be finite")
         if self.min_width_px < 0 or self.min_height_px < 0 or not self.image_width_px > 0:
             raise ValueError("pixel floors must be non-negative and the image width positive")
 

@@ -253,12 +253,11 @@ def observe_every_frame(
     spec: ScenarioSpec,
     sensors: tuple[SensorUnit, ...],
     model: DetectionModel,
-    dt: float = 0.005,
 ) -> dict[str, list[DetectionEvent]]:
     """An unbraked sensing run's events with nothing skipped: every unit
     senses every frame by `sense_reference`, the vehicle where its
     unbraked timeline puts it."""
-    timeline = spec.timeline(dt)
+    timeline = spec.timeline
     events: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for frame in range(spec.n_frames):
         t = frame / spec.frame_rate

@@ -31,6 +31,7 @@ from vrusim.scenario import (
     KMH,
     ActorTrack,
     ScenarioKind,
+    ScenarioOverrides,
     ScenarioSpec,
     VruTrack,
     allowed_speeds_kmh,
@@ -80,13 +81,13 @@ def rsu(name):
     return next(u for u in default_layout() if u.sensor_id == name)
 
 
-def closed_loop(spec, sensors, subset, dt=0.005):
+def closed_loop(spec, sensors, subset):
     """A subset's closed loop as the sweep scores it: the unbraked
     observation pass, then a sensing run forced from the subset's first
     confirmation in it. Returns both runs."""
-    watch = simulate_run(spec, sensors, MODEL, POLICY, dt=dt)
+    watch = simulate_run(spec, sensors, MODEL, POLICY)
     trigger = first_confirmed_time(watch.events_by_sensor, POLICY.confirm_frames, subset)
-    return watch, simulate_run(spec, sensors, MODEL, POLICY, dt=dt, trigger_override=trigger)
+    return watch, simulate_run(spec, sensors, MODEL, POLICY, trigger_override=trigger)
 
 
 # -------------------------------------------------------- stopping distance
@@ -135,7 +136,7 @@ def test_sensing_disabled_collides_at_nominal():
         for speed in allowed_speeds_kmh(kind):
             spec = build_scenario(kind, speed)
             trace = simulate_run(spec, (), MODEL, POLICY, sense=False)
-            assert trace.travel is spec.timeline(trace.dt).travel
+            assert trace.travel is spec.timeline.travel
             out = trace.outcome
             assert not out.avoided, (kind, speed)
             assert out.collision_speed == pytest.approx(speed * KMH, abs=1e-9)
@@ -254,7 +255,7 @@ def test_roadside_events_depend_only_on_the_vru_track(kind, yaw):
     roadside = default_layout()
     model = DetectionModel(miss_probability=0.2, seed=5)
     braked = simulate_run(fast, roadside, model, POLICY, trigger_override=fast.nominal_collision_time - 2.0)
-    assert braked.travel != fast.timeline(braked.dt).travel
+    assert braked.travel != fast.timeline.travel
     events = braked.events_by_sensor
     assert sum(map(len, events.values())) > 0
     assert simulate_run(slow, roadside, model, POLICY).events_by_sensor == events
@@ -630,9 +631,9 @@ def replay_cases(draw):
     return spec, trigger
 
 
-def kernel_replay(spec, trigger, dt=0.005):
+def kernel_replay(spec, trigger):
     """What a sweep reports for one trigger, in reference_replay's shape."""
-    trace = simulate_run(spec, (), MODEL, POLICY, dt=dt, trigger_override=trigger, sense=False)
+    trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=trigger, sense=False)
     out = trace.outcome
     margin = stop_margin(trace) if out.avoided else None
     return out.avoided, out.collision_time, out.collision_speed, margin, trace.brake_trigger_time
@@ -652,11 +653,18 @@ def test_replay_matches_reference_kernel_exactly(case):
 
 
 # one object per spec for every example, so later examples read the
-# timelines earlier ones built, at either dt
-SHARED_SPECS = (
-    build_scenario(ScenarioKind.CBNA, 60.0),
-    rotate_scenario(build_scenario(ScenarioKind.CPNC50, 35.0), math.radians(37.0)),
-)
+# timelines earlier ones built; at 10 Hz whole 5 ms steps fill the frame,
+# and at 30 Hz the frame is split into 7 steps of 1/210 s
+SHARED_STEPS = {10.0: 0.005, 30.0: 1.0 / 30.0 / 7}
+SHARED_SPECS = {
+    rate: (
+        build_scenario(ScenarioKind.CBNA, 60.0, ScenarioOverrides(frame_rate=rate)),
+        rotate_scenario(
+            build_scenario(ScenarioKind.CPNC50, 35.0, ScenarioOverrides(frame_rate=rate)), math.radians(37.0)
+        ),
+    )
+    for rate in SHARED_STEPS
+}
 
 
 @settings(
@@ -667,18 +675,18 @@ SHARED_SPECS = (
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    st.sampled_from(range(len(SHARED_SPECS))),
-    st.lists(st.tuples(st.integers(-1, 30), st.sampled_from((0.005, 0.0025))), min_size=1, max_size=4),
+    st.sampled_from((0, 1)),
+    st.lists(st.tuples(st.integers(-1, 30), st.sampled_from(tuple(SHARED_STEPS))), min_size=1, max_size=4),
 )
 def test_shared_timeline_matches_reference_in_any_order(which, draws):
-    spec = SHARED_SPECS[which]
-    last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
-    for back, dt in draws:
+    for back, rate in draws:
+        spec, dt = SHARED_SPECS[rate][which], SHARED_STEPS[rate]
+        last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
         # -1 stands for no trigger; otherwise one on the frame grid, as
         # the deadline bisection sets it, or just past it, as a confirmation
         trigger = None if back < 0 else max(last - back, 0) / spec.frame_rate + (back % 2) * POLICY.latency
-        assert kernel_replay(spec, trigger, dt) == reference_replay(spec, POLICY, trigger, dt), (trigger, dt)
-    assert set(spec._timelines) <= {0.005, 0.0025}
+        assert kernel_replay(spec, trigger) == reference_replay(spec, POLICY, trigger, dt), (trigger, rate)
+        assert spec.timeline.steps_per_frame == round(1.0 / rate / dt)
 
 
 def test_contact_boxes_take_the_wrapped_heading():
@@ -779,13 +787,13 @@ def test_live_braked_trace_bytes_are_pinned(case):
 # ----------------------------------------------------------------- guards
 
 
-def test_dt_validation():
-    spec = build_scenario(ScenarioKind.CBNA, 40.0)
-    # 0.03 is not a divisor of the 0.1 s frame period
-    for dt in (0.0, -0.005, 0.06, 0.03):
-        with pytest.raises(ValueError):
-            simulate_run(spec, (), MODEL, POLICY, dt=dt)
-    assert spec._timelines == {}
+@pytest.mark.parametrize("field", ["deceleration", "latency"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_policy_rejects_non_finite_values(field, value):
+    # a NaN deceleration makes every braked position NaN, and NaN
+    # footprints never touch, so a run that collides would report avoided
+    with pytest.raises(ValueError, match="must be finite"):
+        AebPolicy(**{field: value})
 
 
 def test_policy_validation():

@@ -145,3 +145,22 @@ def test_every_workload_input_loads(perfbench, tmp_path, seed):
         if "candidates" in inputs:
             units = m.config.read_layout(str(inputs["candidates"]), config.overrides.frame_rate, "--candidates")
             assert m.placement.candidate_sites_from_units(units), name
+
+
+@pytest.mark.parametrize("name", ["sweep-replay", "sweep-dense", "placement-greedy"])
+def test_every_workload_matches_its_golden(perfbench, tmp_path, name):
+    # one run of the workload's own calls at seed 1 and one worker, checked
+    # as the benchmark checks it: a keyword the benchmark passes that the
+    # package no longer takes, or an output that moved off its golden
+    # digest, fails here
+    m = imported_modules(perfbench)
+    workloads = perfbench.workloads
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.make_inputs(1, tmp_path, m.sensing, m.geometry)
+    state = workload.prepare(m, inputs, workloads.no_span)
+    out = tmp_path / "out"
+    outputs = workload.run(m, state, out, 1, workloads.no_span)
+    ledger = workloads.Ledger()
+    workloads.check(workload, state, out, outputs, workloads.load_golden(name)[inputs["variant"]], ledger)
+    assert ledger.attempted > 0
+    assert ledger.failed == 0, ledger.problems

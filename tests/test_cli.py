@@ -1,16 +1,18 @@
 """Command line behaviour, driven in-process through main()."""
 
+import csv
 import logging
 import math
 
 import pytest
 import yaml
 
+from vrusim.aeb import last_possible_brake_time, simulate_run
 from vrusim.cli import main
 from vrusim.config import load_config, read_layout
-from vrusim.placement import candidate_sites_from_units, evaluate_sites
+from vrusim.placement import candidate_sites_from_units, evaluate_sites, greedy_select
 from vrusim.scenario import ScenarioKind, build_scenario, rotate_scenario
-from vrusim.sensing import default_layout, default_vut_sensor, format_layout
+from vrusim.sensing import default_layout, default_vut_sensor, first_confirmed_time, format_layout
 
 
 def cfg_file(tmp_path, data):
@@ -440,11 +442,65 @@ def test_placement_scores_every_scene_yaw(tmp_path):
     spec = build_scenario(ScenarioKind.CBNA, 40.0, config.overrides)
     suite = (spec, rotate_scenario(spec, math.radians(90.0)))
     sites = candidate_sites_from_units(u for u in default_layout() if u.sensor_id in ids)
-    scores = evaluate_sites(sites, suite, config.policy, config.model, dt=config.dt)
+    scores = evaluate_sites(sites, suite, config.policy, config.model)
     rows = (tmp_path / "p" / "placement.csv").read_text().splitlines()[1:]
     assert [(r.split(",")[0], *r.split(",")[4:]) for r in rows] == [
         (s.site_id, f"{s.avoidance:.6f}", f"{s.accuracy:.6f}") for s in scores
     ]
+
+
+def test_library_entry_points_take_a_30_hz_cell_on_its_own_step(tmp_path):
+    # at 30 Hz whole 5 ms steps do not fill the frame period, so a run steps
+    # 1/210 s, 7 steps a frame; called with no step, the library gives what
+    # both commands write for the same config
+    ids = ("rsu0", "rsu5")
+    cfg = cfg_file(
+        tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "scenario_overrides": {"frame_rate": 30}}
+    )
+    candidates = candidates_file(tmp_path, ids, frame_rate=30.0)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "-q"]) == 0
+    assert main(
+        ["placement", "--config", cfg, "--candidates", candidates, "--budget", "2", "--out", str(tmp_path / "p"), "-q"]
+    ) == 0
+    config = load_config(cfg)
+    spec = build_scenario(ScenarioKind.CBNA, 40.0, config.overrides)
+    deadline = last_possible_brake_time(spec, config.policy)
+    assert deadline is not None
+    assert spec.timeline.steps_per_frame == 7
+    assert spec.timeline.times[1] == config.dt == 1.0 / 30.0 / 7
+
+    with open(tmp_path / "s" / "summary.csv", encoding="utf-8") as fh:
+        rows = {row["subset"]: row for row in csv.DictReader(fh)}
+    watch = simulate_run(spec, config.all_units(), config.model, config.policy, sense=True)
+    outcomes = set()
+    for sub in config.subsets:
+        trigger = first_confirmed_time(watch.events_by_sensor, config.policy.confirm_frames, sub.sensor_ids)
+        replay = simulate_run(spec, (), config.model, config.policy, trigger_override=trigger, sense=False)
+        row = rows[sub.name]
+        assert row["first_confirmed_time_s"] == ("NA" if trigger is None else f"{trigger:.6f}"), sub.name
+        assert row["avoided"] == str(replay.outcome.avoided).lower(), sub.name
+        assert row["last_possible_brake_time_s"] == f"{deadline:.6f}"
+        outcomes.add(replay.outcome.avoided)
+    assert outcomes == {True, False}
+
+    sites = candidate_sites_from_units(read_layout(candidates, 30.0, "--candidates"))
+    scores = evaluate_sites(sites, (spec,), config.policy, config.model)
+    picked = greedy_select(sites, 2, (spec,), config.policy, config.model)
+    with open(tmp_path / "p" / "placement.csv", encoding="utf-8") as fh:
+        placed = list(csv.DictReader(fh))
+    assert [(r["site_id"], r["avoidance"], r["accuracy"]) for r in placed] == [
+        (s.site_id, f"{s.avoidance:.6f}", f"{s.accuracy:.6f}") for s in scores
+    ]
+    ranked = sorted((r for r in placed if r["selection_rank"] != "NA"), key=lambda r: int(r["selection_rank"]))
+    assert tuple(r["site_id"] for r in ranked) == picked.selected_site_ids
+    assert [r["marginal_gain"] for r in ranked] == [f"{g:.6f}" for g in picked.marginal_gains]
+
+    # placement's dt= keyword is checked against the suite's own step
+    assert evaluate_sites(sites, (spec,), config.policy, config.model, dt=config.dt) == scores
+    with pytest.raises(ValueError, match="kinematics step"):
+        evaluate_sites(sites, (spec,), config.policy, config.model, dt=0.005)
+    with pytest.raises(ValueError, match="kinematics step"):
+        greedy_select(sites, 2, (spec,), config.policy, config.model, dt=0.005)
 
 
 def test_version_flag(capsys):

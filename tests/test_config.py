@@ -337,16 +337,23 @@ def test_run_steps_are_bounded_at_load(tmp_path, rate, message):
         (0.06, False), (0.1, False), (0.0, False), (-0.005, False),
     ],
 )
-def test_config_and_scenario_share_the_step_grid_rule(dt, ok):
-    # the 0.1 s frame period must split into two or more whole dt steps;
-    # the config takes no step of its own, but the one its frame rate
-    # fixes (scenario.integrator_step), which obeys this rule
-    try:
-        build_scenario(ScenarioKind.CBNA, 40.0).timeline(dt)
-        scenario_ok = True
-    except ValueError:
-        scenario_ok = False
-    assert scenario_ok == ok
+def test_config_and_scenario_share_the_step_grid_rule(tmp_path, dt, ok):
+    # dt splits the 0.1 s frame period into two or more whole steps exactly
+    # when whole 5 ms steps split the period at dt / 0.0005 frames a second
+    # the same way; at that rate the config takes the 5 ms step exactly
+    # then, and the scenario's timeline steps on the config's step
+    rate = dt / 0.0005
+    path = write_cfg(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "scenario_overrides": {"frame_rate": rate}})
+    if rate <= 0:
+        with pytest.raises(ConfigError, match=r"^scenario_overrides\.frame_rate"):
+            load_config(path)
+        assert not ok
+        return
+    config = load_config(path)
+    assert (config.dt == 0.005) == ok
+    timeline = build_scenario(ScenarioKind.CBNA, 40.0, config.overrides).timeline
+    assert timeline.times[1] == config.dt
+    assert timeline.times[timeline.steps_per_frame] == pytest.approx(1.0 / rate, abs=1e-12)
 
 
 def test_layout_file_replaces_default_units(tmp_path):

@@ -309,8 +309,9 @@ def test_trace_bytes_are_pinned(tmp_path):
 
 
 def test_25_hz_trace_and_deadline_column(tmp_path):
-    # 25 frames per 0.04 s frame period means 8 dt steps per frame, and a
-    # deadline whose product with the rate falls just short of its frame
+    # 25 frames per 0.04 s frame period means 8 kinematics steps per frame,
+    # and a deadline whose product with the rate falls just short of its
+    # frame
     path = cfg_file(
         tmp_path,
         {

@@ -21,8 +21,7 @@ from vrusim.scenario import (
     VruTrack,
     allowed_speeds_kmh,
     build_scenario,
-    frame_steps,
-    integrator_step,
+    kinematics_grid,
     rotate_scenario,
 )
 from vrusim.sensing import default_vut_sensor
@@ -258,7 +257,7 @@ def test_every_track_stays_on_its_leg_through_the_run(yaw, frame_rate):
         vut, vru = spec.vut_track, spec.vru_track
         assert len(vut.path) == len(vru.path) == 2
         vut_leg, vru_leg = norm(sub(vut.path[1], vut.path[0])), norm(sub(vru.path[1], vru.path[0]))
-        assert spec.timeline(0.005).travel[-1] < vut_leg, (kind, speed)
+        assert spec.timeline.travel[-1] < vut_leg, (kind, speed)
         assert vru.speed * spec.sim_duration < vru_leg, (kind, speed)
 
 
@@ -297,12 +296,12 @@ def test_zero_rotation_is_identity():
     assert rotate_scenario(spec, 0.0) is spec
 
 
-def test_timeline_is_built_once_per_spec_and_dt():
+def test_timeline_is_built_once_per_spec():
     spec = build_scenario(ScenarioKind.CBNA, 40.0)
-    coarse, fine = spec.timeline(0.005), spec.timeline(0.0025)
-    assert spec.timeline(0.005) is coarse
-    assert spec.timeline(0.0025) is fine
-    assert (coarse.steps_per_frame, fine.steps_per_frame) == (20, 40)
+    coarse = spec.timeline
+    assert spec.timeline is coarse
+    fine = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=30.0)).timeline
+    assert (coarse.steps_per_frame, fine.steps_per_frame) == (20, 7)
     assert len(coarse.times) == (spec.n_frames - 1) * 20 + 1
     # both end at the last frame, having driven the unbraked distance
     assert coarse.times[-1] == pytest.approx(fine.times[-1], abs=1e-9)
@@ -310,23 +309,23 @@ def test_timeline_is_built_once_per_spec_and_dt():
     # the memo is no part of the spec's value
     assert spec == build_scenario(ScenarioKind.CBNA, 40.0)
     assert hash(spec) == hash(build_scenario(ScenarioKind.CBNA, 40.0))
-    assert "_timelines" not in repr(spec)
+    assert "Timeline(" not in repr(spec)
 
 
 def test_replaced_and_rotated_specs_never_inherit_a_timeline():
     spec = build_scenario(ScenarioKind.CPNC50, 40.0)
-    built = spec.timeline(0.005)
+    built = spec.timeline
     faster = replace(spec, vut_track=replace(spec.vut_track, speed=2 * spec.vut_track.speed))
-    assert faster._timelines == {}
-    assert faster.timeline(0.005).travel[-1] == pytest.approx(2 * built.travel[-1])
+    assert "timeline" not in vars(faster)
+    assert faster.timeline.travel[-1] == pytest.approx(2 * built.travel[-1])
     rated = replace(spec, frame_rate=20.0)
-    assert rated.timeline(0.005).steps_per_frame == 10
+    assert rated.timeline.steps_per_frame == 10
     rotated = rotate_scenario(spec, math.radians(90.0))
-    assert rotated._timelines == {}
+    assert "timeline" not in vars(rotated)
     # a rotation leaves the vehicle's travel alone, so an equal timeline,
     # but built for the new spec
-    assert rotated.timeline(0.005) == built
-    assert rotated.timeline(0.005) is not built
+    assert rotated.timeline == built
+    assert rotated.timeline is not built
     assert rotate_scenario(spec, 0.0) is spec
 
 
@@ -342,36 +341,33 @@ STEP_RATES = st.one_of(
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(rate=STEP_RATES)
 def test_integrator_step_is_5_ms_where_it_fits_and_splits_the_period_elsewhere(rate):
-    step = integrator_step(rate)
-    try:
-        frame_steps(rate, 0.005)
-    except ValueError:
-        pass
-    else:
-        assert step == 0.005
+    step, steps = kinematics_grid(rate)
+    # two or more whole 5 ms steps fill the frame period
+    whole = round(1.0 / rate / 0.005)
+    if whole >= 2 and abs(whole * 0.005 - 1.0 / rate) <= 1e-9:
+        assert (step, steps) == (0.005, whole)
         return
     spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=rate))
     # load_config's run-length bound
     if (spec.sim_duration + 1.0 / rate) / step > 10**6:
         return
-    # the timeline's step rule reads only the frame rate and the step, so
-    # a spec of one frame shows it without stepping a whole run
-    assert replace(spec, sim_duration=0.25 / rate).timeline(step).steps_per_frame >= 2
+    # the timeline's step rule reads only the frame rate, so a spec of one
+    # frame shows it without stepping a whole run
+    assert replace(spec, sim_duration=0.25 / rate).timeline.steps_per_frame == steps >= 2
 
 
 def test_whole_5_ms_periods_take_5_ms_steps():
     for k in range(2, 2001):
         rate = 1.0 / (k * 0.005)
-        assert frame_steps(rate, 0.005) == k
-        assert integrator_step(rate) == 0.005
+        assert kinematics_grid(rate) == (0.005, k)
 
 
 def test_non_finite_frame_quotients_raise_value_error():
     # a 1e320 s frame period overflows to inf, and so do 1e308 frames a second
-    with pytest.raises(ValueError, match="more dt steps than a float can count"):
-        build_scenario(ScenarioKind.CBNA, 40.0).timeline(1e-320)
-    with pytest.raises(ValueError, match="more dt steps than a float can count"):
-        integrator_step(1e-320)
+    with pytest.raises(ValueError, match="more steps than a float can count"):
+        build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=1e-320)).timeline
+    with pytest.raises(ValueError, match="more steps than a float can count"):
+        kinematics_grid(1e-320)
     spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=1e308))
     with pytest.raises(ValueError, match="more frames than a float can count"):
         spec.n_frames

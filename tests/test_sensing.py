@@ -67,6 +67,14 @@ def test_sensor_id_must_be_a_plain_name(sensor_id):
         replace(RSU_AT_ORIGIN, sensor_id=sensor_id)
 
 
+@pytest.mark.parametrize("field", ["min_width_px", "min_height_px", "image_width_px"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_detection_model_rejects_non_finite_values(field, value):
+    # `apparent < nan` is False, so a NaN floor would switch its gate off
+    with pytest.raises(ValueError, match="must be finite"):
+        DetectionModel(**{field: value})
+
+
 def test_target_beyond_range_not_detected():
     target = make_target(Pose2(260.0, 0.0, math.pi / 2))
     assert sense(RSU_AT_ORIGIN, DetectionModel(), RSU_AT_ORIGIN.pose, target, 0, 0.0) is None
