@@ -10,9 +10,11 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from vrusim.aeb import AebPolicy, simulate_run
 from vrusim.cli import main
@@ -37,6 +39,7 @@ from vrusim.sensing import (
     default_vut_sensor,
     first_confirmed_time,
     format_layout,
+    vertical_aperture,
 )
 
 from oracles import heatmap_row, pose_at, stopping_distance, totals
@@ -46,6 +49,18 @@ POLICY = AebPolicy()
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MANIFEST = GOLDEN / "default_sweep_manifest.txt"
 GOLDEN_PLACEMENT = GOLDEN / "default_placement.txt"
+GOLDEN_MATRIX = GOLDEN / "matrix_manifest.txt"
+GOLDEN_MATRIX_PLACEMENT = GOLDEN / "matrix_placement.txt"
+
+# the paths the default sweep leaves alone: rotated scenes, a 30 Hz frame
+# split into 7 kinematics steps of 1/210 s, the miss coin and the traces
+MATRIX_CONFIG = {
+    "speeds_kmh": [25, 40, 55],
+    "scene_yaw_deg": [0, 37],
+    "scenario_overrides": {"frame_rate": 30},
+    "detection": {"miss_probability": 0.2},
+    "write_traces": True,
+}
 
 
 def all_cells():
@@ -339,21 +354,59 @@ def test_full_default_sweep_is_reproducible(tmp_path):
     )
 
 
+def placement_entries(tmp_path, layout_text, argv):
+    """(path, sha256) of both reports `vrusim placement` writes with
+    `layout_text` as its candidates."""
+    candidates = tmp_path / "candidates.txt"
+    candidates.write_text(layout_text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["placement", "--candidates", str(candidates), "--out", str(out), "-q", *argv]) == 0
+    return tuple(
+        (rel, hashlib.sha256((out / rel).read_bytes()).hexdigest())
+        for rel in ("placement.csv", "selected_layout.txt")
+    )
+
+
 def test_default_placement_is_reproducible(tmp_path):
     """`vrusim placement` over the default suite, with the built-in roadside
     units as candidates and a budget of 3, writes reports equal to the
     committed golden digests."""
-    candidates = tmp_path / "candidates.txt"
-    candidates.write_text(format_layout(default_layout()), encoding="utf-8")
-    out = tmp_path / "out"
-    argv = ["placement", "--candidates", str(candidates), "--budget", "3", "--out", str(out), "-q"]
-    assert main(argv) == 0
-    written = tuple(
-        (rel, hashlib.sha256((out / rel).read_bytes()).hexdigest())
-        for rel in ("placement.csv", "selected_layout.txt")
-    )
+    written = placement_entries(tmp_path, format_layout(default_layout()), ["--budget", "3"])
     assert written == golden_entries(GOLDEN_PLACEMENT)
     print("PASS: default-suite placement reports equal the golden digests")
+
+
+def matrix_config_file(tmp_path):
+    path = tmp_path / "matrix.yaml"
+    path.write_text(yaml.safe_dump(MATRIX_CONFIG), encoding="utf-8")
+    return str(path)
+
+
+def test_matrix_sweep_is_reproducible(tmp_path):
+    """The matrix sweep writes the same reports at 1 and 2 workers, equal to
+    the committed golden digests."""
+    config = load_config(matrix_config_file(tmp_path))
+    first = emit_reports(run_sweep(config, workers=1), str(tmp_path / "a"))
+    second = emit_reports(run_sweep(config, workers=2), str(tmp_path / "b"))
+    assert first.complete and second.complete
+    assert first.entries == second.entries == golden_entries(GOLDEN_MATRIX)
+    assert sum(rel.startswith("traces/") for rel, _ in first.entries) == 18
+    print(f"PASS: matrix sweep ({len(first.entries)} files) equals the golden digests at 1 and 2 workers")
+
+
+def test_matrix_placement_is_reproducible(tmp_path):
+    """`vrusim placement` over the matrix suite, with the built-in roadside
+    units as candidates and rsu5 narrowed to a 30 degree camera, and a budget
+    of 2, writes reports equal to the committed golden digests."""
+    narrow = math.radians(30.0)
+    vfov = vertical_aperture(narrow, DetectionModel.image_width_px, 1080.0)
+    units = tuple(
+        replace(u, hfov=narrow, vfov=vfov) if u.sensor_id == "rsu5" else u for u in default_layout()
+    )
+    argv = ["--config", matrix_config_file(tmp_path), "--budget", "2"]
+    written = placement_entries(tmp_path, format_layout(units, 30.0), argv)
+    assert written == golden_entries(GOLDEN_MATRIX_PLACEMENT)
+    print("PASS: matrix-suite placement reports equal the golden digests")
 
 
 # --------------------------------------------------------------- gate 8
