@@ -403,33 +403,25 @@ def stop_margin(trace: RunTrace) -> float:
 def last_possible_brake_time(spec: ScenarioSpec, policy: AebPolicy) -> float | None:
     """Latest forced-confirmation instant, on the frame grid, that still avoids.
 
-    Earlier braking can only delay the vehicle along its path, and every
-    scenario here collides when unbraked, so avoidance is monotone in the
-    trigger time and bisection over frame indices is sound.
+    Earlier braking can only delay the vehicle along its path, so once a
+    run forced at frame j collides, so does every run forced later: the
+    deadline is the frame before the first colliding one, which one
+    bisection over the run's frames finds. A spec whose unbraked run never
+    touches avoids at every frame, and its deadline is its last frame.
     """
 
-    def avoided(j: int) -> bool:
+    def collides(j: int) -> bool:
         trace = simulate_run(spec, (), DetectionModel(), policy, trigger_override=j / spec.frame_rate, sense=False)
-        return trace.outcome.avoided
+        return not trace.outcome.avoided
 
-    if not avoided(0):
+    first = bisect_left(range(spec.n_frames), True, key=collides)
+    if first == 0:
         log.warning(
             "%s: braking from t=0 still collides; configuration infeasible",
             spec.kind.display_name,
         )
         return None
-    hi = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
-    hi = min(hi, spec.n_frames - 1)
-    if avoided(hi):
-        return hi / spec.frame_rate
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if avoided(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo / spec.frame_rate
+    return (first - 1) / spec.frame_rate
 
 
 def format_trace(trace: RunTrace) -> str:

@@ -4,9 +4,8 @@ Each scenario is a parametric timeline in which each actor drives one
 straight leg at constant speed: the vehicle under test drives east along
 y = 0 and the vulnerable road user moves so that, absent braking, the two
 footprints meet at the conflict point at the origin. Start positions are
-back-computed so both actor centers arrive simultaneously; the stored
-nominal collision time is the (earlier) analytic instant when the footprints
-first touch.
+back-computed so both actor centers arrive simultaneously; the footprints
+touch a little earlier, and `aeb.simulate_run` finds that first contact.
 """
 
 from __future__ import annotations
@@ -136,7 +135,6 @@ class ScenarioSpec:
     vut_track: ActorTrack
     vru_track: VruTrack
     occluders: tuple[Prism, ...]
-    nominal_collision_time: float
     sim_duration: float
     frame_rate: float
 
@@ -267,9 +265,6 @@ def build_scenario(
             (Vec2(vru_start, 0.0), Vec2(abs(vru_start) + vc * duration + 20.0, 0.0)),
             height=ov.cyclist_height,
         )
-        closing = v - vc
-        touch_gap = ov.vut_length / 2 + ov.cyclist_length / 2
-        nominal = sync_time - touch_gap / closing
         occluders: tuple[Prism, ...] = ()
     else:
         if kind is ScenarioKind.CPNC50:
@@ -286,10 +281,6 @@ def build_scenario(
             (Vec2(0.0, vru_start), Vec2(0.0, abs(vru_start) + vru_speed * duration + 20.0)),
             height=vru_hgt,
         )
-        # axis-aligned onset: the later of the two per-axis touch instants
-        x_touch = sync_time - (ov.vut_length / 2 + vru_wid / 2) / v
-        y_touch = sync_time - (ov.vut_width / 2 + vru_len / 2) / vru_speed
-        nominal = max(x_touch, y_touch)
         occluders = _crossing_occluders(kind, ov, abs(vru_start))
 
     return ScenarioSpec(
@@ -297,7 +288,6 @@ def build_scenario(
         vut_track=vut_track,
         vru_track=vru_track,
         occluders=occluders,
-        nominal_collision_time=nominal,
         sim_duration=duration,
         frame_rate=ov.frame_rate,
     )

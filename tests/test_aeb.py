@@ -53,6 +53,7 @@ from oracles import (
     float_box,
     footprint,
     live_run,
+    nominal_collision_check,
     norm,
     obb_overlap,
     obb_separation,
@@ -65,6 +66,16 @@ from oracles import (
 
 POLICY = AebPolicy()
 MODEL = DetectionModel()
+
+
+def unbraked_contact(spec):
+    """The first contact of the spec's unbraked, sensing-free run."""
+    return simulate_run(spec, (), MODEL, POLICY, sense=False).outcome.collision_time
+
+
+def contact_frame(spec):
+    """Two frames past the first frame at or after the unbraked contact."""
+    return math.ceil(unbraked_contact(spec) * spec.frame_rate) + 2
 
 
 def euler_stop(v0: float, policy: AebPolicy, dt: float) -> float:
@@ -140,7 +151,8 @@ def test_sensing_disabled_collides_at_nominal():
             out = trace.outcome
             assert not out.avoided, (kind, speed)
             assert out.collision_speed == pytest.approx(speed * KMH, abs=1e-9)
-            assert abs(out.collision_time - spec.nominal_collision_time) <= 1.0 / spec.frame_rate
+            # within a frame of the first overlapping frame of a reference scan
+            assert abs(out.collision_time - nominal_collision_check(spec)) <= 1.0 / spec.frame_rate + 1e-9
 
 
 def test_observation_pass_keeps_sensing_through_contact():
@@ -254,7 +266,7 @@ def test_roadside_events_depend_only_on_the_vru_track(kind, yaw):
     assert (slow.vru_track, slow.occluders, slow.n_frames) == (fast.vru_track, fast.occluders, fast.n_frames)
     roadside = default_layout()
     model = DetectionModel(miss_probability=0.2, seed=5)
-    braked = simulate_run(fast, roadside, model, POLICY, trigger_override=fast.nominal_collision_time - 2.0)
+    braked = simulate_run(fast, roadside, model, POLICY, trigger_override=unbraked_contact(fast) - 2.0)
     assert braked.travel != fast.timeline.travel
     events = braked.events_by_sensor
     assert sum(map(len, events.values())) > 0
@@ -404,7 +416,6 @@ def static_obstacle_spec(v0: float = 10.0) -> ScenarioSpec:
         vut_track=vut,
         vru_track=ped,
         occluders=(),
-        nominal_collision_time=9.75,
         sim_duration=13.0,
         frame_rate=10.0,
     )
@@ -457,7 +468,7 @@ def test_last_possible_brake_definitional_boundary():
     spec = build_scenario(ScenarioKind.CPNC50, 55.0)
     t_last = last_possible_brake_time(spec, POLICY)
     assert t_last is not None
-    assert 0.0 < t_last < spec.nominal_collision_time
+    assert 0.0 < t_last < unbraked_contact(spec)
     at = simulate_run(spec, (), MODEL, POLICY, trigger_override=t_last, sense=False)
     late = simulate_run(
         spec, (), MODEL, POLICY, trigger_override=t_last + 1.0 / spec.frame_rate, sense=False
@@ -466,15 +477,29 @@ def test_last_possible_brake_definitional_boundary():
     assert not late.outcome.avoided
 
 
-def test_avoidance_is_monotone_in_trigger_time():
-    for kind, speed in ((ScenarioKind.CBNA, 60.0), (ScenarioKind.CBLA, 45.0), (ScenarioKind.CPNC50, 30.0)):
-        spec = build_scenario(kind, speed)
-        flags = []
-        for j in range(0, int(spec.nominal_collision_time * 10) + 2, 3):
-            trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=j / 10.0, sense=False)
-            flags.append(trace.outcome.avoided)
-        # once a trigger is too late, every later trigger is too late
-        assert flags == sorted(flags, reverse=True), (kind, speed)
+def test_avoidance_holds_exactly_up_to_the_deadline_frame():
+    # the premise of the deadline's bisection, on every frame of every
+    # default cell: a run forced at frame j avoids iff j is at or before
+    # the deadline's frame
+    for kind in ScenarioKind:
+        for speed in allowed_speeds_kmh(kind):
+            spec = build_scenario(kind, speed)
+            deadline = round(last_possible_brake_time(spec, POLICY) * spec.frame_rate)
+            flags = [
+                simulate_run(spec, (), MODEL, POLICY, trigger_override=j / spec.frame_rate, sense=False).outcome.avoided
+                for j in range(spec.n_frames)
+            ]
+            assert flags == [j <= deadline for j in range(spec.n_frames)], (kind, speed)
+
+
+def test_deadline_of_a_spec_never_touched_is_its_last_frame():
+    # a VRU path displaced 50 m down the road: no run touches it, so every
+    # frame avoids
+    spec = build_scenario(ScenarioKind.CPNC50, 40.0)
+    shifted = replace(spec.vru_track, path=tuple(Vec2(p.x + 50.0, p.y) for p in spec.vru_track.path))
+    spec = replace(spec, vru_track=shifted)
+    assert unbraked_contact(spec) is None
+    assert last_possible_brake_time(spec, POLICY) == (spec.n_frames - 1) / spec.frame_rate
 
 
 def test_infeasible_when_no_trigger_helps():
@@ -483,7 +508,6 @@ def test_infeasible_when_no_trigger_helps():
     close = replace(
         spec,
         vut_track=ActorTrack(4.5, 1.8, 20.0, (Vec2(-10, 0), Vec2(100, 0))),
-        nominal_collision_time=0.375,
         sim_duration=5.0,
     )
     assert last_possible_brake_time(close, POLICY) is None
@@ -624,7 +648,7 @@ def replay_cases(draw):
     # the last three seconds of frames before the unbraked contact: early
     # ones avoid, late ones collide, the ones between stop close to the
     # rider; -1 stands for no trigger at all
-    last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
+    last = contact_frame(spec)
     back = draw(st.integers(-1, 30))
     frame = max(last - back, 0)
     trigger = None if back < 0 else frame / spec.frame_rate + POLICY.latency
@@ -681,7 +705,7 @@ SHARED_SPECS = {
 def test_shared_timeline_matches_reference_in_any_order(which, draws):
     for back, rate in draws:
         spec, dt = SHARED_SPECS[rate][which], SHARED_STEPS[rate]
-        last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
+        last = contact_frame(spec)
         # -1 stands for no trigger; otherwise one on the frame grid, as
         # the deadline bisection sets it, or just past it, as a confirmation
         trigger = None if back < 0 else max(last - back, 0) / spec.frame_rate + (back % 2) * POLICY.latency
@@ -720,7 +744,9 @@ SKIP_AHEAD_SPECS = {
 @pytest.mark.parametrize("name", sorted(SKIP_AHEAD_SPECS))
 def test_skip_ahead_matches_reference_kernel_exactly(name):
     spec = SKIP_AHEAD_SPECS[name]
-    last = int(math.ceil(spec.nominal_collision_time * spec.frame_rate)) + 2
+    # the beside-lane VRU is never touched; it walks as the in-lane one does,
+    # so it takes the in-lane frames
+    last = contact_frame(SKIP_AHEAD_SPECS["clamped-in-lane" if name == "clamped-beside-lane" else name])
     triggers = [None] + [max(last - back, 0) / spec.frame_rate for back in range(0, 31, 5)]
     outcomes = set()
     for trigger in triggers:

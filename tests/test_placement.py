@@ -47,7 +47,6 @@ def ped_cell(lane_y: float) -> ScenarioSpec:
         vut_track=vut,
         vru_track=ped,
         occluders=(),
-        nominal_collision_time=5.75,
         sim_duration=8.0,
         frame_rate=10.0,
     )
