@@ -422,60 +422,3 @@ def last_possible_brake_time(spec: ScenarioSpec, policy: AebPolicy) -> float | N
         )
         return None
     return (first - 1) / spec.frame_rate
-
-
-def format_trace(trace: RunTrace) -> str:
-    """Render a sensing run as line-oriented text for external plotting.
-
-    Comment lines carry the run summary; the first says which pass this is:
-    ``unbraked_observation`` for a run with no brake trigger, such as the
-    sweep's observation pass (each subset's outcome is in the summary), and
-    ``braked`` otherwise. The header row names the columns, one
-    ``det_<sensor>`` flag column per sensor in the order of its
-    ``events_by_sensor``.
-    """
-    out = trace.outcome
-    kind = "unbraked_observation" if trace.brake_trigger_time is None else "braked"
-    head = [
-        f"# pass={kind}"
-        f" scenario={trace.spec.kind.display_name}"
-        f" vut_speed_mps={trace.spec.vut_track.speed:.6f}"
-        f" frame_rate_hz={trace.spec.frame_rate:g}",
-        f"# first_confirmed_time={_opt(trace.first_confirmed_time)}"
-        f" brake_trigger_time={_opt(trace.brake_trigger_time)}"
-        f" avoided={str(out.avoided).lower()}"
-        f" collision_time={_opt(out.collision_time)}"
-        f" collision_speed={out.collision_speed:.6f}",
-    ]
-    cols = [
-        "time", "vut_x", "vut_y", "vut_heading", "vut_speed",
-        "vru_x", "vru_y", "vru_heading", "braking",
-    ] + [f"det_{sensor_id}" for sensor_id in trace.events_by_sensor]
-    lines = head + [",".join(cols)]
-    spec = trace.spec
-    steps_per_frame = spec.timeline.steps_per_frame
-    detected = [{ev.frame for ev in events} for events in trace.events_by_sensor.values()]
-    onset = trace.brake_trigger_time
-    vut_track, vru_track = spec.vut_track, spec.vru_track
-    for frame in range(spec.n_frames):
-        t = frame / spec.frame_rate
-        start = frame * steps_per_frame
-        ux, uy = vut_track.locate(trace.travel[start])
-        rx, ry = vru_track.locate(vru_track.speed * t)
-        row = [
-            f"{t:.3f}",
-            f"{ux:.6f}",
-            f"{uy:.6f}",
-            f"{vut_track.heading:.6f}",
-            f"{trace.speeds[start]:.6f}",
-            f"{rx:.6f}",
-            f"{ry:.6f}",
-            f"{vru_track.heading:.6f}",
-            "1" if onset is not None and t >= onset else "0",
-        ] + ["1" if frame in frames else "0" for frames in detected]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _opt(value: float | None) -> str:
-    return "NA" if value is None else f"{value:.6f}"

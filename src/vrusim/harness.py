@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._version import __version__
-from .aeb import SafetyOutcome, format_trace, last_possible_brake_time, simulate_run, stop_margin
+from .aeb import RunTrace, SafetyOutcome, last_possible_brake_time, simulate_run, stop_margin
 from .config import RunConfig, cell_tag
 from .metrics import accuracy, heatmap_from_frames, mean_detections_per_frame
 from .scenario import ScenarioKind, build_scenario, rotate_scenario
 from .sensing import first_confirmed_time
 
-__all__ = ["SubsetResult", "CellResult", "SweepResult", "run_sweep", "emit_reports", "Manifest"]
+__all__ = ["SubsetResult", "CellResult", "SweepResult", "run_sweep", "emit_reports", "format_trace", "Manifest"]
 
 log = logging.getLogger(__name__)
 
@@ -160,14 +160,58 @@ class Manifest:
         return not self.failures
 
 
-def _fmt(value) -> str:
+def _fmt(value: float | bool | None) -> str:
+    """A report value as printed: NA, true/false or six decimals."""
     if value is None:
         return "NA"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+    return f"{value:.6f}"
+
+
+def format_trace(trace: RunTrace) -> str:
+    """Render a sensing run as line-oriented text for external plotting.
+
+    Comment lines carry the run summary; the first says which pass this is:
+    ``unbraked_observation`` for a run with no brake trigger, such as the
+    sweep's observation pass (each subset's outcome is in the summary), and
+    ``braked`` otherwise. The header row names the columns, one
+    ``det_<sensor>`` flag column per sensor in the order of its
+    ``events_by_sensor``.
+    """
+    out = trace.outcome
+    kind = "unbraked_observation" if trace.brake_trigger_time is None else "braked"
+    head = [
+        f"# pass={kind}"
+        f" scenario={trace.spec.kind.display_name}"
+        f" vut_speed_mps={_fmt(trace.spec.vut_track.speed)}"
+        f" frame_rate_hz={trace.spec.frame_rate:g}",
+        f"# first_confirmed_time={_fmt(trace.first_confirmed_time)}"
+        f" brake_trigger_time={_fmt(trace.brake_trigger_time)}"
+        f" avoided={_fmt(out.avoided)}"
+        f" collision_time={_fmt(out.collision_time)}"
+        f" collision_speed={_fmt(out.collision_speed)}",
+    ]
+    cols = [
+        "time", "vut_x", "vut_y", "vut_heading", "vut_speed",
+        "vru_x", "vru_y", "vru_heading", "braking",
+    ] + [f"det_{sensor_id}" for sensor_id in trace.events_by_sensor]
+    lines = head + [",".join(cols)]
+    spec = trace.spec
+    steps_per_frame = spec.timeline.steps_per_frame
+    detected = [{ev.frame for ev in events} for events in trace.events_by_sensor.values()]
+    onset = trace.brake_trigger_time
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    for frame in range(spec.n_frames):
+        t = frame / spec.frame_rate
+        start = frame * steps_per_frame
+        ux, uy = vut_track.locate(trace.travel[start])
+        rx, ry = vru_track.locate(vru_track.speed * t)
+        values = (ux, uy, vut_track.heading, trace.speeds[start], rx, ry, vru_track.heading)
+        row = [f"{t:.3f}", *map(_fmt, values), "1" if onset is not None and t >= onset else "0"]
+        row += ["1" if frame in frames else "0" for frames in detected]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def _summary_csv(result: SweepResult) -> str:

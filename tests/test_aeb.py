@@ -20,13 +20,13 @@ from vrusim.aeb import (
     AebPolicy,
     _advance,
     _box,
-    format_trace,
     last_possible_brake_time,
     simulate_run,
     stop_margin,
 )
 from vrusim.geometry import Prism, Vec2
 from vrusim.geometry import obb_separation as obb_separation_kernel
+from vrusim.harness import format_trace
 from vrusim.scenario import (
     KMH,
     ActorTrack,
