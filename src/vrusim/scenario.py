@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from .geometry import Prism, Silhouette, Vec2, wrap_angle
@@ -54,6 +54,8 @@ class ActorTrack:
     _leg: tuple[float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.length, self.width, self.speed))):
+            raise ValueError("actor dimensions and speed must be finite")
         if self.length <= 0 or self.width <= 0:
             raise ValueError("actor dimensions must be positive")
         if self.speed < 0:
@@ -84,6 +86,8 @@ class VruTrack(ActorTrack):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not math.isfinite(self.height):
+            raise ValueError("actor height must be finite")
         if self.height <= 0:
             raise ValueError("actor dimensions must be positive")
 
@@ -139,10 +143,10 @@ class ScenarioSpec:
     frame_rate: float
 
     def __post_init__(self) -> None:
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
-        if self.sim_duration <= 0:
-            raise ValueError("sim_duration must be positive")
+        for name in ("frame_rate", "sim_duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def n_frames(self) -> int:
@@ -203,6 +207,11 @@ class ScenarioOverrides:
     wall_thickness: float = 0.3
     wall_clearance: float = 0.5
     wall_end_distance: float = 17.0
+
+    def __post_init__(self) -> None:
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"scenario overrides must be finite: {', '.join(bad)}")
 
 
 DEFAULT_OVERRIDES = ScenarioOverrides()

@@ -384,3 +384,37 @@ def test_non_finite_frame_quotients_raise_value_error():
     spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=1e308))
     with pytest.raises(ValueError, match="more frames than a float can count"):
         spec.n_frames
+
+
+# ------------------------------------------------------- non-finite values
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["frame_rate", "sim_duration"])
+def test_spec_rejects_non_finite_values(name, value):
+    # a NaN rate used to pass, and fail only at the first timeline, with a
+    # message about the frame period
+    spec = build_scenario(ScenarioKind.CBNA, 40.0)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        replace(spec, **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["length", "width", "speed", "height"])
+def test_tracks_reject_non_finite_values(name, value):
+    track = build_scenario(ScenarioKind.CBNA, 40.0).vru_track
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(track, **{name: value})
+    if name != "height":
+        vehicle = build_scenario(ScenarioKind.CBNA, 40.0).vut_track
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(vehicle, **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["frame_rate", "vut_length", "cyclist_speed_kmh", "wall_end_distance"])
+def test_overrides_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"must be finite: {name}"):
+        ScenarioOverrides(**{name: value})
