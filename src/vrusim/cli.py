@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 import uuid
@@ -17,9 +16,8 @@ import yaml
 
 from ._version import __version__
 from .config import ConfigError, load_config, read_layout
-from .harness import emit_reports, run_sweep
+from .harness import _fmt, cell_spec, emit_reports, run_sweep
 from .placement import candidate_sites_from_units, evaluate_sites, greedy_select
-from .scenario import build_scenario, rotate_scenario
 from .sensing import format_layout
 
 log = logging.getLogger(__name__)
@@ -153,10 +151,7 @@ def _cmd_placement(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     try:
-        suite = tuple(
-            rotate_scenario(build_scenario(kind, speed, config.overrides), math.radians(yaw))
-            for yaw, kind, speed in config.cells()
-        )
+        suite = tuple(cell_spec(config.overrides, *cell) for cell in config.cells())
         scores = evaluate_sites(candidates, suite, config.policy, config.model)
         picked = greedy_select(candidates, args.budget, suite, config.policy, config.model)
     except Exception:
@@ -171,11 +166,11 @@ def _cmd_placement(args: argparse.Namespace) -> int:
             ",".join(
                 (
                     score.site_id,
-                    "true" if i is not None else "false",
+                    _fmt(i is not None),
                     str(i) if i is not None else "NA",
-                    f"{picked.marginal_gains[i]:.6f}" if i is not None else "NA",
-                    f"{score.avoidance:.6f}",
-                    f"{score.accuracy:.6f}",
+                    _fmt(picked.marginal_gains[i] if i is not None else None),
+                    _fmt(score.avoidance),
+                    _fmt(score.accuracy),
                 )
             )
         )

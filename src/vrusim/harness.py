@@ -27,10 +27,10 @@ from ._version import __version__
 from .aeb import RunTrace, SafetyOutcome, last_possible_brake_time, simulate_run, stop_margin
 from .config import RunConfig, cell_tag
 from .metrics import accuracy, heatmap_from_frames, mean_detections_per_frame
-from .scenario import ScenarioKind, build_scenario, rotate_scenario
+from .scenario import ScenarioKind, ScenarioOverrides, ScenarioSpec, build_scenario, rotate_scenario
 from .sensing import first_confirmed_time
 
-__all__ = ["SubsetResult", "CellResult", "SweepResult", "run_sweep", "emit_reports", "format_trace", "Manifest"]
+__all__ = ["SubsetResult", "CellResult", "SweepResult", "cell_spec", "run_sweep", "emit_reports", "format_trace", "Manifest"]
 
 log = logging.getLogger(__name__)
 
@@ -70,11 +70,14 @@ class SweepResult:
     config_hash: str
 
 
+def cell_spec(overrides: ScenarioOverrides, yaw_deg: float, kind: ScenarioKind, speed: float) -> ScenarioSpec:
+    """The scenario of the cell (yaw_deg, kind, speed): built, then turned by the scene yaw."""
+    return rotate_scenario(build_scenario(kind, speed, overrides), math.radians(yaw_deg))
+
+
 def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResult:
     config, yaw_deg, kind, speed = payload
-    spec = build_scenario(kind, speed, config.overrides)
-    if yaw_deg != 0.0:
-        spec = rotate_scenario(spec, math.radians(yaw_deg))
+    spec = cell_spec(config.overrides, yaw_deg, kind, speed)
     units = config.all_units()
 
     watch = simulate_run(spec, units, config.model, config.policy, sense=True)

@@ -169,24 +169,15 @@ class MatchResult:
     """Matching outcome: per-cell counts, matched pairs, and safety events.
 
     ``counts`` is keyed by (frame, sensor_id).  Indices in ``pairs`` point
-    into the input sequences.  ``events`` holds one DetectionEvent per
-    VRU-class true positive; pipe them through ``events_by_sensor`` to get
-    the per-sensor streams the confirmation rule consumes.
+    into the input sequences.  ``events[target_id][sensor_id]`` is the
+    frame-ordered stream of one VRU target's true positives by one sensor,
+    so ``events[target_id]`` is the per-sensor stream map the confirmation
+    rule consumes.
     """
 
     counts: Mapping[tuple[int, str], MatchCounts]
     pairs: tuple[MatchedPair, ...]
-    events: tuple[DetectionEvent, ...]
-
-    def events_by_sensor(self, target_id: str) -> dict[str, list[DetectionEvent]]:
-        """Per-sensor streams for one target, ordered by frame."""
-        streams: dict[str, list[DetectionEvent]] = {}
-        for ev in self.events:
-            if ev.target_id == target_id:
-                streams.setdefault(ev.sensor_id, []).append(ev)
-        for stream in streams.values():
-            stream.sort(key=lambda ev: ev.frame)
-        return streams
+    events: Mapping[str, Mapping[str, list[DetectionEvent]]]
 
 
 def match_detections(
@@ -202,7 +193,8 @@ def match_detections(
 
     True positives on VRU-class targets become DetectionEvents available
     `latency` seconds after their frame, at the scenario's `frame_rate`,
-    ready for the confirmation rule.
+    ready for the confirmation rule. A cell whose ground truth boxes one
+    target twice is a ValueError.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in [0, 1]")
@@ -212,17 +204,23 @@ def match_detections(
     cells: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
     for i, det in enumerate(detections):
         cells.setdefault((det.frame, det.sensor_id), ([], []))[0].append(i)
+    boxed: set[tuple[int, str, str]] = set()
     for j, gt in enumerate(ground_truth):
+        if (gt.frame, gt.sensor_id, gt.target_id) in boxed:
+            raise ValueError(
+                f"ground truth boxes target {gt.target_id!r} twice in frame {gt.frame} of sensor {gt.sensor_id!r}"
+            )
+        boxed.add((gt.frame, gt.sensor_id, gt.target_id))
         cells.setdefault((gt.frame, gt.sensor_id), ([], []))[1].append(j)
 
     counts: dict[tuple[int, str], MatchCounts] = {}
     pairs: list[MatchedPair] = []
-    events: list[DetectionEvent] = []
+    events: dict[str, dict[str, list[DetectionEvent]]] = {}
 
     def passes(iou: float) -> bool:
         return iou >= iou_threshold if inclusive else iou > iou_threshold
 
-    for key in sorted(cells, key=lambda k: (k[0], k[1])):
+    for key in sorted(cells):
         det_ids, gt_ids = cells[key]
         frame, sensor_id = key
         candidates = []
@@ -244,18 +242,12 @@ def match_detections(
             pairs.append(MatchedPair(frame, sensor_id, i, j, -neg_iou))
             gt = ground_truth[j]
             if gt.label in VRU_LABELS:
-                events.append(
-                    DetectionEvent(
-                        frame=frame,
-                        sensor_id=sensor_id,
-                        target_id=gt.target_id,
-                        available_at=frame / frame_rate + latency,
-                    )
-                )
+                stream = events.setdefault(gt.target_id, {}).setdefault(sensor_id, [])
+                stream.append(DetectionEvent(frame, frame / frame_rate + latency))
         counts[key] = MatchCounts(
             tp=len(used_gt),
             fp=len(det_ids) - len(used_det),
             fn=len(gt_ids) - len(used_gt),
         )
 
-    return MatchResult(counts=counts, pairs=tuple(pairs), events=tuple(events))
+    return MatchResult(counts=counts, pairs=tuple(pairs), events=events)

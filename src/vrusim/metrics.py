@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .sensing import DetectionEvent
+from .sensing import EventMap, streams_of
 
 __all__ = [
     "accuracy",
@@ -25,18 +25,7 @@ __all__ = [
 ]
 
 
-EventMap = Mapping[str, Sequence[DetectionEvent]]
-
 _GRID_TOLERANCE = 1e-9
-
-
-def _select(events_by_sensor: EventMap, subset: Sequence[str]) -> list[Sequence[DetectionEvent]]:
-    streams = []
-    for sensor_id in subset:
-        if sensor_id not in events_by_sensor:
-            raise ValueError(f"no event stream for sensor {sensor_id!r}")
-        streams.append(events_by_sensor[sensor_id])
-    return streams
 
 
 def accuracy(events_by_sensor: EventMap, total_frames: int, subset: Sequence[str]) -> float:
@@ -44,7 +33,7 @@ def accuracy(events_by_sensor: EventMap, total_frames: int, subset: Sequence[str
     if total_frames < 1:
         raise ValueError("total_frames must be at least 1")
     detected: set[int] = set()
-    for stream in _select(events_by_sensor, subset):
+    for stream in streams_of(events_by_sensor, subset):
         detected.update(ev.frame for ev in stream)
     return len(detected) / total_frames
 
@@ -53,7 +42,7 @@ def mean_detections_per_frame(events_by_sensor: EventMap, total_frames: int, sub
     """Average count of qualifying detections per frame across the subset."""
     if total_frames < 1:
         raise ValueError("total_frames must be at least 1")
-    total = sum(len(stream) for stream in _select(events_by_sensor, subset))
+    total = sum(len(stream) for stream in streams_of(events_by_sensor, subset))
     return total / total_frames
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .geometry import (
     _ANGLE_SLACK,
@@ -116,10 +117,14 @@ class DetectionModel:
 
 @dataclass(frozen=True)
 class DetectionEvent:
+    """A detection in frame `frame`, available to the braking system at
+    `available_at`; the stream that holds it names its sensor and target."""
+
     frame: int
-    sensor_id: str
-    target_id: str
     available_at: float
+
+
+EventMap = Mapping[str, Sequence[DetectionEvent]]
 
 
 def apparent_angular_width(sensor_pose: MountPose, target: Silhouette, dist: float) -> float:
@@ -236,12 +241,7 @@ def draw_detection(sensor: SensorUnit, model: DetectionModel, frame: int, time: 
     if model.miss_probability > 0.0:
         if _miss_coin(model.seed, sensor.sensor_id, frame) <= model.miss_probability:
             return None
-    return DetectionEvent(
-        frame=frame,
-        sensor_id=sensor.sensor_id,
-        target_id="vru",
-        available_at=time + sensor.latency,
-    )
+    return DetectionEvent(frame, time + sensor.latency)
 
 
 def sense_frame(
@@ -308,7 +308,7 @@ def span_passes(
     )
 
 
-def confirm_stream(events: list[DetectionEvent], k: int) -> list[float]:
+def confirm_stream(events: Sequence[DetectionEvent], k: int) -> list[float]:
     """Confirmation times: available_at of the k-th event of each maximal
     run of consecutive frames."""
     if k < 1:
@@ -326,17 +326,19 @@ def confirm_stream(events: list[DetectionEvent], k: int) -> list[float]:
     return out
 
 
-def first_confirmed_time(
-    events_by_sensor: dict[str, list[DetectionEvent]],
-    k: int,
-    subset: tuple[str, ...],
-) -> float | None:
+def streams_of(events_by_sensor: EventMap, subset: Sequence[str]) -> list[Sequence[DetectionEvent]]:
+    """The event streams of the sensors of `subset`, in its order."""
+    try:
+        return [events_by_sensor[sensor_id] for sensor_id in subset]
+    except KeyError as exc:
+        raise ValueError(f"unknown sensor id {exc.args[0]!r}") from None
+
+
+def first_confirmed_time(events_by_sensor: EventMap, k: int, subset: tuple[str, ...]) -> float | None:
     """Earliest per-sensor confirmation among the chosen sensors."""
     best: float | None = None
-    for sensor_id in subset:
-        if sensor_id not in events_by_sensor:
-            raise ValueError(f"unknown sensor id {sensor_id!r}")
-        confs = confirm_stream(events_by_sensor[sensor_id], k)
+    for events in streams_of(events_by_sensor, subset):
+        confs = confirm_stream(events, k)
         if confs and (best is None or confs[0] < best):
             best = confs[0]
     return best

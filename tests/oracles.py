@@ -246,7 +246,7 @@ def sense_reference(
         digest = hashlib.sha256(f"{model.seed}:{unit.sensor_id}:{frame}".encode()).digest()
         if int.from_bytes(digest[:8], "big") / 2**64 <= model.miss_probability:
             return None
-    return DetectionEvent(frame, unit.sensor_id, "vru", time + unit.latency)
+    return DetectionEvent(frame, time + unit.latency)
 
 
 def observe_every_frame(

@@ -249,6 +249,21 @@ def test_observation_matches_every_frame_reference_on_default_cells(yaw, monkeyp
             observed_with_calls(monkeypatch, spec, DEFAULT_SENSORS, MODEL)
 
 
+def test_every_default_event_is_available_its_latency_after_its_frame():
+    # bit for bit the time rule `ingest.match_detections` gives a logged
+    # detection, so simulated and logged streams confirm alike
+    count = 0
+    for kind in ScenarioKind:
+        for speed in allowed_speeds_kmh(kind):
+            spec = build_scenario(kind, speed)
+            events = simulate_run(spec, DEFAULT_SENSORS, MODEL, POLICY).events_by_sensor
+            for unit in DEFAULT_SENSORS:
+                for ev in events[unit.sensor_id]:
+                    assert ev.available_at == ev.frame / spec.frame_rate + unit.latency
+                    count += 1
+    assert count > 0
+
+
 class NoTravel:
     """A frame-travel list that may not be read."""
 
@@ -340,7 +355,7 @@ def roadside_legs(draw):
     return replace(spec, vru_track=vru), tuple(units), model
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(roadside_legs())
 def test_roadside_windows_and_spans_match_every_frame_reference(case):
     spec, units, model = case
@@ -663,13 +678,7 @@ def kernel_replay(spec, trigger):
     return out.avoided, out.collision_time, out.collision_speed, margin, trace.brake_trigger_time
 
 
-@settings(
-    max_examples=30,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
 @given(replay_cases())
 def test_replay_matches_reference_kernel_exactly(case):
     spec, trigger = case
@@ -691,13 +700,7 @@ SHARED_SPECS = {
 }
 
 
-@settings(
-    max_examples=12,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=12, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.sampled_from((0, 1)),
     st.lists(st.tuples(st.integers(-1, 30), st.sampled_from(tuple(SHARED_STEPS))), min_size=1, max_size=4),

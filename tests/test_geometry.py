@@ -253,13 +253,7 @@ def box_pairs(draw):
     return a, OrientedBox(center, half_long, half_lat, b_heading)
 
 
-@settings(
-    max_examples=500,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow])
 @given(box_pairs())
 def test_box_kernel_matches_vec2_reference_exactly(pair):
     a, b = pair
@@ -268,13 +262,7 @@ def test_box_kernel_matches_vec2_reference_exactly(pair):
     assert obb_separation(fa, fb).hex() == oracles.obb_separation(a, b).hex()
 
 
-@settings(
-    max_examples=500,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow])
 @given(box_pairs())
 def test_projection_gap_never_exceeds_the_exact_gap(pair):
     # rounding may put it a few ulps above on touching pairs; the stop
@@ -497,13 +485,7 @@ def assert_matches_reference(pose, hfov, vfov, max_range, target, occluders):
     return want
 
 
-@settings(
-    max_examples=600,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=600, suppress_health_check=[HealthCheck.too_slow])
 @given(sensing_cases())
 def test_visible_fraction_matches_vec2_reference_exactly(case):
     assert_matches_reference(*case)
@@ -749,13 +731,7 @@ def certificate_edges(draw):
     return pose, max(hfov, 1e-6), max(vfov, 1e-6), max(max_range, 1e-6), target, occluders
 
 
-@settings(
-    max_examples=1500,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=1500, suppress_health_check=[HealthCheck.too_slow])
 @given(certificate_edges())
 def test_visible_fraction_matches_reference_at_certificate_edges(case):
     # the kernel's bits are the reference's there, and wherever the

@@ -1,6 +1,7 @@
 """Sweep orchestration: ordering, worker parity, report emission."""
 
 import hashlib
+import math
 import os
 
 import pytest
@@ -8,9 +9,9 @@ import yaml
 
 import vrusim.harness
 from vrusim.config import load_config
-from vrusim.harness import Manifest, emit_reports, run_sweep
+from vrusim.harness import Manifest, cell_spec, emit_reports, run_sweep
 from vrusim.metrics import heatmap_from_frames
-from vrusim.scenario import ScenarioKind
+from vrusim.scenario import ScenarioKind, ScenarioOverrides, build_scenario, rotate_scenario
 
 
 def cfg_file(tmp_path, data):
@@ -104,6 +105,17 @@ def test_subset_results_share_observation_pass(tmp_path):
     assert any_.accuracy >= max(vut.accuracy, rsu1.accuracy)
     # detection_frames cover every sensor, firing or not
     assert set(cell.detection_frames) == {u.sensor_id for u in config.all_units()}
+
+
+def test_cell_spec_builds_then_turns_by_the_scene_yaw():
+    # the sweep and the placement command take a cell's scenario from this
+    # one rule; a yaw of 0 or -0 leaves the built spec as it is
+    overrides = ScenarioOverrides(frame_rate=20.0)
+    plain = build_scenario(ScenarioKind.CBNA, 40.0, overrides)
+    for yaw in (0.0, -0.0):
+        assert cell_spec(overrides, yaw, ScenarioKind.CBNA, 40.0) == plain
+    turned = rotate_scenario(plain, math.radians(37.0))
+    assert cell_spec(overrides, 37.0, ScenarioKind.CBNA, 40.0) == turned != plain
 
 
 def test_scene_rotation_maps_corner_units_onto_each_other(tmp_path):

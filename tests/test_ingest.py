@@ -20,7 +20,9 @@ from vrusim.ingest import (
     parse_detection_log,
     parse_ground_truth,
 )
-from vrusim.sensing import confirm_stream, first_confirmed_time
+from vrusim.aeb import AebPolicy, simulate_run
+from vrusim.scenario import ScenarioKind, build_scenario
+from vrusim.sensing import DetectionModel, confirm_stream, default_layout, default_vut_sensor, first_confirmed_time
 
 from oracles import totals
 
@@ -165,7 +167,7 @@ def test_low_iou_is_fp_plus_fn():
     )
     assert totals(res) == res.counts[(0, "cam0")]
     assert (totals(res).tp, totals(res).fp, totals(res).fn) == (0, 1, 1)
-    assert res.events == ()
+    assert res.events == {}
 
 
 def test_double_detection_one_tp_one_fp():
@@ -266,18 +268,24 @@ def test_raising_threshold_never_increases_tp():
 
 def test_input_order_does_not_change_scores():
     rng = random.Random(41)
+    matched = 0
     for _ in range(50):
         dets, gts = random_fixture(rng)
-        base = match(dets, gts)
         shuffled_d, shuffled_g = dets[:], gts[:]
         rng.shuffle(shuffled_d)
         rng.shuffle(shuffled_g)
-        other = match(shuffled_d, shuffled_g)
-        assert base.counts == other.counts
-        assert sorted(round(p.iou, 12) for p in base.pairs) == sorted(
-            round(p.iou, 12) for p in other.pairs
-        )
-        assert sorted(base.events) == sorted(other.events)
+        # these fixtures match no pair above 0.5; at 0.2 some VRU pairs
+        # match, so the event streams are compared too
+        for thr in (0.5, 0.2):
+            base = match(dets, gts, iou_threshold=thr)
+            other = match(shuffled_d, shuffled_g, iou_threshold=thr)
+            assert base.counts == other.counts
+            assert sorted(round(p.iou, 12) for p in base.pairs) == sorted(
+                round(p.iou, 12) for p in other.pairs
+            )
+            assert base.events == other.events
+            matched += sum(len(stream) for streams in base.events.values() for stream in streams.values())
+    assert matched > 0
 
 
 # ------------------------------------------------------------ event stream
@@ -292,15 +300,14 @@ def test_tp_events_feed_the_confirmation_rule():
 
     res = match(dets, gts)
     assert totals(res).tp == 6
-    assert len(res.events) == 5
-    ev0 = res.events[0]
-    assert ev0.target_id == "vru"
-    assert ev0.available_at == pytest.approx(0.025)
+    assert list(res.events) == ["vru"]
+    streams = res.events["vru"]
+    assert [ev.frame for ev in streams["cam0"]] == [0, 1, 2, 3, 4]
+    assert streams["cam0"][0].available_at == pytest.approx(0.025)
     # an event is available its latency after its frame, at the given rate
-    later = match_detections(dets, gts, frame_rate=20.0, latency=0.1).events
+    later = match_detections(dets, gts, frame_rate=20.0, latency=0.1).events["vru"]["cam0"]
     assert [ev.available_at for ev in later] == pytest.approx([f / 20 + 0.1 for f in range(5)])
 
-    streams = res.events_by_sensor("vru")
     confirmations = confirm_stream(streams["cam0"], 3)
     assert confirmations[0] == pytest.approx(2 / 10 + 0.025)
     assert first_confirmed_time(streams, 3, ("cam0",)) == confirmations[0]
@@ -310,8 +317,57 @@ def test_gap_in_tp_frames_delays_confirmation():
     frames = [0, 1, 3, 4, 5]
     dets = [det(f, "cam0", "pedestrian", 0, 0, 10, 10) for f in frames]
     gts = [gt(f, "cam0", "vru", "pedestrian", 0, 0, 10, 10) for f in frames]
-    streams = match(dets, gts).events_by_sensor("vru")
+    streams = match(dets, gts).events["vru"]
     assert confirm_stream(streams["cam0"], 3)[0] == pytest.approx(5 / 10 + 0.025)
+
+
+def test_streams_are_per_target_and_sensor_in_frame_order():
+    # rows in any order; each target's streams come out frame by frame
+    rows = [(f, sensor, target) for f in (4, 0, 2, 1, 3) for sensor in ("cam1", "cam0") for target in ("p2", "p1")]
+    dets = [det(f, sensor, "pedestrian", 20 * int(t[1]), 0, 20 * int(t[1]) + 10, 10) for f, sensor, t in rows]
+    gts = [gt(f, sensor, t, "pedestrian", 20 * int(t[1]), 0, 20 * int(t[1]) + 10, 10) for f, sensor, t in rows]
+    events = match(dets, gts).events
+    assert sorted(events) == ["p1", "p2"]
+    for streams in events.values():
+        assert sorted(streams) == ["cam0", "cam1"]
+        for stream in streams.values():
+            assert [ev.frame for ev in stream] == [0, 1, 2, 3, 4]
+
+
+def test_ground_truth_boxing_a_target_twice_in_a_cell_is_rejected():
+    dets = [det(f, "cam", "pedestrian", 0, 0, 10, 10) for f in (0, 1, 2)]
+    dets.append(det(1, "cam", "pedestrian", 30, 0, 40, 10))
+    gts = [gt(f, "cam", "p1", "pedestrian", 0, 0, 10, 10) for f in (0, 1, 2)]
+    gts.append(gt(1, "cam", "p1", "pedestrian", 30, 0, 40, 10))
+    with pytest.raises(ValueError, match="^ground truth boxes target 'p1' twice in frame 1 of sensor 'cam'$"):
+        match(dets, gts)
+    # the same target in another sensor's cell, or another target, is fine
+    gts[-1] = gt(1, "cam2", "p1", "pedestrian", 30, 0, 40, 10)
+    assert totals(match(dets, gts)).tp == 3
+    gts[-1] = gt(1, "cam", "p2", "pedestrian", 30, 0, 40, 10)
+    assert totals(match(dets, gts)).tp == 4
+
+
+@pytest.mark.parametrize("rate", [10.0, 25.0, 30.0, 1 / 0.07])
+@pytest.mark.parametrize("latency", [0.0, 0.025, 0.1])
+def test_events_take_the_simulators_time_rule(rate, latency):
+    # `sensing.draw_detection` makes an event of frame f available at
+    # f / rate + latency; a logged true positive is available at the same
+    # float, so both feed the confirmation rule alike
+    dets = [det(f, "cam0", "pedestrian", 0, 0, 10, 10) for f in range(300)]
+    gts = [gt(f, "cam0", "vru", "pedestrian", 0, 0, 10, 10) for f in range(300)]
+    stream = match_detections(dets, gts, frame_rate=rate, latency=latency).events["vru"]["cam0"]
+    assert [ev.available_at for ev in stream] == [f / rate + latency for f in range(300)]
+
+
+def test_simulated_streams_round_trip_through_the_matcher():
+    spec = build_scenario(ScenarioKind.CPNC50, 40.0)
+    sensors = (default_vut_sensor(), *default_layout())
+    streams = simulate_run(spec, sensors, DetectionModel(), AebPolicy()).events_by_sensor
+    dets = [det(ev.frame, sid, "pedestrian", 0, 0, 10, 10) for sid, evs in streams.items() for ev in evs]
+    gts = [gt(ev.frame, sid, "vru", "pedestrian", 0, 0, 10, 10) for sid, evs in streams.items() for ev in evs]
+    res = match_detections(dets, gts, frame_rate=spec.frame_rate, latency=sensors[0].latency)
+    assert res.events["vru"] == {sid: evs for sid, evs in streams.items() if evs}
 
 
 def test_match_parameter_validation():

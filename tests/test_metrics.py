@@ -14,7 +14,7 @@ from vrusim.metrics import (
     sensor_row_order,
 )
 from vrusim.scenario import ScenarioKind, build_scenario
-from vrusim.sensing import DetectionEvent, DetectionModel, default_layout, default_vut_sensor
+from vrusim.sensing import DetectionEvent, DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
 
 from oracles import heatmap_row
 
@@ -22,18 +22,13 @@ POLICY = AebPolicy()
 MODEL = DetectionModel()
 
 
-def ev(frame: int, sensor_id: str) -> DetectionEvent:
-    return DetectionEvent(
-        frame=frame,
-        sensor_id=sensor_id,
-        target_id="vru",
-        available_at=frame / 10.0 + 0.025,
-    )
+def ev(frame: int) -> DetectionEvent:
+    return DetectionEvent(frame, frame / 10.0 + 0.025)
 
 
 def random_streams(rng: random.Random, sensors, n_frames):
     return {
-        s: [ev(f, s) for f in range(n_frames) if rng.random() < rng.choice((0.1, 0.5, 0.9))]
+        s: [ev(f) for f in range(n_frames) if rng.random() < rng.choice((0.1, 0.5, 0.9))]
         for s in sensors
     }
 
@@ -43,14 +38,14 @@ def random_streams(rng: random.Random, sensors, n_frames):
 
 def test_accuracy_basic_ratios():
     assert accuracy({"a": []}, 100, ("a",)) == 0.0
-    full = {"a": [ev(f, "a") for f in range(50)]}
+    full = {"a": [ev(f) for f in range(50)]}
     assert accuracy(full, 50, ("a",)) == 1.0
-    partial = {"a": [ev(f, "a") for f in range(892)]}
+    partial = {"a": [ev(f) for f in range(892)]}
     assert accuracy(partial, 1000, ("a",)) == pytest.approx(0.892)
 
 
 def test_accuracy_counts_a_frame_once_across_sensors():
-    events = {"a": [ev(3, "a")], "b": [ev(3, "b"), ev(4, "b")]}
+    events = {"a": [ev(3)], "b": [ev(3), ev(4)]}
     assert accuracy(events, 10, ("a", "b")) == pytest.approx(0.2)
 
 
@@ -59,6 +54,21 @@ def test_accuracy_rejects_empty_window_and_unknown_sensor():
         accuracy({"a": []}, 0, ("a",))
     with pytest.raises(ValueError, match="ghost"):
         accuracy({"a": []}, 10, ("ghost",))
+
+
+def test_every_subset_reader_rejects_an_unknown_sensor_alike():
+    # one selector names the stream a subset lacks, for the trigger and
+    # both frame metrics
+    events = {"a": [ev(0), ev(1), ev(2)], "b": []}
+    readers = (
+        lambda subset: first_confirmed_time(events, 3, subset),
+        lambda subset: accuracy(events, 10, subset),
+        lambda subset: mean_detections_per_frame(events, 10, subset),
+    )
+    for read in readers:
+        with pytest.raises(ValueError) as caught:
+            read(("a", "ghost", "b"))
+        assert str(caught.value) == "unknown sensor id 'ghost'"
 
 
 def test_accuracy_superset_never_lower():
@@ -77,7 +87,7 @@ def test_accuracy_superset_never_lower():
 
 def test_mean_detections_examples():
     assert mean_detections_per_frame({"a": []}, 25, ("a",)) == 0.0
-    sensors = {f"rsu{i}": [ev(f, f"rsu{i}") for f in range(30)] for i in range(12)}
+    sensors = {f"rsu{i}": [ev(f) for f in range(30)] for i in range(12)}
     assert mean_detections_per_frame(sensors, 30, tuple(sensors)) == pytest.approx(12.0)
 
 
@@ -108,8 +118,8 @@ def heatmap_of(events_by_sensor, n_frames, lpbt, frame_rate=10.0):
 
 def test_heatmap_matches_hand_matrix():
     events = {
-        "vut": [ev(2, "vut"), ev(3, "vut")],
-        "rsu1": [ev(0, "rsu1"), ev(4, "rsu1")],
+        "vut": [ev(2), ev(3)],
+        "rsu1": [ev(0), ev(4)],
         "rsu2": [],
     }
     hm = heatmap_of(events, 5, lpbt=0.31)
@@ -156,7 +166,7 @@ def test_heatmap_all_false_without_sensing():
 
 
 def test_heatmap_csv_roundtrip():
-    events = {"vut": [ev(1, "vut")], "rsu3": [ev(0, "rsu3"), ev(2, "rsu3")]}
+    events = {"vut": [ev(1)], "rsu3": [ev(0), ev(2)]}
     hm = heatmap_of(events, 3, lpbt=None)
     lines = hm.to_csv().strip().split("\n")
     assert lines[0] == "sensor,0.0,0.1,0.2"
@@ -182,7 +192,7 @@ def test_heatmap_csv_labels_every_frame_apart(frame_rate, labels):
 
 
 def test_heatmap_ppm_pixels():
-    events = {"vut": [ev(0, "vut")], "rsu1": []}
+    events = {"vut": [ev(0)], "rsu1": []}
     hm = heatmap_of(events, 3, lpbt=0.21)
     data = hm.to_ppm()
     header, rest = data.split(b"\n", 1)
@@ -202,7 +212,7 @@ def test_heatmap_ppm_pixels():
 
 
 def test_heatmap_ppm_draws_each_cell_two_pixels_square():
-    events = {"vut": [ev(0, "vut"), ev(3, "vut")], "rsu1": [ev(1, "rsu1")]}
+    events = {"vut": [ev(0), ev(3)], "rsu1": [ev(1)]}
     hm = heatmap_of(events, 4, lpbt=0.2)
     colour = {True: b"\x22\xaa\x44", False: b"\xff\xff\xff"}
     rows = [

@@ -307,6 +307,7 @@ def test_rotation_preserves_relative_timeline():
 def test_zero_rotation_is_identity():
     spec = build_scenario(ScenarioKind.CPNC50, 25.0)
     assert rotate_scenario(spec, 0.0) is spec
+    assert rotate_scenario(spec, -0.0) is spec
 
 
 def test_timeline_is_built_once_per_spec():
@@ -351,7 +352,7 @@ STEP_RATES = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(rate=STEP_RATES)
 def test_integrator_step_is_5_ms_where_it_fits_and_splits_the_period_elsewhere(rate):
     step, steps = kinematics_grid(rate)
