@@ -314,10 +314,10 @@ def simulate_run(
     Every run reads the spec's unbraked timeline and steps only its
     braking segment.
     """
+    if trigger_override is not None and not math.isfinite(trigger_override):
+        raise ValueError(f"trigger_override must be finite, got {trigger_override!r}")
     timeline = spec.timeline
-    brake_onset: float | None = (
-        trigger_override + policy.latency if trigger_override is not None else None
-    )
+    brake_onset = None if trigger_override is None else trigger_override + policy.latency
     travel = timeline.travel
     speeds = array("d", [spec.vut_track.speed]) * len(travel)
     if brake_onset is not None:

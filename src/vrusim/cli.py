@@ -42,11 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, help="detection-noise seed (overrides config)")
     sweep.add_argument(
         "--subset", action="append", metavar="NAME",
-        help="score only this subset; repeatable",
+        help="score this subset: 'any' or sensor ids joined by '+'; repeatable; replaces the subsets key",
     )
     sweep.add_argument(
         "--speeds", metavar="KMH[,KMH...]",
-        help="comma-separated speeds; kept per scenario where allowed",
+        help="comma-separated speeds; replaces the speeds_kmh key",
     )
     sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     sweep.add_argument(
@@ -84,11 +84,11 @@ def _setup_logging(args: argparse.Namespace) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_speed_filter(text: str | None) -> tuple[float, ...] | None:
+def _parse_speeds(text: str | None) -> list[float] | None:
     if text is None:
         return None
     try:
-        return tuple(float(part) for part in text.split(","))
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise ConfigError(f"--speeds: expected comma-separated numbers, got {text!r}") from None
 
@@ -108,8 +108,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.config,
             seed=args.seed,
             out_dir=args.out,
-            subset_filter=tuple(args.subset) if args.subset else None,
-            speed_filter=_parse_speed_filter(args.speeds),
+            subsets=[n if n == "any" else n.split("+") for n in args.subset] if args.subset else None,
+            speeds_kmh=_parse_speeds(args.speeds),
             write_traces=args.write_traces,
         )
         if args.workers < 1:

@@ -173,7 +173,7 @@ def _resolve_speeds(kinds: Sequence[ScenarioKind], explicit: Any) -> dict[Scenar
     scenario some listed speed."""
     if explicit is None:
         return {kind: allowed_speeds_kmh(kind) for kind in kinds}
-    if not isinstance(explicit, list) or not explicit:
+    if not isinstance(explicit, (list, tuple)) or not explicit:
         raise ConfigError("speeds_kmh: expected a non-empty list")
     speeds = sorted(_number(v, "speeds_kmh") for v in explicit)
     if len(set(speeds)) != len(speeds):
@@ -214,7 +214,7 @@ def _resolve_subsets(raw: Any, sensor_ids: Sequence[str]) -> tuple[SubsetSpec, .
         subsets += [SubsetSpec(s, (s,)) for s in sensor_ids if s != "vut"]
         subsets.append(SubsetSpec("any", tuple(sensor_ids)))
         return tuple(subsets)
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("subsets: expected a non-empty list")
     out = []
     for entry in raw:
@@ -223,7 +223,7 @@ def _resolve_subsets(raw: Any, sensor_ids: Sequence[str]) -> tuple[SubsetSpec, .
             continue
         if isinstance(entry, str):
             entry = [entry]
-        if not isinstance(entry, list) or not entry:
+        if not isinstance(entry, (list, tuple)) or not entry:
             raise ConfigError(f"subsets: bad entry {entry!r}")
         ids = []
         for sid in entry:
@@ -246,22 +246,26 @@ def load_config(
     *,
     seed: int | None = None,
     out_dir: str | None = None,
-    subset_filter: Sequence[str] | None = None,
-    speed_filter: Sequence[float] | None = None,
+    subsets: Sequence[Any] | None = None,
+    speeds_kmh: Sequence[float] | None = None,
     write_traces: bool | None = None,
 ) -> RunConfig:
     """Parse, validate, and resolve a run configuration.
 
-    ``path=None`` gives the all-defaults config.  Keyword overrides mirror
-    the command-line flags and are applied before validation, so the
-    resulting hash reflects what will actually run.
+    ``path=None`` gives the all-defaults config.  Each keyword that is not
+    None replaces the top-level key of its name before any key is read, so
+    that key's rules check it; the command-line flags pass through these.
     """
-    if path is None:
-        raw: Any = {}
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+    raw: Any = None
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     top = _Section(raw, "")
+    given = dict(seed=seed, out_dir=out_dir, subsets=subsets, speeds_kmh=speeds_kmh, write_traces=write_traces)
+    top.data.update((key, value) for key, value in given.items() if value is not None)
 
     scenario_names = top.take("scenarios", [k.display_name for k in ScenarioKind])
     if not isinstance(scenario_names, list) or not scenario_names:
@@ -356,7 +360,7 @@ def load_config(
             min_height_px=min_h_px,
             image_width_px=img_w,
             miss_probability=miss_p,
-            seed=cfg_seed if seed is None else seed,
+            seed=cfg_seed,
         )
     except ValueError as exc:
         raise ConfigError(f"detection: {exc}") from None
@@ -376,43 +380,19 @@ def load_config(
     if len(set(ids)) != len(ids):
         raise ConfigError("sensor ids must be unique across the vehicle and layout")
 
-    subsets = _resolve_subsets(subsets_raw, ids)
-
     config = RunConfig(
         scenarios=kinds,
         speeds_by_kind=speeds_by_kind,
-        out_dir=cfg_out if out_dir is None else out_dir,
+        out_dir=cfg_out,
         scene_yaws_deg=yaws,
         policy=policy,
         model=model,
         vut_sensor=vut_sensor,
         rsu_units=rsu_units,
-        subsets=subsets,
+        subsets=_resolve_subsets(subsets_raw, ids),
         overrides=overrides,
-        write_traces=cfg_traces if write_traces is None else write_traces,
+        write_traces=cfg_traces,
     )
-    if subset_filter:
-        by_name = {s.name: s for s in config.subsets}
-        missing = [n for n in subset_filter if n not in by_name]
-        if missing:
-            raise ConfigError(
-                f"subset filter names {missing} not configured; "
-                f"available: {', '.join(by_name)}"
-            )
-        config = replace(config, subsets=tuple(by_name[n] for n in subset_filter))
-    if speed_filter:
-        kept = {}
-        for kind in config.scenarios:
-            picked = tuple(s for s in config.speeds_by_kind[kind] if s in speed_filter)
-            if picked:
-                kept[kind] = picked
-        if not kept:
-            raise ConfigError("speed filter removes every sweep cell")
-        config = replace(
-            config,
-            scenarios=tuple(k for k in config.scenarios if k in kept),
-            speeds_by_kind=kept,
-        )
     _check_report_names(config)
     _check_scenarios(config)
     return config

@@ -92,8 +92,8 @@ class AxisBox2:
     max_y: float
 
     def __post_init__(self) -> None:
-        if self.max_x < self.min_x or self.max_y < self.min_y:
-            raise ValueError("AxisBox2 max corner must not precede min corner")
+        if not (-math.inf < self.min_x <= self.max_x < math.inf and -math.inf < self.min_y <= self.max_y < math.inf):
+            raise ValueError(f"box extent is negative or not finite: ({self.min_x},{self.min_y})..({self.max_x},{self.max_y})")
 
     @property
     def area(self) -> float:

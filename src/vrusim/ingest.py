@@ -16,6 +16,7 @@ labels agree.  The threshold is strict (IoU must exceed it); pass
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -84,14 +85,12 @@ def _split_line(line: str, n_fields: int, where: str) -> list[str]:
     return parts
 
 
-def _parse_box(parts: Sequence[str], where: str) -> AxisBox2:
+def _parse_corners(parts: Sequence[str], where: str) -> list[float]:
+    """A box's four numbers; `AxisBox2` checks them in the caller's record."""
     try:
-        x0, y0, x1, y1 = (float(p) for p in parts)
+        return [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{where}: box coordinates must be numbers") from None
-    if x1 < x0 or y1 < y0:
-        raise ValueError(f"{where}: box extent is negative ({x0},{y0})..({x1},{y1})")
-    return AxisBox2(x0, y0, x1, y1)
 
 
 def _read_rows(path: str | os.PathLike, header: str, kind: str):
@@ -120,13 +119,13 @@ def parse_detection_log(path: str | os.PathLike) -> list[ExternalDetection]:
             frame = int(parts[0])
         except ValueError:
             raise ValueError(f"{where}: frame must be an integer") from None
-        box = _parse_box(parts[3:7], where)
+        corners = _parse_corners(parts[3:7], where)
         try:
             confidence = float(parts[7])
         except ValueError:
             raise ValueError(f"{where}: confidence must be a number") from None
         try:
-            records.append(ExternalDetection(frame, parts[1], parts[2], box, confidence))
+            records.append(ExternalDetection(frame, parts[1], parts[2], AxisBox2(*corners), confidence))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return records
@@ -140,9 +139,9 @@ def parse_ground_truth(path: str | os.PathLike) -> list[GroundTruthRecord]:
             frame = int(parts[0])
         except ValueError:
             raise ValueError(f"{where}: frame must be an integer") from None
-        box = _parse_box(parts[4:8], where)
+        corners = _parse_corners(parts[4:8], where)
         try:
-            records.append(GroundTruthRecord(frame, parts[1], parts[2], parts[3], box))
+            records.append(GroundTruthRecord(frame, parts[1], parts[2], parts[3], AxisBox2(*corners)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return records
@@ -198,8 +197,8 @@ def match_detections(
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in [0, 1]")
-    if frame_rate <= 0 or latency < 0:
-        raise ValueError("frame_rate must be positive and latency non-negative")
+    if not (0 < frame_rate < math.inf and 0 <= latency < math.inf):
+        raise ValueError("frame_rate must be positive and latency non-negative, both finite")
 
     cells: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
     for i, det in enumerate(detections):

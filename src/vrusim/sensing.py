@@ -44,8 +44,8 @@ class SensorUnit:
     For mount "vut" the pose is vehicle-relative: x forward of the vehicle
     center, y to its left, yaw relative to its heading. z stays absolute.
     A unit senses at the scenario frame rate, so it carries no rate of its
-    own. Its id names report files and layout columns, so it holds no path
-    separator, no comma and no outer whitespace.
+    own. Its id names report files, layout columns and, joined by "+",
+    subsets, so it holds no path separator, comma, "+" or outer whitespace.
     """
 
     sensor_id: str
@@ -59,10 +59,10 @@ class SensorUnit:
     def __post_init__(self) -> None:
         if not self.sensor_id:
             raise ValueError("sensor id must be non-empty")
-        if self.sensor_id != self.sensor_id.strip() or any(c in self.sensor_id for c in "/\\,"):
+        if self.sensor_id != self.sensor_id.strip() or any(c in self.sensor_id for c in "/\\,+"):
             raise ValueError(
                 f"sensor id {self.sensor_id!r} must not hold a path separator, "
-                "a comma or outer whitespace"
+                "a comma, a '+' or outer whitespace"
             )
         if self.mount not in ("vut", "rsu"):
             raise ValueError(f"unknown mount {self.mount!r}")

@@ -161,7 +161,7 @@ def test_roadside_fusion_closes_the_avoidance_gap(tmp_path):
     """(a) vehicle-only handles the visible leading cyclist everywhere,
     (b) vehicle-only degrades with speed on the occluded crossing and fusion
     restores it, (c) a unit facing away from the approach contributes 0%."""
-    config = load_config(subset_filter=("vut", "rsu1", "rsu8", "any"))
+    config = load_config(subsets=("vut", "rsu1", "rsu8", "any"))
     result = run_sweep(config)
     by = {}
     for cell in result.cells:

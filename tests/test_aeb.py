@@ -464,6 +464,14 @@ def test_early_trigger_stops_short_of_static_obstacle():
     assert stop_margin(trace) == pytest.approx(bumper_gap_at_stop(8.4), abs=1e-6)
 
 
+@pytest.mark.parametrize("trigger", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_trigger_is_rejected(trigger):
+    # a NaN onset never brakes, so the run would report an unbraked collision
+    # with brake_trigger_time=nan
+    with pytest.raises(ValueError, match="trigger_override must be finite"):
+        simulate_run(static_obstacle_spec(), (), MODEL, POLICY, trigger_override=trigger, sense=False)
+
+
 def test_distant_stop_margin_is_a_lower_bound():
     spec = static_obstacle_spec()
     trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=8.0, sense=False)

@@ -57,7 +57,7 @@ def test_tracer_tells_observation_passes_from_replays(perfbench, tmp_path):
     m = imported_modules(perfbench)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"scenarios": ["CBNA"], "speeds_kmh": [40]}), encoding="utf-8")
-    config = m.config.load_config(str(cfg), subset_filter=["vut", "any"])
+    config = m.config.load_config(str(cfg), subsets=["vut", "any"])
     spec = m.scenario.build_scenario(m.scenario.ScenarioKind.CBNA, 40.0)
     sites = m.placement.candidate_sites_from_units(m.sensing.default_layout()[:2])
     tracer = perfbench.spans.Tracer()
@@ -80,7 +80,7 @@ def test_tracer_sees_the_sensing_layer(perfbench, tmp_path):
     m = imported_modules(perfbench)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"scenarios": ["CBNA"], "speeds_kmh": [40]}), encoding="utf-8")
-    config = m.config.load_config(str(cfg), subset_filter=["vut"])
+    config = m.config.load_config(str(cfg), subsets=["vut"])
     tracer = perfbench.spans.Tracer()
     try:
         perfbench.layers.install(tracer, m)
@@ -98,7 +98,7 @@ def test_tracer_sees_the_contact_kernel(perfbench, tmp_path):
     m = imported_modules(perfbench)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"scenarios": ["CBNA"], "speeds_kmh": [40]}), encoding="utf-8")
-    config = m.config.load_config(str(cfg), subset_filter=["vut", "any"])
+    config = m.config.load_config(str(cfg), subsets=["vut", "any"])
     spec = m.scenario.build_scenario(m.scenario.ScenarioKind.CBNA, 40.0)
     sites = m.placement.candidate_sites_from_units(m.sensing.default_layout()[:2])
     sweep, placement = perfbench.spans.Tracer(), perfbench.spans.Tracer()

@@ -173,6 +173,44 @@ def test_sweep_speed_filter_respected(tmp_path):
     assert speeds == ["40", "45"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--subset", "vut", "--subset", "vut"], "subsets: duplicate subset definitions"),
+        (["--speeds", "40,13"], "speeds_kmh: 13 km/h suits no configured scenario; allowed: CBNA 20..60, CBLA 25..60 in steps of 5"),
+        (["--speeds", "20"], "speeds_kmh: no CBLA speed is listed; "),
+        (["--subset", "vut+mystery"], "subsets: unknown sensor 'mystery'; "),
+    ],
+    ids=["subset-repeated", "speed-no-scenario-allows", "scenario-left-without-speed", "subset-unknown-sensor"],
+)
+def test_sweep_flags_are_checked_by_their_keys(tmp_path, caplog, flags, message):
+    # a flag replaces its key, so the key's rules reject it before any run
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA", "CBLA"], "speeds_kmh": [40]})
+    out = tmp_path / "out"
+    assert one_line_config_error(caplog, ["sweep", "--config", cfg, "--out", str(out), *flags, "-q"]).startswith(message)
+    assert not out.exists()
+
+
+def test_sweep_subset_flag_joins_sensor_ids_with_plus(tmp_path):
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--subset", "vut+rsu1", "--subset", "any", "-q"]
+    assert main(argv) == 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["vut+rsu1", "any"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "placement"])
+def test_a_config_file_that_is_not_utf8_is_exit_1(tmp_path, caplog, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"scenarios: [CBNA]\n\xff\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "-q"]
+    if command == "placement":
+        argv += ["--candidates", candidates_file(tmp_path), "--budget", "1"]
+    message = one_line_config_error(caplog, argv)
+    assert message.startswith(f"{cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_workers_flag_matches_serial(tmp_path):
     # two cells, so that two workers make a pool rather than a serial run
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40, 45]})
@@ -362,10 +400,10 @@ def test_placement_bad_candidates_is_exit_1_with_one_line(tmp_path, caplog, text
     assert not (out / "placement.csv").exists()
 
 
-@pytest.mark.parametrize("sensor_id", ["x/../../../escaped", "x\\..\\escaped"])
+@pytest.mark.parametrize("sensor_id", ["x/../../../escaped", "x\\..\\escaped", "a+b"])
 def test_sweep_rejects_a_sensor_id_that_is_no_file_name(tmp_path, caplog, sensor_id):
     # the id names heatmaps/<cell>_<subset>.csv, which a separator would
-    # place outside --out
+    # place outside --out, and "+" joins the ids of a subset's name
     work = tmp_path / "a" / "b" / "c"
     work.mkdir(parents=True)
     layout = work / "layout.txt"

@@ -1,5 +1,6 @@
 """Configuration loading: defaults, unit conversion, strictness, hashing."""
 
+import inspect
 import math
 import re
 from dataclasses import fields, is_dataclass, replace
@@ -143,18 +144,23 @@ def test_listed_speeds_apply_per_scenario(tmp_path):
         ScenarioKind.CBNA: (20.0, 25.0, 60.0),
         ScenarioKind.CBLA: (25.0, 60.0),
     }
-    assert cfg.speeds_by_kind == load_config(speed_filter=(20.0, 25.0, 60.0)).speeds_by_kind
+    assert cfg.speeds_by_kind == load_config(speeds_kmh=(20.0, 25.0, 60.0)).speeds_by_kind
     # listing the whole crossing grid gives the default sweep
     every = load_config(write_cfg(tmp_path, {"speeds_kmh": list(range(20, 65, 5))}))
     assert every.canonical_text() == load_config().canonical_text()
 
 
-def test_readme_lists_the_default_config(tmp_path):
+def readme_config():
+    """The YAML block README gives under "All keys and their defaults"."""
     text = README.read_text(encoding="utf-8")
     block = re.search(r"All keys and their defaults:\n\n```yaml\n(.*?)```", text, re.DOTALL)
     assert block is not None
+    return block.group(1)
+
+
+def test_readme_lists_the_default_config(tmp_path):
     path = tmp_path / "readme.yaml"
-    path.write_text(block.group(1), encoding="utf-8")
+    path.write_text(readme_config(), encoding="utf-8")
     documented, defaults = load_config(str(path)), load_config()
     assert documented.canonical_text() == defaults.canonical_text()
     assert documented.out_dir == defaults.out_dir
@@ -293,20 +299,21 @@ def test_cbla_cyclist_must_be_slower_than_every_swept_speed(tmp_path):
     path = write_cfg(tmp_path, {"scenario_overrides": {"cyclist_speed_kmh": 25}})
     with pytest.raises(ConfigError, match=r"CBLA at 25 km/h: cyclist_speed_kmh \(25\)"):
         load_config(path)
-    # the check sees the speeds left after the command-line filter
-    cfg = load_config(path, speed_filter=(30.0,))
+    # the check sees the speeds the speeds_kmh keyword lists
+    cfg = load_config(path, speeds_kmh=(30.0,))
     assert cfg.speeds_by_kind[ScenarioKind.CBLA] == (30.0,)
     # without CBLA in the sweep a fast cyclist is fine
-    assert load_config(path, speed_filter=(20.0,)).scenarios == (ScenarioKind.CPNC50, ScenarioKind.CBNA)
+    crossing = write_cfg(tmp_path, {"scenarios": ["CPNC-50", "CBNA"], "scenario_overrides": {"cyclist_speed_kmh": 25}})
+    assert load_config(crossing, speeds_kmh=(20.0,)).scenarios == (ScenarioKind.CPNC50, ScenarioKind.CBNA)
 
 
 def test_every_swept_speed_is_built_at_load(tmp_path):
     # the wall must end nearer the conflict point than the cyclist starts;
     # a 40 m gap fits the 45 m approach at 20 km/h but not the 36 m at 25
-    path = write_cfg(tmp_path, {"scenario_overrides": {"wall_end_distance": 40}})
+    path = write_cfg(tmp_path, {"scenarios": ["CPNC-50", "CBNA"], "scenario_overrides": {"wall_end_distance": 40}})
     with pytest.raises(ConfigError, match="CBNA at 25 km/h: OrientedBox"):
         load_config(path)
-    assert load_config(path, speed_filter=(20.0,)).speeds_by_kind[ScenarioKind.CBNA] == (20.0,)
+    assert load_config(path, speeds_kmh=(20.0,)).speeds_by_kind[ScenarioKind.CBNA] == (20.0,)
 
 
 @pytest.mark.parametrize(
@@ -395,32 +402,53 @@ def test_subset_resolution(tmp_path):
         load_config(write_cfg(tmp_path, {"subsets": []}))
 
 
-def test_subset_filter_keeps_request_order():
-    cfg = load_config(subset_filter=("any", "vut"))
+def test_subsets_keyword_keeps_request_order():
+    cfg = load_config(subsets=("any", "vut"))
     assert [s.name for s in cfg.subsets] == ["any", "vut"]
-    with pytest.raises(ConfigError, match="not configured.*available"):
-        load_config(subset_filter=("mystery",))
+    # an entry names sensors, as in the file, not a subset of the default list
+    with pytest.raises(ConfigError, match=r"^subsets: unknown sensor 'mystery'; known: vut, rsu0, "):
+        load_config(subsets=("mystery",))
 
 
-def test_speed_filter_drops_empty_scenarios():
-    cfg = load_config(speed_filter=(40.0,))
+def test_speeds_keyword_leaves_no_scenario_without_a_speed():
+    cfg = load_config(speeds_kmh=(40.0,))
     assert all(v == (40.0,) for v in cfg.speeds_by_kind.values())
     # 20 km/h only exists for the crossing scenarios
-    cfg20 = load_config(speed_filter=(20.0,))
-    assert ScenarioKind.CBLA not in cfg20.scenarios
-    assert ScenarioKind.CBNA in cfg20.scenarios
-    with pytest.raises(ConfigError, match="removes every"):
-        load_config(speed_filter=(13.0,))
+    with pytest.raises(ConfigError, match=r"^speeds_kmh: no CBLA speed is listed; allowed: CPNC-50 20\.\.60, "):
+        load_config(speeds_kmh=(20.0,))
+    with pytest.raises(ConfigError, match=r"^speeds_kmh: 13 km/h suits no configured scenario; "):
+        load_config(speeds_kmh=(13.0,))
 
 
-def test_cli_style_overrides(tmp_path):
-    cfg = load_config(
-        write_cfg(tmp_path, {"out_dir": "elsewhere"}),
-        out_dir="cli-dir",
-        write_traces=True,
-    )
-    assert cfg.out_dir == "cli-dir"
-    assert cfg.write_traces is True
+def test_every_keyword_is_a_documented_top_level_key():
+    keywords = [p.name for p in inspect.signature(load_config).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    assert keywords == ["seed", "out_dir", "subsets", "speeds_kmh", "write_traces"]
+    assert set(keywords) <= set(yaml.safe_load(readme_config()))
+
+
+@pytest.mark.parametrize(
+    "key, in_file, given, bad, message",
+    [
+        ("seed", 3, 7, True, "seed: expected an integer, got True"),
+        ("out_dir", "elsewhere", "cli-dir", "", "out_dir: expected a non-empty string"),
+        ("subsets", ["rsu1"], ["any", ["vut", "rsu1"]], ["any", "any"], "subsets: duplicate subset definitions"),
+        ("speeds_kmh", [40], [25, 45], [40, 13], "speeds_kmh: 13 km/h suits no configured scenario"),
+        ("write_traces", False, True, "yes", "write_traces: expected true/false, got 'yes'"),
+    ],
+    ids=["seed", "out_dir", "subsets", "speeds_kmh", "write_traces"],
+)
+def test_cli_style_overrides(tmp_path, key, in_file, given, bad, message):
+    # a keyword replaces the top-level key of its name, and that key's rules check it
+    cfg = load_config(write_cfg(tmp_path, {key: in_file}), **{key: given})
+    same = load_config(write_cfg(tmp_path, {key: given}))
+    assert cfg.canonical_text() == same.canonical_text()
+    assert cfg.cells() == same.cells()
+    assert cfg.subsets == same.subsets
+    assert (cfg.out_dir, cfg.write_traces) == (same.out_dir, same.write_traces)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(**{key: bad})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(write_cfg(tmp_path, {key: bad}))
 
 
 def test_yaw_list(tmp_path):

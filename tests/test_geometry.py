@@ -303,6 +303,16 @@ def test_iou_half_offset_unit_squares():
     assert abs(raster_iou(a, b) - got) < 1e-2
 
 
+@pytest.mark.parametrize("corner", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_axis_box_rejects_non_finite_corners(corner, value):
+    # every comparison with nan is false, so a nan box would match nothing
+    corners = [0.0, 0.0, 1.0, 1.0]
+    corners[corner] = value
+    with pytest.raises(ValueError, match="not finite"):
+        AxisBox2(*corners)
+
+
 def test_iou_zero_area_conventions():
     line = AxisBox2(0, 0, 0, 1)
     assert iou_axis_box(line, AxisBox2(0, 0, 1, 1)) == 0.0

@@ -23,7 +23,7 @@ def cfg_file(tmp_path, data):
 def small_config(tmp_path, **kwargs):
     """One scenario, two speeds, three subsets: quick but exercises fusion."""
     path = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40, 60]})
-    return load_config(path, subset_filter=("vut", "rsu1", "any"), **kwargs)
+    return load_config(path, subsets=("vut", "rsu1", "any"), **kwargs)
 
 
 def test_cells_follow_config_order(tmp_path):
@@ -35,7 +35,7 @@ def test_cells_follow_config_order(tmp_path):
             "scene_yaw_deg": [0, 180],
         },
     )
-    config = load_config(path, subset_filter=("vut",))
+    config = load_config(path, subsets=("vut",))
     result = run_sweep(config)
     seen = [(c.yaw_deg, c.kind.display_name, c.speed_kmh) for c in result.cells]
     assert seen == [
@@ -82,7 +82,7 @@ def test_pool_holds_no_more_workers_than_cells(tmp_path, monkeypatch):
     serial = run_sweep(config)
     assert run_sweep(config, workers=500).cells == serial.cells
     assert sizes == [len(config.cells())] == [2]
-    one_cell = small_config(tmp_path, speed_filter=(40.0,))
+    one_cell = small_config(tmp_path, speeds_kmh=(40.0,))
     assert run_sweep(one_cell, workers=500).cells == serial.cells[:1]
     assert sizes == [2]
 
@@ -126,7 +126,7 @@ def test_scene_rotation_maps_corner_units_onto_each_other(tmp_path):
         tmp_path,
         {"scenarios": ["CBNA"], "speeds_kmh": [40], "scene_yaw_deg": [0, 90]},
     )
-    config = load_config(path, subset_filter=("rsu0", "rsu1", "vut"))
+    config = load_config(path, subsets=("rsu0", "rsu1", "vut"))
     result = run_sweep(config)
     plain = {s.name: s for s in result.cells[0].subsets}
     turned = {s.name: s for s in result.cells[1].subsets}
@@ -198,7 +198,7 @@ def test_summary_rows_and_na_policy(tmp_path):
 def test_accuracy_table_shape_and_gaps(tmp_path):
     # 20 km/h exists for the crossing scenarios but not the longitudinal one,
     # so the CBLA row keeps an NA hole at that column
-    config = load_config(subset_filter=("any",), speed_filter=(20.0, 25.0))
+    config = load_config(subsets=("any",), speeds_kmh=(20.0, 25.0))
     result = run_sweep(config)
     emit_reports(result, str(tmp_path / "out"))
     lines = (tmp_path / "out" / "accuracy_table.csv").read_text().splitlines()
@@ -216,7 +216,7 @@ def test_accuracy_table_needs_any_subset(tmp_path):
     config = small_config(tmp_path, out_dir=str(tmp_path / "out"))
     config_no_any = load_config(
         cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]}),
-        subset_filter=("vut",),
+        subsets=("vut",),
     )
     result = run_sweep(config_no_any)
     manifest = emit_reports(result, str(tmp_path / "no_any"))
@@ -258,7 +258,7 @@ def test_heatmap_files_match_recomputation(tmp_path):
 def test_traces_only_when_enabled(tmp_path):
     on = load_config(
         cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "write_traces": True}),
-        subset_filter=("vut",),
+        subsets=("vut",),
     )
     result = run_sweep(on)
     emit_reports(result, str(tmp_path / "with"))
@@ -281,7 +281,7 @@ def test_traces_only_when_enabled(tmp_path):
 
     off = load_config(
         cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]}),
-        subset_filter=("vut",),
+        subsets=("vut",),
     )
     emit_reports(run_sweep(off), str(tmp_path / "without"))
     assert not (tmp_path / "without" / "traces").exists()
@@ -316,7 +316,7 @@ def test_trace_bytes_are_pinned(tmp_path):
             "write_traces": True,
         },
     )
-    emit_reports(run_sweep(load_config(path, subset_filter=("vut",))), str(tmp_path / "out"))
+    emit_reports(run_sweep(load_config(path, subsets=("vut",))), str(tmp_path / "out"))
     assert written_trace_digests(tmp_path / "out") == TRACE_DIGESTS
 
 
@@ -334,7 +334,7 @@ def test_25_hz_trace_and_deadline_column(tmp_path):
             "write_traces": True,
         },
     )
-    result = run_sweep(load_config(path, subset_filter=("vut",)))
+    result = run_sweep(load_config(path, subsets=("vut",)))
     emit_reports(result, str(tmp_path / "out"))
     assert written_trace_digests(tmp_path / "out") == {
         "CPNC-50_20": "f8269b097605fb2988821a2ca4132551240a766b499d891e1cdafff15b658b73"
@@ -354,7 +354,7 @@ def test_yaw_suffix_on_per_yaw_reports(tmp_path):
         tmp_path,
         {"scenarios": ["CBNA"], "speeds_kmh": [40], "scene_yaw_deg": [0, 90]},
     )
-    config = load_config(path, subset_filter=("any",))
+    config = load_config(path, subsets=("any",))
     manifest = emit_reports(run_sweep(config), str(tmp_path / "out"))
     rels = [rel for rel, _ in manifest.entries]
     assert "accuracy_table.csv" in rels

@@ -5,6 +5,7 @@ at every step it scans every remaining (detection, ground-truth) pair and
 takes the best one, instead of the production sort-and-scan.
 """
 
+import math
 import random
 
 import pytest
@@ -377,3 +378,29 @@ def test_match_parameter_validation():
         match_detections([], [], frame_rate=0.0, latency=0.025)
     with pytest.raises(ValueError):
         match_detections([], [], frame_rate=10.0, latency=-0.1)
+
+
+@pytest.mark.parametrize(
+    "frame_rate, latency",
+    [(math.nan, 0.025), (math.inf, 0.025), (10.0, math.nan), (10.0, math.inf)],
+    ids=["rate-nan", "rate-inf", "latency-nan", "latency-inf"],
+)
+def test_match_rejects_non_finite_timing(frame_rate, latency):
+    # an event's available_at would be nan or inf
+    dets = [det(0, "cam0", "pedestrian", 10, 20, 40, 90)]
+    gts = [gt(0, "cam0", "vru", "pedestrian", 10, 20, 40, 90)]
+    with pytest.raises(ValueError, match="finite"):
+        match_detections(dets, gts, frame_rate=frame_rate, latency=latency)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_parse_rejects_a_non_finite_box_corner(tmp_path, cell):
+    # a nan box would parse and then silently never match
+    log = tmp_path / "dets.csv"
+    log.write_text(f"{DETECTION_LOG_HEADER}\n0,cam0,pedestrian,10,20,{cell},90,0.9\n")
+    with pytest.raises(ValueError, match=r"^detection log line 2: box extent is negative or not finite"):
+        parse_detection_log(log)
+    truth = tmp_path / "gt.csv"
+    truth.write_text(f"{GROUND_TRUTH_HEADER}\n0,cam0,vru,pedestrian,{cell},20,40,90\n")
+    with pytest.raises(ValueError, match=r"^ground truth line 2: box extent is negative or not finite"):
+        parse_ground_truth(truth)

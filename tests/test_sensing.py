@@ -60,7 +60,7 @@ def test_unoccluded_pedestrian_detected_with_full_fraction():
     assert ev.available_at == pytest.approx(0.425)
 
 
-@pytest.mark.parametrize("sensor_id", ["", "a/b", "a\\b", "a,b", " a", "a\t"])
+@pytest.mark.parametrize("sensor_id", ["", "a/b", "a\\b", "a,b", " a", "a\t", "a+b"])
 def test_sensor_id_must_be_a_plain_name(sensor_id):
     with pytest.raises(ValueError, match="sensor id"):
         replace(RSU_AT_ORIGIN, sensor_id=sensor_id)
