@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-from .geometry import _SLACK, Box, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
+from .geometry import _SLACK, Box, _pad, obb_gap_bound, obb_overlap, obb_separation, occluder_slabs, triangle_meets_box
 from .scenario import ActorTrack, ScenarioSpec, Timeline
 from .sensing import (
     DetectionEvent,
@@ -111,8 +111,11 @@ def _braked(
     The steps that end by the onset keep their unbraked values: `_advance`
     takes the unbraked arithmetic up to the onset, so a braked run shares
     every such step with the unbraked timeline. Only the braking segment
-    is stepped. Once the vehicle has stopped `_advance` adds exactly 0.0,
-    so the travel holds from there on.
+    is stepped, each step past the onset with `_advance`'s braked
+    arithmetic written out; a step that starts before the onset goes
+    through `_advance`, as a frame's first step can start an ulp before
+    the previous step's end. Once the vehicle has stopped `_advance` adds
+    exactly 0.0, so the travel holds from there on.
     """
     starts, times = timeline.starts, timeline.times
     n = len(times)
@@ -121,17 +124,25 @@ def _braked(
         return travel, speeds
     decel = policy.deceleration
     dist, speed = travel[j - 1], speeds[j - 1]
-    seg_travel, seg_speeds = array("d"), array("d")
-    for k in range(j, n):
+    seg_travel, seg_speeds = [], []
+    add_travel, add_speed = seg_travel.append, seg_speeds.append
+    for t0, t1 in zip(starts[j:], times[j:]):
         if speed == 0.0:
             break
-        dist, speed = _advance(dist, speed, starts[k], times[k], onset, decel)
-        seg_travel.append(dist)
-        seg_speeds.append(speed)
+        if onset > t0:
+            dist, speed = _advance(dist, speed, t0, t1, onset, decel)
+        else:
+            tau = t1 - t0
+            if tau >= speed / decel:
+                dist, speed = dist + speed * speed / (2.0 * decel), 0.0
+            else:
+                dist, speed = dist + (speed * tau - decel * tau * tau / 2.0), speed - decel * tau
+        add_travel(dist)
+        add_speed(speed)
     stopped = n - j - len(seg_travel)
     return (
-        travel[:j] + seg_travel + array("d", [dist]) * stopped,
-        speeds[:j] + seg_speeds + array("d", [0.0]) * stopped,
+        travel[:j] + array("d", seg_travel) + array("d", [dist]) * stopped,
+        speeds[:j] + array("d", seg_speeds) + array("d", [0.0]) * stopped,
     )
 
 
@@ -145,6 +156,27 @@ def _box(track: ActorTrack, x: float, y: float) -> Box:
     return (x, y, track.heading, track.length / 2, track.width / 2)
 
 
+def _leg_span(track: ActorTrack, x: float, y: float, reach: float) -> tuple[float, float] | None:
+    """The distances along `track`'s leg, the clamped end counting for
+    every distance past it, at which its centre can lie within `reach` of
+    (x, y): an interval, infinite above when the leg's end lies within,
+    or None when no point does. The reach is padded as `_pad` pads a
+    bound, far past the rounding of a located position and its gap."""
+    a, b = track.path
+    dx, dy = b.x - a.x, b.y - a.y
+    length = math.hypot(dx, dy)
+    fx, fy = (dx / length, dy / length) if length > 0.0 else (1.0, 0.0)
+    wx, wy = x - a.x, y - a.y
+    along, across = wx * fx + wy * fy, wx * fy - wy * fx
+    reach = _pad(reach)
+    if abs(across) > reach:
+        return None
+    half = math.sqrt(reach * reach - across * across)
+    if along - half > length:
+        return None
+    return along - half, math.inf if along + half >= length else along + half
+
+
 def _close_steps(
     spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float], ceiling: float
 ) -> Iterator[tuple[int, float, float]]:
@@ -156,15 +188,32 @@ def _close_steps(
     centres close at most at v plus the VRU's speed; after a step with
     bound b at time t no step before t + (b - ceiling - 2 * _SLACK) /
     closing can come that near, and the scan bisects past them without
-    locating either actor.
+    locating either actor. Once the vehicle has stopped it stands at one
+    point for the rest of the run, and only the steps while the VRU's
+    centre can lie within reach of it (`_leg_span`), one interval, can
+    come that near: the scan bisects to that interval and ends with it.
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     vut_locate, vru_locate = vut_track.locate, vru_track.locate
     vru_speed = vru_track.speed
+
+    def along(t: float) -> float:
+        return vru_speed * t
+
     n = len(times)
+    # the first step at standstill; the speed never rises again
+    halt = bisect_left(speeds, True, key=lambda v: v == 0.0)
     k = 0
     while k < n:
+        if k >= halt:
+            span = _leg_span(vru_track, *vut_locate(travel[halt]), ceiling + _SLACK + vut_r + vru_r)
+            if span is None:
+                return
+            k = bisect_left(times, span[0], k, key=along)
+            n = bisect_right(times, span[1], k, n, key=along)
+            halt = n  # narrowed once
+            continue
         t = times[k]
         ux, uy = vut_locate(travel[k])
         rx, ry = vru_locate(vru_speed * t)

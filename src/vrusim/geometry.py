@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 _EPS = 1e-9
 _SILHOUETTE_COLS = 3
@@ -180,12 +181,16 @@ def triangle_meets_box(triangle: tuple[tuple[float, float], ...], box: Box) -> b
 
 
 def obb_gap_bound(a: Box, b: Box) -> float:
-    """The largest gap between the two boxes' projections on the four box
-    axes, negative where every projection overlaps.
+    """A lower bound on `obb_separation` that costs no corners: for each
+    box, the gap between it and the other box's bounding rectangle in its
+    own frame, taken as the larger of the two; 0.0 where neither gap is
+    positive.
 
-    Projection onto a unit axis does not lengthen any distance, so this is
-    at most `obb_separation` (the separating-axis test measured rather than
-    decided) and costs no corners.
+    In a box's own frame it is axis-aligned, and so is the other box's
+    bounding rectangle, which holds the other box; the gap between two
+    axis-aligned rectangles is the hypot of their positive gaps along the
+    two axes (the separating-axis test measured rather than decided). It
+    is exact where a box's corner, or face, meets a face-parallel box.
     """
     ax, ay, a_heading, a_long, a_lat = a
     bx, by, b_heading, b_long, b_lat = b
@@ -195,10 +200,14 @@ def obb_gap_bound(a: Box, b: Box) -> float:
     # |cos| and |sin| of the angle between the two forward axes
     c, s = abs(ca * cb + sa * sb), abs(ca * sb - sa * cb)
     return max(
-        abs(dx * ca + dy * sa) - a_long - (b_long * c + b_lat * s),
-        abs(dy * ca - dx * sa) - a_lat - (b_long * s + b_lat * c),
-        abs(dx * cb + dy * sb) - b_long - (a_long * c + a_lat * s),
-        abs(dy * cb - dx * sb) - b_lat - (a_long * s + a_lat * c),
+        math.hypot(
+            max(abs(dx * ca + dy * sa) - a_long - (b_long * c + b_lat * s), 0.0),
+            max(abs(dy * ca - dx * sa) - a_lat - (b_long * s + b_lat * c), 0.0),
+        ),
+        math.hypot(
+            max(abs(dx * cb + dy * sb) - b_long - (a_long * c + a_lat * s), 0.0),
+            max(abs(dy * cb - dx * sb) - b_lat - (a_long * s + a_lat * c), 0.0),
+        ),
     )
 
 
@@ -206,26 +215,38 @@ def obb_separation(a: Box, b: Box) -> float:
     """Euclidean gap between two boxes; 0.0 when they overlap or touch.
 
     Disjoint rectangles are closest at a corner of one against an edge of
-    the other, so the gap is the least corner-to-edge distance.
+    the other, so the gap is the least corner-to-edge distance. A corner's
+    distance to the other box, measured in that box's frame, bounds its
+    four edge distances from below, to within rounding far below _SLACK.
+    The corners go in ascending order of it, each taking all four edges,
+    and one whose bound exceeds the least distance so far by _SLACK ends
+    the search: neither it nor any later corner can set the minimum.
     """
     fa, fb = _box_frame(a), _box_frame(b)
     if _frames_overlap(fa, fb):
         return 0.0
+    # (bound, corner x, corner y, the other box's corners) per corner
+    candidates = []
+    for pts, box, (corners, ((fx, fy), (lx, ly))) in ((fa[0], b, fb), (fb[0], a, fa)):
+        cx, cy, _, half_long, half_lat = box
+        for px, py in pts:
+            rx, ry = px - cx, py - cy
+            bound = math.hypot(max(abs(rx * fx + ry * fy) - half_long, 0.0), max(abs(rx * lx + ry * ly) - half_lat, 0.0))
+            candidates.append((bound, px, py, corners))
+    candidates.sort(key=itemgetter(0))
     best = math.inf
-    for pts, corners in ((fa[0], fb[0]), (fb[0], fa[0])):
-        # (start x, start y, span x, span y, squared length) per edge
-        edges = []
+    for bound, px, py, corners in candidates:
+        if bound > best + _SLACK:
+            break
         for (ex, ey), (gx, gy) in zip(corners, corners[1:] + corners[:1]):
             sx, sy = gx - ex, gy - ey
-            edges.append((ex, ey, sx, sy, sx * sx + sy * sy))
-        for px, py in pts:
-            for ex, ey, sx, sy, ln2 in edges:
-                if ln2 <= _EPS:
-                    d = math.hypot(px - ex, py - ey)
-                else:
-                    t = max(0.0, min(1.0, ((px - ex) * sx + (py - ey) * sy) / ln2))
-                    d = math.hypot(px - (ex + sx * t), py - (ey + sy * t))
-                best = min(best, d)
+            ln2 = sx * sx + sy * sy
+            if ln2 <= _EPS:
+                d = math.hypot(px - ex, py - ey)
+            else:
+                t = max(0.0, min(1.0, ((px - ex) * sx + (py - ey) * sy) / ln2))
+                d = math.hypot(px - (ex + sx * t), py - (ey + sy * t))
+            best = min(best, d)
     return best
 
 

@@ -94,8 +94,12 @@ def _parse_corners(parts: Sequence[str], where: str) -> list[float]:
 
 
 def _read_rows(path: str | os.PathLike, header: str, kind: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -11,6 +11,9 @@ are the ``Vec2`` forms of the box overlap and gap on ``OrientedBox``
 footprints, every corner rebuilt wherever it is needed. The float kernels
 in ``vrusim.geometry`` must give the same bits.
 
+``advance_every_step`` drives a run's whole timeline with one
+``_advance`` per step, which the package's braked runs write out and
+stop early; their step arrays must be equal byte for byte.
 ``live_run`` is the closed loop confirmed while the run goes, which the
 package defines instead as an observation pass followed by a run forced
 from the subset's first confirmation; the two must agree exactly.
@@ -35,6 +38,7 @@ the package's `ActorTrack.locate` does, as one.
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,6 +190,20 @@ def stopping_distance(v: float, policy: AebPolicy) -> float:
     if v < 0:
         raise ValueError("speed must be non-negative")
     return v * policy.latency + v * v / (2.0 * policy.deceleration)
+
+
+def advance_every_step(spec: ScenarioSpec, onset: float | None, deceleration: float) -> tuple[array, array]:
+    """The vehicle's travel and speed at t = 0 and at the end of every
+    step of `spec`'s timeline, each step a plain `_advance` from the last
+    with braking from `onset` on, the stopped steps included."""
+    timeline = spec.timeline
+    travelled, speed = 0.0, spec.vut_track.speed
+    travel, speeds = array("d", [travelled]), array("d", [speed])
+    for t0, t1 in zip(timeline.starts[1:], timeline.times[1:]):
+        travelled, speed = _advance(travelled, speed, t0, t1, onset, deceleration)
+        travel.append(travelled)
+        speeds.append(speed)
+    return travel, speeds
 
 
 def world_at(

@@ -9,6 +9,7 @@ confirms while it goes (`oracles.live_run`).
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -50,6 +51,7 @@ from vrusim.sensing import (
 import sites
 from oracles import (
     Pose2,
+    advance_every_step,
     float_box,
     footprint,
     live_run,
@@ -450,6 +452,39 @@ def test_braked_late_residual_speed_matches_closed_form():
     assert 0.0 < out.collision_speed < v0
 
 
+def onsets_around(timeline, k):
+    """Onsets on step k's start and end and an ulp to either side of each."""
+    for t in (timeline.starts[k], timeline.times[k]):
+        yield from (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))
+
+
+@pytest.mark.parametrize("deceleration", [POLICY.deceleration, 0.05], ids=["stops", "never-stops"])
+@pytest.mark.parametrize("rate", [10.0, 25.0, 30.0])
+def test_braked_steps_equal_a_plain_advance_loop(rate, deceleration):
+    # the braking loop writes `_advance`'s braked arithmetic out; a frame's
+    # first step can start an ulp before the previous step ends, and an
+    # onset between the two must still take `_advance`'s partial step
+    spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=rate))
+    timeline = spec.timeline
+    n, per_frame = len(timeline.times), timeline.steps_per_frame
+    early = [k for k in range(2, n) if timeline.starts[k] < timeline.times[k - 1]]
+    assert early
+    # the run's first and last steps, and every tenth frame's first and last
+    steps = sorted({1, n - 1, *early, *range(1, n, 10 * per_frame), *range(per_frame, n, 10 * per_frame)})
+    policy = AebPolicy(deceleration=deceleration)
+    unbraked = array("d", [spec.vut_track.speed]) * n
+    stopped = set()
+    for k in steps:
+        for onset in onsets_around(timeline, k):
+            travel, speeds = aeb._braked(policy, timeline, timeline.travel, unbraked, onset)
+            want_travel, want_speeds = advance_every_step(spec, onset, deceleration)
+            assert travel.tobytes() == want_travel.tobytes(), (k, onset)
+            assert speeds.tobytes() == want_speeds.tobytes(), (k, onset)
+            stopped.add(speeds[-1] == 0.0)
+    # the strong brake stops mid-run from early onsets; the weak one never
+    assert stopped == ({False, True} if deceleration == POLICY.deceleration else {False})
+
+
 def bumper_gap_at_stop(trigger: float) -> float:
     onset = trigger + POLICY.latency
     stop_x = -100.0 + 10.0 * onset + 10.0**2 / (2 * POLICY.deceleration)
@@ -787,6 +822,41 @@ def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
     assert got == reference_replay(spec, POLICY, 8.4)
     # the least gap is where the pedestrian leaves the car's front face
     assert got[3] < bumper_gap_at_stop(8.4) - 1e-7
+
+
+@pytest.mark.parametrize(
+    "trigger, most_locates, most_gaps",
+    [(0.225, 267, 0), (6.325, 1399, 69)],
+)
+def test_stop_margin_work_is_bounded(monkeypatch, trigger, most_locates, most_gaps):
+    # CPNC-50 at 60 km/h: forced at 0.225 s the car stops 108 m short and
+    # the pedestrian crosses far ahead of it; forced at 6.325 s it stops
+    # 7 m short and the pedestrian walks across its front, where the gaps
+    # of many steps lie within rounding of each other. Every ActorTrack
+    # locate (both tracks) and every exact gap counts. A closing-speed
+    # scan of the stopped phase and a gap bound loose at corners take 1446
+    # locates for the first, and 1442 locates and 235 gaps for the second
+    spec = build_scenario(ScenarioKind.CPNC50, 60.0)
+    trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=trigger, sense=False)
+    assert trace.outcome.avoided
+    calls = {"locate": 0, "gap": 0}
+    locate, separation = ActorTrack.locate, aeb.obb_separation
+
+    def counted_locate(track, distance):
+        calls["locate"] += 1
+        return locate(track, distance)
+
+    def counted_separation(a, b):
+        calls["gap"] += 1
+        return separation(a, b)
+
+    monkeypatch.setattr(ActorTrack, "locate", counted_locate)
+    monkeypatch.setattr(aeb, "obb_separation", counted_separation)
+    margin = stop_margin(trace)
+    monkeypatch.undo()
+    assert calls["locate"] <= most_locates
+    assert calls["gap"] <= most_gaps
+    assert margin == reference_replay(spec, POLICY, trigger)[3]
 
 
 # the trace of a braked closed loop: sha256 of format_trace, as written

@@ -253,22 +253,94 @@ def box_pairs(draw):
     return a, OrientedBox(center, half_long, half_lat, b_heading)
 
 
-@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow])
-@given(box_pairs())
+# gaps from a rounding step to the far field, each scale drawn as often
+GAPS = st.one_of(
+    st.sampled_from((1e-9, 1e-6, 1e-3, 1.0, 100.0)),
+    st.floats(-9.0, 2.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def apart_pairs(draw):
+    """Two boxes a gap apart, where the corner prune of `obb_separation`
+    and `obb_gap_bound` decide: b beyond one of a's faces, face-parallel
+    and slid along it (offsets on the plateau where a corner of each lies
+    on the closing faces, and its ends), corner against corner, or turned
+    by 37 degrees plus a multiple of pi/2."""
+    half = st.one_of(st.floats(0.05, 2.5), st.sampled_from((0.25, 0.9, 2.25)))
+    heading = st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(EDGE_HEADINGS))
+    coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, 0.5, -1.25)))
+    a = OrientedBox(Vec2(draw(coord), draw(coord)), draw(half), draw(half), draw(heading))
+    half_long, half_lat = draw(half), draw(half)
+    placement = draw(st.sampled_from(("plateau", "corner", "turned")))
+    turn = draw(st.sampled_from((0, 1, 2, -1, -2))) * math.pi / 2
+    if placement == "turned":
+        turn += math.radians(37.0)
+    b_heading = a.heading + turn
+    # b's bounding half extents along a's forward and lateral axes
+    c, s = abs(math.cos(turn)), abs(math.sin(turn))
+    along, across = half_long * c + half_lat * s, half_long * s + half_lat * c
+    fwd, lat = axes(a)
+    # the face: a's forward or lateral axis, either way
+    if draw(st.booleans()):
+        fwd, lat = lat, fwd
+        along, across = across, along
+        a_along, a_across = a.half_lat, a.half_long
+    else:
+        a_along, a_across = a.half_long, a.half_lat
+    side = draw(st.sampled_from((1.0, -1.0)))
+    gap = draw(GAPS)
+    ends = a_across + across
+    if placement == "corner":
+        offset = draw(st.sampled_from((1.0, -1.0))) * (ends + draw(GAPS))
+    else:
+        offset = draw(
+            st.one_of(
+                st.floats(-ends, ends),
+                st.sampled_from((0.0, a_across - across, across - a_across, ends, -ends)),
+            )
+        )
+    center = add(add(a.center, scaled(fwd, side * (a_along + along + gap))), scaled(lat, offset))
+    return a, OrientedBox(center, half_long, half_lat, b_heading)
+
+
+CONTACT_PAIRS = st.one_of(box_pairs(), apart_pairs())
+
+
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(CONTACT_PAIRS)
 def test_box_kernel_matches_vec2_reference_exactly(pair):
+    # the reference takes all 32 corner-to-edge distances; the kernel's
+    # pruned search must find the same least one
     a, b = pair
     fa, fb = float_box(a), float_box(b)
     assert obb_overlap(fa, fb) == oracles.obb_overlap(a, b)
     assert obb_separation(fa, fb).hex() == oracles.obb_separation(a, b).hex()
 
 
-@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow])
-@given(box_pairs())
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(CONTACT_PAIRS)
 def test_projection_gap_never_exceeds_the_exact_gap(pair):
     # rounding may put it a few ulps above on touching pairs; the stop
     # margin's prune adds 1e-6 m before it trusts the bound
     fa, fb = (float_box(box) for box in pair)
     assert obb_gap_bound(fa, fb) <= obb_separation(fa, fb) + 1e-12
+
+
+@pytest.mark.parametrize("turn", (0, 1, 2, -1))
+@pytest.mark.parametrize("heading", (0.0, 0.7, -math.pi))
+def test_projection_gap_is_exact_corner_to_corner(heading, turn):
+    # b lies off a's front-left corner, 0.6 m ahead and 0.8 m aside,
+    # turned by a multiple of pi/2: the closest points are the two corners
+    a = OrientedBox(Vec2(1.0, -2.0), 2.25, 0.9, heading)
+    half_long, half_lat = 0.9, 0.25
+    along, across = (half_long, half_lat) if turn % 2 == 0 else (half_lat, half_long)
+    fwd, lat = axes(a)
+    center = add(add(a.center, scaled(fwd, 2.25 + 0.6 + along)), scaled(lat, 0.9 + 0.8 + across))
+    b = OrientedBox(center, half_long, half_lat, heading + turn * math.pi / 2)
+    got = obb_gap_bound(float_box(a), float_box(b))
+    assert got == pytest.approx(1.0, abs=1e-12)
+    assert got == pytest.approx(obb_separation(float_box(a), float_box(b)), abs=1e-12)
 
 
 @pytest.mark.parametrize("heading", (0.0, 0.7, -math.pi))

@@ -115,6 +115,24 @@ def test_parse_errors_name_the_line(tmp_path):
         parse_detection_log(short_row)
 
 
+@pytest.mark.parametrize(
+    "parse, kind, header, row",
+    [
+        (parse_detection_log, "detection log", DETECTION_LOG_HEADER, b"0,cam\xff,pedestrian,10,20,40,90,0.9\n"),
+        (parse_ground_truth, "ground truth", GROUND_TRUTH_HEADER, b"0,cam0,vru,pedestri\xffn,10,20,40,90\n"),
+    ],
+    ids=["detection-log", "ground-truth"],
+)
+def test_a_log_that_is_not_utf8_names_its_kind_and_byte(tmp_path, parse, kind, header, row):
+    path = tmp_path / "log.csv"
+    head = f"{header}\n".encode()
+    path.write_bytes(head + row)
+    offset = len(head) + row.index(b"\xff")
+    with pytest.raises(ValueError) as err:
+        parse(path)
+    assert str(err.value) == f"{kind}: byte {offset} is not UTF-8 (invalid start byte)"
+
+
 def test_parse_ground_truth(tmp_path):
     p = tmp_path / "gt.csv"
     p.write_text(
