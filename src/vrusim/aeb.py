@@ -111,10 +111,10 @@ def _braked(
     The steps that end by the onset keep their unbraked values: `_advance`
     takes the unbraked arithmetic up to the onset, so a braked run shares
     every such step with the unbraked timeline. Only the braking segment
-    is stepped, each step past the onset with `_advance`'s braked
-    arithmetic written out; a step that starts before the onset goes
-    through `_advance`, as a frame's first step can start an ulp before
-    the previous step's end. Once the vehicle has stopped `_advance` adds
+    is stepped, each step past the onset with `_braked_advance`, as
+    `_advance` steps it; a step that starts before the onset goes through
+    `_advance`, as a frame's first step can start an ulp before the
+    previous step's end. Once the vehicle has stopped `_advance` adds
     exactly 0.0, so the travel holds from there on.
     """
     starts, times = timeline.starts, timeline.times
@@ -132,11 +132,8 @@ def _braked(
         if onset > t0:
             dist, speed = _advance(dist, speed, t0, t1, onset, decel)
         else:
-            tau = t1 - t0
-            if tau >= speed / decel:
-                dist, speed = dist + speed * speed / (2.0 * decel), 0.0
-            else:
-                dist, speed = dist + (speed * tau - decel * tau * tau / 2.0), speed - decel * tau
+            d, speed = _braked_advance(speed, t1 - t0, decel)
+            dist = dist + d
         add_travel(dist)
         add_speed(speed)
     stopped = n - j - len(seg_travel)
@@ -406,9 +403,10 @@ def stop_margin(trace: RunTrace) -> float:
     minimum cannot exceed a frame start's own value, so the frame starts
     give a target, and only the `_close_steps` to it are taken. The close
     steps take their exact gap in ascending bound order, until no bound
-    can beat the minimum, and only where their axis-projection gap
-    (`obb_gap_bound`, a lower bound on it) does not already exceed it. A
-    minimum does not depend on which values above it are skipped.
+    can beat the minimum, and only where a cheaper lower bound on it
+    (`obb_gap_bound`, the gap to the other box's bounding rectangle) does
+    not already exceed it. A minimum does not depend on which values above
+    it are skipped.
     """
     if not trace.outcome.avoided:
         raise ValueError("a run that made contact has no stop margin")

@@ -461,9 +461,9 @@ def onsets_around(timeline, k):
 @pytest.mark.parametrize("deceleration", [POLICY.deceleration, 0.05], ids=["stops", "never-stops"])
 @pytest.mark.parametrize("rate", [10.0, 25.0, 30.0])
 def test_braked_steps_equal_a_plain_advance_loop(rate, deceleration):
-    # the braking loop writes `_advance`'s braked arithmetic out; a frame's
-    # first step can start an ulp before the previous step ends, and an
-    # onset between the two must still take `_advance`'s partial step
+    # the braking loop calls `_braked_advance` for steps past the onset; a
+    # frame's first step can start an ulp before the previous step ends,
+    # and an onset between the two must still take `_advance`'s partial step
     spec = build_scenario(ScenarioKind.CBNA, 40.0, ScenarioOverrides(frame_rate=rate))
     timeline = spec.timeline
     n, per_frame = len(timeline.times), timeline.steps_per_frame
