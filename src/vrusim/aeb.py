@@ -87,50 +87,35 @@ def _braked_advance(speed: float, tau: float, decel: float) -> tuple[float, floa
     return speed * tau - decel * tau * tau / 2.0, speed - decel * tau
 
 
-def _advance(dist: float, speed: float, t0: float, t1: float, onset: float | None, decel: float) -> tuple[float, float]:
-    """Piecewise-exact advance over [t0, t1] with braking from `onset` on."""
-    if onset is None or onset >= t1:
-        return dist + speed * (t1 - t0), speed
-    if onset <= t0:
-        d, v = _braked_advance(speed, t1 - t0, decel)
-        return dist + d, v
-    pre = onset - t0
-    d, v = _braked_advance(speed, t1 - onset, decel)
-    return dist + speed * pre + d, v
-
-
 def _braked(
-    policy: AebPolicy,
-    timeline: Timeline,
-    travel: array[float],
-    speeds: array[float],
-    onset: float,
+    timeline: Timeline, speed: float, onset: float | None, decel: float
 ) -> tuple[array[float], array[float]]:
-    """A run's step lists with braking from `onset` on.
+    """A run's travel and speed at the end of each of `timeline`'s steps,
+    driving at `speed` and braking at `decel` from `onset` on, or never
+    for None.
 
-    The steps that end by the onset keep their unbraked values: `_advance`
-    takes the unbraked arithmetic up to the onset, so a braked run shares
-    every such step with the unbraked timeline. Only the braking segment
-    is stepped, each step past the onset with `_braked_advance`, as
-    `_advance` steps it; a step that starts before the onset goes through
-    `_advance`, as a frame's first step can start an ulp before the
-    previous step's end. Once the vehicle has stopped `_advance` adds
+    The steps that end by the onset are the timeline's own, unbraked.
+    Only the braking segment is stepped, each step with
+    `_braked_advance`; a step that starts before the onset first drives
+    at `speed` up to it, as a frame's first step can start an ulp before
+    the previous step's end. Once the vehicle has stopped a step adds
     exactly 0.0, so the travel holds from there on.
     """
-    starts, times = timeline.starts, timeline.times
+    starts, times, travel = timeline.starts, timeline.times, timeline.travel
     n = len(times)
-    j = max(bisect_right(times, onset), 1)
+    j = n if onset is None else max(bisect_right(times, onset), 1)
+    unbraked = array("d", [speed])
     if j >= n:
-        return travel, speeds
-    decel = policy.deceleration
-    dist, speed = travel[j - 1], speeds[j - 1]
+        return travel, unbraked * n
+    dist = travel[j - 1]
     seg_travel, seg_speeds = [], []
     add_travel, add_speed = seg_travel.append, seg_speeds.append
     for t0, t1 in zip(starts[j:], times[j:]):
         if speed == 0.0:
             break
         if onset > t0:
-            dist, speed = _advance(dist, speed, t0, t1, onset, decel)
+            d, v = _braked_advance(speed, t1 - onset, decel)
+            dist, speed = dist + speed * (onset - t0) + d, v
         else:
             d, speed = _braked_advance(speed, t1 - t0, decel)
             dist = dist + d
@@ -139,7 +124,7 @@ def _braked(
     stopped = n - j - len(seg_travel)
     return (
         travel[:j] + array("d", seg_travel) + array("d", [dist]) * stopped,
-        speeds[:j] + array("d", seg_speeds) + array("d", [0.0]) * stopped,
+        unbraked * j + array("d", seg_speeds) + array("d", [0.0]) * stopped,
     )
 
 
@@ -176,10 +161,11 @@ def _leg_span(track: ActorTrack, x: float, y: float, reach: float) -> tuple[floa
 
 def _close_steps(
     spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float], ceiling: float
-) -> Iterator[tuple[int, float, float]]:
-    """(step, centre distance, circle bound) for every step of a run whose
-    circle bound, centre distance minus both bounding-circle radii, is at
-    most `ceiling` + _SLACK, in step order.
+) -> Iterator[tuple[int, float, float, tuple[float, float], tuple[float, float]]]:
+    """(step, centre distance, circle bound, vehicle centre, VRU centre)
+    for every step of a run whose circle bound, centre distance minus both
+    bounding-circle radii, is at most `ceiling` + _SLACK, in step order.
+    The centres are located once, here, for the consumer's `_box`es.
 
     The vehicle only slows, so from a step where it drives at v the
     centres close at most at v plus the VRU's speed; after a step with
@@ -212,8 +198,8 @@ def _close_steps(
             halt = n  # narrowed once
             continue
         t = times[k]
-        ux, uy = vut_locate(travel[k])
-        rx, ry = vru_locate(vru_speed * t)
+        ux, uy = vut_at = vut_locate(travel[k])
+        rx, ry = vru_at = vru_locate(vru_speed * t)
         gap = math.hypot(rx - ux, ry - uy)
         bound = gap - vut_r - vru_r
         if bound > ceiling + _SLACK:
@@ -222,17 +208,8 @@ def _close_steps(
                 return
             k = bisect_left(times, t + (bound - ceiling - 2.0 * _SLACK) / closing, k + 1)
             continue
-        yield k, gap, bound
+        yield k, gap, bound, vut_at, vru_at
         k += 1
-
-
-def _boxes(spec: ScenarioSpec, times: array[float], travel: array[float], k: int) -> tuple[Box, Box]:
-    """The vehicle's and the VRU's footprints at step k."""
-    vut_track, vru_track = spec.vut_track, spec.vru_track
-    return (
-        _box(vut_track, *vut_track.locate(travel[k])),
-        _box(vru_track, *vru_track.locate(vru_track.speed * times[k])),
-    )
 
 
 def _first_contact(
@@ -241,8 +218,9 @@ def _first_contact(
     """Index of the first step whose footprints touch, or None. No step's
     gap is below its circle bound, so the exact box test runs only at the
     `_close_steps` to a ceiling of 0."""
-    for k, _, _ in _close_steps(spec, times, travel, speeds, 0.0):
-        if obb_overlap(*_boxes(spec, times, travel, k)):
+    vut_track, vru_track = spec.vut_track, spec.vru_track
+    for k, _, _, vut_at, vru_at in _close_steps(spec, times, travel, speeds, 0.0):
+        if obb_overlap(_box(vut_track, *vut_at), _box(vru_track, *vru_at)):
             return k
     return None
 
@@ -364,10 +342,7 @@ def simulate_run(
         raise ValueError(f"trigger_override must be finite, got {trigger_override!r}")
     timeline = spec.timeline
     brake_onset = None if trigger_override is None else trigger_override + policy.latency
-    travel = timeline.travel
-    speeds = array("d", [spec.vut_track.speed]) * len(travel)
-    if brake_onset is not None:
-        travel, speeds = _braked(policy, timeline, travel, speeds, brake_onset)
+    travel, speeds = _braked(timeline, spec.vut_track.speed, brake_onset, policy.deceleration)
     if sense:
         events_by_sensor = _sense_frames(spec, sensors, model, travel[:: timeline.steps_per_frame])
     else:
@@ -427,20 +402,20 @@ def stop_margin(trace: RunTrace) -> float:
         if gap > near_field:
             target = min(target, gap - vut_r - vru_r)
         elif gap < nearest_gap:
-            nearest, nearest_gap = k, gap
+            nearest, nearest_gap = (_box(vut_track, ux, uy), _box(vru_track, rx, ry)), gap
     if nearest is not None:
-        target = min(target, obb_separation(*_boxes(spec, times, travel, nearest)))
+        target = min(target, obb_separation(*nearest))
     margin = math.inf
-    near: list[tuple[float, int]] = []  # (bound, step)
-    for k, gap, bound in _close_steps(spec, times, travel, speeds, target):
+    near: list[tuple[float, int, tuple[float, float], tuple[float, float]]] = []  # (bound, step, centres)
+    for k, gap, bound, vut_at, vru_at in _close_steps(spec, times, travel, speeds, target):
         if gap > near_field:
             margin = min(margin, bound)
         else:
-            near.append((bound, k))
-    for bound, k in sorted(near):
+            near.append((bound, k, vut_at, vru_at))
+    for bound, _, vut_at, vru_at in sorted(near):
         if bound > margin + _SLACK:
             break
-        vut_box, vru_box = _boxes(spec, times, travel, k)
+        vut_box, vru_box = _box(vut_track, *vut_at), _box(vru_track, *vru_at)
         if obb_gap_bound(vut_box, vru_box) > margin + _SLACK:
             continue
         margin = min(margin, obb_separation(vut_box, vru_box))

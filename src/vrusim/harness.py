@@ -180,7 +180,9 @@ def format_trace(trace: RunTrace) -> str:
     sweep's observation pass (each subset's outcome is in the summary), and
     ``braked`` otherwise. The header row names the columns, one
     ``det_<sensor>`` flag column per sensor in the order of its
-    ``events_by_sensor``.
+    ``events_by_sensor``. Times print with three decimals, and at frame
+    periods under a millisecond with the fewest that tell every frame
+    apart.
     """
     out = trace.outcome
     kind = "unbraked_observation" if trace.brake_trigger_time is None else "braked"
@@ -205,13 +207,15 @@ def format_trace(trace: RunTrace) -> str:
     detected = [{ev.frame for ev in events} for events in trace.events_by_sensor.values()]
     onset = trace.brake_trigger_time
     vut_track, vru_track = spec.vut_track, spec.vru_track
+    # frames at least 10**-decimals apart round to distinct labels
+    decimals = max(3, math.ceil(math.log10(spec.frame_rate)))
     for frame in range(spec.n_frames):
         t = frame / spec.frame_rate
         start = frame * steps_per_frame
         ux, uy = vut_track.locate(trace.travel[start])
         rx, ry = vru_track.locate(vru_track.speed * t)
         values = (ux, uy, vut_track.heading, trace.speeds[start], rx, ry, vru_track.heading)
-        row = [f"{t:.3f}", *map(_fmt, values), "1" if onset is not None and t >= onset else "0"]
+        row = [f"{t:.{decimals}f}", *map(_fmt, values), "1" if onset is not None and t >= onset else "0"]
         row += ["1" if frame in frames else "0" for frames in detected]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

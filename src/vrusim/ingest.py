@@ -10,8 +10,7 @@ Matching is greedy by descending IoU over each (frame, sensor) cell: the
 highest-IoU eligible pair is matched first, each detection and each ground
 truth box at most once, ties broken by the lower detection index and then
 the lower ground-truth index.  A pair is eligible only when the class
-labels agree.  The threshold is strict (IoU must exceed it); pass
-``inclusive=True`` for the at-least convention.
+labels agree.  The threshold is strict: the IoU must exceed it.
 """
 
 from __future__ import annotations
@@ -187,7 +186,6 @@ def match_detections(
     detections: Sequence[ExternalDetection],
     ground_truth: Sequence[GroundTruthRecord],
     iou_threshold: float = 0.5,
-    inclusive: bool = False,
     *,
     frame_rate: float,
     latency: float,
@@ -220,9 +218,6 @@ def match_detections(
     pairs: list[MatchedPair] = []
     events: dict[str, dict[str, list[DetectionEvent]]] = {}
 
-    def passes(iou: float) -> bool:
-        return iou >= iou_threshold if inclusive else iou > iou_threshold
-
     for key in sorted(cells):
         det_ids, gt_ids = cells[key]
         frame, sensor_id = key
@@ -232,7 +227,7 @@ def match_detections(
                 if detections[i].label != ground_truth[j].label:
                     continue
                 iou = iou_axis_box(detections[i].box, ground_truth[j].box)
-                if passes(iou):
+                if iou > iou_threshold:
                     candidates.append((-iou, i, j))
         candidates.sort()
         used_det: set[int] = set()

@@ -162,9 +162,9 @@ class ScenarioSpec:
         `kinematics_grid` of the spec's frame rate, built on first use.
 
         Step times are ``t_frame + i * step`` within each frame, and each
-        step adds ``speed * (t1 - t0)`` to the travel, the arithmetic of an
-        unbraked `aeb._advance`, so a braked run shares every step that
-        ends by its onset bit for bit.
+        step adds ``speed * (t1 - t0)`` to the travel, so a braked run
+        (`aeb._braked`) shares every step that ends by its onset bit for
+        bit with one driven step by step from t = 0.
         """
         step, steps_per_frame = kinematics_grid(self.frame_rate)
         speed = self.vut_track.speed

@@ -489,6 +489,10 @@ def parse_layout(text: str, frame_rate: float = DEFAULT_OVERRIDES.frame_rate) ->
                 max_range=float(cells[9]),
                 latency=float(cells[11]),
             )
+            # the camera key's rule: a pinhole's aperture ends at 180 degrees
+            for column in (7, 8):
+                if float(cells[column]) > 180:
+                    raise ValueError(f"{_LAYOUT_COLUMNS[column]} must be in (0, 180]")
         except ValueError as exc:
             raise ValueError(f"layout line {lineno}: {exc}") from exc
         rows.append(unit)

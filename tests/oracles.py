@@ -11,9 +11,12 @@ are the ``Vec2`` forms of the box overlap and gap on ``OrientedBox``
 footprints, every corner rebuilt wherever it is needed. The float kernels
 in ``vrusim.geometry`` must give the same bits.
 
-``advance_every_step`` drives a run's whole timeline with one
-``_advance`` per step, which the package's braked runs write out and
-stop early; their step arrays must be equal byte for byte.
+``_advance`` is the plain per-step kinematics: one step over [t0, t1]
+driven at constant speed, braked throughout, or driven up to the onset
+and braked from it. The package's braked runs (``aeb._braked``) take the
+timeline's unbraked steps up to the onset and write out only the braking
+segment. ``advance_every_step`` drives a run's whole timeline with one
+``_advance`` per step; their step arrays must be equal byte for byte.
 ``live_run`` is the closed loop confirmed while the run goes, which the
 package defines instead as an observation pass followed by a run forced
 from the subset's first confirmation; the two must agree exactly.
@@ -42,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from vrusim.aeb import AebPolicy, _advance
+from vrusim.aeb import AebPolicy, _braked_advance
 from vrusim.geometry import (
     _EPS,
     MountPose,
@@ -190,6 +193,18 @@ def stopping_distance(v: float, policy: AebPolicy) -> float:
     if v < 0:
         raise ValueError("speed must be non-negative")
     return v * policy.latency + v * v / (2.0 * policy.deceleration)
+
+
+def _advance(dist: float, speed: float, t0: float, t1: float, onset: float | None, decel: float) -> tuple[float, float]:
+    """Piecewise-exact advance over [t0, t1] with braking from `onset` on."""
+    if onset is None or onset >= t1:
+        return dist + speed * (t1 - t0), speed
+    if onset <= t0:
+        d, v = _braked_advance(speed, t1 - t0, decel)
+        return dist + d, v
+    pre = onset - t0
+    d, v = _braked_advance(speed, t1 - onset, decel)
+    return dist + speed * pre + d, v
 
 
 def advance_every_step(spec: ScenarioSpec, onset: float | None, deceleration: float) -> tuple[array, array]:

@@ -247,7 +247,7 @@ def test_adding_sensors_never_hurts():
 # --------------------------------------------------------------- gate 6
 
 
-def enumerated_matching(detections, truths, threshold, inclusive):
+def enumerated_matching(detections, truths, threshold):
     """Re-derive greedy box matching by repeated exhaustive argmax."""
     from vrusim.geometry import iou_axis_box
 
@@ -267,7 +267,7 @@ def enumerated_matching(detections, truths, threshold, inclusive):
                     if i in used_d or j in used_g or d.label != g.label:
                         continue
                     v = iou_axis_box(d.box, g.box)
-                    if v < threshold or (v == threshold and not inclusive):
+                    if v <= threshold:
                         continue
                     key = (-v, i, j)
                     if best is None or key < best[0]:
@@ -305,11 +305,8 @@ def test_box_matching_agrees_with_exhaustive_enumeration():
                     gts.append(GroundTruthRecord(
                         frame, sensor, f"t{t_idx}", rng.choice(labels), box()))
         threshold = rng.choice((0.3, 0.5))
-        inclusive = rng.random() < 0.5
-        result = match_detections(
-            dets, gts, iou_threshold=threshold, inclusive=inclusive, frame_rate=10.0, latency=0.025
-        )
-        want = enumerated_matching(dets, gts, threshold, inclusive)
+        result = match_detections(dets, gts, iou_threshold=threshold, frame_rate=10.0, latency=0.025)
+        want = enumerated_matching(dets, gts, threshold)
         got = {cell: (c.tp, c.fp, c.fn) for cell, c in result.counts.items()}
         assert got == want
         total = totals(result)

@@ -369,6 +369,36 @@ def test_sweep_rejects_a_non_finite_layout_number(tmp_path, caplog, column, valu
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "layout.txt"]
 
 
+WIDE_APERTURES = [("hfov_deg", "270"), ("vfov_deg", "300"), ("hfov_deg", "180.5")]
+
+
+@pytest.mark.parametrize("column, value", WIDE_APERTURES, ids=[f"{c}-{v}" for c, v in WIDE_APERTURES])
+@pytest.mark.parametrize("flag", ["sensors.layout_file", "--candidates"])
+def test_a_layout_aperture_past_180_degrees_is_exit_1_with_one_line(tmp_path, caplog, flag, column, value):
+    # camera.hfov_deg: 270 is a ConfigError, and a layout row 270 degrees
+    # wide used to load and be scored
+    layout = tmp_path / "layout.txt"
+    layout.write_text(with_cell(format_layout(default_layout()), "rsu1", column, value), encoding="utf-8")
+    out = str(tmp_path / "out")
+    if flag == "--candidates":
+        cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})
+        argv = ["placement", "--config", cfg, "--candidates", str(layout), "--budget", "1", "--out", out, "-q"]
+    else:
+        cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], "sensors": {"layout_file": str(layout)}})
+        argv = ["sweep", "--config", cfg, "--out", out, "-q"]
+    message = one_line_config_error(caplog, argv)
+    assert message == f"{flag}: layout line 3: {column} must be in (0, 180]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "layout.txt"]
+
+
+def test_a_layout_aperture_of_180_degrees_loads(tmp_path):
+    layout = tmp_path / "layout.txt"
+    text = with_cell(format_layout((RSU1,)), "rsu1", "hfov_deg", "180")
+    layout.write_text(with_cell(text, "rsu1", "vfov_deg", "180"), encoding="utf-8")
+    (unit,) = read_layout(str(layout), 10.0, "layout.txt")
+    assert unit.hfov == unit.vfov == math.radians(180)
+
+
 @pytest.mark.parametrize(
     "text",
     [

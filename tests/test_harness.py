@@ -9,9 +9,11 @@ import yaml
 
 import vrusim.harness
 from vrusim.config import load_config
-from vrusim.harness import Manifest, cell_spec, emit_reports, run_sweep
+from vrusim.aeb import AebPolicy, simulate_run
+from vrusim.harness import Manifest, cell_spec, emit_reports, format_trace, run_sweep
 from vrusim.metrics import heatmap_from_frames
 from vrusim.scenario import ScenarioKind, ScenarioOverrides, build_scenario, rotate_scenario
+from vrusim.sensing import DetectionModel
 
 
 def cfg_file(tmp_path, data):
@@ -318,6 +320,16 @@ def test_trace_bytes_are_pinned(tmp_path):
     )
     emit_reports(run_sweep(load_config(path, subsets=("vut",))), str(tmp_path / "out"))
     assert written_trace_digests(tmp_path / "out") == TRACE_DIGESTS
+
+
+def test_trace_times_tell_every_frame_apart_at_2000_hz():
+    # at three decimals, a CBLA 60 km/h trace at 2000 frames/s repeated a
+    # time label on 8229 of its 24001 rows
+    spec = build_scenario(ScenarioKind.CBLA, 60.0, ScenarioOverrides(frame_rate=2000))
+    trace = simulate_run(spec, (), DetectionModel(), AebPolicy(), sense=False)
+    times = [line.split(",")[0] for line in format_trace(trace).splitlines()[3:]]
+    assert len(set(times)) == len(times) == spec.n_frames == 24001
+    assert times[:3] == ["0.0000", "0.0005", "0.0010"]
 
 
 def test_25_hz_trace_and_deadline_column(tmp_path):

@@ -36,7 +36,7 @@ def gt(frame, sensor, target, label, x0, y0, x1, y1):
     return GroundTruthRecord(frame, sensor, target, label, AxisBox2(x0, y0, x1, y1))
 
 
-def greedy_oracle(dets, gts, thr=0.5, inclusive=False):
+def greedy_oracle(dets, gts, thr=0.5):
     """Step-by-step re-derivation: best remaining pair by exhaustive scan."""
     cells = sorted(
         {(d.frame, d.sensor_id) for d in dets} | {(g.frame, g.sensor_id) for g in gts}
@@ -52,7 +52,7 @@ def greedy_oracle(dets, gts, thr=0.5, inclusive=False):
                 if dets[i].label != gts[j].label:
                     continue
                 v = iou_axis_box(dets[i].box, gts[j].box)
-                if not (v >= thr if inclusive else v > thr):
+                if v <= thr:
                     continue
                 key = (-v, i, j)
                 if best is None or key < best:
@@ -214,7 +214,6 @@ def test_threshold_is_strict_with_inclusive_option():
     d = [det(0, "cam0", "pedestrian", 0, 0, 2, 1)]
     g = [gt(0, "cam0", "vru", "pedestrian", 0, 0, 1, 1)]
     assert totals(match(d, g)).tp == 0
-    assert totals(match(d, g, inclusive=True)).tp == 1
 
 
 def test_cells_without_counterpart():
@@ -250,13 +249,12 @@ def test_matches_full_enumeration_oracle():
     for _ in range(300):
         dets, gts = random_fixture(rng)
         thr = rng.choice((0.2, 0.5, 0.7))
-        inclusive = rng.random() < 0.5
-        res = match(dets, gts, iou_threshold=thr, inclusive=inclusive)
+        res = match(dets, gts, iou_threshold=thr)
         got = [
             (p.frame, p.sensor_id, p.detection_index, p.ground_truth_index, p.iou)
             for p in res.pairs
         ]
-        assert got == greedy_oracle(dets, gts, thr, inclusive)
+        assert got == greedy_oracle(dets, gts, thr)
 
 
 def test_counting_identities_hold():

@@ -1,10 +1,12 @@
-"""Source hygiene: every public name in the package is used by the package.
+"""Source hygiene: every name the package defines is used by the package.
 
-A public function or class counts as used only when another statement of
-its own module names it, or another package module imports it by name. A
-re-export from ``vrusim/__init__.py`` is no use, and neither is an
-``__all__``, except that of a library-only module: one no package module
-imports, whose ``__all__`` is its API.
+A module-level function or class counts as used only when another
+statement of its own module names it, or another package module imports
+it by name. A re-export from ``vrusim/__init__.py`` is no use, and
+neither is an ``__all__``, except that of a library-only module: one no
+package module imports, whose ``__all__`` is its public API. A private
+function or class (``_name``) is never API: a helper only the tests call
+belongs in the tests.
 
 A public method or property of a package class must be read as an
 attribute somewhere in the package, and so must every public field of a
@@ -58,7 +60,9 @@ def library_api(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
     }
 
 
-def unused_public_definitions() -> list[str]:
+def unused_definitions(private: bool) -> list[str]:
+    """The module-level functions and classes, private (``_name``) or
+    public, that no other statement of the package names."""
     modules = package_modules()
     api = library_api(modules)
     unused = []
@@ -75,7 +79,7 @@ def unused_public_definitions() -> list[str]:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = stmt.name
-            if name.startswith("_") or name in exempt or name in imported_elsewhere:
+            if name.startswith("_") != private or name in exempt or name in imported_elsewhere:
                 continue
             # a definition's own body (a recursive call) does not count as a
             # use, and an attribute of the same name is some other object's
@@ -90,7 +94,11 @@ def unused_public_definitions() -> list[str]:
 
 
 def test_every_public_definition_is_used_or_exported():
-    assert unused_public_definitions() == []
+    assert unused_definitions(private=False) == []
+
+
+def test_every_private_definition_is_used_by_the_package():
+    assert unused_definitions(private=True) == []
 
 
 def attributes_read(modules: dict[str, ast.Module]) -> set[str]:
