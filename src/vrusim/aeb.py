@@ -393,10 +393,13 @@ def stop_margin(trace: RunTrace) -> float:
     near_field = vut_r + vru_r + _NEAR_FIELD_SLACK
 
     # the target: a far-field frame start's own value, or the nearest
-    # one's exact gap
+    # one's exact gap; a stopped vehicle stays where it was last located
     target, nearest, nearest_gap = math.inf, None, math.inf
+    located = None
     for k in range(0, len(times), timeline.steps_per_frame):
-        ux, uy = vut_track.locate(travel[k])
+        if travel[k] != located:
+            located = travel[k]
+            ux, uy = vut_track.locate(located)
         rx, ry = vru_track.locate(vru_track.speed * times[k])
         gap = math.hypot(rx - ux, ry - uy)
         if gap > near_field:

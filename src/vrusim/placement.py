@@ -3,7 +3,10 @@
 Candidate mounting positions are scored by running the full scenario suite:
 one sensing pass per scenario records what every candidate would see, then
 any subset of sites is evaluated by replaying the braking kinematics with
-that subset's earliest confirmation.  Selection is greedy on marginal
+that subset's earliest confirmation.  Scoring (`evaluate_sites`) and then
+selecting (`greedy_select`) from the very same objects, as ``vrusim
+placement`` does, observes each scenario once and replays each distinct
+(scenario, trigger) once.  Selection is greedy on marginal
 avoidance gain with detection accuracy as tie-breaker; with at most a
 handful of candidates this provably matches exhaustive search only on the
 suites the tests pin, and no stronger claim is made.
@@ -102,6 +105,22 @@ class _ObservedSuite:
         return avoided / len(self.specs), acc_sum / len(self.specs)
 
 
+# The last observation and the objects it was made from. `vrusim placement`
+# scores the singles and then selects from the very same objects, so the
+# second call reuses the first's passes and replay memo. The key is object
+# identity, not value: equal objects built afresh observe afresh, so what a
+# call costs never depends on what an earlier caller happened to build. The
+# entry holds its objects, so no id in the key can be reused while it lives.
+_last_observed: tuple[tuple, _ObservedSuite] | None = None
+
+
+def _same_objects(a: tuple, b: tuple) -> bool:
+    """Whether two keys hold the very same objects, position by position."""
+    return all(
+        len(x) == len(y) and all(p is q for p, q in zip(x, y)) for x, y in zip(a, b)
+    )
+
+
 def _observe(
     suite: Sequence[ScenarioSpec],
     sites: Sequence[CandidateSite],
@@ -118,12 +137,19 @@ def _observe(
     ids = [s.site_id for s in sites]
     if len(set(ids)) != len(ids):
         raise ValueError("candidate site ids must be unique")
+    global _last_observed
+    specs = tuple(suite)
+    key = (specs, tuple(sites), (policy, model))
+    if _last_observed is not None and _same_objects(_last_observed[0], key):
+        return _last_observed[1]
     units = tuple(s.to_unit() for s in sites)
     events = [
         simulate_run(spec, units, model, policy, sense=True).events_by_sensor
-        for spec in suite
+        for spec in specs
     ]
-    return _ObservedSuite(suite, events, policy, model)
+    observed = _ObservedSuite(specs, events, policy, model)
+    _last_observed = (key, observed)
+    return observed
 
 
 def evaluate_sites(

@@ -823,7 +823,7 @@ def test_margin_prune_allows_for_a_bound_that_rounds_high(monkeypatch):
 
 @pytest.mark.parametrize(
     "trigger, most_locates, most_gaps",
-    [(0.225, 267, 0), (6.325, 829, 69)],
+    [(0.225, 172, 0), (6.325, 829, 69)],
 )
 def test_stop_margin_work_is_bounded(monkeypatch, trigger, most_locates, most_gaps):
     # CPNC-50 at 60 km/h: forced at 0.225 s the car stops 108 m short and
@@ -833,7 +833,8 @@ def test_stop_margin_work_is_bounded(monkeypatch, trigger, most_locates, most_ga
     # locate (both tracks) and every exact gap counts. A closing-speed
     # scan of the stopped phase and a gap bound loose at corners take 1446
     # locates for the first, and 1442 locates and 235 gaps for the second;
-    # locating each close step again for its boxes takes 1399 for the second
+    # locating each close step again for its boxes takes 1399 for the second;
+    # locating the stopped car again at every frame start takes 267 and 829
     spec = build_scenario(ScenarioKind.CPNC50, 60.0)
     trace = simulate_run(spec, (), MODEL, POLICY, trigger_override=trigger, sense=False)
     assert trace.outcome.avoided

@@ -164,3 +164,23 @@ def test_every_workload_matches_its_golden(perfbench, tmp_path, name):
     workloads.check(workload, state, out, outputs, workloads.load_golden(name)[inputs["variant"]], ledger)
     assert ledger.attempted > 0
     assert ledger.failed == 0, ledger.problems
+
+
+def test_placement_workload_observes_each_cell_once(perfbench, tmp_path):
+    # the benchmark scores the singles and then selects, in two calls on the
+    # same objects; the second must reuse the first's passes and replays, or
+    # the saving would leave placement-greedy without any test failing
+    m = imported_modules(perfbench)
+    workloads = perfbench.workloads
+    workload = workloads.WORKLOADS["placement-greedy"]
+    inputs = workload.make_inputs(1, tmp_path, m.sensing, m.geometry)
+    state = workload.prepare(m, inputs, workloads.no_span)
+    tracer = perfbench.spans.Tracer()
+    try:
+        perfbench.layers.install(tracer, m)
+        workload.run(m, state, tmp_path / "out", 1, tracer.span)
+    finally:
+        tracer.unpatch()
+    metrics = perfbench.layers.layer_metrics(tracer, 1.0, 0, 0, 0)
+    assert metrics["placement.observe_passes"] == len(state.suite)
+    assert metrics["placement.replay_unique_ratio"] == 1.0

@@ -11,9 +11,11 @@ replay path used in production.
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
+from vrusim import placement
 from vrusim.aeb import AebPolicy, simulate_run
 from vrusim.geometry import Vec2
 from vrusim.metrics import natural_key
@@ -177,6 +179,99 @@ def test_overbudget_selects_all_and_warns(caplog):
         result = greedy_select(SITES, 9, SUITE, POLICY, OPEN_GATES)
     assert sorted(result.selected_site_ids) == ["s0", "s1", "s2", "s3"]
     assert any("budget" in rec.message for rec in caplog.records)
+
+
+# ------------------------------------------------------ one observation
+
+
+def fresh(suite=SUITE, sites=SITES, policy=POLICY, model=OPEN_GATES):
+    """Equal copies of the given objects, none of them the object itself."""
+    return (
+        tuple(replace(spec) for spec in suite),
+        tuple(replace(site) for site in sites),
+        replace(policy),
+        replace(model),
+    )
+
+
+def count_runs(monkeypatch):
+    """Wrap `placement.simulate_run`: the observation passes it makes, and
+    each replay's (spec, trigger) key in call order."""
+    runs = {"passes": 0, "replays": []}
+
+    def counted(spec, units, model, policy, **kwargs):
+        if kwargs.get("sense", True):
+            runs["passes"] += 1
+        else:
+            runs["replays"].append((id(spec), kwargs["trigger_override"]))
+        return simulate_run(spec, units, model, policy, **kwargs)
+
+    monkeypatch.setattr(placement, "simulate_run", counted)
+    return runs
+
+
+def score_and_pick(suite, sites, policy, model, budget=3):
+    """What `vrusim placement` computes: the singles, then the greedy pick."""
+    return (
+        evaluate_sites(sites, suite, policy, model),
+        greedy_select(sites, budget, suite, policy, model),
+    )
+
+
+def test_scoring_and_selection_share_one_observation(monkeypatch):
+    suite, sites, policy, model = fresh()
+    runs = count_runs(monkeypatch)
+    score_and_pick(suite, sites, policy, model)
+    assert runs["passes"] == len(suite)
+    assert len(runs["replays"]) == len(set(runs["replays"]))
+
+
+def test_shared_observation_scores_as_fresh_objects_do():
+    objects = fresh()
+    shared = score_and_pick(*objects)
+    assert score_and_pick(*objects) == shared
+    assert score_and_pick(*fresh()) == shared
+
+
+@pytest.mark.parametrize("changed", ["suite", "sites", "policy", "model"])
+def test_a_different_object_observes_afresh(monkeypatch, changed):
+    suite, sites, policy, model = fresh()
+    evaluate_sites(sites, suite, policy, model)
+    args = dict(suite=suite, sites=sites, policy=policy, model=model)
+    # an equal copy of one spec, one site, the policy or the model
+    args[changed] = {
+        "suite": suite[:-1] + (replace(suite[-1]),),
+        "sites": (replace(sites[0]),) + sites[1:],
+        "policy": replace(policy),
+        "model": replace(model),
+    }[changed]
+    runs = count_runs(monkeypatch)
+    scores = evaluate_sites(args["sites"], args["suite"], args["policy"], args["model"])
+    assert runs["passes"] == len(suite)
+    assert scores == evaluate_sites(sites, suite, policy, model)
+
+
+def test_bad_calls_raise_when_the_memo_would_hit(monkeypatch):
+    suite, sites, policy, model = fresh()
+    evaluate_sites(sites, suite, policy, model)
+    # every lookup now hits, whatever it is given
+    monkeypatch.setattr(placement, "_same_objects", lambda held, key: True)
+    runs = count_runs(monkeypatch)
+    evaluate_sites(sites[:1], suite[:1], policy, model)
+    assert runs == {"passes": 0, "replays": []}
+    with pytest.raises(ValueError, match="unique"):
+        evaluate_sites((sites[0], sites[0]), suite, policy, model)
+    with pytest.raises(ValueError, match="unique"):
+        greedy_select((sites[0], sites[0]), 1, suite, policy, model)
+    with pytest.raises(ValueError, match="scenario"):
+        evaluate_sites(sites, (), policy, model)
+    with pytest.raises(ValueError, match="candidate"):
+        greedy_select((), 1, suite, policy, model)
+    # the suite steps 5 ms at 10 Hz
+    with pytest.raises(ValueError, match="dt="):
+        evaluate_sites(sites, suite, policy, model, dt=0.01)
+    with pytest.raises(ValueError, match="dt="):
+        greedy_select(sites, 1, suite, policy, model, dt=0.01)
 
 
 # ------------------------------------------------------------- real scene
