@@ -139,16 +139,15 @@ def _box(track: ActorTrack, x: float, y: float) -> Box:
 
 
 def _leg_span(track: ActorTrack, x: float, y: float, reach: float) -> tuple[float, float] | None:
-    """The distances along `track`'s leg, the clamped end counting for
-    every distance past it, at which its centre can lie within `reach` of
-    (x, y): an interval, infinite above when the leg's end lies within,
-    or None when no point does. The reach is padded as `_pad` pads a
-    bound, far past the rounding of a located position and its gap."""
-    a, b = track.path
-    dx, dy = b.x - a.x, b.y - a.y
-    length = math.hypot(dx, dy)
+    """The interval of distances along `track`'s leg at which its centre
+    can lie within `reach` of (x, y), or None when no point of the leg
+    does. Its upper end may lie past the leg's end; keyed by the clamped
+    `ActorTrack.along`, every time after the end is reached then falls in
+    it. The reach is padded as `_pad` pads a bound, far past the rounding
+    of a located position and its gap."""
+    ax, ay, dx, dy, length = track._leg
     fx, fy = (dx / length, dy / length) if length > 0.0 else (1.0, 0.0)
-    wx, wy = x - a.x, y - a.y
+    wx, wy = x - ax, y - ay
     along, across = wx * fx + wy * fy, wx * fy - wy * fx
     reach = _pad(reach)
     if abs(across) > reach:
@@ -156,7 +155,7 @@ def _leg_span(track: ActorTrack, x: float, y: float, reach: float) -> tuple[floa
     half = math.sqrt(reach * reach - across * across)
     if along - half > length:
         return None
-    return along - half, math.inf if along + half >= length else along + half
+    return along - half, along + half
 
 
 def _close_steps(
@@ -174,16 +173,13 @@ def _close_steps(
     locating either actor. Once the vehicle has stopped it stands at one
     point for the rest of the run, and only the steps while the VRU's
     centre can lie within reach of it (`_leg_span`), one interval, can
-    come that near: the scan bisects to that interval and ends with it.
+    come that near: the scan bisects to that interval, keyed by the VRU's
+    clamped `ActorTrack.along`, and ends with it.
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     vut_locate, vru_locate = vut_track.locate, vru_track.locate
-    vru_speed = vru_track.speed
-
-    def along(t: float) -> float:
-        return vru_speed * t
-
+    vru_speed, along = vru_track.speed, vru_track.along
     n = len(times)
     # the first step at standstill; the speed never rises again
     halt = bisect_left(speeds, True, key=lambda v: v == 0.0)
@@ -250,7 +246,9 @@ def _sense_frames(
     the frames that follow at once, each still drawing its own coin. A
     span starts at two frames, doubles after a check that passes and is
     retried at half its length after one that fails; below two frames the
-    next frame is sensed alone.
+    next frame is sensed alone, and after a frame that did not detect, so
+    is the one that follows. The window's bounds are keyed by the VRU's
+    clamped `ActorTrack.along`.
     """
     vut_track, vru_track = spec.vut_track, spec.vru_track
     times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
@@ -262,11 +260,6 @@ def _sense_frames(
         (o, (o.center.x, o.center.y, o.heading, o.half_long + _SLACK, o.half_lat + _SLACK))
         for o in spec.occluders
     ]
-    vru_speed, leg_length = vru_track.speed, math.hypot(end.x - start.x, end.y - start.y)
-
-    def along(t: float) -> float:
-        return min(vru_speed * t, leg_length)
-
     n = len(targets)
     events_by_sensor: dict[str, list[DetectionEvent]] = {u.sensor_id: [] for u in sensors}
     for unit in sensors:
@@ -281,15 +274,16 @@ def _sense_frames(
                     events.append(ev)
             continue
         lo, hi = anchor_window(unit, model, floors, targets[0])
-        frame, stop = bisect_left(times, lo, key=along), bisect_right(times, hi, key=along)
+        frame, stop = bisect_left(times, lo, key=vru_track.along), bisect_right(times, hi, key=vru_track.along)
         if frame >= stop:
             continue
         pose = unit.pose
         sx, sy = pose.x, pose.y
         slabs = occluder_slabs(sx, sy, [o for o, box in grown if triangle_meets_box(((sx, sy), *leg), box)])
-        span, detected = 2, False
+        # the length of the span to try next, or 0 to sense the next frame alone
+        span = 0
         while frame < stop:
-            if detected:
+            if span:
                 span = min(span, stop - frame)
                 while span > 1 and not span_passes(unit, floors, targets[frame], targets[frame + span - 1], slabs):
                     span //= 2
@@ -300,11 +294,10 @@ def _sense_frames(
                             events.append(ev)
                     frame, span = frame + span, 2 * span
                     continue
-                span = 2
             ev = sense_frame(unit, model, pose, targets[frame], frame, times[frame], slabs, floors)
-            detected = ev is not None
-            if detected:
+            if ev is not None:
                 events.append(ev)
+            span = 0 if ev is None else 2
             frame += 1
     return events_by_sensor
 

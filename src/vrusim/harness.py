@@ -258,20 +258,19 @@ def _yaw_cells(result: SweepResult, yaw: float) -> list[CellResult]:
 
 def _accuracy_table_csv(result: SweepResult, yaw: float) -> str | None:
     """Rows = scenarios, columns = speeds, values = any-subset accuracy in %."""
-    cells = _yaw_cells(result, yaw)
-    if not any(s.name == "any" for c in cells for s in c.subsets):
+    names = [sub.name for sub in result.config.subsets]
+    if "any" not in names:
         return None
-    speeds = sorted({c.speed_kmh for c in cells})
+    # a cell holds its subsets in configured order
+    fused = names.index("any")
+    by_cell = {(c.kind, c.speed_kmh): c for c in _yaw_cells(result, yaw)}
+    speeds = sorted({speed for _, speed in by_cell})
     lines = ["scenario," + ",".join(f"{s:g}" for s in speeds)]
     for kind in result.config.scenarios:
         row = [kind.display_name]
         for speed in speeds:
-            match = [c for c in cells if c.kind is kind and c.speed_kmh == speed]
-            if not match:
-                row.append("NA")
-                continue
-            sub = next(s for s in match[0].subsets if s.name == "any")
-            row.append(f"{100.0 * sub.accuracy:.2f}")
+            cell = by_cell.get((kind, speed))
+            row.append("NA" if cell is None else f"{100.0 * cell.subsets[fused].accuracy:.2f}")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -280,18 +279,14 @@ def _avoidance_csv(result: SweepResult, yaw: float) -> str:
     """Rows = subsets, columns = scenarios plus overall, values in %."""
     cells = _yaw_cells(result, yaw)
     kinds = result.config.scenarios
+    by_kind = {kind: [c for c in cells if c.kind is kind] for kind in kinds}
     lines = ["subset," + ",".join(k.display_name for k in kinds) + ",overall"]
-    for sub_spec in result.config.subsets:
+    # a cell holds its subsets in configured order
+    for i, sub_spec in enumerate(result.config.subsets):
         row = [sub_spec.name]
         hits_all = total_all = 0
         for kind in kinds:
-            flags = [
-                s.avoided
-                for c in cells
-                if c.kind is kind
-                for s in c.subsets
-                if s.name == sub_spec.name
-            ]
+            flags = [c.subsets[i].avoided for c in by_kind[kind]]
             hits_all += sum(flags)
             total_all += len(flags)
             row.append(f"{100.0 * sum(flags) / len(flags):.2f}" if flags else "NA")

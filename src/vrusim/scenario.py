@@ -67,6 +67,10 @@ class ActorTrack:
         object.__setattr__(self, "heading", wrap_angle(math.atan2(dy, dx)))
         object.__setattr__(self, "_leg", (a.x, a.y, dx, dy, math.hypot(dx, dy)))
 
+    def along(self, t: float) -> float:
+        """Distance along the leg at time t, clamped at its end."""
+        return min(self.speed * t, self._leg[4])
+
     def locate(self, distance: float) -> tuple[float, float]:
         """Position after `distance` along the leg, as plain floats;
         `distance` must be non-negative."""
@@ -264,33 +268,21 @@ def build_scenario(
         (Vec2(vut_start, 0.0), Vec2(abs(vut_start) + v * duration + 20.0, 0.0)),
     )
 
+    if kind is ScenarioKind.CPNC50:
+        vru_len, vru_wid, vru_hgt = ov.pedestrian_length, ov.pedestrian_width, ov.pedestrian_height
+        vru_speed = ov.pedestrian_speed_kmh * KMH
+    else:
+        vru_len, vru_wid, vru_hgt = ov.cyclist_length, ov.cyclist_width, ov.cyclist_height
+        vru_speed = ov.cyclist_speed_kmh * KMH
+    vru_start = -vru_speed * sync_time
+    vru_end = abs(vru_start) + vru_speed * duration + 20.0
     if kind is ScenarioKind.CBLA:
-        vc = ov.cyclist_speed_kmh * KMH
-        vru_start = -vc * sync_time
-        vru_track = VruTrack(
-            ov.cyclist_length,
-            ov.cyclist_width,
-            vc,
-            (Vec2(vru_start, 0.0), Vec2(abs(vru_start) + vc * duration + 20.0, 0.0)),
-            height=ov.cyclist_height,
-        )
+        vru_path = (Vec2(vru_start, 0.0), Vec2(vru_end, 0.0))
         occluders: tuple[Prism, ...] = ()
     else:
-        if kind is ScenarioKind.CPNC50:
-            vru_len, vru_wid, vru_hgt = ov.pedestrian_length, ov.pedestrian_width, ov.pedestrian_height
-            vru_speed = ov.pedestrian_speed_kmh * KMH
-        else:
-            vru_len, vru_wid, vru_hgt = ov.cyclist_length, ov.cyclist_width, ov.cyclist_height
-            vru_speed = ov.cyclist_speed_kmh * KMH
-        vru_start = -vru_speed * sync_time
-        vru_track = VruTrack(
-            vru_len,
-            vru_wid,
-            vru_speed,
-            (Vec2(0.0, vru_start), Vec2(0.0, abs(vru_start) + vru_speed * duration + 20.0)),
-            height=vru_hgt,
-        )
+        vru_path = (Vec2(0.0, vru_start), Vec2(0.0, vru_end))
         occluders = _crossing_occluders(kind, ov, abs(vru_start))
+    vru_track = VruTrack(vru_len, vru_wid, vru_speed, vru_path, height=vru_hgt)
 
     return ScenarioSpec(
         kind=kind,

@@ -322,6 +322,28 @@ def test_certificate_decides_most_wholly_visible_ring_frames(monkeypatch):
     assert len(spanned) >= 0.9 * wholly_visible > 0
 
 
+def test_roadside_span_schedule_is_pinned(monkeypatch):
+    # the ring's roadside passes make exactly these span checks, single
+    # senses and span-drawn coins; a schedule that checks, senses or draws
+    # one more or fewer changes the work even where the events hold
+    calls = {"span_passes": 0, "sense_frame": 0, "draw_detection": 0}
+
+    def counted(name):
+        inner = getattr(aeb, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(aeb, name, counted(name))
+    for spec in ring_specs():
+        simulate_run(spec, RING, MODEL, POLICY)
+    assert calls == {"span_passes": 4207, "sense_frame": 3977, "draw_detection": 12201}
+
+
 def test_stationary_vru_observation_matches_every_frame_reference(monkeypatch):
     sensors = DEFAULT_SENSORS + RING
     for spec in ring_specs(stationary=True):

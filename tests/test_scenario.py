@@ -242,6 +242,16 @@ def test_track_state_basics():
     assert up.heading == pytest.approx(math.pi / 2)
 
 
+def test_track_along_is_clamped_at_the_legs_end():
+    track = ActorTrack(1.8, 0.5, 4.0, (Vec2(0, 0), Vec2(0, 30)))
+    assert track.along(0.0) == 0.0
+    assert track.along(2.5) == 4.0 * 2.5
+    assert track.along(7.5) == 30.0
+    assert track.along(100.0) == 30.0
+    standing = ActorTrack(1.8, 0.5, 0.0, (Vec2(0, 0), Vec2(0, 30)))
+    assert standing.along(0.0) == standing.along(9.0) == 0.0
+
+
 def test_track_validation():
     with pytest.raises(ValueError):
         ActorTrack(4.5, 1.8, -1.0, (Vec2(0, 0), Vec2(1, 0)))

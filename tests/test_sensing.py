@@ -475,6 +475,13 @@ def test_confirmation_nondecreasing_in_k():
         prev = first
 
 
+@pytest.mark.parametrize("frames", [(1, 2, 2), (3, 2)], ids=["repeat", "back"])
+def test_confirmation_rejects_a_stream_out_of_frame_order(frames):
+    streams = {"a": [ev(3), ev(4), ev(5)], "b": [ev(f) for f in frames]}
+    with pytest.raises(ValueError, match="strictly ordered by frame"):
+        first_confirmed_time(streams, 3, ("a", "b"))
+
+
 def test_fusion_is_min_over_singletons():
     streams = {
         "a": [ev(3), ev(4), ev(5)],
