@@ -134,19 +134,19 @@ def _radius(track: ActorTrack) -> float:
 
 
 def _box(track: ActorTrack, x: float, y: float) -> Box:
-    """A track's footprint at a located position, as a float box."""
-    return (x, y, track.heading, track.length / 2, track.width / 2)
+    """A track's footprint at a located position, as a float box on the track's axis."""
+    return (x, y, *track.axis, track.length / 2, track.width / 2)
 
 
 def _leg_span(track: ActorTrack, x: float, y: float, reach: float) -> tuple[float, float] | None:
-    """The interval of distances along `track`'s leg at which its centre
-    can lie within `reach` of (x, y), or None when no point of the leg
-    does. Its upper end may lie past the leg's end; keyed by the clamped
-    `ActorTrack.along`, every time after the end is reached then falls in
-    it. The reach is padded as `_pad` pads a bound, far past the rounding
-    of a located position and its gap."""
-    ax, ay, dx, dy, length = track._leg
-    fx, fy = (dx / length, dy / length) if length > 0.0 else (1.0, 0.0)
+    """The interval of distances along `track`'s leg, measured on its
+    `axis`, at which its centre can lie within `reach` of (x, y), or None
+    when no point of the leg does. Its upper end may lie past the leg's
+    end; keyed by the clamped `ActorTrack.along`, every time after the end
+    is reached then falls in it. The reach is padded as `_pad` pads a
+    bound, far past the rounding of a located position and its gap."""
+    ax, ay, _, _, length = track._leg
+    fx, fy = track.axis
     wx, wy = x - ax, y - ay
     along, across = wx * fx + wy * fy, wx * fy - wy * fx
     reach = _pad(reach)
@@ -254,10 +254,11 @@ def _sense_frames(
     times = [frame / spec.frame_rate for frame in range(spec.n_frames)]
     targets = [vru_track.silhouette_at(t) for t in times]
     start, end = vru_track.path
-    ex, ey = math.cos(vru_track.heading) * vru_track.length / 2.0, math.sin(vru_track.heading) * vru_track.length / 2.0
+    fx, fy = vru_track.axis
+    ex, ey = fx * vru_track.length / 2.0, fy * vru_track.length / 2.0
     leg = ((start.x - ex, start.y - ey), (end.x + ex, end.y + ey))
     grown = [
-        (o, (o.center.x, o.center.y, o.heading, o.half_long + _SLACK, o.half_lat + _SLACK))
+        (o, (o.center.x, o.center.y, *o.axis, o.half_long + _SLACK, o.half_lat + _SLACK))
         for o in spec.occluders
     ]
     n = len(targets)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import yaml
 
@@ -167,17 +167,24 @@ def _kind(name: Any) -> ScenarioKind:
     raise ConfigError(f"unknown scenario {name!r}; choose from {options}")
 
 
+def _entries(raw: Any, key: str, parse: Callable[[Any], Any]) -> tuple:
+    """The entries of the list `raw` under `key`, each read by `parse`;
+    the list must be non-empty and no two entries may read alike."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"{key}: expected a non-empty list")
+    entries = tuple(map(parse, raw))
+    if len(set(entries)) != len(entries):
+        raise ConfigError(f"{key}: duplicate entries")
+    return entries
+
+
 def _resolve_speeds(kinds: Sequence[ScenarioKind], explicit: Any) -> dict[ScenarioKind, tuple[float, ...]]:
     """Each scenario's sweep speeds: all it allows, or those of `explicit`
     it allows, where each listed speed must suit some scenario and each
     scenario some listed speed."""
     if explicit is None:
         return {kind: allowed_speeds_kmh(kind) for kind in kinds}
-    if not isinstance(explicit, (list, tuple)) or not explicit:
-        raise ConfigError("speeds_kmh: expected a non-empty list")
-    speeds = sorted(_number(v, "speeds_kmh") for v in explicit)
-    if len(set(speeds)) != len(speeds):
-        raise ConfigError("speeds_kmh: duplicate entries")
+    speeds = sorted(_entries(explicit, "speeds_kmh", lambda v: _number(v, "speeds_kmh")))
     out = {kind: tuple(s for s in speeds if s in allowed_speeds_kmh(kind)) for kind in kinds}
     unused = [s for s in speeds if not any(s in picked for picked in out.values())]
     empty = [kind.display_name for kind, picked in out.items() if not picked]
@@ -267,12 +274,7 @@ def load_config(
     given = dict(seed=seed, out_dir=out_dir, subsets=subsets, speeds_kmh=speeds_kmh, write_traces=write_traces)
     top.data.update((key, value) for key, value in given.items() if value is not None)
 
-    scenario_names = top.take("scenarios", [k.display_name for k in ScenarioKind])
-    if not isinstance(scenario_names, list) or not scenario_names:
-        raise ConfigError("scenarios: expected a non-empty list")
-    kinds = tuple(_kind(n) for n in scenario_names)
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError("scenarios: duplicate entries")
+    kinds = _entries(top.take("scenarios", [k.display_name for k in ScenarioKind]), "scenarios", _kind)
 
     speeds_by_kind = _resolve_speeds(kinds, top.take("speeds_kmh", None))
 
@@ -281,12 +283,7 @@ def load_config(
     if not isinstance(cfg_out, str) or not cfg_out:
         raise ConfigError("out_dir: expected a non-empty string")
 
-    yaws_raw = top.take("scene_yaw_deg", [0.0])
-    if not isinstance(yaws_raw, list) or not yaws_raw:
-        raise ConfigError("scene_yaw_deg: expected a non-empty list")
-    yaws = tuple(_number(v, "scene_yaw_deg") for v in yaws_raw)
-    if len(set(yaws)) != len(yaws):
-        raise ConfigError("scene_yaw_deg: duplicate entries")
+    yaws = _entries(top.take("scene_yaw_deg", [0.0]), "scene_yaw_deg", lambda v: _number(v, "scene_yaw_deg"))
     labels: dict[str, float] = {}
     for yaw in yaws:
         other = labels.setdefault(f"{yaw:g}", yaw)

@@ -65,10 +65,13 @@ class OrientedBox:
     half_long: float  # half extent along the heading axis
     half_lat: float  # half extent across it
     heading: float
+    # (cos heading, sin heading), the unit vector along the heading
+    axis: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.half_long <= 0.0 or self.half_lat <= 0.0:
             raise ValueError("OrientedBox half extents must be positive")
+        object.__setattr__(self, "axis", (math.cos(self.heading), math.sin(self.heading)))
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,14 @@ class Silhouette:
 
 
 # A box for the contact kernel is a plain-float tuple (center x, center y,
-# heading, half_long, half_lat); the heading is used as given, unwrapped.
-Box = tuple[float, float, float, float, float]
+# unit axis x, unit axis y, half_long, half_lat), the halves along and across the axis.
+Box = tuple[float, float, float, float, float, float]
 
 
 def _box_frame(box: Box) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
     """The four corners and the two unit axes of a box, each corner summed
     in the order center + long offset + lateral offset."""
-    cx, cy, heading, half_long, half_lat = box
-    fx, fy = math.cos(heading), math.sin(heading)
+    cx, cy, fx, fy, half_long, half_lat = box
     lx, ly = -fy, fx
     dlx, dly = fx * half_long, fy * half_long
     dwx, dwy = lx * half_lat, ly * half_lat
@@ -192,11 +194,9 @@ def obb_gap_bound(a: Box, b: Box) -> float:
     two axes (the separating-axis test measured rather than decided). It
     is exact where a box's corner, or face, meets a face-parallel box.
     """
-    ax, ay, a_heading, a_long, a_lat = a
-    bx, by, b_heading, b_long, b_lat = b
+    ax, ay, ca, sa, a_long, a_lat = a
+    bx, by, cb, sb, b_long, b_lat = b
     dx, dy = bx - ax, by - ay
-    ca, sa = math.cos(a_heading), math.sin(a_heading)
-    cb, sb = math.cos(b_heading), math.sin(b_heading)
     # |cos| and |sin| of the angle between the two forward axes
     c, s = abs(ca * cb + sa * sb), abs(ca * sb - sa * cb)
     return max(
@@ -228,7 +228,7 @@ def obb_separation(a: Box, b: Box) -> float:
     # (bound, corner x, corner y, the other box's corners) per corner
     candidates = []
     for pts, box, (corners, ((fx, fy), (lx, ly))) in ((fa[0], b, fb), (fb[0], a, fa)):
-        cx, cy, _, half_long, half_lat = box
+        cx, cy, _, _, half_long, half_lat = box
         for px, py in pts:
             rx, ry = px - cx, py - cy
             bound = math.hypot(max(abs(rx * fx + ry * fy) - half_long, 0.0), max(abs(rx * lx + ry * ly) - half_lat, 0.0))
@@ -288,7 +288,7 @@ def occluder_slabs(x: float, y: float, occluders: tuple[Prism, ...] | list[Prism
     records = []
     for occ in occluders:
         cx, cy = occ.center.x, occ.center.y
-        fx, fy = math.cos(occ.heading), math.sin(occ.heading)
+        fx, fy = occ.axis
         rx, ry = x - cx, y - cy
         axes, inside = [], True
         for ax, ay, half in ((fx, fy, occ.half_long), (-fy, fx, occ.half_lat)):

@@ -77,22 +77,9 @@ class GroundTruthRecord:
             raise ValueError("sensor_id, target_id and label must be non-empty")
 
 
-def _split_line(line: str, n_fields: int, where: str) -> list[str]:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != n_fields:
-        raise ValueError(f"{where}: expected {n_fields} comma-separated fields, got {len(parts)}")
-    return parts
-
-
-def _parse_corners(parts: Sequence[str], where: str) -> list[float]:
-    """A box's four numbers; `AxisBox2` checks them in the caller's record."""
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"{where}: box coordinates must be numbers") from None
-
-
-def _read_rows(path: str | os.PathLike, header: str, kind: str):
+def _read_rows(path: str | os.PathLike, header: str, kind: str, corners_at: int):
+    """(where, frame, fields, corners) per row: eight fields, an integer frame first and
+    the box's four numbers from `corners_at` on, which `AxisBox2` checks in the caller."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -110,25 +97,30 @@ def _read_rows(path: str | os.PathLike, header: str, kind: str):
                 raise ValueError(f"{where}: expected header {header!r}")
             header_seen = True
             continue
-        yield where, line
+        fields = [p.strip() for p in line.split(",")]
+        if len(fields) != 8:
+            raise ValueError(f"{where}: expected 8 comma-separated fields, got {len(fields)}")
+        try:
+            frame = int(fields[0])
+        except ValueError:
+            raise ValueError(f"{where}: frame must be an integer") from None
+        try:
+            corners = [float(p) for p in fields[corners_at : corners_at + 4]]
+        except ValueError:
+            raise ValueError(f"{where}: box coordinates must be numbers") from None
+        yield where, frame, fields, corners
     # a file with no rows (or nothing at all) is a valid empty log
 
 
 def parse_detection_log(path: str | os.PathLike) -> list[ExternalDetection]:
     records = []
-    for where, line in _read_rows(path, DETECTION_LOG_HEADER, "detection log"):
-        parts = _split_line(line, 8, where)
+    for where, frame, fields, corners in _read_rows(path, DETECTION_LOG_HEADER, "detection log", 3):
         try:
-            frame = int(parts[0])
-        except ValueError:
-            raise ValueError(f"{where}: frame must be an integer") from None
-        corners = _parse_corners(parts[3:7], where)
-        try:
-            confidence = float(parts[7])
+            confidence = float(fields[7])
         except ValueError:
             raise ValueError(f"{where}: confidence must be a number") from None
         try:
-            records.append(ExternalDetection(frame, parts[1], parts[2], AxisBox2(*corners), confidence))
+            records.append(ExternalDetection(frame, fields[1], fields[2], AxisBox2(*corners), confidence))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return records
@@ -136,15 +128,9 @@ def parse_detection_log(path: str | os.PathLike) -> list[ExternalDetection]:
 
 def parse_ground_truth(path: str | os.PathLike) -> list[GroundTruthRecord]:
     records = []
-    for where, line in _read_rows(path, GROUND_TRUTH_HEADER, "ground truth"):
-        parts = _split_line(line, 8, where)
+    for where, frame, fields, corners in _read_rows(path, GROUND_TRUTH_HEADER, "ground truth", 4):
         try:
-            frame = int(parts[0])
-        except ValueError:
-            raise ValueError(f"{where}: frame must be an integer") from None
-        corners = _parse_corners(parts[4:8], where)
-        try:
-            records.append(GroundTruthRecord(frame, parts[1], parts[2], parts[3], AxisBox2(*corners)))
+            records.append(GroundTruthRecord(frame, fields[1], fields[2], fields[3], AxisBox2(*corners)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return records

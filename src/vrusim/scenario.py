@@ -48,8 +48,9 @@ class ActorTrack:
     width: float
     speed: float
     path: tuple[Vec2, Vec2]
-    # the leg's direction, normalized
+    # the leg's direction, normalized, and (cos heading, sin heading)
     heading: float = field(init=False, repr=False, compare=False)
+    axis: tuple[float, float] = field(init=False, repr=False, compare=False)
     # (start x, start y, dx, dy, length) of the leg
     _leg: tuple[float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
@@ -65,6 +66,7 @@ class ActorTrack:
         a, b = self.path
         dx, dy = b.x - a.x, b.y - a.y
         object.__setattr__(self, "heading", wrap_angle(math.atan2(dy, dx)))
+        object.__setattr__(self, "axis", (math.cos(self.heading), math.sin(self.heading)))
         object.__setattr__(self, "_leg", (a.x, a.y, dx, dy, math.hypot(dx, dy)))
 
     def along(self, t: float) -> float:

@@ -144,9 +144,10 @@ def footprint(track: ActorTrack, pose: Pose2) -> OrientedBox:
     return OrientedBox(position(pose), track.length / 2, track.width / 2, pose.heading)
 
 
-def float_box(box: OrientedBox) -> tuple[float, float, float, float, float]:
-    """The same box as the plain floats ``vrusim.geometry``'s kernel takes."""
-    return (box.center.x, box.center.y, box.heading, box.half_long, box.half_lat)
+def float_box(box: OrientedBox) -> tuple[float, float, float, float, float, float]:
+    """The same box as the plain floats ``vrusim.geometry``'s kernel takes:
+    centre, unit axis and half extents."""
+    return (box.center.x, box.center.y, *box.axis, box.half_long, box.half_lat)
 
 
 def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:

@@ -789,6 +789,29 @@ def test_contact_boxes_take_the_wrapped_heading():
     assert _box(track, x, y) == float_box(footprint(track, Pose2(x, y, raw)))
 
 
+def test_contact_kernel_and_occluder_records_take_no_cos_or_sin(monkeypatch):
+    # each box and prism carries its axis from construction, so the
+    # kernel and the per-frame occluder records call no trigonometry
+    spec = rotate_scenario(build_scenario(ScenarioKind.CPNC50, 40.0), 0.3)
+    vut, vru = spec.vut_track, spec.vru_track
+    # both centres reach the conflict point 8 s in
+    a = _box(vut, *vut.locate(vut.speed * 8.0))
+    b = _box(vru, *vru.locate(vru.speed * 8.0))
+    far = _box(vru, *vru.locate(0.0))
+    prisms = spec.occluders
+
+    def refuse(_):
+        raise AssertionError("called cos or sin")
+
+    monkeypatch.setattr(geometry.math, "cos", refuse)
+    monkeypatch.setattr(geometry.math, "sin", refuse)
+    assert geometry.obb_overlap(a, b) and not geometry.obb_overlap(a, far)
+    assert geometry.obb_separation(a, b) == 0.0 < geometry.obb_separation(a, far)
+    assert geometry.obb_gap_bound(a, far) > 0.0
+    assert geometry.triangle_meets_box(((0.0, 0.0), (40.0, 0.0), (0.0, 40.0)), a)
+    assert len(geometry.occluder_slabs(3.0, -7.0, prisms)) == len(prisms) == 2
+
+
 def clamped_vru(spec, end_y):
     """`spec` with the VRU's path ending at (0, end_y): it walks there and
     stands still for the rest of the run."""

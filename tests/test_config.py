@@ -1,17 +1,23 @@
 """Configuration loading: defaults, unit conversion, strictness, hashing."""
 
+import csv
 import inspect
+import io
 import math
 import re
+import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrusim.config import ConfigError, load_config
 from vrusim.geometry import MountPose, Silhouette, Vec2, occluder_slabs
-from vrusim.scenario import ScenarioKind, build_scenario
+from vrusim.harness import emit_reports, run_sweep
+from vrusim.scenario import ScenarioKind, ScenarioOverrides, build_scenario
 from vrusim.sensing import DetectionModel, SensorUnit, default_layout, format_layout, sense_frame
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -122,6 +128,19 @@ def test_scenario_list_validation(tmp_path):
         load_config(write_cfg(tmp_path, {"scenarios": ["CBNA", "CBNA"]}))
     only = load_config(write_cfg(tmp_path, {"scenarios": ["CBLA"]}))
     assert only.scenarios == (ScenarioKind.CBLA,)
+
+
+@pytest.mark.parametrize(
+    "key, repeated", [("scenarios", ["CBNA", "CBNA"]), ("speeds_kmh", [40, 40.0]), ("scene_yaw_deg", [90, 90.0])]
+)
+@pytest.mark.parametrize("shape", ["non-list", "empty", "repeated"])
+def test_list_keys_share_one_rule(tmp_path, key, repeated, shape):
+    # a scalar or an empty list, then a list whose entries repeat once read
+    value = {"non-list": repeated[0], "empty": [], "repeated": repeated}[shape]
+    message = f"{key}: duplicate entries" if shape == "repeated" else f"{key}: expected a non-empty list"
+    with pytest.raises(ConfigError) as err:
+        load_config(write_cfg(tmp_path, {key: value}))
+    assert str(err.value) == message
 
 
 def test_explicit_speeds(tmp_path):
@@ -468,3 +487,155 @@ def test_top_level_must_be_mapping(tmp_path):
 def test_missing_file_raises_oserror():
     with pytest.raises(OSError):
         load_config("/nonexistent/config.yaml")
+
+
+# ------------------------------------------------- the surface as a property
+
+# the frame rates a draw sweeps at: 5 ms steps, 29 steps of 4.9 ms, and
+# the default; the rest are out of range or of the wrong type
+FRAME_RATES = (5, 7, 10, 25)
+# three of the built-in units, so that a layout file and the default
+# layout both know every sensor a drawn subset names
+LAYOUT_IDS = ("rsu1", "rsu5", "rsu7")
+
+
+def numbers(lo, hi, *bad):
+    """Numbers from [lo, hi] with its bounds, or one of `bad`, the values
+    out of range and of the wrong type; a string and a bool always among them."""
+    return (st.one_of(st.floats(lo, hi), st.sampled_from((lo, hi))), (*bad, "1", True))
+
+
+# every key of README's block, each as (its values, its bad values), but
+# out_dir and sensors.layout_file, which the test sets; the three list
+# keys always hold one entry, so that a draw sweeps one cell
+SURFACE = {
+    ("scenarios",): (
+        st.sampled_from(["CPNC-50", "CBNA", "CBLA"]).map(lambda k: [k]),
+        ("CBNA", [], ["CBNA", "CBNA"], ["cbna"], [5]),
+    ),
+    ("speeds_kmh",): (
+        st.sampled_from(range(20, 65, 5)).map(lambda v: [v]),
+        ([15], [22.5], [65], 40, [], [40, 40], ["40"], [True]),
+    ),
+    ("seed",): (st.integers(-(2**64), 2**64), (1.5, "7", True)),
+    ("scene_yaw_deg",): (st.floats(-720.0, 720.0).map(lambda v: [v]), (0, [], [90, 90], ["90"], [10**400])),
+    ("write_traces",): (st.booleans(), ("yes", 1, None)),
+    ("camera", "hfov_deg"): numbers(1e-3, 180.0, 0, -90, 180.5, 360),
+    ("camera", "image_width_px"): numbers(5e-324, 8000.0, 0, -1920),
+    ("camera", "image_height_px"): numbers(5e-324, 8000.0, 0, -1080),
+    ("detection", "min_width_px"): numbers(0.0, 2000.0, -1, 1e400),
+    ("detection", "min_height_px"): numbers(0.0, 2000.0, -1, 1e400),
+    ("detection", "min_visible_fraction"): numbers(0.0, 1.0, -0.1, 1.1),
+    ("detection", "miss_probability"): numbers(0.0, 1.0, -0.1, 1.5),
+    ("policy", "deceleration_mps2"): numbers(1e-3, 1e6, 0, -7.72),
+    ("policy", "latency_s"): numbers(0.0, 1e6, -0.025),
+    ("policy", "confirm_frames"): (st.integers(1, 40), (0, -3, 1.5, True, "3")),
+    ("sensors", "range_m"): numbers(1e-3, 1e300, 0, -250),
+    ("sensors", "latency_s"): numbers(0.0, 1e6, -0.025),
+    ("scenario_overrides", "frame_rate"): (st.sampled_from(FRAME_RATES), (0, -10, 1e-5, 1e5, "10", True)),
+    ("subsets",): (
+        st.sampled_from([["any"], ["vut"], ["rsu1", ["vut", "rsu1"]], ["any", "rsu5", "rsu7"]]),
+        ([], "vut", ["nope"], [["vut", "vut"]], ["any", "any"], 3),
+    ),
+}
+# the other scenario overrides: half to twice the default, and its bounds
+SURFACE.update(
+    (("scenario_overrides", f.name), numbers(f.default / 2.0, f.default * 2.0, 0, -f.default))
+    for f in fields(ScenarioOverrides)
+    if f.name != "frame_rate"
+)
+# keys a draw always sets; it sets up to three others
+ALWAYS = (("scenarios",), ("speeds_kmh",), ("scene_yaw_deg",), ("scenario_overrides", "frame_rate"))
+
+
+def test_the_surface_covers_every_documented_key():
+    documented = yaml.safe_load(readme_config())
+    leaves = {
+        (key, *sub) for key, value in documented.items()
+        for sub in ([(name,) for name in value] if isinstance(value, dict) else [()])
+    }
+    overrides = {("scenario_overrides", f.name) for f in fields(ScenarioOverrides)}
+    assert leaves | overrides == set(SURFACE) | {("out_dir",), ("sensors", "layout_file")}
+
+
+@st.composite
+def surface_draws(draw):
+    """README's block with the always-set keys and up to three more each
+    given a value, one in four of them a bad one."""
+    data = yaml.safe_load(readme_config())
+    others = [path for path in SURFACE if path not in ALWAYS]
+    for path in (*ALWAYS, *draw(st.lists(st.sampled_from(others), max_size=3, unique=True))):
+        good, bad = SURFACE[path]
+        value = draw(st.sampled_from(bad)) if draw(st.integers(0, 3)) == 3 else draw(good)
+        section = data
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    return data, draw(st.booleans())
+
+
+# the summary.csv columns a run may leave undefined
+UNDEFINED = {
+    "stop_margin_m", "collision_time_s", "first_confirmed_time_s", "brake_trigger_time_s", "last_possible_brake_time_s",
+}
+
+
+def assert_reports_finite(out: Path):
+    """No report holds a nan or inf, and NA stands only for a value that
+    is undefined: a margin of a run that collided, a contact time of one
+    that did not, the trigger of a subset that never confirmed and the
+    deadline of a cell that no braking saves; in a trace's summary also
+    the observation pass's trigger."""
+    written = sorted(p for p in out.rglob("*") if p.suffix in (".csv", ".txt") and p.name != "manifest.txt")
+    assert written
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        for token in re.split(r"[\s,=]+", text):
+            try:
+                number = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(number), (path.name, token)
+        if path.name == "summary.csv":
+            for row in csv.DictReader(io.StringIO(text)):
+                na = {key for key, value in row.items() if value == "NA"}
+                assert na <= UNDEFINED and row["avoided"] in ("true", "false"), row
+                avoided = row["avoided"] == "true"
+                assert ("stop_margin_m" in na) != avoided and ("collision_time_s" in na) == avoided, row
+                assert ("first_confirmed_time_s" in na) == ("brake_trigger_time_s" in na), row
+        elif path.parent.name == "traces":
+            summary, rows = text.split("\ntime,", 1)
+            head = dict(re.findall(r"(\w+)=(\S+)", summary))
+            assert head["first_confirmed_time"] == head["brake_trigger_time"] == "NA", head
+            assert (head["collision_time"] == "NA") == (head["avoided"] == "true"), head
+            assert "NA" not in re.split(r"[\s,]+", rows), path.name
+        else:
+            assert "NA" not in re.split(r"[\s,]+", text), path.name
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(surface_draws())
+def test_any_config_is_rejected_at_load_or_reports_only_finite_numbers(draw):
+    # a draw over README's keys, at their bounds, out of range and of the
+    # wrong type: load_config rejects it, or its one-cell sweep writes
+    # only finite numbers
+    data, own_layout = draw
+    rate = data["scenario_overrides"]["frame_rate"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate <= 0:
+        rate = 10.0  # the load rejects the rate before it reads the layout
+    with tempfile.TemporaryDirectory() as tmp:
+        layout = Path(tmp, "layout.txt")
+        units = tuple(u for u in default_layout() if u.sensor_id in LAYOUT_IDS)
+        layout.write_text(format_layout(units, rate), encoding="utf-8")
+        data["out_dir"] = str(Path(tmp, "out"))
+        data["sensors"]["layout_file"] = str(layout) if own_layout else None
+        path = Path(tmp, "cfg.yaml")
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        try:
+            config = load_config(str(path))
+        except ConfigError:
+            return
+        assert len(config.cells()) == 1
+        manifest = emit_reports(run_sweep(config), config.out_dir)
+        assert manifest.complete
+        assert_reports_finite(Path(config.out_dir))

@@ -133,6 +133,37 @@ def test_a_log_that_is_not_utf8_names_its_kind_and_byte(tmp_path, parse, kind, h
     assert str(err.value) == f"{kind}: byte {offset} is not UTF-8 (invalid start byte)"
 
 
+@pytest.mark.parametrize(
+    "parse, kind, header, row",
+    [
+        (parse_detection_log, "detection log", DETECTION_LOG_HEADER, "0,cam0,pedestrian,10,20,40,90,0.9"),
+        (parse_ground_truth, "ground truth", GROUND_TRUTH_HEADER, "0,cam0,vru,pedestrian,10,20,40,90"),
+    ],
+    ids=["detection-log", "ground-truth"],
+)
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("seven-fields", "expected 8 comma-separated fields, got 7"),
+        ("frame", "frame must be an integer"),
+        ("corner", "box coordinates must be numbers"),
+    ],
+)
+def test_both_logs_check_a_row_alike(tmp_path, parse, kind, header, row, fault, message):
+    fields = row.split(",")
+    if fault == "seven-fields":
+        del fields[-1]
+    elif fault == "frame":
+        fields[0] = "1.5"
+    else:
+        fields[-2] = "wide"  # a y corner in either layout
+    path = tmp_path / "log.csv"
+    path.write_text(f"{header}\n{row}\n" + ",".join(fields) + "\n")
+    with pytest.raises(ValueError) as err:
+        parse(path)
+    assert str(err.value) == f"{kind} line 3: {message}"
+
+
 def test_parse_ground_truth(tmp_path):
     p = tmp_path / "gt.csv"
     p.write_text(
