@@ -1,4 +1,4 @@
-"""Sweep execution and report emission.
+"""Sweep execution, and report emission for the sweep and placement.
 
 A sweep cell is one (scene yaw, scenario, speed).  Each cell runs a single
 unbraked observation pass that records every sensor's detections through
@@ -11,6 +11,8 @@ sensed up to it (see `aeb.simulate_run`).
 Cells are independent, so they may run in any number of worker processes;
 results are merged in configured order and every output byte depends only
 on (config, seed).
+
+One writer writes both commands' reports and their `manifest.txt`.
 """
 
 from __future__ import annotations
@@ -21,16 +23,20 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._version import __version__
 from .aeb import RunTrace, SafetyOutcome, last_possible_brake_time, simulate_run, stop_margin
 from .config import RunConfig, cell_tag
 from .metrics import accuracy, heatmap_from_frames, mean_detections_per_frame
 from .scenario import ScenarioKind, ScenarioOverrides, ScenarioSpec, build_scenario, rotate_scenario
-from .sensing import first_confirmed_time
+from .sensing import SensorUnit, first_confirmed_time, format_layout
 
-__all__ = ["SubsetResult", "CellResult", "SweepResult", "cell_spec", "run_sweep", "emit_reports", "format_trace", "Manifest"]
+if TYPE_CHECKING:  # a sweep's worker processes need no placement code
+    from .placement import PlacementResult, SiteScore
+
+__all__ = ["SubsetResult", "CellResult", "SweepResult", "cell_spec", "run_sweep", "emit_reports",
+           "emit_placement_reports", "format_trace", "Manifest"]
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +72,6 @@ class CellResult:
 class SweepResult:
     config: RunConfig
     cells: tuple[CellResult, ...]
-    version: str
-    config_hash: str
 
 
 def cell_spec(overrides: ScenarioOverrides, yaw_deg: float, kind: ScenarioKind, speed: float) -> ScenarioSpec:
@@ -142,12 +146,7 @@ def run_sweep(config: RunConfig, workers: int = 1) -> SweepResult:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = tuple(pool.map(_run_cell, tasks))
-    return SweepResult(
-        config=config,
-        cells=cells,
-        version=__version__,
-        config_hash=config.config_hash(),
-    )
+    return SweepResult(config=config, cells=cells)
 
 
 # ------------------------------------------------------------------ reports
@@ -164,12 +163,14 @@ class Manifest:
 
 
 def _fmt(value: float | bool | None) -> str:
-    """A report value as printed: NA, true/false or six decimals."""
+    """A report value as printed: NA, true/false or six decimals; a value
+    that rounds to zero prints unsigned, whatever side of zero it is on."""
     if value is None:
         return "NA"
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f"{value:.6f}"
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def format_trace(trace: RunTrace) -> str:
@@ -295,31 +296,16 @@ def _avoidance_csv(result: SweepResult, yaw: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(result: SweepResult, out_dir: str) -> Manifest:
-    """Write every report file; the manifest records a checksum per file."""
-    entries: list[tuple[str, str]] = []
-    failures: list[tuple[str, str]] = []
-
-    def write(rel: str, data: str | bytes) -> None:
-        blob = data.encode("utf-8") if isinstance(data, str) else data
-        path = os.path.join(out_dir, rel)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            failures.append((rel, str(exc)))
-            return
-        entries.append((rel, hashlib.sha256(blob).hexdigest()))
-
-    write("summary.csv", _summary_csv(result))
+def _sweep_files(result: SweepResult) -> Iterator[tuple[str, str | bytes]]:
+    """Every sweep report as (relative path, contents), made one at a time."""
+    yield "summary.csv", _summary_csv(result)
 
     for yaw in result.config.scene_yaws_deg:
         suffix = "" if yaw == 0.0 else f"_yaw{yaw:g}"
         table = _accuracy_table_csv(result, yaw)
         if table is not None:
-            write(f"accuracy_table{suffix}.csv", table)
-        write(f"avoidance_by_subset{suffix}.csv", _avoidance_csv(result, yaw))
+            yield f"accuracy_table{suffix}.csv", table
+        yield f"avoidance_by_subset{suffix}.csv", _avoidance_csv(result, yaw)
 
     for cell in result.cells:
         tag = cell_tag(cell.yaw_deg, cell.kind, cell.speed_kmh)
@@ -331,26 +317,79 @@ def emit_reports(result: SweepResult, out_dir: str) -> Manifest:
                 frames, cell.n_frames, cell.frame_rate, cell.last_possible_brake_time
             )
             base = f"heatmaps/{tag}_{sub.name}"
-            write(base + ".csv", hm.to_csv())
-            write(base + ".ppm", hm.to_ppm())
+            yield base + ".csv", hm.to_csv()
+            yield base + ".ppm", hm.to_ppm()
         if cell.trace_text is not None:
-            write(f"traces/{tag}.txt", cell.trace_text)
+            yield f"traces/{tag}.txt", cell.trace_text
+
+
+def _write_reports(config: RunConfig, out_dir: str, files: Iterable[tuple[str, str | bytes]]) -> Manifest:
+    """Write each (relative path, contents) under `out_dir`, then
+    `manifest.txt`; a file that fails is recorded and the next attempted."""
+    entries: list[tuple[str, str]] = []
+    failures: list[tuple[str, str]] = []
+
+    def write(rel: str, blob: bytes) -> bool:
+        path = os.path.join(out_dir, rel)
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            failures.append((rel, str(exc)))
+            return False
+        return True
+
+    for rel, data in files:
+        blob = data.encode("utf-8") if isinstance(data, str) else data
+        if write(rel, blob):
+            entries.append((rel, hashlib.sha256(blob).hexdigest()))
 
     entries.sort()
     failures.sort()
     manifest_lines = [
-        f"version {result.version}",
-        f"config_hash {result.config_hash}",
-        f"seed {result.config.model.seed}",
+        f"version {__version__}",
+        f"config_hash {config.config_hash()}",
+        f"seed {config.model.seed}",
         f"files {len(entries)}",
     ]
     manifest_lines += [f"{digest}  {rel}" for rel, digest in entries]
     manifest_lines += [f"FAILED {rel}: {msg}" for rel, msg in failures]
     # the manifest lists everything else, so it cannot appear in itself
-    try:
-        with open(os.path.join(out_dir, "manifest.txt"), "wb") as fh:
-            fh.write(("\n".join(manifest_lines) + "\n").encode("utf-8"))
-    except OSError as exc:
-        failures.append(("manifest.txt", str(exc)))
-
+    write("manifest.txt", ("\n".join(manifest_lines) + "\n").encode("utf-8"))
     return Manifest(entries=tuple(entries), failures=tuple(failures))
+
+
+def emit_reports(result: SweepResult, out_dir: str) -> Manifest:
+    """Write every sweep report file; the manifest records a checksum per file."""
+    return _write_reports(result.config, out_dir, _sweep_files(result))
+
+
+def emit_placement_reports(
+    config: RunConfig, units: Sequence[SensorUnit], scores: Iterable[SiteScore], picked: PlacementResult, out_dir: str
+) -> Manifest:
+    """Write `placement.csv`, a row per scored site, and `selected_layout.txt`,
+    the picked units in selection order; the manifest is the sweep's."""
+    lines = ["site_id,selected,selection_rank,marginal_gain,avoidance,accuracy"]
+    rank = {sid: i for i, sid in enumerate(picked.selected_site_ids)}
+    for score in scores:
+        i = rank.get(score.site_id)
+        lines.append(
+            ",".join(
+                (
+                    score.site_id,
+                    _fmt(i is not None),
+                    str(i) if i is not None else "NA",
+                    _fmt(picked.marginal_gains[i] if i is not None else None),
+                    _fmt(score.avoidance),
+                    _fmt(score.accuracy),
+                )
+            )
+        )
+    by_id = {unit.sensor_id: unit for unit in units}
+    selected = tuple(by_id[sid] for sid in picked.selected_site_ids)
+    files = (
+        ("placement.csv", "\n".join(lines) + "\n"),
+        ("selected_layout.txt", format_layout(selected, config.overrides.frame_rate)),
+    )
+    return _write_reports(config, out_dir, files)

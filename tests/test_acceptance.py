@@ -352,17 +352,27 @@ def test_full_default_sweep_is_reproducible(tmp_path):
     )
 
 
+def manifest_lines(out):
+    return (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+
+
 def placement_entries(tmp_path, layout_text, argv):
     """(path, sha256) of both reports `vrusim placement` writes with
-    `layout_text` as its candidates."""
+    `layout_text` as its candidates, as its manifest lists them. Each digest
+    must be its file's own, and the header a sweep's over the same config."""
     candidates = tmp_path / "candidates.txt"
     candidates.write_text(layout_text, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["placement", "--candidates", str(candidates), "--out", str(out), "-q", *argv]) == 0
-    return tuple(
-        (rel, hashlib.sha256((out / rel).read_bytes()).hexdigest())
-        for rel in ("placement.csv", "selected_layout.txt")
-    )
+    lines = manifest_lines(out)
+    entries = tuple((rel, digest) for digest, rel in (line.split("  ", 1) for line in lines[4:]))
+    assert [rel for rel, _ in entries] == ["placement.csv", "selected_layout.txt"]
+    for rel, digest in entries:
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+    config_argv = argv[:2] if argv[0] == "--config" else []
+    assert main(["sweep", *config_argv, "--out", str(tmp_path / "sweep"), "-q"]) == 0
+    assert lines[:4] == manifest_lines(tmp_path / "sweep")[:3] + ["files 2"]
+    return entries
 
 
 def test_default_placement_is_reproducible(tmp_path):

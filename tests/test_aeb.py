@@ -906,7 +906,7 @@ def test_stop_margin_work_is_bounded(monkeypatch, trigger, most_locates, most_ga
 # the trace of a braked closed loop: sha256 of format_trace, as written
 # when the run still confirmed while it went, before the runs read the
 # spec's timeline; the braking column and the speeds come from the braked
-# steps
+# steps, and a value that rounds to zero prints unsigned
 LIVE_TRACE_DIGESTS = {
     (ScenarioKind.CBNA, 40.0, 0.0, ("rsu1",)):
         "4c2db7254df3eedd9b8e413d85b288cfd00c556fd0d24f8b29ddcf67c52c13a4",
@@ -915,7 +915,7 @@ LIVE_TRACE_DIGESTS = {
     (ScenarioKind.CBLA, 25.0, 0.0, ("vut",)):
         "96ff824ea15817092b7e9e7eb9d13c70f425a1f7b3efe7f2c758c16f8fd229db",
     (ScenarioKind.CPNC50, 60.0, 90.0, ("rsu2", "rsu3")):
-        "f3a41d064b9f1beddb8fcc127636294b4a193d5b56c1f9798594dbee890ee0b6",
+        "ccb29140c81069fecbcf31b1720c5b365072b90a8f0203ac07e2f3dfbcec3dc4",
 }
 
 

@@ -255,6 +255,21 @@ def test_placement_success(tmp_path):
     assert len(layout) == 2  # header plus the one selected unit
 
 
+def test_placement_partial_output_is_exit_3(tmp_path):
+    cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})
+    out = tmp_path / "p"
+    (out / "placement.csv").mkdir(parents=True)
+    rc = main(
+        [
+            "placement", "--config", cfg, "--candidates", candidates_file(tmp_path),
+            "--budget", "1", "--out", str(out), "-q",
+        ]
+    )
+    assert rc == 3
+    assert len((out / "selected_layout.txt").read_text().splitlines()) == 2
+    assert "FAILED placement.csv:" in (out / "manifest.txt").read_text()
+
+
 def test_placement_selected_layout_roundtrips_into_config(tmp_path):
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40]})
     assert main(

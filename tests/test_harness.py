@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import vrusim.harness
+from vrusim import __version__
 from vrusim.config import load_config
 from vrusim.aeb import AebPolicy, simulate_run
 from vrusim.harness import Manifest, cell_spec, emit_reports, format_trace, run_sweep
@@ -50,8 +51,7 @@ def test_cells_follow_config_order(tmp_path):
         (180.0, "CPNC-50", 25.0),
         (180.0, "CPNC-50", 30.0),
     ]
-    assert result.version
-    assert result.config_hash == config.config_hash()
+    assert result.config is config
 
 
 def test_worker_count_does_not_change_results(tmp_path):
@@ -167,8 +167,8 @@ def test_emit_reports_files_and_manifest(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, rel
 
     lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
-    assert lines[0] == f"version {result.version}"
-    assert lines[1] == f"config_hash {result.config_hash}"
+    assert lines[0] == f"version {__version__}"
+    assert lines[1] == f"config_hash {config.config_hash()}"
     assert lines[2] == "seed 0"
     assert lines[3] == f"files {len(manifest.entries)}"
 
@@ -195,6 +195,14 @@ def test_summary_rows_and_na_policy(tmp_path):
             assert float(row["collision_speed_mps"]) > 0.0
     # subset order inside a cell follows the config
     assert [ln.split(",")[3] for ln in lines[1:4]] == ["vut", "rsu1", "any"]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(-1e-14, "0.000000"), (-0.0, "0.000000"), (-4e-7, "0.000000"), (-6e-7, "-0.000001"), (4e-7, "0.000000")],
+)
+def test_a_value_that_rounds_to_zero_prints_unsigned(value, text):
+    assert vrusim.harness._fmt(value) == text
 
 
 def test_accuracy_table_shape_and_gaps(tmp_path):
