@@ -1,12 +1,15 @@
 """Choose roadside sensor sites under a budget.
 
 Candidate mounting positions are scored by running the full scenario suite:
-one sensing pass per scenario records what every candidate would see, then
-any subset of sites is evaluated by replaying the braking kinematics with
-that subset's earliest confirmation.  Scoring (`evaluate_sites`) and then
-selecting (`greedy_select`) from the very same objects, as ``vrusim
-placement`` does, observes each scenario once and replays each distinct
-(scenario, trigger) once.  Selection is greedy on marginal
+one sensing pass per scenario records what every candidate would see, and
+a subset's trigger in a scenario is its sites' earliest confirmation in
+that pass.  A run forced later than one that collides collides too (the
+premise `aeb.last_possible_brake_time` rests on), so each scenario finds
+its latest avoiding site trigger with one bisection over its sites' own
+triggers, and a subset avoids there when its trigger is no later.
+Scoring (`evaluate_sites`) and then selecting (`greedy_select`) from the
+very same objects, as ``vrusim placement`` does, observes and bisects
+each scenario once.  Selection is greedy on marginal
 avoidance gain with detection accuracy as tie-breaker; with at most a
 handful of candidates this provably matches exhaustive search only on the
 suites the tests pin, and no stronger claim is made.
@@ -15,7 +18,9 @@ suites the tests pin, and no stronger claim is made.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .aeb import AebPolicy, simulate_run
@@ -80,34 +85,70 @@ class PlacementResult:
             raise ValueError("one marginal gain per selected site required")
 
 
-@dataclass
-class _ObservedSuite:
-    """One sensing pass per scenario; subsets are scored by replay."""
+@dataclass(frozen=True)
+class _ObservedCell:
+    """One scenario's sensing pass, as far as placement reads it."""
 
-    specs: Sequence[ScenarioSpec]
-    events: list[Mapping]
-    policy: AebPolicy
-    model: DetectionModel
-    # (scenario index, trigger) -> avoided; subsets sharing a trigger share it
-    _replays: dict = field(default_factory=dict)
+    spec: ScenarioSpec
+    events: Mapping
+    # the pass is unbraked, so this is the outcome of a subset that never confirms
+    unbraked_avoids: bool
+    # each site's own first confirmation, None if it never confirms
+    triggers: Mapping[str, float | None]
+    # the latest site trigger whose forced run avoids; -inf if none does
+    latest: float
+
+    def avoids(self, subset: Sequence[str]) -> bool:
+        own = [t for t in (self.triggers[site_id] for site_id in subset) if t is not None]
+        return min(own) <= self.latest if own else self.unbraked_avoids
+
+
+def _observe_cell(
+    spec: ScenarioSpec,
+    units: tuple[SensorUnit, ...],
+    policy: AebPolicy,
+    model: DetectionModel,
+) -> _ObservedCell:
+    """Sense the scenario once, then bisect its sites' distinct triggers for
+    the first whose forced run collides, as `last_possible_brake_time`
+    bisects frames: a subset's trigger, the least of its sites' own, is
+    one of them."""
+    observation = simulate_run(spec, units, model, policy, sense=True)
+    events = observation.events_by_sensor
+    triggers = {
+        u.sensor_id: first_confirmed_time(events, policy.confirm_frames, (u.sensor_id,))
+        for u in units
+    }
+    ordered = sorted({t for t in triggers.values() if t is not None})
+
+    def collides(trigger: float) -> bool:
+        trace = simulate_run(spec, (), model, policy, trigger_override=trigger, sense=False)
+        return not trace.outcome.avoided
+
+    first = bisect_left(ordered, True, key=collides)
+    latest = ordered[first - 1] if first else -math.inf
+    return _ObservedCell(spec, events, observation.outcome.avoided, triggers, latest)
+
+
+@dataclass(frozen=True)
+class _ObservedSuite:
+    """One observed cell per scenario; a subset is scored by compares."""
+
+    cells: tuple[_ObservedCell, ...]
 
     def performance(self, subset: Sequence[str]) -> tuple[float, float]:
         avoided = 0
         acc_sum = 0.0
-        for i, (spec, events) in enumerate(zip(self.specs, self.events)):
-            trigger = first_confirmed_time(events, self.policy.confirm_frames, subset)
-            if (i, trigger) not in self._replays:
-                trace = simulate_run(spec, (), self.model, self.policy, trigger_override=trigger, sense=False)
-                self._replays[i, trigger] = trace.outcome.avoided
-            if self._replays[i, trigger]:
+        for cell in self.cells:
+            if cell.avoids(subset):
                 avoided += 1
-            acc_sum += accuracy(events, spec.n_frames, subset)
-        return avoided / len(self.specs), acc_sum / len(self.specs)
+            acc_sum += accuracy(cell.events, cell.spec.n_frames, subset)
+        return avoided / len(self.cells), acc_sum / len(self.cells)
 
 
 # The last observation and the objects it was made from. `vrusim placement`
 # scores the singles and then selects from the very same objects, so the
-# second call reuses the first's passes and replay memo. The key is object
+# second call reuses the first's passes and bisections. The key is object
 # identity, not value: equal objects built afresh observe afresh, so what a
 # call costs never depends on what an earlier caller happened to build. The
 # entry holds its objects, so no id in the key can be reused while it lives.
@@ -143,11 +184,7 @@ def _observe(
     if _last_observed is not None and _same_objects(_last_observed[0], key):
         return _last_observed[1]
     units = tuple(s.to_unit() for s in sites)
-    events = [
-        simulate_run(spec, units, model, policy, sense=True).events_by_sensor
-        for spec in specs
-    ]
-    observed = _ObservedSuite(specs, events, policy, model)
+    observed = _ObservedSuite(tuple(_observe_cell(spec, units, policy, model) for spec in specs))
     _last_observed = (key, observed)
     return observed
 

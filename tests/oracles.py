@@ -20,6 +20,11 @@ segment. ``advance_every_step`` drives a run's whole timeline with one
 ``live_run`` is the closed loop confirmed while the run goes, which the
 package defines instead as an observation pass followed by a run forced
 from the subset's first confirmation; the two must agree exactly.
+``replayed_placement`` is placement search scoring every subset by
+replay: one sensing-free run forced from the subset's first confirmation
+per distinct (scenario, trigger), the unbraked run where it never
+confirms. The package replays only the runs one bisection per scenario
+needs; its scores and picks must be equal.
 ``observe_every_frame`` is that observation pass sensing every unit at
 every frame with the gates of ``sense_reference``: the package's gate
 order over the ``Vec2`` visible fraction on every raw prism. The package
@@ -45,7 +50,7 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from vrusim.aeb import AebPolicy, _braked_advance
+from vrusim.aeb import AebPolicy, _braked_advance, simulate_run
 from vrusim.geometry import (
     _EPS,
     MountPose,
@@ -57,7 +62,8 @@ from vrusim.geometry import (
     wrap_angle,
 )
 from vrusim.ingest import MatchCounts, MatchResult
-from vrusim.metrics import HeatmapMatrix
+from vrusim.metrics import HeatmapMatrix, accuracy, natural_key
+from vrusim.placement import CandidateSite, PlacementResult, SiteScore
 from vrusim.scenario import ActorTrack, ScenarioSpec
 from vrusim.sensing import (
     DetectionEvent,
@@ -65,6 +71,7 @@ from vrusim.sensing import (
     SensorUnit,
     apparent_angular_height,
     apparent_angular_width,
+    first_confirmed_time,
     sense_frame,
 )
 
@@ -363,6 +370,57 @@ def live_run(
             travel.append(travelled)
             speeds.append(speed)
     return LiveRun(trigger, travel, speeds, events, not any(touch(spec, t, d) for t, d in zip(times, travel)))
+
+
+def replayed_placement(
+    sites: tuple[CandidateSite, ...],
+    budget: int,
+    suite: tuple[ScenarioSpec, ...],
+    policy: AebPolicy,
+    model: DetectionModel,
+) -> tuple[tuple[SiteScore, ...], PlacementResult]:
+    """The singles' scores and the greedy pick of ``budget`` sites, each
+    subset's `avoided` flag in a scenario replayed from its trigger.
+
+    Every scenario is sensed once by an unbraked pass. A subset's trigger
+    there is `first_confirmed_time` over the pass's events, and the
+    sensing-free run forced from it (unbraked for None) says whether it
+    avoids; each distinct (scenario, trigger) is replayed once. Accuracy
+    and the greedy rounds are those of `placement`.
+    """
+    units = tuple(s.to_unit() for s in sites)
+    events = [simulate_run(spec, units, model, policy, sense=True).events_by_sensor for spec in suite]
+    replays: dict[tuple[int, float | None], bool] = {}
+
+    def performance(subset: tuple[str, ...]) -> tuple[float, float]:
+        avoided = 0
+        acc_sum = 0.0
+        for i, (spec, evs) in enumerate(zip(suite, events)):
+            trigger = first_confirmed_time(evs, policy.confirm_frames, subset)
+            if (i, trigger) not in replays:
+                trace = simulate_run(spec, (), model, policy, trigger_override=trigger, sense=False)
+                replays[i, trigger] = trace.outcome.avoided
+            if replays[i, trigger]:
+                avoided += 1
+            acc_sum += accuracy(evs, spec.n_frames, subset)
+        return avoided / len(suite), acc_sum / len(suite)
+
+    scores = tuple(SiteScore(s.site_id, *performance((s.site_id,))) for s in sites)
+    remaining = sorted((s.site_id for s in sites), key=natural_key)
+    selected: list[str] = []
+    gains: list[float] = []
+    current = performance(())
+    while remaining and len(selected) < budget:
+        best_id, best_perf = None, None
+        for site_id in remaining:
+            perf = performance(tuple(selected) + (site_id,))
+            if best_perf is None or perf > best_perf:
+                best_id, best_perf = site_id, perf
+        selected.append(best_id)
+        remaining.remove(best_id)
+        gains.append(best_perf[0] - current[0])
+        current = best_perf
+    return scores, PlacementResult(tuple(selected), tuple(gains), current[0], current[1])
 
 
 def touch(spec: ScenarioSpec, t: float, travelled: float) -> bool:

@@ -569,6 +569,27 @@ def test_avoidance_holds_exactly_up_to_the_deadline_frame():
             assert flags == [j <= deadline for j in range(spec.n_frames)], (kind, speed)
 
 
+def test_avoidance_is_a_threshold_on_the_sensor_latency_lattice():
+    # the premise of placement's bisection, on the triggers it bisects: a
+    # unit's event is available at j / rate plus its latency (0.025 s by
+    # default), and on that lattice too a run avoids up to one trigger and
+    # collides after it, in step with the deadline's frames
+    latency = default_layout()[0].latency
+    for kind in ScenarioKind:
+        for speed in allowed_speeds_kmh(kind):
+            spec = build_scenario(kind, speed)
+            deadline = last_possible_brake_time(spec, POLICY)
+            first_colliding = (round(deadline * spec.frame_rate) + 1) / spec.frame_rate
+            triggers = [j / spec.frame_rate + latency for j in range(spec.n_frames)]
+            flags = [
+                simulate_run(spec, (), MODEL, POLICY, trigger_override=t, sense=False).outcome.avoided
+                for t in triggers
+            ]
+            assert flags == sorted(flags, reverse=True), (kind, speed)
+            assert all(f for t, f in zip(triggers, flags) if t <= deadline), (kind, speed)
+            assert not any(f for t, f in zip(triggers, flags) if t >= first_colliding), (kind, speed)
+
+
 def test_deadline_of_a_spec_never_touched_is_its_last_frame():
     # a VRU path displaced 50 m down the road: no run touches it, so every
     # frame avoids

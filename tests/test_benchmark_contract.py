@@ -168,8 +168,10 @@ def test_every_workload_matches_its_golden(perfbench, tmp_path, name):
 
 def test_placement_workload_observes_each_cell_once(perfbench, tmp_path):
     # the benchmark scores the singles and then selects, in two calls on the
-    # same objects; the second must reuse the first's passes and replays, or
-    # the saving would leave placement-greedy without any test failing
+    # same objects; the second must reuse the first's passes and replays,
+    # and each cell bisects its site triggers (26 replays at one per
+    # distinct trigger, 9 bisected), or the saving would leave
+    # placement-greedy without any test failing
     m = imported_modules(perfbench)
     workloads = perfbench.workloads
     workload = workloads.WORKLOADS["placement-greedy"]
@@ -184,3 +186,4 @@ def test_placement_workload_observes_each_cell_once(perfbench, tmp_path):
     metrics = perfbench.layers.layer_metrics(tracer, 1.0, 0, 0, 0)
     assert metrics["placement.observe_passes"] == len(state.suite)
     assert metrics["placement.replay_unique_ratio"] == 1.0
+    assert metrics["placement.replays"] <= 9

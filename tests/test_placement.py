@@ -5,19 +5,27 @@ The engineered suite below has one standing pedestrian per cell, spaced
 range and field of view.  That makes singleton and fused scores exactly
 predictable, and an exhaustive oracle re-simulates every subset with the
 loop that confirms while it goes (`oracles.live_run`) rather than the
-replay path used in production.
+replay path used in production.  On drawn suites, scores and picks must
+equal those of placement scoring every subset by replay
+(`oracles.replayed_placement`), which production replaces with one
+bisection per scenario.
 """
 
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrusim import placement
 from vrusim.aeb import AebPolicy, simulate_run
+from vrusim.config import load_config
 from vrusim.geometry import Vec2
+from vrusim.harness import cell_spec
 from vrusim.metrics import natural_key
 from vrusim.placement import (
     PlacementResult,
@@ -28,13 +36,15 @@ from vrusim.placement import (
 from vrusim.scenario import (
     ActorTrack,
     ScenarioKind,
+    ScenarioOverrides,
     ScenarioSpec,
     VruTrack,
+    allowed_speeds_kmh,
     build_scenario,
 )
-from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor
+from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
 
-from oracles import live_run
+from oracles import live_run, replayed_placement
 from sites import rsu
 
 POLICY = AebPolicy()
@@ -298,3 +308,92 @@ def test_crossing_scene_separates_good_and_blind_sites():
 
     picked = greedy_select((good, blind), 1, suite, POLICY, DetectionModel())
     assert picked.selected_site_ids == ("corner",)
+
+
+# ------------------------------------------------------ bisected triggers
+
+
+def never_touched(overrides=ScenarioOverrides()):
+    """CPNC-50 at 40 km/h with the pedestrian's path 50 m down the road:
+    no run, braked or not, touches it."""
+    spec = build_scenario(ScenarioKind.CPNC50, 40.0, overrides)
+    path = tuple(Vec2(p.x + 50.0, p.y) for p in spec.vru_track.path)
+    return replace(spec, vru_track=replace(spec.vru_track, path=path))
+
+
+def test_a_cell_never_touched_avoids_for_every_subset(monkeypatch):
+    # two built-in units that never confirm there, and one like rsu0 moved
+    # 50 m along the road, which does
+    watcher = rsu("watcher", 38.0, -12.0, 7.0, math.radians(45.0), math.radians(-15.0))
+    sites = candidate_sites_from_units(default_layout()[:2] + (watcher,))
+    suite = (never_touched(),)
+    runs = count_runs(monkeypatch)
+    scores, picked = score_and_pick(suite, sites, POLICY, DetectionModel(), budget=2)
+    assert [s.avoidance for s in scores] == [1.0, 1.0, 1.0]
+    assert scores[0].accuracy == 0.0
+    assert scores[-1].accuracy > 0.0
+    # the empty set greedy starts from avoids too, so no pick gains
+    assert picked.marginal_gains == (0.0, 0.0)
+    assert picked.avoidance_rate == 1.0
+    # only the watcher's trigger is replayed; a subset that never confirms
+    # takes the unbraked pass's own outcome
+    assert len(runs["replays"]) == 1
+    assert all(trigger is not None for _, trigger in runs["replays"])
+
+
+@st.composite
+def placement_cases(draw):
+    """A drawn scenario cell and the never-touched cell, both at a drawn
+    frame rate; a drawn braking policy; 2 to 6 roadside units around the
+    drawn cell's conflict zone, the second of them around the other cell's
+    in about half the cases, each with its own latency and aim."""
+    kind = draw(st.sampled_from(tuple(ScenarioKind)))
+    overrides = ScenarioOverrides(frame_rate=draw(st.sampled_from((10.0, 25.0, 30.0))))
+    suite = (
+        build_scenario(kind, draw(st.sampled_from(allowed_speeds_kmh(kind))), overrides),
+        never_touched(overrides),
+    )
+    policy = AebPolicy(
+        deceleration=draw(st.floats(3.0, 10.0)),
+        latency=draw(st.floats(0.0, 0.5)),
+        confirm_frames=draw(st.integers(1, 4)),
+    )
+    units = []
+    for i in range(draw(st.integers(2, 6))):
+        centre = draw(st.sampled_from((0.0, 50.0))) if i == 1 else 0.0
+        bearing, reach = draw(st.floats(-math.pi, math.pi)), draw(st.floats(5.0, 30.0))
+        dx, dy = reach * math.cos(bearing), reach * math.sin(bearing)
+        aim = math.atan2(-dy, -dx) + draw(st.floats(-0.6, 0.6))
+        unit = rsu(f"u{i}", centre + dx, dy, draw(st.floats(3.0, 8.0)), aim, draw(st.floats(-0.5, 0.0)))
+        units.append(replace(unit, latency=draw(st.floats(0.0, 0.2))))
+    budget = draw(st.integers(1, len(units)))
+    return suite, candidate_sites_from_units(units), policy, budget
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(placement_cases())
+def test_bisected_scores_and_picks_equal_those_of_replays(case):
+    suite, sites, policy, budget = case
+    model = DetectionModel()
+    assert score_and_pick(suite, sites, policy, model, budget) == replayed_placement(
+        sites, budget, suite, policy, model
+    )
+
+
+def test_default_suite_work_is_pinned(monkeypatch):
+    # what `vrusim placement --budget 3` over the 12 built-in units makes:
+    # one pass per cell and, per cell, one bisection over its m distinct
+    # site triggers, at most ceil(log2(m + 1)) replays
+    config = load_config()
+    suite = tuple(cell_spec(config.overrides, *cell) for cell in config.cells())
+    units = default_layout()
+    runs = count_runs(monkeypatch)
+    score_and_pick(suite, candidate_sites_from_units(units), config.policy, config.model)
+    assert runs["passes"] == len(suite) == 26
+    assert len(runs["replays"]) == 69
+    per_cell = Counter(cell for cell, _ in runs["replays"])
+    for spec in suite:
+        events = simulate_run(spec, units, config.model, config.policy).events_by_sensor
+        triggers = {first_confirmed_time(events, config.policy.confirm_frames, (u.sensor_id,)) for u in units}
+        m = len(triggers - {None})
+        assert per_cell[id(spec)] <= math.ceil(math.log2(m + 1)), spec.kind
