@@ -159,7 +159,7 @@ def _leg_span(track: ActorTrack, x: float, y: float, reach: float) -> tuple[floa
 
 
 def _close_steps(
-    spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float], ceiling: float
+    spec: ScenarioSpec, travel: array[float], speeds: array[float], ceiling: float
 ) -> Iterator[tuple[int, float, float, tuple[float, float], tuple[float, float]]]:
     """(step, centre distance, circle bound, vehicle centre, VRU centre)
     for every step of a run whose circle bound, centre distance minus both
@@ -176,6 +176,7 @@ def _close_steps(
     come that near: the scan bisects to that interval, keyed by the VRU's
     clamped `ActorTrack.along`, and ends with it.
     """
+    times = spec.timeline.times
     vut_track, vru_track = spec.vut_track, spec.vru_track
     vut_r, vru_r = _radius(vut_track), _radius(vru_track)
     vut_locate, vru_locate = vut_track.locate, vru_track.locate
@@ -208,14 +209,12 @@ def _close_steps(
         k += 1
 
 
-def _first_contact(
-    spec: ScenarioSpec, times: array[float], travel: array[float], speeds: array[float]
-) -> int | None:
+def _first_contact(spec: ScenarioSpec, travel: array[float], speeds: array[float]) -> int | None:
     """Index of the first step whose footprints touch, or None. No step's
     gap is below its circle bound, so the exact box test runs only at the
     `_close_steps` to a ceiling of 0."""
     vut_track, vru_track = spec.vut_track, spec.vru_track
-    for k, _, _, vut_at, vru_at in _close_steps(spec, times, travel, speeds, 0.0):
+    for k, _, _, vut_at, vru_at in _close_steps(spec, travel, speeds, 0.0):
         if obb_overlap(_box(vut_track, *vut_at), _box(vru_track, *vru_at)):
             return k
     return None
@@ -344,7 +343,7 @@ def simulate_run(
 
     # the first contact fixes the outcome; a sensing run has sensed on to
     # its last frame regardless
-    contact = _first_contact(spec, timeline.times, travel, speeds)
+    contact = _first_contact(spec, travel, speeds)
     avoided = contact is None
     outcome = SafetyOutcome(
         avoided=avoided,
@@ -404,7 +403,7 @@ def stop_margin(trace: RunTrace) -> float:
         target = min(target, obb_separation(*nearest))
     margin = math.inf
     near: list[tuple[float, int, tuple[float, float], tuple[float, float]]] = []  # (bound, step, centres)
-    for k, gap, bound, vut_at, vru_at in _close_steps(spec, times, travel, speeds, target):
+    for k, gap, bound, vut_at, vru_at in _close_steps(spec, travel, speeds, target):
         if gap > near_field:
             margin = min(margin, bound)
         else:

@@ -58,32 +58,24 @@ class MountPose:
 
 
 @dataclass(frozen=True)
-class OrientedBox:
-    """Rectangle with arbitrary heading, given by center and half extents."""
+class Prism:
+    """Vertical extrusion of an oriented rectangle, sitting on the ground:
+    a footprint given by center, half extents and heading, and a height."""
 
     center: Vec2
     half_long: float  # half extent along the heading axis
     half_lat: float  # half extent across it
     heading: float
+    height: float
     # (cos heading, sin heading), the unit vector along the heading
     axis: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.half_long <= 0.0 or self.half_lat <= 0.0:
-            raise ValueError("OrientedBox half extents must be positive")
-        object.__setattr__(self, "axis", (math.cos(self.heading), math.sin(self.heading)))
-
-
-@dataclass(frozen=True)
-class Prism(OrientedBox):
-    """Vertical extrusion of an oriented footprint, sitting on the ground."""
-
-    height: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
+            raise ValueError("Prism half extents must be positive")
         if self.height <= 0.0:
             raise ValueError("Prism height must be positive")
+        object.__setattr__(self, "axis", (math.cos(self.heading), math.sin(self.heading)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ the whole scenario; any sensor subset is then scored by replaying the
 braking kinematics from that subset's earliest confirmation.  That is the
 subset's closed loop: braking starts no earlier than the confirming
 frame, so a run forced from the trigger senses what the observation pass
-sensed up to it (see `aeb.simulate_run`).
+sensed up to it (see `aeb.simulate_run`).  A subset that never confirms
+takes the unbraked observation pass's own outcome and stop margin.
 
 Cells are independent, so they may run in any number of worker processes;
 results are merged in configured order and every output byte depends only
@@ -89,14 +90,15 @@ def _run_cell(payload: tuple[RunConfig, float, ScenarioKind, float]) -> CellResu
     n_frames = spec.n_frames
     deadline = last_possible_brake_time(spec, config.policy)
 
-    # subsets that confirm at the same instant brake identically; only
-    # summary.csv reads a stop margin, so only these replays take one
+    # subsets that confirm at the same instant brake identically, and one
+    # that never confirms runs unbraked, as the pass itself did; only
+    # summary.csv reads a stop margin, so only these runs take one
     replays: dict[float | None, tuple[SafetyOutcome, float | None, float | None]] = {}
     subsets = []
     for sub in config.subsets:
         trigger = first_confirmed_time(events, config.policy.confirm_frames, sub.sensor_ids)
         if trigger not in replays:
-            replay = simulate_run(
+            replay = watch if trigger is None else simulate_run(
                 spec, (), config.model, config.policy, trigger_override=trigger, sense=False
             )
             margin = stop_margin(replay) if replay.outcome.avoided else None

@@ -130,20 +130,15 @@ def _observe_cell(
     return _ObservedCell(spec, events, observation.outcome.avoided, triggers, latest)
 
 
-@dataclass(frozen=True)
-class _ObservedSuite:
-    """One observed cell per scenario; a subset is scored by compares."""
-
-    cells: tuple[_ObservedCell, ...]
-
-    def performance(self, subset: Sequence[str]) -> tuple[float, float]:
-        avoided = 0
-        acc_sum = 0.0
-        for cell in self.cells:
-            if cell.avoids(subset):
-                avoided += 1
-            acc_sum += accuracy(cell.events, cell.spec.n_frames, subset)
-        return avoided / len(self.cells), acc_sum / len(self.cells)
+def _performance(cells: tuple[_ObservedCell, ...], subset: Sequence[str]) -> tuple[float, float]:
+    """A subset's (avoidance, accuracy) over the observed cells, scored by compares."""
+    avoided = 0
+    acc_sum = 0.0
+    for cell in cells:
+        if cell.avoids(subset):
+            avoided += 1
+        acc_sum += accuracy(cell.events, cell.spec.n_frames, subset)
+    return avoided / len(cells), acc_sum / len(cells)
 
 
 # The last observation and the objects it was made from. `vrusim placement`
@@ -152,7 +147,7 @@ class _ObservedSuite:
 # identity, not value: equal objects built afresh observe afresh, so what a
 # call costs never depends on what an earlier caller happened to build. The
 # entry holds its objects, so no id in the key can be reused while it lives.
-_last_observed: tuple[tuple, _ObservedSuite] | None = None
+_last_observed: tuple[tuple, tuple[_ObservedCell, ...]] | None = None
 
 
 def _same_objects(a: tuple, b: tuple) -> bool:
@@ -168,7 +163,8 @@ def _observe(
     policy: AebPolicy,
     model: DetectionModel,
     dt: float | None,
-) -> _ObservedSuite:
+) -> tuple[_ObservedCell, ...]:
+    """One observed cell per scenario of the suite."""
     if not sites:
         raise ValueError("need at least one candidate site")
     if not suite:
@@ -184,7 +180,7 @@ def _observe(
     if _last_observed is not None and _same_objects(_last_observed[0], key):
         return _last_observed[1]
     units = tuple(s.to_unit() for s in sites)
-    observed = _ObservedSuite(tuple(_observe_cell(spec, units, policy, model) for spec in specs))
+    observed = tuple(_observe_cell(spec, units, policy, model) for spec in specs)
     _last_observed = (key, observed)
     return observed
 
@@ -201,7 +197,7 @@ def evaluate_sites(
     observed = _observe(suite, candidates, policy, model, dt)
     scores = []
     for site in candidates:
-        avoidance_rate, acc = observed.performance((site.site_id,))
+        avoidance_rate, acc = _performance(observed, (site.site_id,))
         scores.append(SiteScore(site.site_id, avoidance_rate, acc))
     return tuple(scores)
 
@@ -232,11 +228,11 @@ def greedy_select(
     remaining = sorted((s.site_id for s in candidates), key=natural_key)
     selected: list[str] = []
     gains: list[float] = []
-    current = observed.performance(())
+    current = _performance(observed, ())
     while remaining and len(selected) < budget:
         best_id, best_perf = None, None
         for site_id in remaining:
-            perf = observed.performance(tuple(selected) + (site_id,))
+            perf = _performance(observed, tuple(selected) + (site_id,))
             if best_perf is None or perf > best_perf:
                 best_id, best_perf = site_id, perf
         selected.append(best_id)

@@ -308,24 +308,6 @@ def span_passes(
     )
 
 
-def confirm_stream(events: Sequence[DetectionEvent], k: int) -> list[float]:
-    """Confirmation times: available_at of the k-th event of each maximal
-    run of consecutive frames."""
-    if k < 1:
-        raise ValueError("confirmation count must be at least 1")
-    out: list[float] = []
-    run = 0
-    prev_frame: int | None = None
-    for ev in events:
-        if prev_frame is not None and ev.frame <= prev_frame:
-            raise ValueError("events must be strictly ordered by frame")
-        run = run + 1 if prev_frame == ev.frame - 1 else 1
-        if run == k:
-            out.append(ev.available_at)
-        prev_frame = ev.frame
-    return out
-
-
 def streams_of(events_by_sensor: EventMap, subset: Sequence[str]) -> list[Sequence[DetectionEvent]]:
     """The event streams of the sensors of `subset`, in its order."""
     try:
@@ -335,12 +317,25 @@ def streams_of(events_by_sensor: EventMap, subset: Sequence[str]) -> list[Sequen
 
 
 def first_confirmed_time(events_by_sensor: EventMap, k: int, subset: tuple[str, ...]) -> float | None:
-    """Earliest per-sensor confirmation among the chosen sensors."""
+    """Earliest per-sensor confirmation among the chosen sensors. A sensor
+    confirms at the available_at of the k-th event of its first run of k
+    consecutive frames; its whole stream must be strictly ordered by frame."""
+    if k < 1:
+        raise ValueError("confirmation count must be at least 1")
     best: float | None = None
     for events in streams_of(events_by_sensor, subset):
-        confs = confirm_stream(events, k)
-        if confs and (best is None or confs[0] < best):
-            best = confs[0]
+        first: float | None = None
+        run = 0
+        prev_frame: int | None = None
+        for ev in events:
+            if prev_frame is not None and ev.frame <= prev_frame:
+                raise ValueError("events must be strictly ordered by frame")
+            run = run + 1 if prev_frame == ev.frame - 1 else 1
+            if run == k and first is None:
+                first = ev.available_at
+            prev_frame = ev.frame
+        if first is not None and (best is None or first < best):
+            best = first
     return best
 
 

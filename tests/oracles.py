@@ -7,8 +7,8 @@ instant, and the first frame at which the unbraked footprints touch.
 The sensing references are the plain ``Vec2`` forms of the frustum test,
 the slab occlusion test and the visible fraction, one sample point and one
 occluder at a time, with nothing computed ahead. The contact references
-are the ``Vec2`` forms of the box overlap and gap on ``OrientedBox``
-footprints, every corner rebuilt wherever it is needed. The float kernels
+are the ``Vec2`` forms of the box overlap and gap on ``Footprint``
+rectangles, every corner rebuilt wherever it is needed. The float kernels
 in ``vrusim.geometry`` must give the same bits.
 
 ``_advance`` is the plain per-step kinematics: one step over [t0, t1]
@@ -54,7 +54,6 @@ from vrusim.aeb import AebPolicy, _braked_advance, simulate_run
 from vrusim.geometry import (
     _EPS,
     MountPose,
-    OrientedBox,
     Prism,
     Silhouette,
     Vec2,
@@ -132,13 +131,29 @@ def unit_vector(angle: float) -> Vec2:
     return Vec2(math.cos(angle), math.sin(angle))
 
 
-def axes(box: OrientedBox) -> tuple[Vec2, Vec2]:
+@dataclass(frozen=True)
+class Footprint:
+    """A ground rectangle given by center, half extents and heading; a
+    ``Prism``, which the package builds, reads as one too."""
+
+    center: Vec2
+    half_long: float  # half extent along the heading axis
+    half_lat: float  # half extent across it
+    heading: float
+
+    @property
+    def axis(self) -> tuple[float, float]:
+        """(cos heading, sin heading), as ``Prism.axis`` holds it."""
+        return math.cos(self.heading), math.sin(self.heading)
+
+
+def axes(box: Footprint) -> tuple[Vec2, Vec2]:
     """A box's forward and lateral unit axes."""
     fwd = unit_vector(box.heading)
     return fwd, Vec2(-fwd.y, fwd.x)
 
 
-def corners(box: OrientedBox) -> tuple[Vec2, Vec2, Vec2, Vec2]:
+def corners(box: Footprint) -> tuple[Vec2, Vec2, Vec2, Vec2]:
     fwd, lat = axes(box)
     dl = scaled(fwd, box.half_long)
     dw = scaled(lat, box.half_lat)
@@ -146,23 +161,23 @@ def corners(box: OrientedBox) -> tuple[Vec2, Vec2, Vec2, Vec2]:
     return (add(add(c, dl), dw), sub(add(c, dl), dw), sub(sub(c, dl), dw), add(sub(c, dl), dw))
 
 
-def footprint(track: ActorTrack, pose: Pose2) -> OrientedBox:
+def footprint(track: ActorTrack, pose: Pose2) -> Footprint:
     """A track's ground footprint at a pose."""
-    return OrientedBox(position(pose), track.length / 2, track.width / 2, pose.heading)
+    return Footprint(position(pose), track.length / 2, track.width / 2, pose.heading)
 
 
-def float_box(box: OrientedBox) -> tuple[float, float, float, float, float, float]:
+def float_box(box: Footprint) -> tuple[float, float, float, float, float, float]:
     """The same box as the plain floats ``vrusim.geometry``'s kernel takes:
     centre, unit axis and half extents."""
     return (box.center.x, box.center.y, *box.axis, box.half_long, box.half_lat)
 
 
-def _projected_interval(box: OrientedBox, axis: Vec2) -> tuple[float, float]:
+def _projected_interval(box: Footprint, axis: Vec2) -> tuple[float, float]:
     vals = [dot(c, axis) for c in corners(box)]
     return min(vals), max(vals)
 
 
-def obb_overlap(a: OrientedBox, b: OrientedBox) -> bool:
+def obb_overlap(a: Footprint, b: Footprint) -> bool:
     """Separating-axis test; touching boundaries count as overlap."""
     for box in (a, b):
         for axis in axes(box):
@@ -173,7 +188,7 @@ def obb_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return True
 
 
-def obb_separation(a: OrientedBox, b: OrientedBox) -> float:
+def obb_separation(a: Footprint, b: Footprint) -> float:
     """Euclidean gap between two boxes; 0.0 when they overlap or touch."""
     if obb_overlap(a, b):
         return 0.0

@@ -330,7 +330,7 @@ def test_every_swept_speed_is_built_at_load(tmp_path):
     # the wall must end nearer the conflict point than the cyclist starts;
     # a 40 m gap fits the 45 m approach at 20 km/h but not the 36 m at 25
     path = write_cfg(tmp_path, {"scenarios": ["CPNC-50", "CBNA"], "scenario_overrides": {"wall_end_distance": 40}})
-    with pytest.raises(ConfigError, match="CBNA at 25 km/h: OrientedBox"):
+    with pytest.raises(ConfigError, match="CBNA at 25 km/h: Prism"):
         load_config(path)
     assert load_config(path, speeds_kmh=(20.0,)).speeds_by_kind[ScenarioKind.CBNA] == (20.0,)
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from vrusim.geometry import (
     AxisBox2,
     MountPose,
-    OrientedBox,
     Prism,
     Silhouette,
     Vec2,
@@ -32,13 +31,13 @@ from vrusim.geometry import (
 )
 
 import oracles
-from oracles import add, axes, corners, dot, float_box, in_frustum, ray_blocked, scaled, unit_vector
+from oracles import Footprint, add, axes, corners, dot, float_box, in_frustum, ray_blocked, scaled, unit_vector
 
 
 # ---------------------------------------------------------------- oracles
 
 
-def raster_overlap(a: OrientedBox, b: OrientedBox, n: int = 200) -> bool:
+def raster_overlap(a: Footprint, b: Footprint, n: int = 200) -> bool:
     """Joint-bounding-box raster: any cell center inside both boxes."""
     xs = [c.x for box in (a, b) for c in corners(box)]
     ys = [c.y for box in (a, b) for c in corners(box)]
@@ -46,7 +45,7 @@ def raster_overlap(a: OrientedBox, b: OrientedBox, n: int = 200) -> bool:
     gy = np.linspace(min(ys), max(ys), n)
     xx, yy = np.meshgrid(gx, gy)
 
-    def inside(box: OrientedBox) -> np.ndarray:
+    def inside(box: Footprint) -> np.ndarray:
         fwd, lat = axes(box)
         dx = xx - box.center.x
         dy = yy - box.center.y
@@ -57,7 +56,7 @@ def raster_overlap(a: OrientedBox, b: OrientedBox, n: int = 200) -> bool:
     return bool(np.any(inside(a) & inside(b)))
 
 
-def clip_overlap(a: OrientedBox, b: OrientedBox) -> bool:
+def clip_overlap(a: Footprint, b: Footprint) -> bool:
     """Exact convex-clip oracle: clip a's corner polygon by b's four edges.
 
     Returns True when the clipped polygon is nonempty, so boundary contact
@@ -152,27 +151,27 @@ def dense_ray_fraction(pose, hfov, vfov, rng, target, occluders, density=10):
 
 
 def test_identical_boxes_overlap():
-    a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
+    a = Footprint(Vec2(0, 0), 0.5, 0.5, 0.0)
     assert obb_overlap(float_box(a), float_box(a))
 
 
 def test_distant_boxes_do_not_overlap():
-    a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
-    b = OrientedBox(Vec2(10, 0), 0.5, 0.5, 0.3)
+    a = Footprint(Vec2(0, 0), 0.5, 0.5, 0.0)
+    b = Footprint(Vec2(10, 0), 0.5, 0.5, 0.3)
     assert not obb_overlap(float_box(a), float_box(b))
 
 
 def test_rotated_box_overlap_matches_raster():
-    a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
-    b = OrientedBox(Vec2(1.1, 0.0), 0.5, 0.5, math.pi / 4)
+    a = Footprint(Vec2(0, 0), 0.5, 0.5, 0.0)
+    b = Footprint(Vec2(1.1, 0.0), 0.5, 0.5, math.pi / 4)
     # corner of b reaches x = 1.1 - sqrt(2)/2 = 0.393 < 0.5, so they overlap
     assert obb_overlap(float_box(a), float_box(b)) is True
     assert raster_overlap(a, b, n=400) is True
 
 
 def test_touching_boundary_counts_as_overlap():
-    a = OrientedBox(Vec2(0, 0), 0.5, 0.5, 0.0)
-    b = OrientedBox(Vec2(1.0, 0), 0.5, 0.5, 0.0)
+    a = Footprint(Vec2(0, 0), 0.5, 0.5, 0.0)
+    b = Footprint(Vec2(1.0, 0), 0.5, 0.5, 0.0)
     assert obb_overlap(float_box(a), float_box(b))
 
 
@@ -181,13 +180,13 @@ def test_overlap_agrees_with_raster_on_random_pairs():
     mismatched = []
     pairs = []
     for _ in range(10000):
-        a = OrientedBox(
+        a = Footprint(
             Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)),
             rnd.uniform(0.2, 1.5),
             rnd.uniform(0.2, 1.5),
             rnd.uniform(-math.pi, math.pi),
         )
-        b = OrientedBox(
+        b = Footprint(
             Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)),
             rnd.uniform(0.2, 1.5),
             rnd.uniform(0.2, 1.5),
@@ -207,16 +206,16 @@ def test_overlap_agrees_with_raster_on_random_pairs():
 def test_overlap_is_symmetric():
     rnd = random.Random(3)
     for _ in range(500):
-        a = OrientedBox(Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)), 0.7, 0.4, rnd.uniform(-3, 3))
-        b = OrientedBox(Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)), 0.3, 1.1, rnd.uniform(-3, 3))
+        a = Footprint(Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)), 0.7, 0.4, rnd.uniform(-3, 3))
+        b = Footprint(Vec2(rnd.uniform(-2, 2), rnd.uniform(-2, 2)), 0.3, 1.1, rnd.uniform(-3, 3))
         assert obb_overlap(float_box(a), float_box(b)) == obb_overlap(float_box(b), float_box(a))
 
 
 def test_separation_zero_iff_overlap():
-    a = OrientedBox(Vec2(0, 0), 1.0, 1.0, 0.0)
-    b = OrientedBox(Vec2(3.0, 0), 1.0, 1.0, 0.0)
+    a = Footprint(Vec2(0, 0), 1.0, 1.0, 0.0)
+    b = Footprint(Vec2(3.0, 0), 1.0, 1.0, 0.0)
     assert obb_separation(float_box(a), float_box(b)) == pytest.approx(1.0)
-    assert obb_separation(float_box(a), float_box(OrientedBox(Vec2(1.0, 0), 1.0, 1.0, 0.0))) == 0.0
+    assert obb_separation(float_box(a), float_box(Footprint(Vec2(1.0, 0), 1.0, 1.0, 0.0))) == 0.0
 
 
 # headings at and next to the wrap point, where sin changes sign, and on
@@ -232,7 +231,7 @@ def box_pairs(draw):
     half = st.one_of(st.floats(0.05, 2.5), st.sampled_from((0.25, 0.9, 2.25)))
     heading = st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(EDGE_HEADINGS))
     coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, 0.5, -1.25)))
-    a = OrientedBox(Vec2(draw(coord), draw(coord)), draw(half), draw(half), draw(heading))
+    a = Footprint(Vec2(draw(coord), draw(coord)), draw(half), draw(half), draw(heading))
     half_long, half_lat = draw(half), draw(half)
     placement = draw(st.sampled_from(("free", "edge", "corner")))
     if placement == "free":
@@ -250,7 +249,7 @@ def box_pairs(draw):
         else:
             offset = draw(st.sampled_from((1.0, -1.0))) * (a.half_lat + across)
         center = add(add(a.center, scaled(fwd, side * (a.half_long + along))), scaled(lat, offset))
-    return a, OrientedBox(center, half_long, half_lat, b_heading)
+    return a, Footprint(center, half_long, half_lat, b_heading)
 
 
 # gaps from a rounding step to the far field, each scale drawn as often
@@ -270,7 +269,7 @@ def apart_pairs(draw):
     half = st.one_of(st.floats(0.05, 2.5), st.sampled_from((0.25, 0.9, 2.25)))
     heading = st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(EDGE_HEADINGS))
     coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, 0.5, -1.25)))
-    a = OrientedBox(Vec2(draw(coord), draw(coord)), draw(half), draw(half), draw(heading))
+    a = Footprint(Vec2(draw(coord), draw(coord)), draw(half), draw(half), draw(heading))
     half_long, half_lat = draw(half), draw(half)
     placement = draw(st.sampled_from(("plateau", "corner", "turned")))
     turn = draw(st.sampled_from((0, 1, 2, -1, -2))) * math.pi / 2
@@ -301,7 +300,7 @@ def apart_pairs(draw):
             )
         )
     center = add(add(a.center, scaled(fwd, side * (a_along + along + gap))), scaled(lat, offset))
-    return a, OrientedBox(center, half_long, half_lat, b_heading)
+    return a, Footprint(center, half_long, half_lat, b_heading)
 
 
 CONTACT_PAIRS = st.one_of(box_pairs(), apart_pairs())
@@ -332,12 +331,12 @@ def test_projection_gap_never_exceeds_the_exact_gap(pair):
 def test_projection_gap_is_exact_corner_to_corner(heading, turn):
     # b lies off a's front-left corner, 0.6 m ahead and 0.8 m aside,
     # turned by a multiple of pi/2: the closest points are the two corners
-    a = OrientedBox(Vec2(1.0, -2.0), 2.25, 0.9, heading)
+    a = Footprint(Vec2(1.0, -2.0), 2.25, 0.9, heading)
     half_long, half_lat = 0.9, 0.25
     along, across = (half_long, half_lat) if turn % 2 == 0 else (half_lat, half_long)
     fwd, lat = axes(a)
     center = add(add(a.center, scaled(fwd, 2.25 + 0.6 + along)), scaled(lat, 0.9 + 0.8 + across))
-    b = OrientedBox(center, half_long, half_lat, heading + turn * math.pi / 2)
+    b = Footprint(center, half_long, half_lat, heading + turn * math.pi / 2)
     got = obb_gap_bound(float_box(a), float_box(b))
     assert got == pytest.approx(1.0, abs=1e-12)
     assert got == pytest.approx(obb_separation(float_box(a), float_box(b)), abs=1e-12)
@@ -345,11 +344,11 @@ def test_projection_gap_is_exact_corner_to_corner(heading, turn):
 
 @pytest.mark.parametrize("heading", (0.0, 0.7, -math.pi))
 def test_projection_gap_is_exact_face_to_face(heading):
-    a = OrientedBox(Vec2(1.0, -2.0), 2.25, 0.9, heading)
+    a = Footprint(Vec2(1.0, -2.0), 2.25, 0.9, heading)
     fwd, lat = axes(a)
     # b sits 0.8 m beyond a's front face, turned a quarter, and slid sideways
     center = add(add(a.center, scaled(fwd, 2.25 + 0.8 + 0.25)), scaled(lat, 0.3))
-    b = OrientedBox(center, 0.9, 0.25, heading + math.pi / 2)
+    b = Footprint(center, 0.9, 0.25, heading + math.pi / 2)
     got = obb_gap_bound(float_box(a), float_box(b))
     assert got == pytest.approx(0.8, abs=1e-12)
     assert got == pytest.approx(obb_separation(float_box(a), float_box(b)), abs=1e-12)
@@ -852,7 +851,7 @@ def test_silhouette_samples_stay_inside_bounds():
 
 def test_invalid_shapes_rejected():
     with pytest.raises(ValueError):
-        OrientedBox(Vec2(0, 0), -1.0, 1.0, 0.0)
+        Prism(Vec2(0, 0), -1.0, 1.0, 0.0, height=1.0)
     with pytest.raises(ValueError):
         AxisBox2(1, 0, 0, 1)
     with pytest.raises(ValueError):

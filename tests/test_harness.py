@@ -10,7 +10,7 @@ import yaml
 import vrusim.harness
 from vrusim import __version__
 from vrusim.config import load_config
-from vrusim.aeb import AebPolicy, simulate_run
+from vrusim.aeb import AebPolicy, simulate_run, stop_margin
 from vrusim.harness import Manifest, cell_spec, emit_reports, format_trace, run_sweep
 from vrusim.metrics import heatmap_from_frames
 from vrusim.scenario import ScenarioKind, ScenarioOverrides, build_scenario, rotate_scenario
@@ -407,3 +407,30 @@ def test_failed_writes_are_recorded_not_raised(tmp_path):
     assert "summary.csv" in written
     text = (out / "manifest.txt").read_text()
     assert "FAILED heatmaps/CBNA_40_any.csv" in text
+
+
+def test_default_sweep_work_is_pinned(monkeypatch):
+    # one observation pass per cell, one replay per distinct confirmed
+    # trigger, and a subset that never confirms takes the pass itself,
+    # stop margin included: no replay is unbraked
+    runs = {"passes": 0, "replays": []}
+    margins = []
+
+    def counted(spec, units, model, policy, **kwargs):
+        if kwargs.get("sense", True):
+            runs["passes"] += 1
+        else:
+            runs["replays"].append(kwargs["trigger_override"])
+        return simulate_run(spec, units, model, policy, **kwargs)
+
+    def counted_margin(trace):
+        margins.append(trace)
+        return stop_margin(trace)
+
+    monkeypatch.setattr(vrusim.harness, "simulate_run", counted)
+    monkeypatch.setattr(vrusim.harness, "stop_margin", counted_margin)
+    run_sweep(load_config(), workers=1)
+    assert runs["passes"] == 26
+    assert [t for t in runs["replays"] if t is None] == []
+    assert len(runs["replays"]) == 178
+    assert len(margins) == 139

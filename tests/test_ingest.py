@@ -23,7 +23,7 @@ from vrusim.ingest import (
 )
 from vrusim.aeb import AebPolicy, simulate_run
 from vrusim.scenario import ScenarioKind, build_scenario
-from vrusim.sensing import DetectionModel, confirm_stream, default_layout, default_vut_sensor, first_confirmed_time
+from vrusim.sensing import DetectionModel, default_layout, default_vut_sensor, first_confirmed_time
 
 from oracles import totals
 
@@ -356,9 +356,9 @@ def test_tp_events_feed_the_confirmation_rule():
     later = match_detections(dets, gts, frame_rate=20.0, latency=0.1).events["vru"]["cam0"]
     assert [ev.available_at for ev in later] == pytest.approx([f / 20 + 0.1 for f in range(5)])
 
-    confirmations = confirm_stream(streams["cam0"], 3)
-    assert confirmations[0] == pytest.approx(2 / 10 + 0.025)
-    assert first_confirmed_time(streams, 3, ("cam0",)) == confirmations[0]
+    # the third event of the first run of three confirms
+    assert first_confirmed_time(streams, 3, ("cam0",)) == streams["cam0"][2].available_at
+    assert streams["cam0"][2].available_at == pytest.approx(2 / 10 + 0.025)
 
 
 def test_gap_in_tp_frames_delays_confirmation():
@@ -366,7 +366,7 @@ def test_gap_in_tp_frames_delays_confirmation():
     dets = [det(f, "cam0", "pedestrian", 0, 0, 10, 10) for f in frames]
     gts = [gt(f, "cam0", "vru", "pedestrian", 0, 0, 10, 10) for f in frames]
     streams = match(dets, gts).events["vru"]
-    assert confirm_stream(streams["cam0"], 3)[0] == pytest.approx(5 / 10 + 0.025)
+    assert first_confirmed_time(streams, 3, ("cam0",)) == pytest.approx(5 / 10 + 0.025)
 
 
 def test_streams_are_per_target_and_sensor_in_frame_order():

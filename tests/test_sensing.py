@@ -23,7 +23,6 @@ from vrusim.sensing import (
     anchor_window,
     apparent_angular_height,
     apparent_angular_width,
-    confirm_stream,
     default_layout,
     default_vut_sensor,
     first_confirmed_time,
@@ -437,42 +436,53 @@ def ev(frame, available=None):
     return DetectionEvent(frame, frame / 10.0 + 0.025 if available is None else available)
 
 
+def first(events, k):
+    """The first confirmation of one sensor's stream."""
+    return first_confirmed_time({"s": events}, k, ("s",))
+
+
 def test_confirm_three_consecutive():
-    assert confirm_stream([ev(1), ev(2), ev(3)], 3) == [pytest.approx(0.325)]
+    assert first([ev(1), ev(2), ev(3)], 3) == pytest.approx(0.325)
 
 
 def test_confirm_gap_resets_run():
-    out = confirm_stream([ev(1), ev(2), ev(4), ev(5), ev(6)], 3)
-    assert out == [pytest.approx(0.625)]
+    assert first([ev(1), ev(2), ev(4), ev(5), ev(6)], 3) == pytest.approx(0.625)
 
 
 def test_confirm_empty_stream():
-    assert confirm_stream([], 3) == []
+    assert first([], 3) is None
 
 
 def test_confirm_once_per_run():
-    out = confirm_stream([ev(f) for f in range(1, 10)], 3)
-    assert len(out) == 1
-    out = confirm_stream([ev(1), ev(2), ev(3), ev(7), ev(8), ev(9), ev(10)], 3)
-    assert len(out) == 2
-    assert out[0] == pytest.approx(0.325)
-    assert out[1] == pytest.approx(0.925)
+    assert first([ev(f) for f in range(1, 10)], 3) == pytest.approx(0.325)
+    assert first([ev(1), ev(2), ev(3), ev(7), ev(8), ev(9), ev(10)], 3) == pytest.approx(0.325)
 
 
 def test_confirm_k1_confirms_each_run_start():
-    out = confirm_stream([ev(2), ev(5)], 1)
-    assert out == [pytest.approx(0.225), pytest.approx(0.525)]
+    assert first([ev(2), ev(5)], 1) == pytest.approx(0.225)
 
 
 def test_confirmation_nondecreasing_in_k():
     events = [ev(f) for f in (1, 2, 3, 4, 8, 9, 10, 11, 12)]
     prev = None
     for k in (1, 2, 3, 4, 5):
-        confs = confirm_stream(events, k)
-        first = confs[0] if confs else math.inf
+        t = first(events, k)
+        t = math.inf if t is None else t
         if prev is not None:
-            assert first >= prev
-        prev = first
+            assert t >= prev
+        prev = t
+
+
+@pytest.mark.parametrize("subset", [("s",), ()], ids=["one", "empty"])
+def test_confirmation_count_below_one_raises(subset):
+    # even where no stream is read
+    with pytest.raises(ValueError, match="at least 1"):
+        first_confirmed_time({"s": [ev(1)]}, 0, subset)
+
+
+def test_confirmation_checks_the_stream_past_its_first_confirmation():
+    with pytest.raises(ValueError, match="strictly ordered by frame"):
+        first([ev(1), ev(2), ev(3), ev(7), ev(6)], 3)
 
 
 @pytest.mark.parametrize("frames", [(1, 2, 2), (3, 2)], ids=["repeat", "back"])
@@ -641,7 +651,7 @@ def test_rsu1_picks_up_cbna_cyclist_near_entry():
     stream = [
         e for e in (sense(rsu1, model, *world_at(spec, f / 10.0, rsu1), f, f / 10.0, spec.occluders) for f in range(n)) if e
     ]
-    assert confirm_stream(stream, 3)
+    assert first_confirmed_time({"rsu1": stream}, 3, ("rsu1",)) is not None
 
 
 def test_away_facing_rsu_never_sees_cbna():
