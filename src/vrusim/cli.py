@@ -17,7 +17,7 @@ from typing import Callable
 import yaml
 
 from ._version import __version__
-from .config import ConfigError, RunConfig, load_config, read_layout
+from .config import ConfigError, RunConfig, load_config, read_layout, reported_as
 from .harness import Manifest, cell_spec, emit_placement_reports, emit_reports, run_sweep
 from .placement import candidate_sites_from_units, evaluate_sites, greedy_select
 
@@ -119,10 +119,8 @@ def _load_placement(args: argparse.Namespace) -> tuple[RunConfig, Callable[[], M
     """The placement config, and the search that writes its reports."""
     config = load_config(args.config, seed=args.seed, out_dir=args.out)
     units = read_layout(args.candidates, config.overrides.frame_rate, "--candidates")
-    try:
+    with reported_as("--candidates"):
         candidates = candidate_sites_from_units(units)
-    except ValueError as exc:
-        raise ConfigError(f"--candidates: {exc}") from None
     if args.budget < 1:
         raise ConfigError("--budget must be at least 1")
 

@@ -3,18 +3,23 @@
 The config file speaks user units (km/h, degrees, pixels); all but the
 pixel floors, which each unit reads by its own aperture, are converted to
 SI radians/meters/seconds exactly once, here.  Unknown keys are errors at
-every level, so a typo cannot silently fall back to a default.  The
-resolved RunConfig is what the rest of the harness consumes, and its
-canonical text (hence hash) covers every value that can influence the
-outputs.
+every level, so a typo cannot silently fall back to a default.  Each key
+is read once, by a `_Section` reader that names it by its dotted path.
+A library error met while loading (an unreadable layout file, a policy
+or model a constructor rejects, a scenario that cannot be built) becomes
+the one-line ConfigError ``<key or flag>: <reason>`` through
+`reported_as`, the one place that translates.  The resolved RunConfig is
+what the rest of the harness consumes, and its canonical text (hence
+hash) covers every value that can influence the outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -48,6 +53,16 @@ _MAX_RUN_STEPS = 10**6
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+@contextmanager
+def reported_as(where: str) -> Iterator[None]:
+    """Re-raise a library ValueError or OSError from the block as the one-line
+    ConfigError ``<where>: <reason>``, ``where`` a config key or a flag."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -125,8 +140,13 @@ class _Section:
     def take(self, key: str, default: Any) -> Any:
         return self.data.pop(key, default)
 
+    def read(self, key: str, default: Any, parse: Callable[[Any, str], Any]) -> Any:
+        """The value at ``key``, or ``default``, read by ``parse`` under
+        its dotted path."""
+        return parse(self.data.pop(key, default), f"{self.path}.{key}" if self.path else key)
+
     def section(self, key: str) -> "_Section":
-        return _Section(self.data.pop(key, None), f"{self.path}.{key}" if self.path else key)
+        return self.read(key, None, _Section)
 
     def finish(self) -> None:
         if self.data:
@@ -159,7 +179,7 @@ def _boolean(value: Any, path: str) -> bool:
     return value
 
 
-def _kind(name: Any) -> ScenarioKind:
+def _kind(name: Any, _path: str) -> ScenarioKind:
     for kind in ScenarioKind:
         if kind.display_name == name:
             return kind
@@ -167,14 +187,18 @@ def _kind(name: Any) -> ScenarioKind:
     raise ConfigError(f"unknown scenario {name!r}; choose from {options}")
 
 
-def _entries(raw: Any, key: str, parse: Callable[[Any], Any]) -> tuple:
-    """The entries of the list `raw` under `key`, each read by `parse`;
-    the list must be non-empty and no two entries may read alike."""
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"{key}: expected a non-empty list")
-    entries = tuple(map(parse, raw))
-    if len(set(entries)) != len(entries):
-        raise ConfigError(f"{key}: duplicate entries")
+def _list_of(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
+    """A reader of a list under a key whose entries `parse` reads; the
+    list must be non-empty and no two entries may read alike."""
+
+    def entries(raw: Any, key: str) -> tuple:
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ConfigError(f"{key}: expected a non-empty list")
+        out = tuple(parse(value, key) for value in raw)
+        if len(set(out)) != len(out):
+            raise ConfigError(f"{key}: duplicate entries")
+        return out
+
     return entries
 
 
@@ -184,7 +208,7 @@ def _resolve_speeds(kinds: Sequence[ScenarioKind], explicit: Any) -> dict[Scenar
     scenario some listed speed."""
     if explicit is None:
         return {kind: allowed_speeds_kmh(kind) for kind in kinds}
-    speeds = sorted(_entries(explicit, "speeds_kmh", lambda v: _number(v, "speeds_kmh")))
+    speeds = sorted(_list_of(_number)(explicit, "speeds_kmh"))
     out = {kind: tuple(s for s in speeds if s in allowed_speeds_kmh(kind)) for kind in kinds}
     unused = [s for s in speeds if not any(s in picked for picked in out.values())]
     empty = [kind.display_name for kind, picked in out.items() if not picked]
@@ -201,26 +225,24 @@ def read_layout(path: str, frame_rate: float, where: str) -> tuple[SensorUnit, .
     """The units of a layout file, with unique ids, none of them the fused
     subset's name ``any``, each at the scenario frame rate; ``where`` (a
     config key or a flag) prefixes every error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            units = parse_layout(fh.read(), frame_rate)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    ids = [u.sensor_id for u in units]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"{where}: sensor ids must be unique")
-    if "any" in ids:
-        raise ConfigError(f"{where}: the sensor id 'any' is reserved for the fused subset")
+    if not isinstance(path, str):
+        raise ConfigError(f"{where}: expected a path string")
+    with reported_as(where), open(path, "r", encoding="utf-8") as fh:
+        units = parse_layout(fh.read(), frame_rate)
+        ids = [u.sensor_id for u in units]
+        if len(set(ids)) != len(ids):
+            raise ValueError("sensor ids must be unique")
+        if "any" in ids:
+            raise ValueError("the sensor id 'any' is reserved for the fused subset")
     return units
 
 
 def _resolve_subsets(raw: Any, sensor_ids: Sequence[str]) -> tuple[SubsetSpec, ...]:
+    """The configured subsets; by default each sensor alone, in order,
+    then all of them fused as ``any``."""
     known = set(sensor_ids)
     if raw is None:
-        subsets = [SubsetSpec("vut", ("vut",))]
-        subsets += [SubsetSpec(s, (s,)) for s in sensor_ids if s != "vut"]
-        subsets.append(SubsetSpec("any", tuple(sensor_ids)))
-        return tuple(subsets)
+        raw = [*sensor_ids, "any"]
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("subsets: expected a non-empty list")
     out = []
@@ -265,25 +287,23 @@ def load_config(
     """
     raw: Any = None
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        # a file that cannot be opened keeps its own OSError message
+        with open(path, "r", encoding="utf-8") as fh, reported_as(path):
+            raw = yaml.safe_load(fh)
     top = _Section(raw, "")
     given = dict(seed=seed, out_dir=out_dir, subsets=subsets, speeds_kmh=speeds_kmh, write_traces=write_traces)
     top.data.update((key, value) for key, value in given.items() if value is not None)
 
-    kinds = _entries(top.take("scenarios", [k.display_name for k in ScenarioKind]), "scenarios", _kind)
+    kinds = top.read("scenarios", [k.display_name for k in ScenarioKind], _list_of(_kind))
 
     speeds_by_kind = _resolve_speeds(kinds, top.take("speeds_kmh", None))
 
-    cfg_seed = _integer(top.take("seed", 0), "seed")
+    cfg_seed = top.read("seed", 0, _integer)
     cfg_out = top.take("out_dir", "out")
     if not isinstance(cfg_out, str) or not cfg_out:
         raise ConfigError("out_dir: expected a non-empty string")
 
-    yaws = _entries(top.take("scene_yaw_deg", [0.0]), "scene_yaw_deg", lambda v: _number(v, "scene_yaw_deg"))
+    yaws = top.read("scene_yaw_deg", [0.0], _list_of(_number))
     labels: dict[str, float] = {}
     for yaw in yaws:
         other = labels.setdefault(f"{yaw:g}", yaw)
@@ -292,9 +312,9 @@ def load_config(
             raise ConfigError(f"scene_yaw_deg: {other!r} and {yaw!r} both read {yaw:g} in report names and rows")
 
     cam = top.section("camera")
-    hfov_deg = _number(cam.take("hfov_deg", math.degrees(DEFAULT_HFOV_RAD)), "camera.hfov_deg")
-    img_w = _number(cam.take("image_width_px", DetectionModel.image_width_px), "camera.image_width_px")
-    img_h = _number(cam.take("image_height_px", DEFAULT_IMAGE_HEIGHT_PX), "camera.image_height_px")
+    hfov_deg = cam.read("hfov_deg", math.degrees(DEFAULT_HFOV_RAD), _number)
+    img_w = cam.read("image_width_px", DetectionModel.image_width_px, _number)
+    img_h = cam.read("image_height_px", DEFAULT_IMAGE_HEIGHT_PX, _number)
     cam.finish()
     # the vertical aperture follows the horizontal one and the aspect
     # ratio, and a pinhole's horizontal aperture ends at 180 degrees
@@ -306,32 +326,30 @@ def load_config(
     vfov = vertical_aperture(hfov, img_w, img_h)
 
     det = top.section("detection")
-    min_w_px = _number(det.take("min_width_px", DetectionModel.min_width_px), "detection.min_width_px")
-    min_h_px = _number(det.take("min_height_px", DetectionModel.min_height_px), "detection.min_height_px")
-    min_frac = _number(det.take("min_visible_fraction", DetectionModel.min_visible_fraction), "detection.min_visible_fraction")
-    miss_p = _number(det.take("miss_probability", DetectionModel.miss_probability), "detection.miss_probability")
+    min_w_px = det.read("min_width_px", DetectionModel.min_width_px, _number)
+    min_h_px = det.read("min_height_px", DetectionModel.min_height_px, _number)
+    min_frac = det.read("min_visible_fraction", DetectionModel.min_visible_fraction, _number)
+    miss_p = det.read("miss_probability", DetectionModel.miss_probability, _number)
     det.finish()
 
     pol = top.section("policy")
-    decel = _number(pol.take("deceleration_mps2", AebPolicy.deceleration), "policy.deceleration_mps2")
-    latency = _number(pol.take("latency_s", AebPolicy.latency), "policy.latency_s")
-    confirm = _integer(pol.take("confirm_frames", AebPolicy.confirm_frames), "policy.confirm_frames")
+    decel = pol.read("deceleration_mps2", AebPolicy.deceleration, _number)
+    latency = pol.read("latency_s", AebPolicy.latency, _number)
+    confirm = pol.read("confirm_frames", AebPolicy.confirm_frames, _integer)
     pol.finish()
     if decel <= 0:
         raise ConfigError("policy.deceleration_mps2 must be positive")
-    try:
+    with reported_as("policy"):
         policy = AebPolicy(deceleration=decel, latency=latency, confirm_frames=confirm)
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from None
 
     sens = top.section("sensors")
     layout_file = sens.take("layout_file", None)
-    range_m = _number(sens.take("range_m", DEFAULT_RANGE_M), "sensors.range_m")
-    sensor_latency = _number(sens.take("latency_s", SensorUnit.latency), "sensors.latency_s")
+    range_m = sens.read("range_m", DEFAULT_RANGE_M, _number)
+    sensor_latency = sens.read("latency_s", SensorUnit.latency, _number)
     sens.finish()
 
     ov = top.section("scenario_overrides")
-    ov_fields = {f.name: f for f in fields(ScenarioOverrides)}
+    ov_fields = {f.name for f in fields(ScenarioOverrides)}
     ov_values = {}
     for name in list(ov.data):
         if name not in ov_fields:
@@ -339,18 +357,17 @@ def load_config(
                 f"scenario_overrides: unknown field {name!r}; "
                 f"known: {', '.join(sorted(ov_fields))}"
             )
-        ov_values[name] = _number(ov.take(name, None), f"scenario_overrides.{name}")
-    ov.finish()
+        ov_values[name] = ov.read(name, None, _number)
     overrides = replace(DEFAULT_OVERRIDES, **ov_values) if ov_values else DEFAULT_OVERRIDES
     for name in ("frame_rate", "pedestrian_speed_kmh", "cyclist_speed_kmh"):
         if not getattr(overrides, name) > 0:
             raise ConfigError(f"scenario_overrides.{name} must be positive")
 
-    cfg_traces = _boolean(top.take("write_traces", False), "write_traces")
+    cfg_traces = top.read("write_traces", False, _boolean)
     subsets_raw = top.take("subsets", None)
     top.finish()
 
-    try:
+    with reported_as("detection"):
         model = DetectionModel(
             min_visible_fraction=min_frac,
             min_width_px=min_w_px,
@@ -359,20 +376,14 @@ def load_config(
             miss_probability=miss_p,
             seed=cfg_seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"detection: {exc}") from None
 
     if layout_file is not None:
-        if not isinstance(layout_file, str):
-            raise ConfigError("sensors.layout_file: expected a path string")
         rsu_units = read_layout(layout_file, overrides.frame_rate, "sensors.layout_file")
     hardware = dict(hfov=hfov, vfov=vfov, max_range=range_m, latency=sensor_latency)
-    try:
+    with reported_as("sensors"):
         vut_sensor = replace(default_vut_sensor(), **hardware)
         if layout_file is None:
             rsu_units = tuple(replace(u, **hardware) for u in default_layout())
-    except ValueError as exc:
-        raise ConfigError(f"sensors: {exc}") from None
     ids = [vut_sensor.sensor_id] + [u.sensor_id for u in rsu_units]
     if len(set(ids)) != len(ids):
         raise ConfigError("sensor ids must be unique across the vehicle and layout")
@@ -416,18 +427,12 @@ def _check_scenarios(config: RunConfig) -> None:
     scenario can be built with, and a run of more than _MAX_RUN_STEPS
     kinematics steps, fail at load time, not in the middle of a sweep."""
     rate = config.overrides.frame_rate
-    try:
+    with reported_as("scenario_overrides.frame_rate"):
         dt = config.dt
-    except ValueError as exc:
-        raise ConfigError(f"scenario_overrides.frame_rate: {exc}") from None
     for kind in config.scenarios:
         for speed in config.speeds_by_kind[kind]:
-            try:
+            with reported_as(f"scenario_overrides: {kind.display_name} at {speed:g} km/h"):
                 spec = build_scenario(kind, speed, config.overrides)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"scenario_overrides: {kind.display_name} at {speed:g} km/h: {exc}"
-                ) from None
             # its frame periods, the last frame's included, over dt
             if (spec.sim_duration + 1.0 / rate) / dt > _MAX_RUN_STEPS:
                 raise ConfigError(

@@ -229,17 +229,6 @@ def allowed_speeds_kmh(kind: ScenarioKind) -> tuple[float, ...]:
     return CROSSING_SPEEDS_KMH
 
 
-def _validate_speed(kind: ScenarioKind, vut_speed_kmh: float) -> float:
-    allowed = allowed_speeds_kmh(kind)
-    for v in allowed:
-        if abs(vut_speed_kmh - v) < 1e-9:
-            return v
-    raise ValueError(
-        f"{kind.display_name} speed {vut_speed_kmh:g} km/h not in allowed set "
-        f"{{{', '.join(f'{v:g}' for v in allowed)}}}"
-    )
-
-
 def build_scenario(
     kind: ScenarioKind,
     vut_speed_kmh: float,
@@ -250,14 +239,19 @@ def build_scenario(
     Raises ValueError when the speed is outside the sweep grid for the
     kind, or, in CBLA, when the cyclist is not slower than the vehicle.
     """
-    speed_kmh = _validate_speed(kind, vut_speed_kmh)
-    v = speed_kmh * KMH
+    allowed = allowed_speeds_kmh(kind)
+    if vut_speed_kmh not in allowed:
+        raise ValueError(
+            f"{kind.display_name} speed {vut_speed_kmh:g} km/h not in allowed set "
+            f"{{{', '.join(f'{v:g}' for v in allowed)}}}"
+        )
+    v = vut_speed_kmh * KMH
     ov = overrides
     # the vehicle must close in on the cyclist it follows
-    if kind is ScenarioKind.CBLA and ov.cyclist_speed_kmh >= speed_kmh:
+    if kind is ScenarioKind.CBLA and ov.cyclist_speed_kmh >= vut_speed_kmh:
         raise ValueError(
             f"cyclist_speed_kmh ({ov.cyclist_speed_kmh:g}) must be below "
-            f"the vehicle speed ({speed_kmh:g} km/h)"
+            f"the vehicle speed ({vut_speed_kmh:g} km/h)"
         )
 
     sync_time = max(_MIN_SYNC_TIME, _MIN_START_DISTANCE / v)

@@ -51,8 +51,11 @@ def test_sweep_vehicle_height_is_an_unknown_key(tmp_path, caplog):
     assert "unknown field 'vut_height'" in caplog.text
 
 
-def test_sweep_missing_config_file_is_exit_1(tmp_path):
-    assert main(["sweep", "--config", str(tmp_path / "absent.yaml"), "-q"]) == 1
+def test_sweep_missing_config_file_is_exit_1(tmp_path, caplog):
+    # a config file that cannot be opened reports the system's own message
+    path = tmp_path / "absent.yaml"
+    message = one_line_config_error(caplog, ["sweep", "--config", str(path), "-q"])
+    assert message == f"[Errno 2] No such file or directory: '{path}'"
 
 
 def test_sweep_invalid_yaml_is_exit_1(tmp_path):
@@ -111,14 +114,26 @@ def one_line_config_error(caplog, argv):
         ({"speed_range": {"min_kmh": 20}}, "top level: speed_range"),
         ({"speeds_kmh": [40, 40.0]}, "speeds_kmh: duplicate"),
         ({"scene_yaw_deg": [0, 0]}, "scene_yaw_deg: duplicate"),
+        # library errors met at load time, each as `<key or section>: <reason>`
+        ({"sensors": {"layout_file": 3}}, "sensors.layout_file: expected a path string"),
+        ({"sensors": {"layout_file": "absent.txt"}}, "sensors.layout_file: "),
+        ({"sensors": {"layout_file": "bad_row.txt"}}, "sensors.layout_file: layout line 3: "),
+        ({"detection": {"miss_probability": 2}}, "detection: "),
+        ({"policy": {"confirm_frames": 0}}, "policy: "),
     ],
     ids=[
         "latency-nan", "deceleration-nan", "cyclist-speed-zero", "cbla-cyclist-not-slower",
         "vut-length-negative", "range-negative", "frame-rate-zero", "frame-rate-1e-320",
         "frame-rate-1e308", "dt-s-unknown", "speed-range-unknown", "speeds-duplicate", "yaws-duplicate",
+        "layout-file-not-a-string", "layout-file-missing", "layout-file-bad-row", "miss-probability-2", "confirm-frames-0",
     ],
 )
-def test_sweep_bad_number_is_exit_1_with_one_line(tmp_path, caplog, data, where):
+def test_sweep_bad_number_is_exit_1_with_one_line(tmp_path, monkeypatch, caplog, data, where):
+    # relative layout paths resolve in tmp_path, where bad_row.txt has a
+    # second row one cell short
+    monkeypatch.chdir(tmp_path)
+    good = format_layout(default_layout()[:1])
+    (tmp_path / "bad_row.txt").write_text(good + good.splitlines()[1].rsplit(",", 1)[0] + "\n", encoding="utf-8")
     cfg = cfg_file(tmp_path, {"scenarios": ["CBNA"], "speeds_kmh": [40], **data})
     out = tmp_path / "out"
     message = one_line_config_error(caplog, ["sweep", "--config", cfg, "--out", str(out), "-q"])
@@ -208,6 +223,21 @@ def test_a_config_file_that_is_not_utf8_is_exit_1(tmp_path, caplog, command):
         argv += ["--candidates", candidates_file(tmp_path), "--budget", "1"]
     message = one_line_config_error(caplog, argv)
     assert message.startswith(f"{cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("when: 2020-13-45\n", "month must be in 1..12"), ("seed: !!int x\n", "invalid literal for int() with base 10: 'x'")],
+    ids=["bad-date", "bad-int-tag"],
+)
+def test_a_yaml_value_the_parser_cannot_build_is_exit_1(tmp_path, caplog, text, reason):
+    # YAML's constructors raise a plain ValueError for an impossible date or
+    # a tagged scalar of the wrong form, which used to escape as a traceback
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    message = one_line_config_error(caplog, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "-q"])
+    assert message == f"{cfg}: {reason}"
     assert not (tmp_path / "out").exists()
 
 

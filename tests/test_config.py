@@ -411,6 +411,16 @@ def test_subset_resolution(tmp_path):
     assert cfg.subsets[2].sensor_ids == ("vut", "rsu1")
     assert len(cfg.subsets[0].sensor_ids) == 13
 
+    # by default each sensor alone, the vehicle's first and then the
+    # layout's in file order (not sorted by id), then all of them fused
+    rsus = {u.sensor_id: u for u in default_layout()}
+    layout = tmp_path / "layout.txt"
+    layout.write_text(format_layout([replace(rsus["rsu1"], sensor_id="rsu10"), rsus["rsu2"]]), encoding="utf-8")
+    cfg = load_config(write_cfg(tmp_path, {"sensors": {"layout_file": str(layout)}}))
+    assert [(s.name, s.sensor_ids) for s in cfg.subsets] == [
+        ("vut", ("vut",)), ("rsu10", ("rsu10",)), ("rsu2", ("rsu2",)), ("any", ("vut", "rsu10", "rsu2")),
+    ]
+
     with pytest.raises(ConfigError, match="unknown sensor"):
         load_config(write_cfg(tmp_path, {"subsets": ["nope"]}))
     with pytest.raises(ConfigError, match="duplicate sensor"):

@@ -148,6 +148,15 @@ def test_speed_grid_is_enforced():
         build_scenario(ScenarioKind.CPNC50, 65.0)
 
 
+@pytest.mark.parametrize("speed", [math.nextafter(40.0, 41.0), math.nextafter(40.0, 39.0)], ids=["above", "below"])
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.display_name)
+def test_a_speed_one_ulp_off_the_grid_is_rejected(kind, speed):
+    # the grid is exact: a speed is built only if it is one of the listed
+    # floats, as config's speeds_kmh already requires
+    with pytest.raises(ValueError, match="not in allowed set"):
+        build_scenario(kind, speed)
+
+
 @pytest.mark.parametrize("cyclist_kmh", [25.0, 30.0])
 def test_cbla_cyclist_must_be_slower_than_the_vehicle(cyclist_kmh):
     fast = ScenarioOverrides(cyclist_speed_kmh=cyclist_kmh)

@@ -14,6 +14,10 @@ dataclass: state the package writes and never reads belongs nowhere. A
 class that a library-only module exports is API, and its members are
 exempt.
 
+A library error met at load time reaches the user as ``<key or flag>:
+<reason>`` by one rule, ``config.reported_as``: no other ``except``
+handler builds a ``ConfigError`` from the exception it caught.
+
 No module imports numpy: the kernels must give the bits of ``math``'s
 scalar functions, which vectorised loops need not, and numpy is only a
 test dependency. And no module imports a name it never uses: a name in an
@@ -198,3 +202,28 @@ def unused_imports() -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports() == []
+
+
+def config_errors_built_from_caught_exceptions() -> list[str]:
+    """``module:line`` of each ``ConfigError(...)`` that an ``except ... as
+    name`` handler builds from ``name``, but in ``config.reported_as``."""
+    found = []
+    for module, tree in package_modules().items():
+        owner = range(0)
+        for stmt in tree.body:
+            if module == "config" and isinstance(stmt, ast.FunctionDef) and stmt.name == "reported_as":
+                owner = range(stmt.lineno, stmt.end_lineno + 1)
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler) or handler.name is None or handler.lineno in owner:
+                continue
+            found += [
+                f"{module}:{node.lineno}"
+                for node in ast.walk(handler)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ConfigError"
+                and any(isinstance(name, ast.Name) and name.id == handler.name for name in ast.walk(node))
+            ]
+    return found
+
+
+def test_one_function_turns_library_errors_into_config_errors():
+    assert config_errors_built_from_caught_exceptions() == []
